@@ -24,7 +24,6 @@ from .distributed import (
     RoundLog,
     RoundRecord,
     distributed_sieve_plus_max,
-    greedy_order,
     simulate_round,
 )
 from .errors import (
@@ -50,6 +49,7 @@ from .offline import (
     OfflineResult,
     greedy,
     greedy_or_max,
+    greedy_order,
     greedy_plus_max,
     partial_enum_greedy,
 )
@@ -57,7 +57,6 @@ from .streaming import (
     OptEstimate,
     SieveState,
     StreamSource,
-    ThresholdSchedule,
     estimate_lambda,
     sieve,
     sieve_or_max,
@@ -95,7 +94,6 @@ __all__ = [
     "Solution",
     "StreamSource",
     "SubmodularOracle",
-    "ThresholdSchedule",
     "TooLarge",
     "TraceStep",
     "brute_force_opt",

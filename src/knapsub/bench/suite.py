@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import statistics
 from dataclasses import dataclass, fields, replace
 
 from ..core import (
-    AlgoReport,
     QueryLedger,
-    Solution,
+    RunMeter,
     SubmodularOracle,
     normalize,
     upper_bound_opt,
@@ -66,8 +66,8 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in KNOWN_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
-        if not all(k > 0 for k in self.k_values):
-            raise ValueError("K values must be positive")
+        if not all(math.isfinite(k) and k > 0 for k in self.k_values):
+            raise ValueError("K values must be positive and finite")
         if self.budget <= 0:
             raise ValueError("query budget must be positive")
         if self.iterations < 1:
@@ -217,13 +217,6 @@ def build_dataset(cfg: ExperimentConfig):
     return label, objective, raw
 
 
-def _degenerate(name, oracle, ledger):
-    # a zero estimate certifies that no element adds value
-    value = oracle.evaluate((), ledger)
-    return AlgoReport(algorithm=name, solution=Solution(frozenset(), value, 0.0),
-                      queries=ledger.query_count)
-
-
 def _dispatch(name, instance, oracle, stream, ledger, cfg, seed):
     if name == "greedy":
         return greedy(instance, oracle, ledger).report
@@ -233,17 +226,18 @@ def _dispatch(name, instance, oracle, stream, ledger, cfg, seed):
         return greedy_plus_max(instance, oracle, ledger).report
     if name == "partial_enum_greedy":
         return partial_enum_greedy(instance, oracle, cfg.depth, ledger=ledger).report
-    if name == "distributed_sieve_plus_max":
-        est = estimate_lambda(StreamSource.from_instance(instance),
-                              instance.capacity, oracle, ledger=ledger)
-        if est.lam <= 0:
-            return _degenerate(name, oracle, ledger)
+    distributed = name == "distributed_sieve_plus_max"
+    # the distributed lane keeps the row's stream untouched: its passes are 0
+    est_stream = StreamSource.from_instance(instance) if distributed else stream
+    est = estimate_lambda(est_stream, instance.capacity, oracle, ledger=ledger)
+    if est.lam <= 0:
+        # a zero estimate certifies that no element adds value
+        meter = RunMeter(name, instance, ledger)
+        return meter.report((), oracle.evaluate((), ledger))
+    if distributed:
         mpc = MpcConfig.for_instance(instance, seed=seed)
         return distributed_sieve_plus_max(
             instance, oracle, est.lam, est.alpha, cfg.epsilon, mpc, ledger).report
-    est = estimate_lambda(stream, instance.capacity, oracle, ledger=ledger)
-    if est.lam <= 0:
-        return _degenerate(name, oracle, ledger)
     runner = {"sieve": sieve, "sieve_or_max": sieve_or_max,
               "sieve_plus_max": sieve_plus_max}[name]
     return runner(stream, instance.capacity, oracle, est.lam, est.alpha,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,11 +56,16 @@ class Instance:
     capacity : rescaled knapsack budget K
     base_set : ids of zero-cost items, absorbed into every evaluation
     k_tilde  : min(len(elements), floor(capacity)), a solution-size bound
+
+    A capacity that is not finite raises ``ValueError``: no solver has a
+    threshold grid or a size bound for an unbounded budget.
     """
 
     def __init__(self, elements, capacity, base_set=()):
         self.elements = tuple(elements)
         self.capacity = float(capacity)
+        if not math.isfinite(self.capacity):
+            raise ValueError(f"capacity must be finite, got {capacity!r}")
         self.base_set = frozenset(base_set)
         self._cost = {e.id: e.cost for e in self.elements}
         if len(self._cost) != len(self.elements):
@@ -72,9 +78,7 @@ class Instance:
                                  "cost (zero-cost items belong in base_set)")
             if e.cost > self.capacity:
                 raise ValueError(f"element {e.id} does not fit the capacity")
-        # an infinite capacity never binds, so the cardinality cap is just n
-        self.k_tilde = (len(self.elements) if math.isinf(self.capacity)
-                        else min(len(self.elements), math.floor(self.capacity)))
+        self.k_tilde = min(len(self.elements), math.floor(self.capacity))
 
     @property
     def n(self) -> int:
@@ -129,9 +133,6 @@ class QueryLedger:
             self.query_count += 1
             if infeasible:
                 self.infeasible_query_count += 1
-
-    def snapshot(self) -> int:
-        return self.query_count
 
 
 class SubmodularOracle:
@@ -199,29 +200,6 @@ class GreedyTrace:
 
     steps: list[TraceStep] = field(default_factory=list)
 
-    def breakpoints(self):
-        return [s.cum_cost for s in self.steps]
-
-    def value_at(self, x: float) -> float:
-        steps = self.steps
-        if not steps or x < steps[0].cum_cost:
-            return 0.0
-        for i in range(len(steps) - 1):
-            if x < steps[i + 1].cum_cost:
-                s = steps[i]
-                return s.value + (x - s.cum_cost) * s.next_density
-        last = steps[-1]
-        return last.value + (x - last.cum_cost) * last.next_density
-
-    def right_derivative_at(self, x: float) -> float:
-        steps = self.steps
-        if not steps or x < steps[0].cum_cost:
-            return 0.0
-        for i in range(len(steps) - 1):
-            if x < steps[i + 1].cum_cost:
-                return steps[i].next_density
-        return steps[-1].next_density
-
     def validate(self, offline: bool = False):
         """Assert the structural trace invariants."""
         prev = None
@@ -247,6 +225,38 @@ class AlgoReport:
     max_central_receipts: int = 0
     wall_time: float = 0.0
     trace: GreedyTrace | None = None
+
+
+class RunMeter:
+    """Marks where one algorithm call starts and builds its :class:`AlgoReport`.
+
+    Queries and stream passes are counted from the moment the meter is made,
+    so work done earlier on a shared ledger or stream is not charged.
+    """
+
+    def __init__(self, name: str, instance: Instance, ledger: QueryLedger,
+                 stream=None):
+        self.name = name
+        self.instance = instance
+        self.ledger = ledger
+        self.stream = stream
+        self.q0 = ledger.query_count
+        self.p0 = 0 if stream is None else stream.pass_count
+        self.started = time.perf_counter()
+
+    def report(self, ids, value: float, trace: GreedyTrace | None = None,
+               rounds: int = 0, max_central_receipts: int = 0) -> AlgoReport:
+        ids = frozenset(ids)
+        return AlgoReport(
+            algorithm=self.name,
+            solution=Solution(ids, value, self.instance.cost(ids)),
+            queries=self.ledger.query_count - self.q0,
+            passes=0 if self.stream is None else self.stream.pass_count - self.p0,
+            rounds=rounds,
+            max_central_receipts=max_central_receipts,
+            wall_time=time.perf_counter() - self.started,
+            trace=trace,
+        )
 
 
 def normalize(raw_elements, capacity, base_ids=()) -> Instance:

@@ -8,6 +8,11 @@ the survivors up; the coordinator refilters arrivals in machine order.  A
 final round reorders the collection greedily and lets machines race their
 best single-element augmentation against the bare prefixes.
 
+Machines and coordinator call the streaming module's ``threshold_pass``;
+the last round calls its ``augment_pass`` and ``best_augmented``.  With one
+machine this is Sieve+Max's own code by construction, run in another scan
+order (the sample, then a shuffled slice, instead of stream order).
+
 The simulation runs machines sequentially in index order, so results are
 reproducible and independent of any physical parallelism.  Per-machine
 memory is asserted, never truncated.
@@ -15,16 +20,19 @@ memory is asserted, never truncated.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
-from .core import AlgoReport, Instance, QueryLedger, Solution, SubmodularOracle
+from .core import AlgoReport, Instance, QueryLedger, RunMeter, SubmodularOracle
 from .errors import MemoryCapExceeded
-from .offline import _run_greedy
-from .streaming import threshold_levels
+from .offline import greedy_order
+from .streaming import (
+    augment_pass,
+    best_augmented,
+    threshold_levels,
+    threshold_pass,
+)
 
 
 @dataclass(frozen=True)
@@ -93,13 +101,6 @@ class RoundLog:
     def total_queries(self) -> int:
         return sum(r.queries for r in self.records)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("round,t,gamma_size,sent_total,T_size\n")
-            for r in self.records:
-                fh.write(f"{r.round},{r.threshold!r},{r.gamma_size},"
-                         f"{r.sent_total},{r.t_size}\n")
-
 
 def simulate_round(workers, payloads, memory_cap: float | None = None):
     """Run one synchronous round, machines in index order.
@@ -117,17 +118,6 @@ def simulate_round(workers, payloads, memory_cap: float | None = None):
                 f"machine {i} would hold {load} items, cap {memory_cap:.0f}")
         outs.append(worker(*payload))
     return outs
-
-
-def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
-                 ledger: QueryLedger):
-    """Greedy pick order over ``members`` only, with prefix costs and values.
-
-    The three returned lists are the picked ids in order and the cost/value
-    of every prefix including the empty one.
-    """
-    run = _run_greedy(instance, oracle, ledger, restrict_to=frozenset(members))
-    return run.prefix_ids, run.prefix_costs, run.prefix_values
 
 
 @dataclass
@@ -151,13 +141,13 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     Runs one round per threshold level (none are skipped; machines cannot
     certify emptiness for elements they never saw), then a final round where
     machines try their local elements against greedily reordered prefixes of
-    the collection.  With one machine the returned value matches the
-    streaming solver on the same grid exactly.
+    the collection.  With one machine it runs Sieve+Max's kernels on the
+    same grid, in a different scan order.
     """
     config = config or MpcConfig.for_instance(instance)
     config.validate(instance)
     ledger = ledger or QueryLedger()
-    started = time.perf_counter()
+    meter = RunMeter("distributed_sieve_plus_max", instance, ledger)
     q_mark = ledger.query_count
 
     n = instance.n
@@ -179,39 +169,21 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
         slices = _partition(all_ids, m, rng)
 
         def machine(t_list, gamma_items, local_items):
-            x = set(t_list)
-            cost_x, value_x = cost_t, value_t
-            sent = []
-            for eid in list(gamma_items) + list(local_items):
-                if eid in x:
-                    continue
-                c_e = instance.cost_of(eid)
-                if cost_x + c_e > k:
-                    continue
-                gain = oracle.marginal_gain(eid, x, ledger, cached=value_x)
-                if max(0.0, gain) / c_e > t:
-                    x.add(eid)
-                    cost_x += c_e
-                    value_x += gain
-                    sent.append(eid)
-            return sent
+            items = list(gamma_items) + list(local_items)
+            accepted, _ = threshold_pass(oracle, items, t, set(t_list), cost_t,
+                                         value_t, k, ledger)
+            return [eid for eid, _ in accepted]
 
         payloads = [(order_t, gamma, slices[i]) for i in range(m)]
         outputs = simulate_round([machine] * m, payloads, config.memory_cap)
 
         arrivals = [eid for out in outputs for eid in out]
-        for eid in arrivals:
-            if eid in t_set:
-                continue
-            c_e = instance.cost_of(eid)
-            if cost_t + c_e > k:
-                continue
-            gain = oracle.marginal_gain(eid, t_set, ledger, cached=value_t)
-            if max(0.0, gain) / c_e > t:
-                order_t.append(eid)
-                t_set.add(eid)
-                cost_t += c_e
-                value_t += gain
+        accepted, _ = threshold_pass(oracle, arrivals, t, t_set, cost_t, value_t,
+                                     k, ledger)
+        for eid, gain in accepted:
+            order_t.append(eid)
+            cost_t += instance.cost_of(eid)
+            value_t += gain
         log.add(round=rno, threshold=t, gamma_size=len(gamma),
                 sent_per_machine=tuple(len(o) for o in outputs),
                 sent_total=len(arrivals), t_size=len(order_t),
@@ -224,43 +196,16 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     slices = _partition(all_ids, m, rng)
 
     def aug_machine(t_list, local_items):
-        best = None
-        for eid in local_items:
-            if eid in t_set:
-                continue
-            c_e = instance.cost_of(eid)
-            j = bisect.bisect_right(pcosts, k - c_e) - 1
-            if j < 0:
-                continue
-            v = oracle.evaluate(frozenset(t_list[:j]) | {eid}, ledger)
-            if best is None or v > best[0]:
-                best = (v, j, eid)
-        return [] if best is None else [best]
+        return augment_pass(oracle, local_items, t_list, pcosts, t_set, k, ledger)
 
     payloads = [(order, slices[i]) for i in range(m)]
     outputs = simulate_round([aug_machine] * m, payloads, config.memory_cap)
-
-    best_j = max(range(len(pvals)), key=lambda j: (pvals[j], -j))
-    value, j_star, aug = pvals[best_j], best_j, None
-    for out in outputs:
-        for cand in out:
-            if cand[0] > value:
-                value, j_star, aug = cand
-    ids = set(order[:j_star])
-    if aug is not None:
-        ids.add(aug)
+    ids, value = best_augmented(order, pvals, [c for out in outputs for c in out])
     log.add(round=len(levels), threshold=0.0, gamma_size=0,
             sent_per_machine=tuple(len(o) for o in outputs),
             sent_total=sum(len(o) for o in outputs), t_size=len(order_t),
             queries=ledger.query_count - q_mark)
 
-    ids = frozenset(ids)
-    report = AlgoReport(
-        algorithm="distributed_sieve_plus_max",
-        solution=Solution(ids, value, instance.cost(ids)),
-        queries=log.total_queries,
-        rounds=len(levels) + 1,
-        max_central_receipts=log.max_central_receipts,
-        wall_time=time.perf_counter() - started,
-    )
+    report = meter.report(ids, value, rounds=len(levels) + 1,
+                          max_central_receipts=log.max_central_receipts)
     return DistributedResult(report, log)

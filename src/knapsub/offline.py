@@ -11,7 +11,6 @@ free.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -20,11 +19,10 @@ from .core import (
     GreedyTrace,
     Instance,
     QueryLedger,
-    Solution,
+    RunMeter,
     SubmodularOracle,
     TraceStep,
 )
-from .errors import BudgetExceeded
 
 
 @dataclass
@@ -110,34 +108,32 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
                       GreedyTrace(steps))
 
 
-def _report(name, instance, ledger, start_queries, started, ids, value,
-            trace=None) -> AlgoReport:
-    ids = frozenset(ids)
-    return AlgoReport(
-        algorithm=name,
-        solution=Solution(ids, value, instance.cost(ids)),
-        queries=ledger.query_count - start_queries,
-        wall_time=time.perf_counter() - started,
-        trace=trace,
-    )
+def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
+                 ledger: QueryLedger):
+    """Greedy pick order over ``members`` only, with prefix costs and values.
+
+    The three returned lists are the picked ids in order and the cost/value
+    of every prefix including the empty one.
+    """
+    run = _run_greedy(instance, oracle, ledger, restrict_to=frozenset(members))
+    return run.prefix_ids, run.prefix_costs, run.prefix_values
 
 
 def greedy(instance: Instance, oracle: SubmodularOracle,
            ledger: QueryLedger | None = None) -> OfflineResult:
     """Marginal-density greedy under the knapsack budget."""
     ledger = ledger or QueryLedger()
-    started, q0 = time.perf_counter(), ledger.query_count
+    meter = RunMeter("greedy", instance, ledger)
     run = _run_greedy(instance, oracle, ledger)
-    report = _report("greedy", instance, ledger, q0, started,
-                     run.prefix_ids, run.prefix_values[-1], run.trace)
-    return OfflineResult(report)
+    return OfflineResult(meter.report(run.prefix_ids, run.prefix_values[-1],
+                                      run.trace))
 
 
 def greedy_or_max(instance: Instance, oracle: SubmodularOracle,
                   ledger: QueryLedger | None = None) -> OfflineResult:
     """The better of plain greedy and the best feasible singleton."""
     ledger = ledger or QueryLedger()
-    started, q0 = time.perf_counter(), ledger.query_count
+    meter = RunMeter("greedy_or_max", instance, ledger)
     run = _run_greedy(instance, oracle, ledger)
     ids, value = run.prefix_ids, run.prefix_values[-1]
     augmentations = []
@@ -147,9 +143,7 @@ def greedy_or_max(instance: Instance, oracle: SubmodularOracle,
         augmentations.append((0, s0, v0))
         if v0 > value:
             ids, value = [s0], v0
-    report = _report("greedy_or_max", instance, ledger, q0, started,
-                     ids, value, run.trace)
-    return OfflineResult(report, augmentations)
+    return OfflineResult(meter.report(ids, value, run.trace), augmentations)
 
 
 def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
@@ -162,7 +156,7 @@ def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
     dominates greedy and greedy-or-max at identical query cost.
     """
     ledger = ledger or QueryLedger()
-    started, q0 = time.perf_counter(), ledger.query_count
+    meter = RunMeter("greedy_plus_max", instance, ledger)
     run = _run_greedy(instance, oracle, ledger)
     best_i, best_s, best_v = 0, None, -math.inf
     for i, s, v in run.candidates:
@@ -171,52 +165,34 @@ def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
     ids = set(run.prefix_ids[:best_i])
     if best_s is not None:
         ids.add(best_s)
-    report = _report("greedy_plus_max", instance, ledger, q0, started,
-                     ids, best_v, run.trace)
-    return OfflineResult(report, run.candidates)
+    return OfflineResult(meter.report(ids, best_v, run.trace), run.candidates)
 
 
 def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int,
-                        ledger: QueryLedger | None = None,
-                        query_budget: int | None = None) -> OfflineResult:
+                        ledger: QueryLedger | None = None) -> OfflineResult:
     """Greedy completion of every feasible seed of at most ``depth`` items.
 
     depth 0 degenerates to plain greedy.  The seed enumeration costs roughly
-    n^(depth+1) * k_tilde queries, so a budget may be supplied; it is checked
-    upfront against that estimate and per seed while running.
+    n^(depth+1) * k_tilde queries; cap it with ``QueryLedger(budget=...)``,
+    which raises :class:`BudgetExceeded` before the first query past the cap.
     """
     if not 0 <= depth <= 3:
         raise ValueError("enumeration depth must be between 0 and 3")
     ledger = ledger or QueryLedger()
-    started, q0 = time.perf_counter(), ledger.query_count
+    meter = RunMeter("partial_enum_greedy", instance, ledger)
 
-    n = instance.n
     ids = sorted(e.id for e in instance.elements)
     seeds = [()]
     for size in range(1, depth + 1):
         seeds.extend(c for c in combinations(ids, size)
                      if instance.cost(c) <= instance.capacity)
-    if query_budget is not None:
-        estimate = len(seeds) * (1 + n * max(1, instance.k_tilde))
-        if estimate > query_budget:
-            raise BudgetExceeded(
-                f"seed enumeration needs about {estimate} queries, "
-                f"budget is {query_budget}")
 
     best_ids: frozenset[int] = frozenset()
     best_v = -math.inf
     for seed in seeds:
-        if query_budget is not None and ledger.query_count - q0 >= query_budget:
-            raise BudgetExceeded("query budget exhausted during seed enumeration")
         run = _run_greedy(instance, oracle, ledger, seed_ids=seed)
         v = run.prefix_values[-1]
         if v > best_v:
             best_v = v
             best_ids = frozenset(seed) | set(run.prefix_ids)
-    report = AlgoReport(
-        algorithm="partial_enum_greedy",
-        solution=Solution(best_ids, best_v, instance.cost(best_ids)),
-        queries=ledger.query_count - q0,
-        wall_time=time.perf_counter() - started,
-    )
-    return OfflineResult(report)
+    return OfflineResult(meter.report(best_ids, best_v))

@@ -8,13 +8,19 @@ the collected set grows, the largest density recorded during a pass is a
 certificate that every level above it would collect nothing; such levels
 are skipped without touching the stream.  Skipping never changes the
 collected set, it only avoids provably idle traversals.
+
+Distributed+Max shares two kernels with the sieves: ``threshold_pass``,
+the one "clears the level and still fits" filter, and ``augment_pass`` with
+``best_augmented``, the one prefix-plus-one augmentation and its final
+pick.  With one machine it therefore runs Sieve+Max's filter, augmentation
+and tie rule by construction; only its scan order differs, and that alone
+can change the collected set.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import time
 from dataclasses import dataclass
 
 from .core import (
@@ -23,12 +29,12 @@ from .core import (
     GreedyTrace,
     Instance,
     QueryLedger,
-    Solution,
+    RunMeter,
     SubmodularOracle,
     TraceStep,
 )
 from .errors import InvalidLambda, ParseError
-from .offline import _run_greedy
+from .offline import greedy_order
 
 
 class StreamSource:
@@ -61,12 +67,6 @@ class StreamSource:
                     raise ParseError(str(exc), line_no=no) from None
         return cls(out)
 
-    def align_to(self, instance: Instance) -> "StreamSource":
-        """Drop items the (normalized) instance no longer carries."""
-        known = {e.id for e in instance.elements}
-        return StreamSource([Element(e.id, instance.cost_of(e.id))
-                             for e in self._elements if e.id in known])
-
     def scan(self):
         self.pass_count += 1
         yield from self._elements
@@ -91,19 +91,6 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
         levels.append(tau)
         tau /= 1.0 + epsilon
     return levels
-
-
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """The descending threshold grid for one thresholding run."""
-
-    lam: float
-    alpha: float
-    epsilon: float
-    capacity: float
-
-    def levels(self):
-        return threshold_levels(self.lam, self.alpha, self.epsilon, self.capacity)
 
 
 @dataclass
@@ -135,10 +122,101 @@ class OptEstimate:
     alpha: float
     max_singleton_density: float = 0.0
     peak_retained: int = 0
-    best_singleton: tuple[float, int] | None = None
 
     def __iter__(self):
         return iter((self.lam, self.alpha))
+
+
+def threshold_pass(oracle: SubmodularOracle, items, tau: float, members: set,
+                   cost: float, value: float, capacity: float,
+                   ledger: QueryLedger, singles: dict | None = None):
+    """One thresholding sweep of ``items`` against the collection ``members``.
+
+    ``cost`` and ``value`` describe ``members`` on entry.  Members and items
+    that no longer fit are skipped; an item joins ``members`` (in place) iff
+    its clamped density max(0, gain)/c_e strictly clears ``tau``.  Returns
+    ``(accepted, seen)``: the accepted (id, gain) pairs in order, and the
+    highest density among fitting items that were rejected, which bounds
+    every density at the next lower level.  ``singles``, when given,
+    receives the gain of each item evaluated while ``members`` is empty,
+    which is its singleton gain.
+    """
+    cost_of = oracle.instance.cost_of
+    accepted = []
+    seen = 0.0
+    for eid in items:
+        if eid in members:
+            continue
+        c_e = cost_of(eid)
+        if cost + c_e > capacity:
+            continue
+        gain = oracle.marginal_gain(eid, members, ledger, cached=value)
+        if singles is not None and not members:
+            singles[eid] = gain
+        density = max(0.0, gain) / c_e
+        if density > tau:
+            members.add(eid)
+            cost += c_e
+            value += gain
+            accepted.append((eid, gain))
+        elif density > seen:
+            seen = density
+    return accepted, seen
+
+
+def augment_pass(oracle: SubmodularOracle, items, order, prefix_costs,
+                 members, capacity: float, ledger: QueryLedger):
+    """Try every non-member item on the deepest prefix of ``order`` it fits.
+
+    ``prefix_costs[j]`` is the cost of ``order[:j]``.  Returns the best
+    extension as ``[(value, j, id)]``, the first item scanned winning ties,
+    or ``[]`` when no item fits any prefix.
+    """
+    cost_of = oracle.instance.cost_of
+    best = None
+    for eid in items:
+        if eid in members:
+            continue
+        j = bisect.bisect_right(prefix_costs, capacity - cost_of(eid)) - 1
+        if j < 0:
+            continue  # does not fit even the empty prefix
+        v = oracle.evaluate(frozenset(order[:j]) | {eid}, ledger)
+        if best is None or v > best[0]:
+            best = (v, j, eid)
+    return [] if best is None else [best]
+
+
+def best_augmented(order, prefix_values, extensions):
+    """Final pick: the best bare prefix (shortest on ties), replaced by the
+    first extension from ``augment_pass`` that is strictly better."""
+    j = max(range(len(prefix_values)), key=lambda i: (prefix_values[i], -i))
+    value, aug = prefix_values[j], None
+    for cand in extensions:
+        if cand[0] > value:
+            value, j, aug = cand
+    ids = set(order[:j])
+    if aug is not None:
+        ids.add(aug)
+    return ids, value
+
+
+def _best_singleton(oracle, items, free, value_empty, k, ledger):
+    """Best fitting singleton as (value, id), the first scanned on ties.
+
+    ``free`` maps ids to singleton gains already paid for; every other item
+    that fits costs one query.
+    """
+    best = None
+    for eid in items:
+        if eid in free:
+            v = value_empty + free[eid]
+        elif oracle.instance.cost_of(eid) <= k:
+            v = oracle.evaluate((eid,), ledger)
+        else:
+            continue
+        if best is None or v > best[0]:
+            best = (v, eid)
+    return best
 
 
 def _collect(stream, k, oracle, levels, ledger, density_cap, track_singletons):
@@ -168,45 +246,29 @@ def _collect(stream, k, oracle, levels, ledger, density_cap, track_singletons):
         if tau >= cap:
             continue  # certificate: no remaining density clears this level
         executed += 1
-        track = singles_pending
-        seen = 0.0
-        for elem in stream.scan():
-            eid = elem.id
-            if eid in member:
-                continue
+        items = (e.id for e in stream.scan())
+        singles = None
+        if singles_pending:
+            # the singleton pick revisits this pass's items in stream order
+            items, singles, singles_pending = list(items), {}, False
+        accepted, cap = threshold_pass(oracle, items, tau, member, cost_t,
+                                       value_t, k, ledger, singles)
+        for eid, gain in accepted:
             c_e = inst.cost_of(eid)
-            single_v = None
-            if cost_t + c_e <= k:
-                gain = oracle.marginal_gain(eid, member, ledger, cached=value_t)
-                if not member:
-                    single_v = value_empty + gain
-                density = max(0.0, gain) / c_e
-                if density > tau:
-                    steps.append(TraceStep(cost_t, value_t, density))
-                    order.append(eid)
-                    member.add(eid)
-                    cost_t += c_e
-                    value_t += gain
-                    prefix_costs.append(cost_t)
-                    prefix_values.append(value_t)
-                else:
-                    seen = max(seen, density)
-            if track:
-                if single_v is None and c_e <= k:
-                    single_v = oracle.evaluate((eid,), ledger)
-                if single_v is not None and (best_single is None or single_v > best_single[0]):
-                    best_single = (single_v, eid)
-        singles_pending = singles_pending and not track
-        cap = seen
+            steps.append(TraceStep(cost_t, value_t, max(0.0, gain) / c_e))
+            order.append(eid)
+            cost_t += c_e
+            value_t += gain
+            prefix_costs.append(cost_t)
+            prefix_values.append(value_t)
+        if singles is not None:
+            best_single = _best_singleton(oracle, items, singles, value_empty,
+                                          k, ledger)
 
-    if track_singletons and singles_pending:
+    if singles_pending:
         # every level was skipped; spend one dedicated singleton pass
-        for elem in stream.scan():
-            if inst.cost_of(elem.id) > k:
-                continue
-            v = oracle.evaluate((elem.id,), ledger)
-            if best_single is None or v > best_single[0]:
-                best_single = (v, elem.id)
+        best_single = _best_singleton(oracle, (e.id for e in stream.scan()),
+                                      {}, value_empty, k, ledger)
         executed += 1
 
     steps.append(TraceStep(cost_t, value_t, 0.0))
@@ -219,47 +281,14 @@ def _augment(stream, k, oracle, state: SieveState, ledger):
 
     Prefixes follow a greedy reordering of the collected set rather than
     insertion order; the whole set still fits the budget, so the reorder is
-    in-memory and costs no stream pass.  Using the same order as the
-    one-machine distributed run keeps the two variants value-identical.
+    in-memory and costs no stream pass.  Distributed+Max reorders its
+    collection with the same ``greedy_order``.
     """
-    inst = oracle.instance
     member = set(state.order)
-    run = _run_greedy(inst, oracle, ledger, restrict_to=member)
-    order, costs = run.prefix_ids, run.prefix_costs
-    best = [(v, None) for v in run.prefix_values]
-    for elem in stream.scan():
-        eid = elem.id
-        if eid in member:
-            continue
-        c_e = inst.cost_of(eid)
-        j = bisect.bisect_right(costs, k - c_e) - 1
-        if j < 0:
-            continue  # does not fit even the empty prefix
-        v = oracle.evaluate(frozenset(order[:j]) | {eid}, ledger)
-        if v > best[j][0]:
-            best[j] = (v, eid)
-    best_j = max(range(len(best)), key=lambda j: (best[j][0], -j))
-    value, aug = best[best_j]
-    ids = set(order[:best_j])
-    if aug is not None:
-        ids.add(aug)
-    return ids, value
-
-
-def _start(stream, oracle, ledger):
-    return time.perf_counter(), ledger.query_count, stream.pass_count
-
-
-def _finish(name, instance, ledger, stream, started, q0, p0, ids, value, trace):
-    ids = frozenset(ids)
-    return AlgoReport(
-        algorithm=name,
-        solution=Solution(ids, value, instance.cost(ids)),
-        queries=ledger.query_count - q0,
-        passes=stream.pass_count - p0,
-        wall_time=time.perf_counter() - started,
-        trace=trace,
-    )
+    order, costs, values = greedy_order(oracle.instance, oracle, member, ledger)
+    extensions = augment_pass(oracle, (e.id for e in stream.scan()), order,
+                              costs, member, k, ledger)
+    return best_augmented(order, values, extensions)
 
 
 def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -268,11 +297,10 @@ def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
           density_cap: float | None = None) -> AlgoReport:
     """Thresholding stage alone: return the collected set."""
     ledger = ledger or QueryLedger()
-    started, q0, p0 = _start(stream, oracle, ledger)
+    meter = RunMeter("sieve", oracle.instance, ledger, stream)
     levels = threshold_levels(lam, alpha, epsilon, k)
     state = _collect(stream, k, oracle, levels, ledger, density_cap, False)
-    return _finish("sieve", oracle.instance, ledger, stream, started, q0, p0,
-                   state.order, state.value, state.trace)
+    return meter.report(state.order, state.value, state.trace)
 
 
 def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -281,14 +309,13 @@ def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
                  density_cap: float | None = None) -> AlgoReport:
     """Better of the collected set and the best feasible singleton."""
     ledger = ledger or QueryLedger()
-    started, q0, p0 = _start(stream, oracle, ledger)
+    meter = RunMeter("sieve_or_max", oracle.instance, ledger, stream)
     levels = threshold_levels(lam, alpha, epsilon, k)
     state = _collect(stream, k, oracle, levels, ledger, density_cap, True)
     ids, value = state.order, state.value
     if state.best_singleton is not None and state.best_singleton[0] > value:
         value, ids = state.best_singleton[0], [state.best_singleton[1]]
-    return _finish("sieve_or_max", oracle.instance, ledger, stream, started,
-                   q0, p0, ids, value, state.trace)
+    return meter.report(ids, value, state.trace)
 
 
 def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -303,12 +330,11 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
     prefix-plus-one-item combination, bare prefixes included.
     """
     ledger = ledger or QueryLedger()
-    started, q0, p0 = _start(stream, oracle, ledger)
+    meter = RunMeter("sieve_plus_max", oracle.instance, ledger, stream)
     levels = threshold_levels(lam, alpha, epsilon, k)
     state = _collect(stream, k, oracle, levels, ledger, density_cap, False)
     ids, value = _augment(stream, k, oracle, state, ledger)
-    return _finish("sieve_plus_max", oracle.instance, ledger, stream, started,
-                   q0, p0, ids, value, state.trace)
+    return meter.report(ids, value, state.trace)
 
 
 def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -332,7 +358,6 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     log_base = math.log(base)
 
     delta = 0.0          # best singleton value so far
-    best_single = None
     lb = 0.0             # best collected-set value so far
     max_density = 0.0
     sets: dict[int, list] = {}   # grid index -> [member set, cost, value]
@@ -344,8 +369,6 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         fe = oracle.evaluate((eid,), ledger)
         if fe > delta:
             delta = fe
-        if best_single is None or fe > best_single[0]:
-            best_single = (fe, eid)
         if c_e > 0:
             max_density = max(max_density, fe / c_e)
         if delta <= 0:
@@ -372,5 +395,4 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
                 lb = max(lb, entry[2])
         peak = max(peak, sum(len(entry[0]) for entry in sets.values()))
 
-    return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak,
-                       best_single)
+    return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

@@ -21,7 +21,7 @@ from knapsub.bench import (
     write_csv,
 )
 from knapsub.bench.cli import main as cli_main
-from knapsub.bench.suite import parse_csv
+from knapsub.bench.suite import KNOWN_ALGORITHMS, parse_csv
 
 from helpers import TIGHT_CAPACITY, TIGHT_RAW_COSTS, tight_instance
 
@@ -205,6 +205,12 @@ def test_config_validation_errors():
                          iterations=0).validate()
 
 
+def test_config_rejects_nonfinite_k():
+    for k in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="K values"):
+            ExperimentConfig("d", "synthetic", ["greedy"], [3.0, k]).validate()
+
+
 # ------------------------------------------------------------------- suite
 
 
@@ -316,6 +322,23 @@ def test_csv_hash_ignores_wall_time(tmp_path):
               for r in rows]
     assert csv_hash(rows) == csv_hash(bumped)
     assert csv_hash(rows) != csv_hash(rows[:-1])
+
+
+PINNED_HASHES = {
+    "gnp": "b704fec412380661d247182d53b69cef8aaffabc43dfe900030dfb11e37947a1",
+    "pa": "9d965fe9aae62f4fa761db5daddd3d14138183964f8587c6ff1a7d3fe0487bf6",
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_HASHES))
+def test_pinned_csv_hash(model):
+    # every algorithm's value, ratio, query, pass and round count on a fixed
+    # grid; a refactor that keeps behaviour keeps these digests
+    cfg = ExperimentConfig(dataset="", kind="synthetic",
+                           algorithms=list(KNOWN_ALGORITHMS),
+                           k_values=[3.0, 6.0, 12.0], model=model, n=60,
+                           p=0.1, attach=3, seed=7, iterations=2)
+    assert csv_hash(run_suite(cfg, write=False)) == PINNED_HASHES[model]
 
 
 def test_parse_csv_rejects_foreign_header(tmp_path):

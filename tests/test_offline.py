@@ -182,8 +182,10 @@ def test_partial_enum_rejects_bad_depth():
 
 def test_partial_enum_budget_guard():
     inst, oracle = tight_oracle()
+    ledger = QueryLedger(budget=3)
     with pytest.raises(BudgetExceeded):
-        partial_enum_greedy(inst, oracle, 2, query_budget=3)
+        partial_enum_greedy(inst, oracle, 2, ledger)
+    assert ledger.query_count == 3  # the refused query was never answered
 
 
 def test_budget_exhaustion_propagates(corpus):
