@@ -56,6 +56,12 @@ class Instance:
     capacity : rescaled knapsack budget K
     base_set : ids of zero-cost items, absorbed into every evaluation
     k_tilde  : min(len(elements), floor(capacity)), a solution-size bound
+    units    : every cost (0 for base ids) as an exact integer
+    unit_capacity : the capacity on the same integer scale
+
+    Feasibility is decided in these integers alone, by :meth:`fits` or by a
+    solver that starts from :meth:`room` and subtracts ``units``.  Integer
+    sums are exact in any order, so no two callers disagree on one set.
 
     A capacity that is not finite raises ``ValueError``: no solver has a
     threshold grid or a size bound for an unbounded budget.
@@ -79,6 +85,14 @@ class Instance:
             if e.cost > self.capacity:
                 raise ValueError(f"element {e.id} does not fit the capacity")
         self.k_tilde = min(len(self.elements), math.floor(self.capacity))
+        # every finite float is m * 2**e: scaled by the finest denominator
+        # among them, all costs and the capacity become exact integers
+        ratios = [c.as_integer_ratio() for c in (self.capacity, *self._cost.values())]
+        scale = max(d for _, d in ratios)
+        units = [m * (scale // d) for m, d in ratios]
+        self.unit_capacity = units[0]
+        self.units = dict(zip(self._cost, units[1:]))
+        self.units.update(dict.fromkeys(self.base_set, 0))
 
     @property
     def n(self) -> int:
@@ -99,8 +113,13 @@ class Instance:
     def cost(self, ids) -> float:
         return sum(self.cost_of(i) for i in ids)
 
+    def room(self, ids) -> int:
+        """Exact capacity left after ``ids``, in ``units``; negative if over."""
+        return self.unit_capacity - sum(map(self.units.__getitem__, ids))
+
     def fits(self, ids) -> bool:
-        return self.cost(ids) <= self.capacity
+        """The one feasibility rule."""
+        return self.room(ids) >= 0
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
@@ -149,7 +168,7 @@ class SubmodularOracle:
 
     def evaluate(self, ids, ledger: QueryLedger) -> float:
         ids = frozenset(ids)
-        infeasible = self.instance.cost(ids) > self.instance.capacity
+        infeasible = not self.instance.fits(ids)
         if infeasible and ledger.enforce_feasible:
             raise InfeasibleQuery(
                 f"set of cost {self.instance.cost(ids):g} exceeds capacity "
@@ -164,14 +183,6 @@ class SubmodularOracle:
         if cached is None:
             cached = self.evaluate(base_ids, ledger)
         return self.evaluate(base_ids | {eid}, ledger) - cached
-
-    def marginal_density(self, eid: int, base_ids, ledger: QueryLedger,
-                         cached: float | None = None) -> float:
-        """Marginal gain per unit cost.  Base members have density 0."""
-        cost = self.instance.cost_of(eid)
-        if cost == 0.0:
-            return 0.0
-        return self.marginal_gain(eid, base_ids, ledger, cached) / cost
 
 
 @dataclass(frozen=True)
@@ -307,18 +318,18 @@ def brute_force_opt(instance: Instance, oracle: SubmodularOracle) -> Solution:
     ledger = QueryLedger(enforce_feasible=True)
     order = sorted(instance.elements, key=lambda e: e.id)
     ids = [e.id for e in order]
-    costs = [e.cost for e in order]
+    units = [instance.units[i] for i in ids]
 
-    # subset costs share structure: cost(mask) = cost(mask minus low bit) + that bit
-    cum = [0.0] * (1 << n)
+    # exact subset costs share structure: cum(mask) = cum(mask - low bit) + low bit
+    cum = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        cum[mask] = cum[mask ^ low] + costs[low.bit_length() - 1]
+        cum[mask] = cum[mask ^ low] + units[low.bit_length() - 1]
 
     best_value = oracle.evaluate((), ledger)
     best_ids: tuple[int, ...] = ()
     for mask in range(1, 1 << n):
-        if cum[mask] > instance.capacity:
+        if cum[mask] > instance.unit_capacity:
             continue
         subset = frozenset(ids[i] for i in range(n) if mask >> i & 1)
         v = oracle.evaluate(subset, ledger)

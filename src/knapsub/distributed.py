@@ -97,10 +97,6 @@ class RoundLog:
     def max_central_receipts(self) -> int:
         return max((r.sent_total for r in self.records), default=0)
 
-    @property
-    def total_queries(self) -> int:
-        return sum(r.queries for r in self.records)
-
 
 def simulate_round(workers, payloads, memory_cap: float | None = None):
     """Run one synchronous round, machines in index order.
@@ -151,17 +147,15 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     q_mark = ledger.query_count
 
     n = instance.n
-    k = instance.capacity
     m = config.machines
     all_ids = instance.element_ids()
     p = 1.0 if n == 0 else min(1.0, config.sample_factor * math.sqrt(instance.k_tilde / n))
 
     order_t: list[int] = []          # central collection, acceptance order
     t_set: set[int] = set()
-    cost_t = 0.0
     value_t = oracle.evaluate((), ledger)
     log = RoundLog()
-    levels = threshold_levels(lam, alpha, epsilon, k)
+    levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
 
     for rno, t in enumerate(levels):
         rng = random.Random(config.seed * 1_000_003 + rno)
@@ -170,19 +164,17 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
         def machine(t_list, gamma_items, local_items):
             items = list(gamma_items) + list(local_items)
-            accepted, _ = threshold_pass(oracle, items, t, set(t_list), cost_t,
-                                         value_t, k, ledger)
+            accepted, _ = threshold_pass(oracle, items, t, set(t_list), value_t,
+                                         ledger)
             return [eid for eid, _ in accepted]
 
         payloads = [(order_t, gamma, slices[i]) for i in range(m)]
         outputs = simulate_round([machine] * m, payloads, config.memory_cap)
 
         arrivals = [eid for out in outputs for eid in out]
-        accepted, _ = threshold_pass(oracle, arrivals, t, t_set, cost_t, value_t,
-                                     k, ledger)
+        accepted, _ = threshold_pass(oracle, arrivals, t, t_set, value_t, ledger)
         for eid, gain in accepted:
             order_t.append(eid)
-            cost_t += instance.cost_of(eid)
             value_t += gain
         log.add(round=rno, threshold=t, gamma_size=len(gamma),
                 sent_per_machine=tuple(len(o) for o in outputs),
@@ -192,11 +184,11 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     # augmentation round against greedily reordered prefixes
     rng = random.Random(config.seed * 1_000_003 + len(levels))
-    order, pcosts, pvals = greedy_order(instance, oracle, t_set, ledger)
+    order, _, pvals = greedy_order(instance, oracle, t_set, ledger)
     slices = _partition(all_ids, m, rng)
 
     def aug_machine(t_list, local_items):
-        return augment_pass(oracle, local_items, t_list, pcosts, t_set, k, ledger)
+        return augment_pass(oracle, local_items, t_list, ledger)
 
     payloads = [(order, slices[i]) for i in range(m)]
     outputs = simulate_round([aug_machine] * m, payloads, config.memory_cap)

@@ -51,14 +51,16 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     budget are physically dropped; their last known density still feeds the
     trace's ``ub_density`` field, which submodularity keeps an upper bound.
     ``restrict_to`` limits the candidate pool to a subset of element ids.
+    Fitting is decided in the instance's exact integer units.
     """
 
-    capacity = instance.capacity
+    units = instance.units
     chosen = set(seed_ids)
     cost_g = instance.cost(chosen)
+    free = instance.room(chosen)
     value_g = oracle.evaluate(chosen, ledger)
     working = sorted(e.id for e in instance.elements
-                     if e.id not in chosen and cost_g + e.cost <= capacity
+                     if e.id not in chosen and units[e.id] <= free
                      and (restrict_to is None or e.id in restrict_to))
 
     prefix_ids: list[int] = []
@@ -84,18 +86,18 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
 
         chosen.add(best_density)
         cost_g += instance.cost_of(best_density)
+        free -= units[best_density]
         value_g = vals[best_density]
         prefix_ids.append(best_density)
         prefix_costs.append(cost_g)
         prefix_values.append(value_g)
         i += 1
 
-        residual = capacity - cost_g
         kept = []
         for eid in working:
             if eid == best_density:
                 continue
-            if instance.cost_of(eid) > residual:
+            if units[eid] > free:
                 removed_max = max(removed_max, dens[eid])
             else:
                 kept.append(eid)
@@ -184,8 +186,7 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
     ids = sorted(e.id for e in instance.elements)
     seeds = [()]
     for size in range(1, depth + 1):
-        seeds.extend(c for c in combinations(ids, size)
-                     if instance.cost(c) <= instance.capacity)
+        seeds.extend(c for c in combinations(ids, size) if instance.fits(c))
 
     best_ids: frozenset[int] = frozenset()
     best_v = -math.inf

@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     AlgoReport,
@@ -33,7 +34,7 @@ from .core import (
     SubmodularOracle,
     TraceStep,
 )
-from .errors import InvalidLambda, ParseError
+from .errors import InvalidLambda
 from .offline import greedy_order
 
 
@@ -48,24 +49,6 @@ class StreamSource:
     @classmethod
     def from_instance(cls, instance: Instance) -> "StreamSource":
         return cls(instance.elements)
-
-    @classmethod
-    def from_file(cls, path) -> "StreamSource":
-        """One element per line: ``id<TAB>cost``.  Blank lines are skipped."""
-        out = []
-        with open(path) as fh:
-            for no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError("expected id<TAB>cost", line_no=no)
-                try:
-                    out.append(Element(int(parts[0]), float(parts[1])))
-                except ValueError as exc:
-                    raise ParseError(str(exc), line_no=no) from None
-        return cls(out)
 
     def scan(self):
         self.pass_count += 1
@@ -95,18 +78,12 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
 
 @dataclass
 class SieveState:
-    """Collected set in insertion order plus its prefix costs and values."""
+    """Collected set in insertion order, its value and its trace."""
 
     order: list[int]
-    prefix_costs: list[float]
-    prefix_values: list[float]
+    value: float
     trace: GreedyTrace
-    passes: int
     best_singleton: tuple[float, int] | None = None
-
-    @property
-    def value(self) -> float:
-        return self.prefix_values[-1]
 
 
 @dataclass
@@ -128,35 +105,33 @@ class OptEstimate:
 
 
 def threshold_pass(oracle: SubmodularOracle, items, tau: float, members: set,
-                   cost: float, value: float, capacity: float,
-                   ledger: QueryLedger, singles: dict | None = None):
+                   value: float, ledger: QueryLedger, singles: dict | None = None):
     """One thresholding sweep of ``items`` against the collection ``members``.
 
-    ``cost`` and ``value`` describe ``members`` on entry.  Members and items
-    that no longer fit are skipped; an item joins ``members`` (in place) iff
-    its clamped density max(0, gain)/c_e strictly clears ``tau``.  Returns
+    ``value`` is f(``members``) on entry.  Members and items that no longer
+    fit are skipped; an item joins ``members`` (in place) iff its clamped
+    density max(0, gain)/c_e strictly clears ``tau``.  Returns
     ``(accepted, seen)``: the accepted (id, gain) pairs in order, and the
     highest density among fitting items that were rejected, which bounds
     every density at the next lower level.  ``singles``, when given,
     receives the gain of each item evaluated while ``members`` is empty,
     which is its singleton gain.
     """
-    cost_of = oracle.instance.cost_of
+    inst = oracle.instance
+    units = inst.units
+    free = inst.room(members)
     accepted = []
     seen = 0.0
     for eid in items:
-        if eid in members:
-            continue
-        c_e = cost_of(eid)
-        if cost + c_e > capacity:
+        if eid in members or units[eid] > free:
             continue
         gain = oracle.marginal_gain(eid, members, ledger, cached=value)
         if singles is not None and not members:
             singles[eid] = gain
-        density = max(0.0, gain) / c_e
+        density = max(0.0, gain) / inst.cost_of(eid)
         if density > tau:
             members.add(eid)
-            cost += c_e
+            free -= units[eid]
             value += gain
             accepted.append((eid, gain))
         elif density > seen:
@@ -164,20 +139,22 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float, members: set,
     return accepted, seen
 
 
-def augment_pass(oracle: SubmodularOracle, items, order, prefix_costs,
-                 members, capacity: float, ledger: QueryLedger):
-    """Try every non-member item on the deepest prefix of ``order`` it fits.
+def augment_pass(oracle: SubmodularOracle, items, order, ledger: QueryLedger):
+    """Try every item outside ``order`` on the deepest prefix of it that fits.
 
-    ``prefix_costs[j]`` is the cost of ``order[:j]``.  Returns the best
-    extension as ``[(value, j, id)]``, the first item scanned winning ties,
-    or ``[]`` when no item fits any prefix.
+    Returns the best extension as ``[(value, j, id)]``, ``j`` the prefix
+    length, the first item scanned winning ties, or ``[]`` when no item
+    fits any prefix.
     """
-    cost_of = oracle.instance.cost_of
+    inst = oracle.instance
+    members = set(order)
+    # exact prefix costs, nondecreasing, so bisect finds the deepest fit
+    prefix_units = list(accumulate((inst.units[i] for i in order), initial=0))
     best = None
     for eid in items:
         if eid in members:
             continue
-        j = bisect.bisect_right(prefix_costs, capacity - cost_of(eid)) - 1
+        j = bisect.bisect_right(prefix_units, inst.room((eid,))) - 1
         if j < 0:
             continue  # does not fit even the empty prefix
         v = oracle.evaluate(frozenset(order[:j]) | {eid}, ledger)
@@ -200,26 +177,24 @@ def best_augmented(order, prefix_values, extensions):
     return ids, value
 
 
-def _best_singleton(oracle, items, free, value_empty, k, ledger):
-    """Best fitting singleton as (value, id), the first scanned on ties.
+def _best_singleton(oracle, items, free, value_empty, ledger):
+    """Best singleton as (value, id), the first scanned on ties.
 
     ``free`` maps ids to singleton gains already paid for; every other item
-    that fits costs one query.
+    costs one query.  ``Instance`` admits only elements that fit alone.
     """
     best = None
     for eid in items:
         if eid in free:
             v = value_empty + free[eid]
-        elif oracle.instance.cost_of(eid) <= k:
-            v = oracle.evaluate((eid,), ledger)
         else:
-            continue
+            v = oracle.evaluate((eid,), ledger)
         if best is None or v > best[0]:
             best = (v, eid)
     return best
 
 
-def _collect(stream, k, oracle, levels, ledger, density_cap, track_singletons):
+def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
     """Run the thresholding stage.  Returns the sieve state.
 
     ``density_cap``, when given, must upper-bound every element's current
@@ -232,51 +207,43 @@ def _collect(stream, k, oracle, levels, ledger, density_cap, track_singletons):
     value_empty = oracle.evaluate((), ledger)
     order: list[int] = []
     member = set()
-    cost_t = 0.0
+    cost_t = 0.0         # the trace's cumulative cost; fitting is decided in units
     value_t = value_empty
-    prefix_costs = [0.0]
-    prefix_values = [value_empty]
     steps: list[TraceStep] = []
     cap = math.inf if density_cap is None else density_cap
     best_single = None
     singles_pending = track_singletons
-    executed = 0
 
     for tau in levels:
         if tau >= cap:
             continue  # certificate: no remaining density clears this level
-        executed += 1
         items = (e.id for e in stream.scan())
         singles = None
         if singles_pending:
             # the singleton pick revisits this pass's items in stream order
             items, singles, singles_pending = list(items), {}, False
-        accepted, cap = threshold_pass(oracle, items, tau, member, cost_t,
-                                       value_t, k, ledger, singles)
+        accepted, cap = threshold_pass(oracle, items, tau, member, value_t,
+                                       ledger, singles)
         for eid, gain in accepted:
             c_e = inst.cost_of(eid)
             steps.append(TraceStep(cost_t, value_t, max(0.0, gain) / c_e))
             order.append(eid)
             cost_t += c_e
             value_t += gain
-            prefix_costs.append(cost_t)
-            prefix_values.append(value_t)
         if singles is not None:
             best_single = _best_singleton(oracle, items, singles, value_empty,
-                                          k, ledger)
+                                          ledger)
 
     if singles_pending:
         # every level was skipped; spend one dedicated singleton pass
         best_single = _best_singleton(oracle, (e.id for e in stream.scan()),
-                                      {}, value_empty, k, ledger)
-        executed += 1
+                                      {}, value_empty, ledger)
 
     steps.append(TraceStep(cost_t, value_t, 0.0))
-    return SieveState(order, prefix_costs, prefix_values, GreedyTrace(steps),
-                      executed, best_single)
+    return SieveState(order, value_t, GreedyTrace(steps), best_single)
 
 
-def _augment(stream, k, oracle, state: SieveState, ledger):
+def _augment(stream, oracle, state: SieveState, ledger):
     """One pass matching every outside element to its deepest fitting prefix.
 
     Prefixes follow a greedy reordering of the collected set rather than
@@ -284,22 +251,44 @@ def _augment(stream, k, oracle, state: SieveState, ledger):
     in-memory and costs no stream pass.  Distributed+Max reorders its
     collection with the same ``greedy_order``.
     """
-    member = set(state.order)
-    order, costs, values = greedy_order(oracle.instance, oracle, member, ledger)
+    order, _, values = greedy_order(oracle.instance, oracle, state.order, ledger)
     extensions = augment_pass(oracle, (e.id for e in stream.scan()), order,
-                              costs, member, k, ledger)
+                              ledger)
     return best_augmented(order, values, extensions)
+
+
+def _check_k(k: float, oracle: SubmodularOracle) -> None:
+    """``k`` only sets the threshold grid and the estimator's floor; what
+    fits is decided by ``oracle.instance``, so the two budgets must agree."""
+    if k != oracle.instance.capacity:
+        raise ValueError(f"k={k!r} differs from the instance capacity "
+                         f"{oracle.instance.capacity!r}")
+
+
+def _threshold_stage(name, stream, k, oracle, lam, alpha, epsilon, ledger,
+                     density_cap, track_singletons):
+    """Shared start of the three sieves: checks, meter, collected set."""
+    _check_k(k, oracle)
+    ledger = ledger or QueryLedger()
+    meter = RunMeter(name, oracle.instance, ledger, stream)
+    levels = threshold_levels(lam, alpha, epsilon, k)
+    state = _collect(stream, oracle, levels, ledger, density_cap,
+                     track_singletons)
+    return ledger, meter, state
 
 
 def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
           lam: float, alpha: float, epsilon: float,
           ledger: QueryLedger | None = None,
           density_cap: float | None = None) -> AlgoReport:
-    """Thresholding stage alone: return the collected set."""
-    ledger = ledger or QueryLedger()
-    meter = RunMeter("sieve", oracle.instance, ledger, stream)
-    levels = threshold_levels(lam, alpha, epsilon, k)
-    state = _collect(stream, k, oracle, levels, ledger, density_cap, False)
+    """Thresholding stage alone: return the collected set.
+
+    ``k`` must equal ``oracle.instance.capacity`` (``ValueError`` otherwise);
+    the same holds for ``sieve_or_max``, ``sieve_plus_max`` and
+    ``estimate_lambda``.
+    """
+    _, meter, state = _threshold_stage("sieve", stream, k, oracle, lam, alpha,
+                                       epsilon, ledger, density_cap, False)
     return meter.report(state.order, state.value, state.trace)
 
 
@@ -308,10 +297,8 @@ def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
                  ledger: QueryLedger | None = None,
                  density_cap: float | None = None) -> AlgoReport:
     """Better of the collected set and the best feasible singleton."""
-    ledger = ledger or QueryLedger()
-    meter = RunMeter("sieve_or_max", oracle.instance, ledger, stream)
-    levels = threshold_levels(lam, alpha, epsilon, k)
-    state = _collect(stream, k, oracle, levels, ledger, density_cap, True)
+    _, meter, state = _threshold_stage("sieve_or_max", stream, k, oracle, lam,
+                                       alpha, epsilon, ledger, density_cap, True)
     ids, value = state.order, state.value
     if state.best_singleton is not None and state.best_singleton[0] > value:
         value, ids = state.best_singleton[0], [state.best_singleton[1]]
@@ -329,11 +316,10 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
     search over the monotone prefix costs); the answer is the best
     prefix-plus-one-item combination, bare prefixes included.
     """
-    ledger = ledger or QueryLedger()
-    meter = RunMeter("sieve_plus_max", oracle.instance, ledger, stream)
-    levels = threshold_levels(lam, alpha, epsilon, k)
-    state = _collect(stream, k, oracle, levels, ledger, density_cap, False)
-    ids, value = _augment(stream, k, oracle, state, ledger)
+    ledger, meter, state = _threshold_stage("sieve_plus_max", stream, k, oracle,
+                                            lam, alpha, epsilon, ledger,
+                                            density_cap, False)
+    ids, value = _augment(stream, oracle, state, ledger)
     return meter.report(ids, value, state.trace)
 
 
@@ -349,18 +335,21 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     density meets, provided the set stays within budget, so every set is
     feasible and the estimate never exceeds the optimum.  Returns an
     estimate unpacking as (lam, alpha) with alpha = 1/3 - epsilon_est.
+    ``k`` must equal ``oracle.instance.capacity`` (``ValueError`` otherwise).
     """
     if epsilon_est <= 0 or epsilon_est >= 1 / 3:
         raise ValueError("epsilon_est must lie in (0, 1/3)")
+    _check_k(k, oracle)
     ledger = ledger or QueryLedger()
     inst = oracle.instance
+    units = inst.units
     base = 1.0 + epsilon_est
     log_base = math.log(base)
 
     delta = 0.0          # best singleton value so far
     lb = 0.0             # best collected-set value so far
     max_density = 0.0
-    sets: dict[int, list] = {}   # grid index -> [member set, cost, value]
+    sets: dict[int, list] = {}   # grid index -> [member set, free units, value]
     peak = 0
 
     for elem in stream.scan():
@@ -383,14 +372,14 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         for i in range(i_lo, i_hi + 1):
             entry = sets.get(i)
             if entry is None:
-                entry = sets[i] = [set(), 0.0, 0.0]
-            members, cost_s, value_s = entry
-            if eid in members or cost_s + c_e > k:
+                entry = sets[i] = [set(), inst.unit_capacity, 0.0]
+            members, free, value_s = entry
+            if eid in members or units[eid] > free:
                 continue
             gain = oracle.marginal_gain(eid, members, ledger, cached=value_s)
             if gain / c_e >= base ** i:
                 members.add(eid)
-                entry[1] = cost_s + c_e
+                entry[1] = free - units[eid]
                 entry[2] = value_s + gain
                 lb = max(lb, entry[2])
         peak = max(peak, sum(len(entry[0]) for entry in sets.values()))

@@ -1,5 +1,9 @@
 """Benchmark harness: loaders, generators, config, suite driver, CLI."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -267,18 +271,21 @@ def test_suite_rows_cover_grid(tmp_path):
 def test_streaming_row_records_passes(tmp_path):
     cfg = grid_config(output=str(tmp_path / "r.csv"),
                       algorithms=["sieve_plus_max",
-                                  "distributed_sieve_plus_max"])
+                                  "distributed_sieve_plus_max",
+                                  "greedy_plus_max"])
     rows = run_suite(cfg)
     for row in rows:
         if row.algorithm == "sieve_plus_max":
             assert 2 <= row.passes <= 14
-        else:
+        elif row.algorithm == "distributed_sieve_plus_max":
             assert row.rounds >= 2
-    # small-n distributed runs stay value-identical to the streaming lane
-    by = {(r.algorithm, r.k): r for r in rows}
+    # the two lanes need not agree in value, but each keeps 1/2 - eps of
+    # OPT, so of every feasible value found at the same K
     for k in (3.0, 5.0):
-        assert by[("distributed_sieve_plus_max", k)].value == pytest.approx(
-            by[("sieve_plus_max", k)].value)
+        found = max(r.value for r in rows if r.k == k)
+        for r in rows:
+            if r.k == k:
+                assert r.value >= (0.5 - cfg.epsilon) * found - 1e-9
 
 
 def test_empty_algorithm_list_gives_header_only(tmp_path):
@@ -419,3 +426,16 @@ def test_cli_errors_return_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
     assert cli_main(["datasets", "verify", str(bad)]) == 1
+
+
+# --------------------------------------------------------------- perfbench
+
+
+def test_perfbench_selftest_passes():
+    # the harness calls solvers and patches distributed-module globals; a
+    # package change that breaks either should fail here, not in a bench run
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip().endswith("selftest passed")

@@ -131,8 +131,16 @@ def test_tight_example_any_seed():
         assert result.report.rounds == 3  # two threshold rounds + augmentation
 
 
-def test_single_machine_matches_streaming(corpus):
-    for idx in range(40):
+def test_single_machine_meets_guarantee(corpus):
+    # one machine scans the shared sample and then a shuffled slice, not the
+    # stream, so its value may differ from Sieve+Max; both keep 1/2 - eps
+    cases = [(idx, wide_config(corpus(idx)[0], 1, seed=idx)) for idx in range(40)]
+    # a smaller sample changes the machine's scan order; on this instance
+    # Sieve+Max finds 1.0 = OPT and one machine 0.75
+    inst36 = corpus(36)[0]
+    cases.append((36, MpcConfig(machines=1, memory_cap=10.0 * inst36.n + 10.0,
+                                seed=0, sample_factor=1.0)))
+    for idx, config in cases:
         inst, objective, opt = corpus(idx)
         if opt.value <= 0:
             continue
@@ -140,10 +148,11 @@ def test_single_machine_matches_streaming(corpus):
         stream_report = sieve_plus_max(
             StreamSource.from_instance(inst), inst.capacity, oracle,
             opt.value, 1.0, 0.1, QueryLedger())
-        dist = distributed_sieve_plus_max(
-            inst, oracle, opt.value, 1.0, 0.1, wide_config(inst, 1, seed=idx),
-            QueryLedger())
-        assert dist.report.solution.value == stream_report.solution.value
+        dist = distributed_sieve_plus_max(inst, oracle, opt.value, 1.0, 0.1,
+                                          config, QueryLedger())
+        for report in (stream_report, dist.report):
+            assert report.solution.value >= (0.5 - 0.1) * opt.value - 1e-9
+            assert inst.fits(report.solution.ids)
 
 
 def test_two_machines_meet_guarantee(corpus):
@@ -181,8 +190,8 @@ def test_round_log_accounting(corpus):
     levels = threshold_levels(opt.value, 1.0, 0.2, inst.capacity)
     assert len(log.records) == len(levels) + 1
     assert result.report.rounds == len(levels) + 1
-    assert log.total_queries == ledger.query_count
-    assert result.report.queries == log.total_queries
+    assert sum(r.queries for r in log.records) == ledger.query_count
+    assert result.report.queries == ledger.query_count
     assert log.max_central_receipts == max(r.sent_total for r in log.records)
     for rec in log.records:
         assert rec.sent_total == sum(rec.sent_per_machine)

@@ -1,0 +1,126 @@
+"""One exact feasibility rule: boundary capacities that are float subset sums.
+
+A capacity built by adding costs in one order can sit one ulp away from the
+same costs added in another order.  Every solver and the oracle must agree
+on such a set, so none may crash with InfeasibleQuery or return an answer
+whose exact cost exceeds the capacity.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from knapsub import (
+    CoverageObjective,
+    Element,
+    Instance,
+    ModularObjective,
+    MpcConfig,
+    QueryLedger,
+    StreamSource,
+    SubmodularOracle,
+    brute_force_opt,
+    distributed_sieve_plus_max,
+    estimate_lambda,
+    greedy_plus_max,
+    normalize,
+    sieve_plus_max,
+)
+
+from conftest import random_adjacency
+
+# the float sum of these costs in order 0,6,1,2,3,5,4 is 14.233333333333334,
+# while the sum in id order is 14.233333333333336
+DRIFT_COSTS = [1.0, 1.2, 4 / 3, 3.3000000000000003, 2.7, 1.3, 3.4000000000000004]
+DRIFT_ORDER = (0, 6, 1, 2, 3, 5, 4)
+
+
+def naive_sum(costs, order):
+    total = 0.0
+    for i in order:
+        total += costs[i]
+    return total
+
+
+def exact_cost(instance, ids):
+    return sum(Fraction(instance.cost_of(i)) for i in ids)
+
+
+def drift_instance():
+    capacity = naive_sum(DRIFT_COSTS, DRIFT_ORDER)
+    return Instance([Element(i, c) for i, c in enumerate(DRIFT_COSTS)], capacity)
+
+
+def test_fits_is_exact_in_any_order():
+    inst = drift_instance()
+    everything = sum(Fraction(c) for c in DRIFT_COSTS)
+    expected = everything <= Fraction(inst.capacity)
+    for order in itertools.islice(itertools.permutations(range(7)), 200):
+        assert inst.fits(order) == expected
+    # the integers are the exact costs, all on one scale
+    for i, c in enumerate(DRIFT_COSTS):
+        assert Fraction(inst.units[i], inst.unit_capacity) == \
+            Fraction(c) / Fraction(inst.capacity)
+    assert inst.room(range(7)) == inst.unit_capacity - sum(inst.units.values())
+
+
+def test_drift_repro_greedy_plus_max():
+    inst = drift_instance()
+    oracle = SubmodularOracle(inst, lambda s: float(len(s)))
+    report = greedy_plus_max(inst, oracle, QueryLedger()).report
+    assert exact_cost(inst, report.solution.ids) <= Fraction(inst.capacity)
+    assert report.solution.value == 7.0  # the whole set fits exactly
+
+
+def boundary_instance(seed):
+    """Costs in [1, 4); the capacity is a random subset's naive float sum
+    in a random order, then rescaled by normalize."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 12)
+    costs = [rng.uniform(1.0, 4.0) for _ in range(n)]
+    subset = rng.sample(range(n), rng.randint(2, n))
+    instance = normalize(list(enumerate(costs)), naive_sum(costs, subset))
+    if seed % 2:
+        objective = ModularObjective({i: rng.random() for i in range(n)})
+    else:
+        objective = CoverageObjective(random_adjacency(n, 0.3, rng))
+    return instance, SubmodularOracle(instance, objective.value)
+
+
+def run_streaming(instance, oracle, solver, seed):
+    stream = StreamSource.from_instance(instance)
+    est = estimate_lambda(stream, instance.capacity, oracle)
+    if est.lam <= 0:
+        return frozenset()
+    if solver == "sieve_plus_max":
+        return sieve_plus_max(stream, instance.capacity, oracle, est.lam,
+                              est.alpha, 0.1,
+                              density_cap=est.max_singleton_density).solution.ids
+    config = MpcConfig(machines=2, memory_cap=10.0 * instance.n + 10.0, seed=seed)
+    return distributed_sieve_plus_max(instance, oracle, est.lam, est.alpha, 0.1,
+                                      config).report.solution.ids
+
+
+SOLVERS = {
+    "greedy_plus_max": lambda inst, oracle, seed:
+        greedy_plus_max(inst, oracle).report.solution.ids,
+    "sieve_plus_max": lambda inst, oracle, seed:
+        run_streaming(inst, oracle, "sieve_plus_max", seed),
+    "distributed_sieve_plus_max": lambda inst, oracle, seed:
+        run_streaming(inst, oracle, "distributed", seed),
+    "brute_force_opt": lambda inst, oracle, seed:
+        brute_force_opt(inst, oracle).ids,
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_boundary_sweep_stays_feasible(solver):
+    # when each caller kept its own float sums, these seeds crashed or
+    # overran greedy_plus_max 12 times, each streaming solver 9 times and
+    # brute force 49 times
+    for seed in range(500):
+        inst, oracle = boundary_instance(seed)
+        ids = SOLVERS[solver](inst, oracle, seed)
+        assert exact_cost(inst, ids) <= Fraction(inst.capacity), f"seed {seed}"

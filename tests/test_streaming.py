@@ -11,7 +11,6 @@ from knapsub import (
     Instance,
     InvalidLambda,
     ModularObjective,
-    ParseError,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
@@ -40,26 +39,6 @@ def test_stream_replays_in_order():
     assert first == second
     assert s.pass_count == 2
     assert len(s) == 3
-
-
-def test_stream_from_file(tmp_path):
-    p = tmp_path / "stream.tsv"
-    p.write_text("1\t0.5\n\n2\t0.5\n3\t0.55\n")
-    s = StreamSource.from_file(p)
-    assert [(e.id, e.cost) for e in s.scan()] == [(1, 0.5), (2, 0.5), (3, 0.55)]
-
-
-def test_stream_from_file_rejects_bad_lines(tmp_path):
-    p = tmp_path / "bad.tsv"
-    p.write_text("1\t1.0\n2 1.0\n")
-    with pytest.raises(ParseError) as err:
-        StreamSource.from_file(p)
-    assert err.value.line_no == 2
-
-    p.write_text("1\tcheap\n")
-    with pytest.raises(ParseError) as err:
-        StreamSource.from_file(p)
-    assert err.value.line_no == 1
 
 
 # -------------------------------------------------------------- schedules
@@ -257,6 +236,17 @@ def test_streaming_trace_inequality(corpus):
                 checked += 1
                 assert s.value / opt.value >= 1 - math.exp(-x / (1 + eps)) - 1e-9
     assert checked > 50
+
+
+def test_k_must_equal_instance_capacity():
+    # feasibility comes from oracle.instance alone; a second budget would
+    # only move the threshold grid away from the capacity it is meant for
+    inst, oracle = tight_oracle()
+    for fn in (sieve, sieve_or_max, sieve_plus_max):
+        with pytest.raises(ValueError, match="capacity"):
+            fn(tight_stream(inst), inst.capacity + 0.5, oracle, 1.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="capacity"):
+        estimate_lambda(tight_stream(inst), inst.capacity - 0.5, oracle)
 
 
 def test_invalid_lambda_propagates():
