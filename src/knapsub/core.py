@@ -5,6 +5,14 @@ Every algorithm in this package talks to the objective through a
 and, when enforcement is on, refuses to evaluate sets that do not fit the
 knapsack.  Costs are normalized so the cheapest purchasable element costs
 exactly 1, which makes ``floor(capacity)`` an upper bound on solution size.
+
+Solvers ask "f(S + e)" of a :class:`WorkingSet`: S with its exact integer
+room and the objective's incremental state.  An objective that implements
+the optional protocol ``extend(state, ids) -> state`` and
+``value_with(state, eid) -> float`` answers such a query in time independent
+of |S|; any other objective is evaluated on the whole set, as by
+:meth:`SubmodularOracle.evaluate`.  Both paths count the same queries and
+return the same floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -111,7 +119,9 @@ class Instance:
         return self._cost[eid]
 
     def cost(self, ids) -> float:
-        return sum(self.cost_of(i) for i in ids)
+        """Total cost, correctly rounded (``math.fsum``): a set that fits
+        never reports a cost above the capacity."""
+        return math.fsum(self.cost_of(i) for i in ids)
 
     def room(self, ids) -> int:
         """Exact capacity left after ``ids``, in ``units``; negative if over."""
@@ -154,17 +164,60 @@ class QueryLedger:
                 self.infeasible_query_count += 1
 
 
+@dataclass(frozen=True, slots=True)
+class WorkingSet:
+    """A set of element ids S, kept ready for "f(S + e)" queries.
+
+    ``order`` holds the ids in insertion order and ``ids`` is
+    ``frozenset(order)``: built from the insertion order, it iterates like
+    a set grown one ``add`` at a time, so an order-sensitive float sum (a
+    modular objective) sees the same order on every path.  ``room`` is the
+    exact integer capacity left (``Instance.units``, negative if over).
+    ``value`` is f(S) as the caller recorded it, or ``None`` where nothing
+    reads it; ``state`` is the objective's incremental state of S plus the
+    base set, ``None`` on the fallback path.  Make one with
+    :meth:`SubmodularOracle.working_set` and grow it with
+    :meth:`SubmodularOracle.add`; it is never mutated, so one working set
+    may seed many machines or threshold sets.
+    """
+
+    order: tuple[int, ...]
+    ids: frozenset[int]
+    room: int
+    value: float | None
+    state: object
+
+
 class SubmodularOracle:
     """Query-counted access to a set function on an instance.
 
     ``fn`` is either a callable on frozensets of ids or an object with a
-    ``value(ids)`` method.  The base set is unioned into every evaluation, so
-    base members contribute nothing as marginals.
+    ``value(ids)`` method; a bound ``value`` method stands for its object.
+    The base set is unioned into every evaluation, so base members
+    contribute nothing as marginals.
+
+    Incremental protocol (optional).  An objective that also defines
+    ``extend(state, ids) -> state`` (``None`` is the empty set) and
+    ``value_with(state, eid) -> float`` promises that
+    ``value_with(extend(None, S), eid)`` returns exactly the float
+    ``value(S | {eid})`` returns, bit for bit.  :meth:`value_with` then
+    answers from the working set's state and its exact ``room``, in time
+    independent of |S|.  :class:`~knapsub.objectives.CoverageObjective` and
+    :class:`~knapsub.objectives.MovieObjective` implement it.  Plain
+    callables, ``ModularObjective`` (a running float sum would change last
+    bits) and ``HiddenPairObjective`` take the fallback path, which calls
+    :meth:`evaluate` on the whole set, so a wrapper installed on
+    ``evaluate`` still sees every query.
     """
 
     def __init__(self, instance: Instance, fn):
         self.instance = instance
+        owner = getattr(fn, "__self__", None)
+        if owner is not None and fn == getattr(owner, "value", None):
+            fn = owner
         self._fn = fn.value if hasattr(fn, "value") else fn
+        incremental = hasattr(fn, "extend") and hasattr(fn, "value_with")
+        self._incremental = fn if incremental else None
 
     def evaluate(self, ids, ledger: QueryLedger) -> float:
         ids = frozenset(ids)
@@ -176,13 +229,44 @@ class SubmodularOracle:
         ledger._admit(infeasible)
         return float(self._fn(ids | self.instance.base_set))
 
-    def marginal_gain(self, eid: int, base_ids, ledger: QueryLedger,
-                      cached: float | None = None) -> float:
-        """f(base + e) - f(base), spending one query when f(base) is cached."""
-        base_ids = frozenset(base_ids)
-        if cached is None:
-            cached = self.evaluate(base_ids, ledger)
-        return self.evaluate(base_ids | {eid}, ledger) - cached
+    def working_set(self, ids=(), value: float | None = None) -> WorkingSet:
+        """A working set of ``ids`` whose value the caller already knows;
+        spends no query."""
+        order = tuple(ids)
+        state = None
+        if self._incremental is not None:
+            state = self._incremental.extend(
+                None, (*self.instance.base_set, *order))
+        return WorkingSet(order, frozenset(order), self.instance.room(order),
+                          value, state)
+
+    def add(self, ws: WorkingSet, eid: int,
+            value: float | None = None) -> WorkingSet:
+        """``ws`` plus ``eid`` (not yet a member), recorded at ``value``;
+        spends no query."""
+        order = (*ws.order, eid)
+        state = None
+        if self._incremental is not None:
+            state = self._incremental.extend(ws.state, (eid,))
+        return WorkingSet(order, frozenset(order),
+                          ws.room - self.instance.units[eid], value, state)
+
+    def value_with(self, ws: WorkingSet, eid: int, ledger: QueryLedger) -> float:
+        """f(S + eid) for the working set S: one query, counted and checked
+        for feasibility exactly as :meth:`evaluate` would."""
+        obj = self._incremental
+        if obj is None:
+            return self.evaluate(ws.ids | {eid}, ledger)
+        if eid in ws.ids:
+            infeasible = ws.room < 0
+        else:
+            infeasible = self.instance.units[eid] > ws.room
+        if infeasible and ledger.enforce_feasible:
+            raise InfeasibleQuery(
+                f"set of cost {self.instance.cost(ws.ids | {eid}):g} exceeds "
+                f"capacity {self.instance.capacity:g}")
+        ledger._admit(infeasible)
+        return obj.value_with(ws.state, eid)
 
 
 @dataclass(frozen=True)

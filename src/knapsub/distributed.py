@@ -151,40 +151,35 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     all_ids = instance.element_ids()
     p = 1.0 if n == 0 else min(1.0, config.sample_factor * math.sqrt(instance.k_tilde / n))
 
-    order_t: list[int] = []          # central collection, acceptance order
-    t_set: set[int] = set()
-    value_t = oracle.evaluate((), ledger)
+    ws_t = oracle.working_set((), oracle.evaluate((), ledger))  # central collection
     log = RoundLog()
     levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
 
     for rno, t in enumerate(levels):
         rng = random.Random(config.seed * 1_000_003 + rno)
-        gamma = [eid for eid in all_ids if eid not in t_set and rng.random() < p]
+        gamma = [eid for eid in all_ids if eid not in ws_t.ids and rng.random() < p]
         slices = _partition(all_ids, m, rng)
 
         def machine(t_list, gamma_items, local_items):
             items = list(gamma_items) + list(local_items)
-            accepted, _ = threshold_pass(oracle, items, t, set(t_list), value_t,
-                                         ledger)
+            local = oracle.working_set(t_list, ws_t.value)
+            _, accepted, _ = threshold_pass(oracle, items, t, local, ledger)
             return [eid for eid, _ in accepted]
 
-        payloads = [(order_t, gamma, slices[i]) for i in range(m)]
+        payloads = [(ws_t.order, gamma, slices[i]) for i in range(m)]
         outputs = simulate_round([machine] * m, payloads, config.memory_cap)
 
         arrivals = [eid for out in outputs for eid in out]
-        accepted, _ = threshold_pass(oracle, arrivals, t, t_set, value_t, ledger)
-        for eid, gain in accepted:
-            order_t.append(eid)
-            value_t += gain
+        ws_t, _, _ = threshold_pass(oracle, arrivals, t, ws_t, ledger)
         log.add(round=rno, threshold=t, gamma_size=len(gamma),
                 sent_per_machine=tuple(len(o) for o in outputs),
-                sent_total=len(arrivals), t_size=len(order_t),
+                sent_total=len(arrivals), t_size=len(ws_t.order),
                 queries=ledger.query_count - q_mark)
         q_mark = ledger.query_count
 
     # augmentation round against greedily reordered prefixes
     rng = random.Random(config.seed * 1_000_003 + len(levels))
-    order, _, pvals = greedy_order(instance, oracle, t_set, ledger)
+    order, _, pvals = greedy_order(instance, oracle, ws_t.ids, ledger)
     slices = _partition(all_ids, m, rng)
 
     def aug_machine(t_list, local_items):
@@ -195,7 +190,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     ids, value = best_augmented(order, pvals, [c for out in outputs for c in out])
     log.add(round=len(levels), threshold=0.0, gamma_size=0,
             sent_per_machine=tuple(len(o) for o in outputs),
-            sent_total=sum(len(o) for o in outputs), t_size=len(order_t),
+            sent_total=sum(len(o) for o in outputs), t_size=len(ws_t.order),
             queries=ledger.query_count - q_mark)
 
     report = meter.report(ids, value, rounds=len(levels) + 1,

@@ -3,6 +3,15 @@
 All objectives are monotone and submodular on feasible sets, evaluate
 deterministically on frozensets of ids, and keep no mutable state, so a
 single objective may back many concurrent runs.
+
+``CoverageObjective`` and ``MovieObjective`` also implement the optional
+incremental protocol of :class:`~knapsub.core.SubmodularOracle`:
+``extend(state, ids)`` folds ids into an immutable state (``None`` is the
+empty set), and ``value_with(state, eid)`` returns exactly the float
+``value(S | {eid})`` returns for the set S behind ``state``, bit for bit,
+without touching S.  ``ModularObjective`` and ``HiddenPairObjective`` do
+not: a running float sum would differ from ``value`` in the last bits, and
+the hidden pair needs the whole set.
 """
 
 from __future__ import annotations
@@ -39,9 +48,17 @@ class CoverageObjective:
         self._masks = masks
 
     def value(self, ids) -> float:
-        covered = 0
+        return self.extend(0, ids).bit_count() / self.n_vertices
+
+    def extend(self, state, ids) -> int:
+        """The state is the union of the chosen neighborhoods, as a bitmask."""
+        covered = state or 0
         for v in ids:
             covered |= self._masks[v]
+        return covered
+
+    def value_with(self, state, eid: int) -> float:
+        covered = self._masks[eid] if state is None else state | self._masks[eid]
         return covered.bit_count() / self.n_vertices
 
     def degree(self, v: int) -> int:
@@ -90,18 +107,35 @@ class MovieObjective:
         vectors = np.asarray(vectors, dtype=float)
         sim = vectors @ vectors.T
         self.n_movies = vectors.shape[0]
-        if targets is None:
-            targets = range(self.n_movies)
-        self._table = sim[:, list(targets)]
+        # row-major, so a query reads one contiguous row per movie it adds
+        self._table = sim if targets is None else np.take(sim, list(targets), axis=1)
 
     def value(self, ids) -> float:
         if not ids:
             return 0.0
-        best = self._table[list(ids)].max(axis=0)
-        return float(np.maximum(best, 0.0).sum())
+        return float(self.extend(None, ids).sum())
+
+    def extend(self, state, ids):
+        """The state is max(0, best similarity) per target.  Max is exact in
+        any order; two orders can differ only in the sign of a zero entry,
+        which the sum does not show (NumPy's sum starts from +0.0)."""
+        ids = list(ids)
+        if not ids:
+            return state
+        best = np.maximum(self._table[ids].max(axis=0), 0.0)
+        return best if state is None else np.maximum(state, best)
+
+    def value_with(self, state, eid: int) -> float:
+        row = self._table[eid]
+        best = np.maximum(row, 0.0) if state is None else np.maximum(state, row)
+        return float(best.sum())
 
     def singleton_values(self) -> np.ndarray:
-        return np.maximum(self._table, 0.0).sum(axis=1)
+        # summed over a column-major copy: that order fixes the rounding of
+        # every cost derived from these values, and a row-major sum differs
+        clamped = np.array(self._table, order="F")
+        np.maximum(clamped, 0.0, out=clamped)
+        return clamped.sum(axis=1)
 
 
 def movie_costs(objective: MovieObjective, gamma: float | None = None) -> dict[int, float]:

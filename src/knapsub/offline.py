@@ -55,27 +55,26 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     """
 
     units = instance.units
-    chosen = set(seed_ids)
-    cost_g = instance.cost(chosen)
-    free = instance.room(chosen)
-    value_g = oracle.evaluate(chosen, ledger)
+    ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
+    cost_g = instance.cost(seed_ids)
     working = sorted(e.id for e in instance.elements
-                     if e.id not in chosen and units[e.id] <= free
+                     if e.id not in ws.ids and units[e.id] <= ws.room
                      and (restrict_to is None or e.id in restrict_to))
 
     prefix_ids: list[int] = []
     prefix_costs = [cost_g]
-    prefix_values = [value_g]
+    prefix_values = [ws.value]
     candidates: list[tuple[int, int | None, float]] = []
     steps: list[TraceStep] = []
     removed_max = 0.0
     i = 0
 
     while working:
+        value_g = ws.value
         vals = {}
         dens = {}
         for eid in working:
-            v = oracle.evaluate(chosen | {eid}, ledger)
+            v = oracle.value_with(ws, eid, ledger)
             vals[eid] = v
             dens[eid] = max(0.0, v - value_g) / instance.cost_of(eid)
         best_gain = max(working, key=lambda e: (vals[e], -e))
@@ -84,28 +83,26 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         steps.append(TraceStep(cost_g, value_g, dens[best_density],
                                max(dens[best_density], removed_max)))
 
-        chosen.add(best_density)
+        ws = oracle.add(ws, best_density, vals[best_density])
         cost_g += instance.cost_of(best_density)
-        free -= units[best_density]
-        value_g = vals[best_density]
         prefix_ids.append(best_density)
         prefix_costs.append(cost_g)
-        prefix_values.append(value_g)
+        prefix_values.append(ws.value)
         i += 1
 
         kept = []
         for eid in working:
             if eid == best_density:
                 continue
-            if units[eid] > free:
+            if units[eid] > ws.room:
                 removed_max = max(removed_max, dens[eid])
             else:
                 kept.append(eid)
         working = kept
 
-    steps.append(TraceStep(cost_g, value_g, 0.0, removed_max))
+    steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
     # terminal prefix competes with an empty augmentation
-    candidates.append((i, None, value_g))
+    candidates.append((i, None, ws.value))
     return _GreedyRun(prefix_ids, prefix_costs, prefix_values, candidates,
                       GreedyTrace(steps))
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .core import (
     AlgoReport,
@@ -33,6 +32,7 @@ from .core import (
     RunMeter,
     SubmodularOracle,
     TraceStep,
+    WorkingSet,
 )
 from .errors import InvalidLambda
 from .offline import greedy_order
@@ -104,39 +104,37 @@ class OptEstimate:
         return iter((self.lam, self.alpha))
 
 
-def threshold_pass(oracle: SubmodularOracle, items, tau: float, members: set,
-                   value: float, ledger: QueryLedger, singles: dict | None = None):
-    """One thresholding sweep of ``items`` against the collection ``members``.
+def threshold_pass(oracle: SubmodularOracle, items, tau: float,
+                   ws: WorkingSet, ledger: QueryLedger, singles: dict | None = None):
+    """One thresholding sweep of ``items`` against the working set ``ws``,
+    whose ``value`` is f(S) on entry.
 
-    ``value`` is f(``members``) on entry.  Members and items that no longer
-    fit are skipped; an item joins ``members`` (in place) iff its clamped
-    density max(0, gain)/c_e strictly clears ``tau``.  Returns
-    ``(accepted, seen)``: the accepted (id, gain) pairs in order, and the
+    Members and items that no longer fit are skipped; an item joins the set
+    iff its clamped density max(0, gain)/c_e strictly clears ``tau``, and
+    the set's value grows by its gain.  Returns ``(ws, accepted, seen)``:
+    the grown working set, the accepted (id, gain) pairs in order, and the
     highest density among fitting items that were rejected, which bounds
     every density at the next lower level.  ``singles``, when given,
-    receives the gain of each item evaluated while ``members`` is empty,
-    which is its singleton gain.
+    receives the gain of each item evaluated while the set is empty, which
+    is its singleton gain.
     """
     inst = oracle.instance
     units = inst.units
-    free = inst.room(members)
     accepted = []
     seen = 0.0
     for eid in items:
-        if eid in members or units[eid] > free:
+        if eid in ws.ids or units[eid] > ws.room:
             continue
-        gain = oracle.marginal_gain(eid, members, ledger, cached=value)
-        if singles is not None and not members:
+        gain = oracle.value_with(ws, eid, ledger) - ws.value
+        if singles is not None and not ws.ids:
             singles[eid] = gain
         density = max(0.0, gain) / inst.cost_of(eid)
         if density > tau:
-            members.add(eid)
-            free -= units[eid]
-            value += gain
+            ws = oracle.add(ws, eid, ws.value + gain)
             accepted.append((eid, gain))
         elif density > seen:
             seen = density
-    return accepted, seen
+    return ws, accepted, seen
 
 
 def augment_pass(oracle: SubmodularOracle, items, order, ledger: QueryLedger):
@@ -147,9 +145,12 @@ def augment_pass(oracle: SubmodularOracle, items, order, ledger: QueryLedger):
     fits any prefix.
     """
     inst = oracle.instance
-    members = set(order)
+    prefixes = [oracle.working_set()]
+    for eid in order:
+        prefixes.append(oracle.add(prefixes[-1], eid))
     # exact prefix costs, nondecreasing, so bisect finds the deepest fit
-    prefix_units = list(accumulate((inst.units[i] for i in order), initial=0))
+    prefix_units = [inst.unit_capacity - p.room for p in prefixes]
+    members = prefixes[-1].ids
     best = None
     for eid in items:
         if eid in members:
@@ -157,7 +158,7 @@ def augment_pass(oracle: SubmodularOracle, items, order, ledger: QueryLedger):
         j = bisect.bisect_right(prefix_units, inst.room((eid,))) - 1
         if j < 0:
             continue  # does not fit even the empty prefix
-        v = oracle.evaluate(frozenset(order[:j]) | {eid}, ledger)
+        v = oracle.value_with(prefixes[j], eid, ledger)
         if best is None or v > best[0]:
             best = (v, j, eid)
     return [] if best is None else [best]
@@ -177,18 +178,19 @@ def best_augmented(order, prefix_values, extensions):
     return ids, value
 
 
-def _best_singleton(oracle, items, free, value_empty, ledger):
+def _best_singleton(oracle, items, free, empty, ledger):
     """Best singleton as (value, id), the first scanned on ties.
 
     ``free`` maps ids to singleton gains already paid for; every other item
-    costs one query.  ``Instance`` admits only elements that fit alone.
+    costs one query against the ``empty`` working set.  ``Instance`` admits
+    only elements that fit alone.
     """
     best = None
     for eid in items:
         if eid in free:
-            v = value_empty + free[eid]
+            v = empty.value + free[eid]
         else:
-            v = oracle.evaluate((eid,), ledger)
+            v = oracle.value_with(empty, eid, ledger)
         if best is None or v > best[0]:
             best = (v, eid)
     return best
@@ -204,11 +206,10 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
     cost one extra query afterwards, which sieve_or_max uses.
     """
     inst = oracle.instance
-    value_empty = oracle.evaluate((), ledger)
-    order: list[int] = []
-    member = set()
+    empty = oracle.working_set((), oracle.evaluate((), ledger))
+    ws = empty
     cost_t = 0.0         # the trace's cumulative cost; fitting is decided in units
-    value_t = value_empty
+    value_t = empty.value
     steps: list[TraceStep] = []
     cap = math.inf if density_cap is None else density_cap
     best_single = None
@@ -222,25 +223,23 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
         if singles_pending:
             # the singleton pick revisits this pass's items in stream order
             items, singles, singles_pending = list(items), {}, False
-        accepted, cap = threshold_pass(oracle, items, tau, member, value_t,
-                                       ledger, singles)
+        ws, accepted, cap = threshold_pass(oracle, items, tau, ws, ledger,
+                                           singles)
         for eid, gain in accepted:
             c_e = inst.cost_of(eid)
             steps.append(TraceStep(cost_t, value_t, max(0.0, gain) / c_e))
-            order.append(eid)
             cost_t += c_e
             value_t += gain
         if singles is not None:
-            best_single = _best_singleton(oracle, items, singles, value_empty,
-                                          ledger)
+            best_single = _best_singleton(oracle, items, singles, empty, ledger)
 
     if singles_pending:
         # every level was skipped; spend one dedicated singleton pass
         best_single = _best_singleton(oracle, (e.id for e in stream.scan()),
-                                      {}, value_empty, ledger)
+                                      {}, empty, ledger)
 
-    steps.append(TraceStep(cost_t, value_t, 0.0))
-    return SieveState(order, value_t, GreedyTrace(steps), best_single)
+    steps.append(TraceStep(cost_t, ws.value, 0.0))
+    return SieveState(list(ws.order), ws.value, GreedyTrace(steps), best_single)
 
 
 def _augment(stream, oracle, state: SieveState, ledger):
@@ -349,13 +348,15 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     delta = 0.0          # best singleton value so far
     lb = 0.0             # best collected-set value so far
     max_density = 0.0
-    sets: dict[int, list] = {}   # grid index -> [member set, free units, value]
+    # the empty set is recorded at 0 (the estimator never queries it)
+    empty = oracle.working_set((), 0.0)
+    sets: dict[int, WorkingSet] = {}   # grid index -> threshold set
     peak = 0
 
     for elem in stream.scan():
         eid = elem.id
         c_e = inst.cost_of(eid)
-        fe = oracle.evaluate((eid,), ledger)
+        fe = oracle.value_with(empty, eid, ledger)
         if fe > delta:
             delta = fe
         if c_e > 0:
@@ -370,18 +371,13 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         for i in [i for i in sets if i < i_lo]:
             del sets[i]
         for i in range(i_lo, i_hi + 1):
-            entry = sets.get(i)
-            if entry is None:
-                entry = sets[i] = [set(), inst.unit_capacity, 0.0]
-            members, free, value_s = entry
-            if eid in members or units[eid] > free:
+            ws = sets.setdefault(i, empty)
+            if eid in ws.ids or units[eid] > ws.room:
                 continue
-            gain = oracle.marginal_gain(eid, members, ledger, cached=value_s)
+            gain = oracle.value_with(ws, eid, ledger) - ws.value
             if gain / c_e >= base ** i:
-                members.add(eid)
-                entry[1] = free - units[eid]
-                entry[2] = value_s + gain
-                lb = max(lb, entry[2])
-        peak = max(peak, sum(len(entry[0]) for entry in sets.values()))
+                ws = sets[i] = oracle.add(ws, eid, ws.value + gain)
+                lb = max(lb, ws.value)
+        peak = max(peak, sum(len(ws.order) for ws in sets.values()))
 
     return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

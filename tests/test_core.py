@@ -223,10 +223,13 @@ def test_marginal_gain():
     weights = ModularObjective({0: 1.0, 1: 3.0})
     oracle = SubmodularOracle(inst, weights.value)
     ledger = QueryLedger()
-    base_value = oracle.evaluate({0}, ledger)
-    gain = oracle.marginal_gain(1, {0}, ledger, cached=base_value)
+    ws = oracle.working_set({0}, oracle.evaluate({0}, ledger))
+    gain = oracle.value_with(ws, 1, ledger) - ws.value
     assert gain == pytest.approx(3.0)
-    assert ledger.query_count == 2  # the cached base value costs nothing
+    assert ledger.query_count == 2  # the recorded base value costs nothing
+    grown = oracle.add(ws, 1, ws.value + gain)
+    assert grown.ids == {0, 1} and grown.room == 0 and grown.value == 4.0
+    assert ledger.query_count == 2  # nor does growing the set
 
 
 def independent_brute(instance, value_fn):
