@@ -34,6 +34,7 @@ from .errors import (
     InvalidLambda,
     KnapsubError,
     MemoryCapExceeded,
+    NonFiniteValue,
     ParseError,
     TooLarge,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "ModularObjective",
     "MovieObjective",
     "MpcConfig",
+    "NonFiniteValue",
     "OfflineResult",
     "OptEstimate",
     "ParseError",

@@ -13,15 +13,28 @@ the optional protocol ``extend(state, ids) -> state`` and
 of |S|; any other objective is evaluated on the whole set, as by
 :meth:`SubmodularOracle.evaluate`.  Both paths count the same queries and
 return the same floats, bit for bit.
+
+A greedy sweep asks "f(S + e)" for a whole batch of ids against one fixed S,
+through :meth:`SubmodularOracle.values_with`.  An objective that also
+implements ``values_with(state, ids) -> ndarray`` answers the batch in one
+call and must return, for each id, exactly the float ``value_with`` returns,
+bit for bit.  The oracle decides the batch's feasibility in exact integers
+(:meth:`Instance.fit_mask`) and admits it under one ledger lock; it charges
+``len(ids)`` queries and stops at a budget or an infeasible id exactly where
+that many single queries would.  Any other objective is asked one id at a
+time through :meth:`SubmodularOracle.value_with`.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -68,11 +81,13 @@ class Instance:
     unit_capacity : the capacity on the same integer scale
 
     Feasibility is decided in these integers alone, by :meth:`fits` or by a
-    solver that starts from :meth:`room` and subtracts ``units``.  Integer
-    sums are exact in any order, so no two callers disagree on one set.
+    solver that starts from :meth:`room` and subtracts ``units``, or for a
+    whole array of ids at once by :meth:`fit_mask`.  Integer sums are exact
+    in any order, so no two callers disagree on one set.
 
     A capacity that is not finite raises ``ValueError``: no solver has a
-    threshold grid or a size bound for an unbounded budget.
+    threshold grid or a size bound for an unbounded budget.  So does an id
+    outside the int64 range, because greedy sweeps hold ids in arrays.
     """
 
     def __init__(self, elements, capacity, base_set=()):
@@ -86,6 +101,9 @@ class Instance:
             raise ValueError("duplicate element ids")
         if self.base_set & self._cost.keys():
             raise ValueError("base_set must be disjoint from elements")
+        ids = (*self._cost, *self.base_set)
+        if ids and not (-2**63 <= min(ids) and max(ids) < 2**63):
+            raise ValueError("element ids must lie in the int64 range")
         for e in self.elements:
             if not math.isfinite(e.cost) or e.cost <= 0:
                 raise ValueError(f"element {e.id} must have finite positive "
@@ -101,6 +119,9 @@ class Instance:
         self.unit_capacity = units[0]
         self.units = dict(zip(self._cost, units[1:]))
         self.units.update(dict.fromkeys(self.base_set, 0))
+        # built by fit_mask on first use; set here, because an attribute
+        # added after __init__ slows every attribute read on the instance
+        self._ranks = None
 
     @property
     def n(self) -> int:
@@ -130,6 +151,46 @@ class Instance:
     def fits(self, ids) -> bool:
         """The one feasibility rule."""
         return self.room(ids) >= 0
+
+    def fit_mask(self, ids, room: int) -> np.ndarray:
+        """``units[i] <= room`` for every id in ``ids``, as a bool array.
+
+        ``units`` may exceed int64, so each id is compared through the rank
+        of its unit value among the instance's distinct unit values.  An id
+        the instance does not hold never fits.
+        """
+        if self._ranks is None:
+            self._ranks = self._unit_ranks()
+        levels, lookup = self._ranks
+        return lookup(ids) < bisect.bisect_right(levels, room)
+
+    def _unit_ranks(self):
+        """Sorted distinct unit values, and a map from an id array to the
+        ranks of their unit values: a table lookup when ids are dense, a
+        binary search otherwise."""
+        ids = np.fromiter(self.units, np.int64, len(self.units))
+        units = list(self.units.values())
+        levels = sorted(set(units))
+        rank = dict(zip(levels, range(len(levels))))
+        ranks = np.fromiter(map(rank.__getitem__, units), np.intp, len(units))
+        lo, hi = min(self.units, default=0), max(self.units, default=-1)
+        unknown = len(levels)  # a rank no room reaches
+        if hi - lo <= 4 * len(ids) + 64:
+            table = np.full(hi - lo + 1, unknown, np.intp)
+            table[ids - lo] = ranks
+
+            def lookup(q):
+                q = np.asarray(q, np.int64) - lo
+                pos = q.clip(0, len(table) - 1)
+                return np.where(pos == q, table[pos], unknown)
+        else:
+            order = np.argsort(ids)
+            ids, ranks = ids[order], ranks[order]
+
+            def lookup(q):
+                pos = np.searchsorted(ids, q).clip(max=len(ids) - 1)
+                return np.where(ids[pos] == q, ranks[pos], unknown)
+        return levels, lookup
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
@@ -162,6 +223,20 @@ class QueryLedger:
             self.query_count += 1
             if infeasible:
                 self.infeasible_query_count += 1
+
+    def _admit_batch(self, infeasible: np.ndarray):
+        """Admit one query per flag in ``infeasible``, under one lock.  A
+        budget stops the batch where it stops as many single queries: the
+        count is left at the budget and :class:`BudgetExceeded` raised."""
+        with self._lock:
+            taken = len(infeasible)
+            if self.budget is not None:
+                taken = min(taken, self.budget - self.query_count)
+            self.query_count += taken
+            self.infeasible_query_count += int(np.count_nonzero(infeasible[:taken]))
+            if taken < len(infeasible):
+                raise BudgetExceeded(
+                    f"query budget of {self.budget} oracle calls exhausted")
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +283,12 @@ class SubmodularOracle:
     bits) and ``HiddenPairObjective`` take the fallback path, which calls
     :meth:`evaluate` on the whole set, so a wrapper installed on
     ``evaluate`` still sees every query.
+
+    Batch protocol (optional, on top of the incremental one).  An objective
+    that also defines ``values_with(state, ids) -> ndarray`` promises, for
+    each id, exactly the float ``value_with(state, id)`` returns.
+    :meth:`values_with` then answers a whole greedy step in one call;
+    ``CoverageObjective`` implements it.
     """
 
     def __init__(self, instance: Instance, fn):
@@ -218,6 +299,7 @@ class SubmodularOracle:
         self._fn = fn.value if hasattr(fn, "value") else fn
         incremental = hasattr(fn, "extend") and hasattr(fn, "value_with")
         self._incremental = fn if incremental else None
+        self._batch = fn if incremental and hasattr(fn, "values_with") else None
 
     def evaluate(self, ids, ledger: QueryLedger) -> float:
         ids = frozenset(ids)
@@ -267,6 +349,36 @@ class SubmodularOracle:
                 f"capacity {self.instance.capacity:g}")
         ledger._admit(infeasible)
         return obj.value_with(ws.state, eid)
+
+    def values_with(self, ws: WorkingSet, ids, ledger: QueryLedger) -> np.ndarray:
+        """f(S + e) for every id in ``ids``, in order, as a float array.
+
+        Counts ``len(ids)`` queries and checks each for feasibility exactly
+        as that many :meth:`value_with` calls would, and stops at the same
+        query when a budget or an infeasible id stops them.  Without the
+        batch protocol it makes those calls, one id at a time.
+        """
+        obj = self._batch
+        if obj is None:
+            return np.array([self.value_with(ws, eid, ledger)
+                             for eid in np.asarray(ids).tolist()], dtype=float)
+        ids = np.asarray(ids, dtype=np.intp)
+        infeasible = ~self.instance.fit_mask(ids, ws.room)
+        for j in np.flatnonzero(infeasible):
+            eid = int(ids[j])
+            if eid in ws.ids:  # S + e is S, which fits iff S does
+                infeasible[j] = ws.room < 0
+            elif eid not in self.instance.units:
+                raise KeyError(eid)  # as value_with raises for it
+        if ledger.enforce_feasible and infeasible.any():
+            j = int(infeasible.argmax())
+            ledger._admit_batch(infeasible[:j])  # the queries before it
+            eid = int(ids[j])
+            raise InfeasibleQuery(
+                f"set of cost {self.instance.cost(ws.ids | {eid}):g} exceeds "
+                f"capacity {self.instance.capacity:g}")
+        ledger._admit_batch(infeasible)
+        return obj.values_with(ws.state, ids)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     # augmentation round against greedily reordered prefixes
     rng = random.Random(config.seed * 1_000_003 + len(levels))
-    order, _, pvals = greedy_order(instance, oracle, ws_t.ids, ledger)
+    order, pvals = greedy_order(instance, oracle, ws_t.ids, ledger)
     slices = _partition(all_ids, m, rng)
 
     def aug_machine(t_list, local_items):

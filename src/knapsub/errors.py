@@ -18,6 +18,11 @@ class BudgetExceeded(KnapsubError):
     """A run would exceed its configured oracle-query budget."""
 
 
+class NonFiniteValue(KnapsubError):
+    """An objective answered NaN or an infinity where a greedy sweep needs a
+    finite value to rank densities."""
+
+
 class InvalidLambda(KnapsubError):
     """A streaming run was started with a non-positive value estimate."""
 

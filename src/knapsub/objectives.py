@@ -12,9 +12,17 @@ empty set), and ``value_with(state, eid)`` returns exactly the float
 without touching S.  ``ModularObjective`` and ``HiddenPairObjective`` do
 not: a running float sum would differ from ``value`` in the last bits, and
 the hidden pair needs the whole set.
+
+``CoverageObjective`` also implements the batch protocol:
+``values_with(state, ids)`` returns an array holding, for each id, exactly
+the float ``value_with(state, id)`` returns, bit for bit.  A greedy step
+asks it once for every candidate.  ``MovieObjective`` does not: a batch
+would hold |ids| x |targets| floats at once.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -22,30 +30,78 @@ import numpy as np
 class CoverageObjective:
     """Fraction of vertices dominated by the chosen set.
 
-    f(Z) = |Z union N(Z)| / |V| on an undirected graph.  Neighborhoods are
-    precomputed as integer bitmasks, so one evaluation is |Z| bitwise ors and
-    a popcount.
+    f(Z) = |Z union N(Z)| / |V| on an undirected graph.  Closed
+    neighborhoods are kept twice: as integer bitmasks, so one evaluation is
+    |Z| bitwise ors and a popcount, and as a CSR array (self included,
+    duplicates removed, ``int32`` indices), so one batch of "f(S + e)"
+    queries is a few NumPy passes over the edges.
     """
 
     def __init__(self, adjacency):
-        """``adjacency`` maps vertex id (0..n-1) to an iterable of neighbors.
+        """``adjacency`` maps vertex id (0..n-1) to a collection of neighbors.
         Edges must come symmetric; self-loops are ignored."""
-        self.n_vertices = len(adjacency)
+        n = self.n_vertices = len(adjacency)
+        rows = [adjacency[v] for v in range(n)]
+        sizes = np.fromiter(map(len, rows), np.intp, n)
+        total = int(sizes.sum())
+        # one key row * n + col per entry, self included; int32 while n * n
+        # fits, and updated in place, so no edge-sized int64 array is built
+        key_type = np.int32 if n * n < 2**31 else np.int64
+        own = np.arange(n + 1, dtype=key_type)
+        try:
+            keys = np.fromiter(chain(chain.from_iterable(rows), range(n)),
+                               key_type, total + n)
+        except OverflowError:
+            keys = None
+        if keys is None or (total and (keys[:total].min() < 0
+                                       or keys[:total].max() >= n)):
+            u = next(u for row in rows for u in row if not 0 <= u < n)
+            raise ValueError(f"vertex {u} out of range")
+        keys[:total] += np.repeat(own[:-1] * n, sizes)
+        keys[total:] *= n + 1
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        del first
+
+        self._indptr = np.searchsorted(keys, own * n)
+        self._sizes = np.diff(self._indptr)
+        m = max(n, 1)
+        transposed = keys % m
+        transposed *= n
+        transposed += keys // m
+        transposed.sort()
+        if not np.array_equal(keys, transposed):
+            nbrs = [set(row) for row in rows]
+            v, u = next((v, u) for v in range(n) for u in rows[v]
+                        if u != v and v not in nbrs[u])
+            raise ValueError(f"edge {v}-{u} is not symmetric")
+        del transposed
+        self._indices = (keys % m).astype(np.int32, copy=False)
+        self._nbytes = (n + 7) // 8
+        # wide enough for any row's count, narrow so a batch stays small
+        self._count_type = np.uint16 if n < 2**16 else np.int32
+        self._masks = self._bitmasks()
+
+    def _bitmasks(self) -> list[int]:
+        """Each closed neighborhood as an integer bitmask, packed little-endian
+        into about 64 KB of rows at a time."""
+        n, width = self.n_vertices, self._nbytes
         masks = []
-        for v in range(self.n_vertices):
-            m = 1 << v
-            for u in adjacency[v]:
-                if u == v:
-                    continue
-                if not 0 <= u < self.n_vertices:
-                    raise ValueError(f"vertex {u} out of range")
-                m |= 1 << u
-            masks.append(m)
-        for v in range(self.n_vertices):
-            for u in adjacency[v]:
-                if u != v and not masks[u] >> v & 1:
-                    raise ValueError(f"edge {v}-{u} is not symmetric")
-        self._masks = masks
+        block = max(1, (1 << 16) // max(width, 1))
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
+            cols = self._indices[self._indptr[lo]:self._indptr[hi]]
+            packed = np.zeros((hi - lo) * width, dtype=np.uint8)
+            at = np.repeat(np.arange(hi - lo) * width, self._sizes[lo:hi])
+            # several columns can share a byte, so or them in unbuffered
+            np.bitwise_or.at(packed, at + (cols >> 3),
+                             np.left_shift(1, cols & 7).astype(np.uint8))
+            raw = packed.tobytes()
+            masks.extend(int.from_bytes(raw[i:i + width], "little")
+                          for i in range(0, len(raw), width))
+        return masks
 
     def value(self, ids) -> float:
         return self.extend(0, ids).bit_count() / self.n_vertices
@@ -61,8 +117,35 @@ class CoverageObjective:
         covered = self._masks[eid] if state is None else state | self._masks[eid]
         return covered.bit_count() / self.n_vertices
 
+    def values_with(self, state, ids) -> np.ndarray:
+        """(popcount(S's cover) + uncovered vertices of each row) / n, which
+        is ``value_with(state, eid)`` for every id, bit for bit: both divide
+        the same exactly representable integers once."""
+        ids = np.asarray(ids, dtype=np.intp)
+        covered = state or 0
+        if len(ids) * 256 < self._indices.size:
+            # a few rows: one bigint or each costs less than a pass over E
+            masks = self._masks
+            totals = np.fromiter(((covered | masks[e]).bit_count()
+                                  for e in ids.tolist()), np.int64, len(ids))
+        else:
+            bits = np.unpackbits(
+                np.frombuffer(covered.to_bytes(self._nbytes, "little"), np.uint8),
+                count=self.n_vertices, bitorder="little").astype(self._count_type)
+            # np.take casts int32 indices to intp, and reduceat without
+            # ``out`` allocates scratch: in chunks, and with ``out``, neither
+            # builds an edge-sized int64 array
+            covered_in = np.empty(self._indices.size, self._count_type)
+            for a in range(0, covered_in.size, 8192):
+                np.take(bits, self._indices[a:a + 8192],
+                        out=covered_in[a:a + 8192])
+            hits = np.empty(self.n_vertices, self._count_type)
+            np.add.reduceat(covered_in, self._indptr[:-1], out=hits)
+            totals = covered.bit_count() + (self._sizes[ids] - hits[ids])
+        return totals / self.n_vertices
+
     def degree(self, v: int) -> int:
-        return self._masks[v].bit_count() - 1
+        return int(self._sizes[v]) - 1
 
 
 def coverage_costs(adjacency, alpha: float = 1 / 20) -> dict[int, float]:

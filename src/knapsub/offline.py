@@ -5,7 +5,9 @@ f(G + e) for every still-fitting element, and both the best-gain item (the
 augmentation candidate) and the best-density item (the greedy step) are read
 off the same evaluations.  Plain greedy, greedy-or-max and greedy-plus-max
 therefore issue exactly the same oracle queries; the stronger outputs are
-free.
+free.  Every iteration is one batch query against a G_i that stays fixed
+for the whole iteration, so batching never speculates and never changes a
+query count.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .core import (
     AlgoReport,
@@ -23,6 +27,7 @@ from .core import (
     SubmodularOracle,
     TraceStep,
 )
+from .errors import NonFiniteValue
 
 
 @dataclass
@@ -36,7 +41,6 @@ class OfflineResult:
 @dataclass
 class _GreedyRun:
     prefix_ids: list[int]          # items in pick order
-    prefix_costs: list[float]      # cost of G_0..G_m
     prefix_values: list[float]     # value of G_0..G_m
     candidates: list[tuple[int, int | None, float]]  # (i, best-gain id, f(G_i + s_i))
     trace: GreedyTrace
@@ -46,76 +50,77 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
                 seed_ids=(), restrict_to=None) -> _GreedyRun:
     """Density greedy from ``seed_ids``, harvesting augmentations and the trace.
 
-    Ties in both argmaxes go to the smallest element id (strict comparison,
-    candidates scanned in id order).  Elements that stop fitting the residual
-    budget are physically dropped; their last known density still feeds the
-    trace's ``ub_density`` field, which submodularity keeps an upper bound.
-    ``restrict_to`` limits the candidate pool to a subset of element ids.
-    Fitting is decided in the instance's exact integer units.
+    Each step is one batch, :meth:`SubmodularOracle.values_with`, over the
+    working ids, kept sorted by id in an array, so both argmaxes go to the
+    smallest id on ties.  Elements that stop fitting the residual budget
+    (the exact rule, :meth:`Instance.fit_mask`) are physically dropped;
+    their last known density still feeds the trace's ``ub_density`` field,
+    which submodularity keeps an upper bound.  ``restrict_to`` limits the
+    candidate pool to a subset of element ids.  An objective value that is
+    NaN or infinite raises :class:`NonFiniteValue`.
     """
 
-    units = instance.units
     ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
     cost_g = instance.cost(seed_ids)
-    working = sorted(e.id for e in instance.elements
-                     if e.id not in ws.ids and units[e.id] <= ws.room
-                     and (restrict_to is None or e.id in restrict_to))
+    working = np.array(sorted(e.id for e in instance.elements
+                              if e.id not in ws.ids
+                              and (restrict_to is None or e.id in restrict_to)),
+                       dtype=np.intp)
+    working = working[instance.fit_mask(working, ws.room)]
+    costs = np.array([instance.cost_of(e) for e in working.tolist()], dtype=float)
 
     prefix_ids: list[int] = []
-    prefix_costs = [cost_g]
     prefix_values = [ws.value]
     candidates: list[tuple[int, int | None, float]] = []
     steps: list[TraceStep] = []
     removed_max = 0.0
     i = 0
 
-    while working:
+    while working.size:
         value_g = ws.value
-        vals = {}
-        dens = {}
-        for eid in working:
-            v = oracle.value_with(ws, eid, ledger)
-            vals[eid] = v
-            dens[eid] = max(0.0, v - value_g) / instance.cost_of(eid)
-        best_gain = max(working, key=lambda e: (vals[e], -e))
-        best_density = max(working, key=lambda e: (dens[e], -e))
-        candidates.append((i, best_gain, vals[best_gain]))
-        steps.append(TraceStep(cost_g, value_g, dens[best_density],
-                               max(dens[best_density], removed_max)))
+        vals = oracle.values_with(ws, working, ledger)
+        gains = vals - value_g
+        finite = np.isfinite(gains)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise NonFiniteValue(f"objective answered f(G) = {value_g!r} and "
+                                 f"f(G + {working[j]}) = {float(vals[j])!r}")
+        dens = np.where(gains > 0.0, gains, 0.0) / costs
+        g, d = int(vals.argmax()), int(dens.argmax())
+        best_gain, best_density = int(working[g]), int(working[d])
+        candidates.append((i, best_gain, float(vals[g])))
+        top = float(dens[d])
+        steps.append(TraceStep(cost_g, value_g, top, max(top, removed_max)))
 
-        ws = oracle.add(ws, best_density, vals[best_density])
+        ws = oracle.add(ws, best_density, float(vals[d]))
         cost_g += instance.cost_of(best_density)
         prefix_ids.append(best_density)
-        prefix_costs.append(cost_g)
         prefix_values.append(ws.value)
         i += 1
 
-        kept = []
-        for eid in working:
-            if eid == best_density:
-                continue
-            if units[eid] > ws.room:
-                removed_max = max(removed_max, dens[eid])
-            else:
-                kept.append(eid)
-        working = kept
+        kept = instance.fit_mask(working, ws.room)
+        kept[d] = False
+        dropped = ~kept
+        dropped[d] = False
+        if dropped.any():
+            removed_max = max(removed_max, float(dens[dropped].max()))
+        working, costs = working[kept], costs[kept]
 
     steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
     # terminal prefix competes with an empty augmentation
     candidates.append((i, None, ws.value))
-    return _GreedyRun(prefix_ids, prefix_costs, prefix_values, candidates,
-                      GreedyTrace(steps))
+    return _GreedyRun(prefix_ids, prefix_values, candidates, GreedyTrace(steps))
 
 
 def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
                  ledger: QueryLedger):
-    """Greedy pick order over ``members`` only, with prefix costs and values.
+    """Greedy pick order over ``members`` only, with prefix values.
 
-    The three returned lists are the picked ids in order and the cost/value
-    of every prefix including the empty one.
+    The two returned lists are the picked ids in order and the value of
+    every prefix including the empty one.
     """
     run = _run_greedy(instance, oracle, ledger, restrict_to=frozenset(members))
-    return run.prefix_ids, run.prefix_costs, run.prefix_values
+    return run.prefix_ids, run.prefix_values
 
 
 def greedy(instance: Instance, oracle: SubmodularOracle,

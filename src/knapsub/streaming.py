@@ -250,7 +250,7 @@ def _augment(stream, oracle, state: SieveState, ledger):
     in-memory and costs no stream pass.  Distributed+Max reorders its
     collection with the same ``greedy_order``.
     """
-    order, _, values = greedy_order(oracle.instance, oracle, state.order, ledger)
+    order, values = greedy_order(oracle.instance, oracle, state.order, ledger)
     extensions = augment_pass(oracle, (e.id for e in stream.scan()), order,
                               ledger)
     return best_augmented(order, values, extensions)

@@ -52,6 +52,14 @@ def test_instance_rejects_nonfinite_capacity():
         normalize([(0, 1.0)], math.inf)
 
 
+def test_instance_rejects_ids_beyond_int64():
+    Instance([Element(2**63 - 1, 1.0), Element(-2**63, 1.0)], 2.0)
+    with pytest.raises(ValueError, match="int64"):
+        Instance([Element(2**63, 1.0)], 2.0)
+    with pytest.raises(ValueError, match="int64"):
+        Instance([Element(0, 1.0)], 2.0, base_set={-2**63 - 1})
+
+
 def test_instance_accessors():
     inst = Instance([Element(0, 1.0), Element(1, 2.0)], 3.0, base_set={7})
     assert inst.n == 2

@@ -1,9 +1,10 @@
-"""The incremental query path of the oracle.
+"""The incremental and batch query paths of the oracle.
 
-Coverage and movie objectives answer "f(S + e)" from a working set's state.
-Every solver must return the same ids, bit-identical values and the same
-counts, passes, rounds, round logs and traces as when the same objective is
-hidden behind a plain callable, which takes the whole-set path.
+Coverage and movie objectives answer "f(S + e)" from a working set's state,
+and coverage answers a greedy step's whole batch in one call.  Every solver
+must return the same ids, bit-identical values and the same counts, passes,
+rounds, round logs and traces as when the same objective is hidden behind a
+plain callable, which takes the whole-set path one query at a time.
 """
 
 import random
@@ -196,3 +197,148 @@ def test_value_with_enforces_feasibility_and_budget():
     with pytest.raises(BudgetExceeded):
         oracle.value_with(empty, 2, capped)
     assert capped.query_count == 2
+
+
+# ------------------------------------------------------------ batch protocol
+
+
+def ragged_adjacency(n, seed):
+    """A symmetric graph given with duplicate neighbors, self-loops and
+    isolated vertices, the forms ``CoverageObjective`` must normalize."""
+    rng = random.Random(seed)
+    adjacency = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u % 7 and v % 7 and rng.random() < 0.3:  # multiples of 7 isolated
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+                if rng.random() < 0.2:
+                    adjacency[u].append(v)
+        if rng.random() < 0.3:
+            adjacency[u].append(u)
+        rng.shuffle(adjacency[u])
+    return adjacency
+
+
+@pytest.mark.parametrize("n", [9, 40, 150])
+def test_values_with_is_value_with_bit_for_bit(n):
+    objective = CoverageObjective(ragged_adjacency(n, n))
+    rng = random.Random(n)
+    base = rng.sample(range(n), 2)
+    raw = [(v, 0.0 if v in base else rng.uniform(1.0, 3.0)) for v in range(n)]
+    instance = normalize(raw, 1e6)
+    oracle = SubmodularOracle(instance, objective)
+    assert oracle.working_set().state  # the base set is covered
+    ids = [e.id for e in instance.elements]
+    for _ in range(20):
+        ws = oracle.working_set(rng.sample(ids, rng.randint(0, n // 2)))
+        # all ids (one pass over the edges) and a few (one bigint or each)
+        for batch in (ids, [], *(ids[j:j + 3] for j in range(0, len(ids), 3))):
+            got = oracle.values_with(ws, batch, QueryLedger())
+            want = [oracle.value_with(ws, eid, QueryLedger()) for eid in batch]
+            assert hexes(got) == hexes(want)
+            assert hexes(objective.values_with(None, batch)) == \
+                hexes(objective.value_with(None, eid) for eid in batch)
+
+
+def both_oracles(instance, objective):
+    """The batch path, and the same objective behind a plain callable."""
+    return (SubmodularOracle(instance, objective),
+            SubmodularOracle(instance, lambda ids: objective.value(ids)))
+
+
+def outcome(call, ledger):
+    try:
+        result = hexes(call())
+    except (BudgetExceeded, InfeasibleQuery) as exc:
+        result = type(exc).__name__
+    return result, ledger.query_count, ledger.infeasible_query_count
+
+
+@pytest.mark.parametrize("solver", ["greedy", "greedy_plus_max", "partial_enum_greedy"])
+def test_budget_stops_both_paths_at_the_same_query(solver, corpus):
+    run = {"greedy": greedy, "greedy_plus_max": greedy_plus_max,
+           "partial_enum_greedy": lambda i, o, led: partial_enum_greedy(i, o, 1, led)
+           }[solver]
+    stopped = 0
+    for idx in range(0, 12, 2):
+        instance, objective, _ = corpus(idx)
+        full = QueryLedger()
+        run(instance, SubmodularOracle(instance, objective), full)
+        # budgets that land inside a greedy step, not only at its end
+        for budget in sorted({1, 2, full.query_count // 3, full.query_count - 1}):
+            counts = []
+            for oracle in both_oracles(instance, objective):
+                ledger = QueryLedger(budget=budget)
+                with pytest.raises(BudgetExceeded):
+                    run(instance, oracle, ledger)
+                counts.append(ledger.query_count)
+            assert counts == [budget, budget]
+            stopped += 1
+    assert stopped >= 12
+
+
+def test_batch_feasibility_matches_single_queries(corpus):
+    """Members, over-capacity ids and budgets, enforced or not: the batch
+    returns, raises and counts what the same single queries do."""
+    rng = random.Random(3)
+    checked = 0
+    for idx in range(0, 20, 2):
+        instance, objective, _ = corpus(idx)
+        ids = [e.id for e in instance.elements]
+        for _ in range(10):
+            chosen = rng.sample(ids, rng.randint(0, len(ids)))
+            batch = [rng.choice(ids) for _ in range(rng.randint(1, 2 * len(ids)))]
+            enforce = rng.random() < 0.5
+            budget = rng.choice([None, rng.randint(0, len(batch))])
+            results = []
+            for oracle in both_oracles(instance, objective):
+                ws = oracle.working_set(chosen)
+                ledger = QueryLedger(enforce_feasible=enforce, budget=budget)
+                results.append(outcome(
+                    lambda: oracle.values_with(ws, batch, ledger), ledger))
+            assert results[0] == results[1]
+            checked += results[0][2] > 0
+    assert checked >= 10  # some batches held infeasible queries
+
+
+def test_batch_rejects_ids_the_instance_does_not_hold():
+    objective = CoverageObjective(ragged_adjacency(9, 1))
+    instance = Instance([Element(i, 1.0) for i in range(1, 8)], 3.0)
+    for oracle in both_oracles(instance, objective):
+        for stranger in (-1, 0, 8):  # wrapped, between and beyond
+            with pytest.raises(KeyError):
+                oracle.values_with(oracle.working_set(), [1, stranger],
+                                   QueryLedger(enforce_feasible=False))
+
+
+def test_relaxed_greedy_counts_alike_on_both_paths(corpus):
+    for idx in range(0, 20, 2):
+        instance, objective, _ = corpus(idx)
+        counts = []
+        for oracle in both_oracles(instance, objective):
+            ledger = QueryLedger(enforce_feasible=False)
+            greedy_plus_max(instance, oracle, ledger)
+            counts.append((ledger.query_count, ledger.infeasible_query_count))
+        assert counts[0] == counts[1]
+
+
+def test_greedy_asks_one_batch_per_step():
+    objective = CoverageObjective(ragged_adjacency(60, 2))
+    instance = normalize([(v, 1.0 + v % 4) for v in range(60)], 12.0)
+    calls = {"values_with": 0, "value_with": 0}
+
+    def counted(name):
+        method = getattr(objective, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in calls:
+        setattr(objective, name, counted(name))
+    report = greedy_plus_max(instance, SubmodularOracle(instance, objective)).report
+    steps = len(report.trace.steps) - 1
+    assert steps >= 3
+    assert calls == {"values_with": steps, "value_with": 0}

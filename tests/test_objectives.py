@@ -63,6 +63,23 @@ def test_coverage_rejects_asymmetric_edges():
         CoverageObjective([[5], []])
 
 
+def test_coverage_names_the_bad_vertex_or_edge():
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        CoverageObjective([[1], [0, 5]])
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        CoverageObjective([[-1], []])
+    with pytest.raises(ValueError, match=f"vertex {2**40} out of range"):
+        CoverageObjective([[1], [0, 2**40]])
+    with pytest.raises(ValueError, match="edge 1-2 is not symmetric"):
+        CoverageObjective([[1], [0, 2, 0], [], []])
+
+
+def test_coverage_drops_duplicate_neighbors():
+    f = CoverageObjective([[1, 1, 0], [0, 0], []])
+    assert f.degree(0) == f.degree(1) == 1 and f.degree(2) == 0
+    assert f.value({0}) == 2 / 3
+
+
 def test_coverage_ignores_self_loops():
     f = CoverageObjective([[0, 1], [1, 0]])
     assert f.value({0}) == 1.0

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from knapsub import (
     BudgetExceeded,
+    CoverageObjective,
     Element,
     Instance,
     ModularObjective,
+    NonFiniteValue,
     QueryLedger,
     SubmodularOracle,
     greedy,
@@ -225,3 +227,34 @@ def test_greedy_query_count_bounded(corpus):
         greedy(inst, oracle, ledger)
         bound = 1 + inst.n * max(1, inst.k_tilde + 1)
         assert ledger.query_count <= bound
+
+
+class PoisonedCoverage(CoverageObjective):
+    """Coverage on a path graph that answers ``bad`` on every set holding 3."""
+
+    def __init__(self, bad):
+        super().__init__([[1], [0, 2], [1, 3], [2, 4], [3]])
+        self.bad = bad
+
+    def value(self, ids):
+        return self.bad if 3 in ids else super().value(ids)
+
+    def value_with(self, state, eid):
+        return self.bad if eid == 3 else super().value_with(state, eid)
+
+    def values_with(self, state, ids):
+        out = super().values_with(state, ids)
+        out[ids == 3] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path", ["batch", "callable"])
+def test_greedy_rejects_nonfinite_values(bad, path):
+    # max(0.0, nan) used to turn a NaN gain into density 0 without a word
+    objective = PoisonedCoverage(bad)
+    instance = Instance([Element(i, 1.0) for i in range(5)], 3.0)
+    fn = objective if path == "batch" else (lambda ids: objective.value(ids))
+    for solver in (greedy, greedy_plus_max):
+        with pytest.raises(NonFiniteValue):
+            solver(instance, SubmodularOracle(instance, fn))
