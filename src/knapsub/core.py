@@ -20,9 +20,10 @@ implements ``values_with(state, ids) -> ndarray`` answers the batch in one
 call and must return, for each id, exactly the float ``value_with`` returns,
 bit for bit.  The oracle decides the batch's feasibility in exact integers
 (:meth:`Instance.fit_mask`) and admits it under one ledger lock; it charges
-``len(ids)`` queries and stops at a budget or an infeasible id exactly where
-that many single queries would.  Any other objective is asked one id at a
-time through :meth:`SubmodularOracle.value_with`.
+``len(ids)`` queries and stops at a budget, an infeasible id or an id the
+instance does not hold exactly where, and with the error, that many single
+queries would.  Any other objective is asked one id at a time through
+:meth:`SubmodularOracle.value_with`.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ class Instance:
     in any order, so no two callers disagree on one set.
 
     A capacity that is not finite raises ``ValueError``: no solver has a
-    threshold grid or a size bound for an unbounded budget.  So does an id
-    outside the int64 range, because greedy sweeps hold ids in arrays.
+    threshold grid or a size bound for an unbounded budget.
     """
 
     def __init__(self, elements, capacity, base_set=()):
@@ -101,9 +101,6 @@ class Instance:
             raise ValueError("duplicate element ids")
         if self.base_set & self._cost.keys():
             raise ValueError("base_set must be disjoint from elements")
-        ids = (*self._cost, *self.base_set)
-        if ids and not (-2**63 <= min(ids) and max(ids) < 2**63):
-            raise ValueError("element ids must lie in the int64 range")
         for e in self.elements:
             if not math.isfinite(e.cost) or e.cost <= 0:
                 raise ValueError(f"element {e.id} must have finite positive "
@@ -162,39 +159,57 @@ class Instance:
         if self._ranks is None:
             self._ranks = self._unit_ranks()
         levels, lookup = self._ranks
-        return lookup(ids) < bisect.bisect_right(levels, room)
+        return lookup(_id_array(ids)) < bisect.bisect_right(levels, room)
 
     def _unit_ranks(self):
         """Sorted distinct unit values, and a map from an id array to the
-        ranks of their unit values: a table lookup when ids are dense, a
-        binary search otherwise."""
-        ids = np.fromiter(self.units, np.int64, len(self.units))
-        units = list(self.units.values())
-        levels = sorted(set(units))
+        ranks of their unit values (``len(levels)`` for an id the instance
+        does not hold).  The map is a binary search over the sorted ids,
+        or a table lookup when those are int64 and dense: a greedy step
+        looks up its ids twice, and for 4000 ids the table takes about a
+        third of the binary search's time."""
+        known = _id_array(sorted(self.units))
+        levels = sorted(set(self.units.values()))
         rank = dict(zip(levels, range(len(levels))))
-        ranks = np.fromiter(map(rank.__getitem__, units), np.intp, len(units))
-        lo, hi = min(self.units, default=0), max(self.units, default=-1)
+        ranks = np.array([rank[self.units[i]] for i in known.tolist()], np.intp)
         unknown = len(levels)  # a rank no room reaches
-        if hi - lo <= 4 * len(ids) + 64:
-            table = np.full(hi - lo + 1, unknown, np.intp)
-            table[ids - lo] = ranks
 
-            def lookup(q):
-                q = np.asarray(q, np.int64) - lo
-                pos = q.clip(0, len(table) - 1)
-                return np.where(pos == q, table[pos], unknown)
-        else:
-            order = np.argsort(ids)
-            ids, ranks = ids[order], ranks[order]
+        def search(q):
+            pos = np.searchsorted(known, q).clip(max=known.size - 1)
+            return np.where(known[pos] == q, ranks[pos], unknown)
 
-            def lookup(q):
-                pos = np.searchsorted(ids, q).clip(max=len(ids) - 1)
-                return np.where(ids[pos] == q, ranks[pos], unknown)
+        if not known.size:
+            return levels, lambda q: np.full(len(q), unknown, np.intp)
+        lo, span = int(known[0]), int(known[-1]) - int(known[0]) + 1
+        if known.dtype == object or span > 4 * known.size + 64:
+            return levels, search
+        table = np.full(span, unknown, np.intp)
+        table[known - lo] = ranks
+
+        def lookup(q):
+            if q.dtype == object:  # an id outside int64 is not held
+                return search(q)
+            q = q - lo  # cannot wrap into [0, span): lo + span <= 2**63
+            pos = q.clip(0, span - 1)
+            return np.where(pos == q, table[pos], unknown)
         return levels, lookup
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
                 f"k_tilde={self.k_tilde}, base={len(self.base_set)})")
+
+
+def _id_array(ids) -> np.ndarray:
+    """``ids`` as an int64 array, or as an object array of Python ints when
+    one lies outside int64 (NumPy alone would make a float64 array of a
+    mix such as ``[-1, 2**63]``).  An array is returned as it is."""
+    if isinstance(ids, np.ndarray):
+        return ids
+    ids = list(ids)
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
 
 
 class QueryLedger:
@@ -355,29 +370,34 @@ class SubmodularOracle:
 
         Counts ``len(ids)`` queries and checks each for feasibility exactly
         as that many :meth:`value_with` calls would, and stops at the same
-        query when a budget or an infeasible id stops them.  Without the
-        batch protocol it makes those calls, one id at a time.
+        query, with the same error, when a budget, an infeasible id or an id
+        the instance does not hold stops them.  Without the batch protocol
+        it makes those calls, one id at a time.
         """
         obj = self._batch
+        ids = _id_array(ids)
         if obj is None:
             return np.array([self.value_with(ws, eid, ledger)
-                             for eid in np.asarray(ids).tolist()], dtype=float)
-        ids = np.asarray(ids, dtype=np.intp)
+                             for eid in ids.tolist()], dtype=float)
+        # the first id that stops a single query, if any, stops the batch:
+        # one the instance does not hold, or one that does not fit
         infeasible = ~self.instance.fit_mask(ids, ws.room)
-        for j in np.flatnonzero(infeasible):
+        stop, error = len(ids), None
+        for j in np.flatnonzero(infeasible).tolist():
             eid = int(ids[j])
             if eid in ws.ids:  # S + e is S, which fits iff S does
                 infeasible[j] = ws.room < 0
             elif eid not in self.instance.units:
-                raise KeyError(eid)  # as value_with raises for it
-        if ledger.enforce_feasible and infeasible.any():
-            j = int(infeasible.argmax())
-            ledger._admit_batch(infeasible[:j])  # the queries before it
-            eid = int(ids[j])
-            raise InfeasibleQuery(
-                f"set of cost {self.instance.cost(ws.ids | {eid}):g} exceeds "
-                f"capacity {self.instance.capacity:g}")
-        ledger._admit_batch(infeasible)
+                stop, error = j, KeyError(eid)  # as value_with raises it
+                break
+            if infeasible[j] and ledger.enforce_feasible:
+                stop, error = j, InfeasibleQuery(
+                    f"set of cost {self.instance.cost(ws.ids | {eid}):g} "
+                    f"exceeds capacity {self.instance.capacity:g}")
+                break
+        ledger._admit_batch(infeasible[:stop])  # the queries before it
+        if error is not None:
+            raise error
         return obj.values_with(ws.state, ids)
 
 

@@ -124,7 +124,8 @@ class CoverageObjective:
         ids = np.asarray(ids, dtype=np.intp)
         covered = state or 0
         if len(ids) * 256 < self._indices.size:
-            # a few rows: one bigint or each costs less than a pass over E
+            # a few rows: one bigint or each costs less than a pass over
+            # the edges (measured below E/256 ids on every graph tried)
             masks = self._masks
             totals = np.fromiter(((covered | masks[e]).bit_count()
                                   for e in ids.tolist()), np.int64, len(ids))

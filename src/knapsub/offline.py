@@ -26,6 +26,7 @@ from .core import (
     RunMeter,
     SubmodularOracle,
     TraceStep,
+    _id_array,
 )
 from .errors import NonFiniteValue
 
@@ -62,10 +63,9 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
 
     ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
     cost_g = instance.cost(seed_ids)
-    working = np.array(sorted(e.id for e in instance.elements
-                              if e.id not in ws.ids
-                              and (restrict_to is None or e.id in restrict_to)),
-                       dtype=np.intp)
+    working = _id_array(sorted(e.id for e in instance.elements
+                               if e.id not in ws.ids
+                               and (restrict_to is None or e.id in restrict_to)))
     working = working[instance.fit_mask(working, ws.room)]
     costs = np.array([instance.cost_of(e) for e in working.tolist()], dtype=float)
 

@@ -52,12 +52,22 @@ def test_instance_rejects_nonfinite_capacity():
         normalize([(0, 1.0)], math.inf)
 
 
-def test_instance_rejects_ids_beyond_int64():
-    Instance([Element(2**63 - 1, 1.0), Element(-2**63, 1.0)], 2.0)
-    with pytest.raises(ValueError, match="int64"):
-        Instance([Element(2**63, 1.0)], 2.0)
-    with pytest.raises(ValueError, match="int64"):
-        Instance([Element(0, 1.0)], 2.0, base_set={-2**63 - 1})
+def test_ids_beyond_int64_run_like_small_ids():
+    # greedy sweeps hold ids in arrays; ids past int64 must not round
+    # through float64, which would merge 2**63 - 1 and 2**63
+    big = [-2**70, -2**63 - 1, -1, 2**63 - 1, 2**63, 2**70]
+    costs = [2.0, 1.0, 3.0, 1.0, 1.0, 2.0]
+    weights = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]
+    picks = []
+    for ids in (big, range(len(big))):
+        inst = Instance([Element(i, c) for i, c in zip(ids, costs)], 4.0)
+        oracle = SubmodularOracle(inst, ModularObjective(dict(zip(ids, weights))))
+        solution = greedy(inst, oracle).report.solution
+        picks.append((sorted(ids.index(i) for i in solution.ids), solution.value))
+    assert picks[0] == picks[1]
+    inst = Instance([Element(i, c) for i, c in zip(big, costs)], 4.0)
+    assert inst.fit_mask([2**63, 2**63 + 1, -1, -2**70], 2).tolist() == \
+        [True, False, False, True]
 
 
 def test_instance_accessors():

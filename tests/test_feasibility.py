@@ -128,11 +128,12 @@ def test_boundary_sweep_stays_feasible(solver):
         assert exact_cost(inst, ids) <= Fraction(inst.capacity), f"seed {seed}"
 
 
-@pytest.mark.parametrize("first_id", [0, 10**12])
-def test_fit_mask_is_the_exact_fit_rule(first_id):
+@pytest.mark.parametrize("gap", [3, 1000])  # a table lookup, a binary search
+@pytest.mark.parametrize("first_id", [0, 10**12, 2**63 - 7])
+def test_fit_mask_is_the_exact_fit_rule(first_id, gap):
     # units far beyond int64: the capacity is 1e300 on a 2**-52 grid
     costs = [1.0, 1.0 + 2**-52, 3.0, 7e299, 1e300]
-    elements = [Element(first_id + 3 * i, c) for i, c in enumerate(costs)]
+    elements = [Element(first_id + gap * i, c) for i, c in enumerate(costs)]
     instance = Instance(elements, 1e300, base_set=[first_id + 1])
     assert instance.unit_capacity > 2**1000
     ids = [first_id + 1] + [e.id for e in elements] * 2
@@ -141,6 +142,7 @@ def test_fit_mask_is_the_exact_fit_rule(first_id):
     for room in rooms:
         got = instance.fit_mask(ids, room).tolist()
         assert got == [instance.units[i] <= room for i in ids], room
-    # ids between and beyond the instance's own never fit
-    strangers = [first_id - 1, first_id + 2, first_id + 4, first_id + 13]
+    # ids between and beyond the instance's own, and outside int64, never fit
+    strangers = [first_id - 1, first_id + 2, first_id + gap + 1,
+                 first_id + gap * len(costs) + 1, -2**70, 2**70]
     assert not instance.fit_mask(strangers, instance.unit_capacity).any()

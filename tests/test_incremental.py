@@ -250,7 +250,7 @@ def both_oracles(instance, objective):
 def outcome(call, ledger):
     try:
         result = hexes(call())
-    except (BudgetExceeded, InfeasibleQuery) as exc:
+    except (BudgetExceeded, InfeasibleQuery, KeyError) as exc:
         result = type(exc).__name__
     return result, ledger.query_count, ledger.infeasible_query_count
 
@@ -302,14 +302,29 @@ def test_batch_feasibility_matches_single_queries(corpus):
     assert checked >= 10  # some batches held infeasible queries
 
 
-def test_batch_rejects_ids_the_instance_does_not_hold():
+def test_batch_stops_at_an_unknown_id_like_single_queries():
+    """An id the instance does not hold raises KeyError at its place in the
+    batch: the queries before it are counted, and an earlier infeasible id
+    or budget stop wins."""
     objective = CoverageObjective(ragged_adjacency(9, 1))
-    instance = Instance([Element(i, 1.0) for i in range(1, 8)], 3.0)
-    for oracle in both_oracles(instance, objective):
-        for stranger in (-1, 0, 8):  # wrapped, between and beyond
-            with pytest.raises(KeyError):
-                oracle.values_with(oracle.working_set(), [1, stranger],
-                                   QueryLedger(enforce_feasible=False))
+    instance = Instance([Element(i, 2.5 if i == 7 else 1.0) for i in range(1, 8)],
+                        3.0)  # 7 fits alone but not next to 1
+    stops = set()
+    for stranger in (-1, 0, 8):  # before, between and beyond the ids
+        for batch in ([2, 3, stranger, 4], [stranger, 7], [7, stranger],
+                      [1, 2, 7, 3, stranger]):
+            for enforce in (True, False):
+                for budget in (None, 1, 2, 3):
+                    results = []
+                    for oracle in both_oracles(instance, objective):
+                        ws = oracle.working_set([1])
+                        ledger = QueryLedger(enforce_feasible=enforce,
+                                             budget=budget)
+                        results.append(outcome(
+                            lambda: oracle.values_with(ws, batch, ledger), ledger))
+                    assert results[0] == results[1], (stranger, batch)
+                    stops.add(results[0][0])
+    assert stops == {"KeyError", "InfeasibleQuery", "BudgetExceeded"}
 
 
 def test_relaxed_greedy_counts_alike_on_both_paths(corpus):
