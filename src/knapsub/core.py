@@ -16,14 +16,11 @@ return the same floats, bit for bit.
 
 A greedy sweep asks "f(S + e)" for a whole batch of ids against one fixed S,
 through :meth:`SubmodularOracle.values_with`.  An objective that also
-implements ``values_with(state, ids) -> ndarray`` answers the batch in one
-call and must return, for each id, exactly the float ``value_with`` returns,
-bit for bit.  The oracle decides the batch's feasibility in exact integers
-(:meth:`Instance.fit_mask`) and admits it under one ledger lock; it charges
-``len(ids)`` queries and stops at a budget, an infeasible id or an id the
-instance does not hold exactly where, and with the error, that many single
-queries would.  Any other objective is asked one id at a time through
-:meth:`SubmodularOracle.value_with`.
+implements ``values_with(state, ids) -> ndarray`` answers it in one call
+when every id fits S, and must return, for each id, exactly the float
+``value_with`` returns, bit for bit.  Any other batch is asked one id at a
+time, so it stops where, and with the error, single queries would.  A NaN
+or an infinity raises :class:`NonFiniteValue` once the query is counted.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from .errors import (
     BudgetExceeded,
     EmptyInstanceWarning,
     InfeasibleQuery,
+    NonFiniteValue,
     TooLarge,
 )
 
@@ -212,6 +210,10 @@ def _id_array(ids) -> np.ndarray:
         return np.array(ids, dtype=object)
 
 
+def _nonfinite(value: float, ids) -> NonFiniteValue:
+    return NonFiniteValue(f"objective answered {value!r} on {sorted(ids)}")
+
+
 class QueryLedger:
     """Thread-safe counter of oracle evaluations.
 
@@ -239,17 +241,14 @@ class QueryLedger:
             if infeasible:
                 self.infeasible_query_count += 1
 
-    def _admit_batch(self, infeasible: np.ndarray):
-        """Admit one query per flag in ``infeasible``, under one lock.  A
-        budget stops the batch where it stops as many single queries: the
-        count is left at the budget and :class:`BudgetExceeded` raised."""
+    def _admit_batch(self, count: int):
+        """Admit ``count`` feasible queries under one lock, stopped by a
+        budget where as many single queries would be."""
         with self._lock:
-            taken = len(infeasible)
-            if self.budget is not None:
-                taken = min(taken, self.budget - self.query_count)
+            taken = (count if self.budget is None
+                     else min(count, self.budget - self.query_count))
             self.query_count += taken
-            self.infeasible_query_count += int(np.count_nonzero(infeasible[:taken]))
-            if taken < len(infeasible):
+            if taken < count:
                 raise BudgetExceeded(
                     f"query budget of {self.budget} oracle calls exhausted")
 
@@ -302,8 +301,8 @@ class SubmodularOracle:
     Batch protocol (optional, on top of the incremental one).  An objective
     that also defines ``values_with(state, ids) -> ndarray`` promises, for
     each id, exactly the float ``value_with(state, id)`` returns.
-    :meth:`values_with` then answers a whole greedy step in one call;
-    ``CoverageObjective`` implements it.
+    :meth:`values_with` lets it answer a batch of ids that all fit S in one
+    call; ``CoverageObjective`` implements it.
     """
 
     def __init__(self, instance: Instance, fn):
@@ -316,15 +315,21 @@ class SubmodularOracle:
         self._incremental = fn if incremental else None
         self._batch = fn if incremental and hasattr(fn, "values_with") else None
 
+    def _infeasible(self, ids) -> InfeasibleQuery:
+        return InfeasibleQuery(
+            f"set of cost {self.instance.cost(ids):g} exceeds capacity "
+            f"{self.instance.capacity:g}")
+
     def evaluate(self, ids, ledger: QueryLedger) -> float:
         ids = frozenset(ids)
         infeasible = not self.instance.fits(ids)
         if infeasible and ledger.enforce_feasible:
-            raise InfeasibleQuery(
-                f"set of cost {self.instance.cost(ids):g} exceeds capacity "
-                f"{self.instance.capacity:g}")
+            raise self._infeasible(ids)
         ledger._admit(infeasible)
-        return float(self._fn(ids | self.instance.base_set))
+        value = float(self._fn(ids | self.instance.base_set))
+        if not math.isfinite(value):
+            raise _nonfinite(value, ids)
+        return value
 
     def working_set(self, ids=(), value: float | None = None) -> WorkingSet:
         """A working set of ``ids`` whose value the caller already knows;
@@ -359,46 +364,33 @@ class SubmodularOracle:
         else:
             infeasible = self.instance.units[eid] > ws.room
         if infeasible and ledger.enforce_feasible:
-            raise InfeasibleQuery(
-                f"set of cost {self.instance.cost(ws.ids | {eid}):g} exceeds "
-                f"capacity {self.instance.capacity:g}")
+            raise self._infeasible(ws.ids | {eid})
         ledger._admit(infeasible)
-        return obj.value_with(ws.state, eid)
+        value = obj.value_with(ws.state, eid)
+        if not math.isfinite(value):
+            raise _nonfinite(value, ws.ids | {eid})
+        return value
 
     def values_with(self, ws: WorkingSet, ids, ledger: QueryLedger) -> np.ndarray:
         """f(S + e) for every id in ``ids``, in order, as a float array.
 
-        Counts ``len(ids)`` queries and checks each for feasibility exactly
-        as that many :meth:`value_with` calls would, and stops at the same
-        query, with the same error, when a budget, an infeasible id or an id
-        the instance does not hold stops them.  Without the batch protocol
-        it makes those calls, one id at a time.
+        When every id is held and fits S, a batch protocol objective answers
+        in one call: ``len(ids)`` queries, all counted before a non-finite
+        value raises, stopped at a budget where single queries would be.
+        Any other batch is that many :meth:`value_with` calls.
         """
         obj = self._batch
         ids = _id_array(ids)
-        if obj is None:
+        if obj is None or not self.instance.fit_mask(ids, ws.room).all():
             return np.array([self.value_with(ws, eid, ledger)
                              for eid in ids.tolist()], dtype=float)
-        # the first id that stops a single query, if any, stops the batch:
-        # one the instance does not hold, or one that does not fit
-        infeasible = ~self.instance.fit_mask(ids, ws.room)
-        stop, error = len(ids), None
-        for j in np.flatnonzero(infeasible).tolist():
-            eid = int(ids[j])
-            if eid in ws.ids:  # S + e is S, which fits iff S does
-                infeasible[j] = ws.room < 0
-            elif eid not in self.instance.units:
-                stop, error = j, KeyError(eid)  # as value_with raises it
-                break
-            if infeasible[j] and ledger.enforce_feasible:
-                stop, error = j, InfeasibleQuery(
-                    f"set of cost {self.instance.cost(ws.ids | {eid}):g} "
-                    f"exceeds capacity {self.instance.capacity:g}")
-                break
-        ledger._admit_batch(infeasible[:stop])  # the queries before it
-        if error is not None:
-            raise error
-        return obj.values_with(ws.state, ids)
+        ledger._admit_batch(len(ids))
+        values = obj.values_with(ws.state, ids)
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise _nonfinite(float(values[j]), ws.ids | {int(ids[j])})
+        return values
 
 
 @dataclass(frozen=True)

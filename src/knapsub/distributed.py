@@ -161,9 +161,9 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
         slices = _partition(all_ids, m, rng)
 
         def machine(t_list, gamma_items, local_items):
+            # t_list counts toward the load; every machine starts from ws_t
             items = list(gamma_items) + list(local_items)
-            local = oracle.working_set(t_list, ws_t.value)
-            _, accepted, _ = threshold_pass(oracle, items, t, local, ledger)
+            _, accepted, _ = threshold_pass(oracle, items, t, ws_t, ledger)
             return [eid for eid, _ in accepted]
 
         payloads = [(ws_t.order, gamma, slices[i]) for i in range(m)]

@@ -19,8 +19,8 @@ class BudgetExceeded(KnapsubError):
 
 
 class NonFiniteValue(KnapsubError):
-    """An objective answered NaN or an infinity where a greedy sweep needs a
-    finite value to rank densities."""
+    """An objective answered NaN or an infinity.  The oracle raises it on
+    every query path, once the query is counted."""
 
 
 class InvalidLambda(KnapsubError):

@@ -15,9 +15,11 @@ the hidden pair needs the whole set.
 
 ``CoverageObjective`` also implements the batch protocol:
 ``values_with(state, ids)`` returns an array holding, for each id, exactly
-the float ``value_with(state, id)`` returns, bit for bit.  A greedy step
-asks it once for every candidate.  ``MovieObjective`` does not: a batch
-would hold |ids| x |targets| floats at once.
+the float ``value_with(state, id)`` returns, bit for bit; below E/256 ids
+it is that ``value_with`` loop.  The oracle asks it only for ids that all
+fit S.  ``MovieObjective`` does not: a batch would hold |ids| x |targets|
+floats at once.  No objective checks for NaN: the oracle raises
+:class:`~knapsub.errors.NonFiniteValue` on it.
 """
 
 from __future__ import annotations
@@ -122,27 +124,25 @@ class CoverageObjective:
         is ``value_with(state, eid)`` for every id, bit for bit: both divide
         the same exactly representable integers once."""
         ids = np.asarray(ids, dtype=np.intp)
-        covered = state or 0
         if len(ids) * 256 < self._indices.size:
             # a few rows: one bigint or each costs less than a pass over
             # the edges (measured below E/256 ids on every graph tried)
-            masks = self._masks
-            totals = np.fromiter(((covered | masks[e]).bit_count()
-                                  for e in ids.tolist()), np.int64, len(ids))
-        else:
-            bits = np.unpackbits(
-                np.frombuffer(covered.to_bytes(self._nbytes, "little"), np.uint8),
-                count=self.n_vertices, bitorder="little").astype(self._count_type)
-            # np.take casts int32 indices to intp, and reduceat without
-            # ``out`` allocates scratch: in chunks, and with ``out``, neither
-            # builds an edge-sized int64 array
-            covered_in = np.empty(self._indices.size, self._count_type)
-            for a in range(0, covered_in.size, 8192):
-                np.take(bits, self._indices[a:a + 8192],
-                        out=covered_in[a:a + 8192])
-            hits = np.empty(self.n_vertices, self._count_type)
-            np.add.reduceat(covered_in, self._indptr[:-1], out=hits)
-            totals = covered.bit_count() + (self._sizes[ids] - hits[ids])
+            return np.fromiter((self.value_with(state, e) for e in ids.tolist()),
+                               float, len(ids))
+        covered = state or 0
+        bits = np.unpackbits(
+            np.frombuffer(covered.to_bytes(self._nbytes, "little"), np.uint8),
+            count=self.n_vertices, bitorder="little").astype(self._count_type)
+        # np.take casts int32 indices to intp, and reduceat without
+        # ``out`` allocates scratch: in chunks, and with ``out``, neither
+        # builds an edge-sized int64 array
+        covered_in = np.empty(self._indices.size, self._count_type)
+        for a in range(0, covered_in.size, 8192):
+            np.take(bits, self._indices[a:a + 8192],
+                    out=covered_in[a:a + 8192])
+        hits = np.empty(self.n_vertices, self._count_type)
+        np.add.reduceat(covered_in, self._indptr[:-1], out=hits)
+        totals = covered.bit_count() + (self._sizes[ids] - hits[ids])
         return totals / self.n_vertices
 
     def degree(self, v: int) -> int:

@@ -12,7 +12,6 @@ query count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,7 +27,6 @@ from .core import (
     TraceStep,
     _id_array,
 )
-from .errors import NonFiniteValue
 
 
 @dataclass
@@ -57,8 +55,9 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     (the exact rule, :meth:`Instance.fit_mask`) are physically dropped;
     their last known density still feeds the trace's ``ub_density`` field,
     which submodularity keeps an upper bound.  ``restrict_to`` limits the
-    candidate pool to a subset of element ids.  An objective value that is
-    NaN or infinite raises :class:`NonFiniteValue`.
+    candidate pool to a subset of element ids.  Every working id fits G,
+    so each step takes the oracle's batch shortcut, and the oracle raises
+    ``NonFiniteValue`` on a NaN or infinite value.
     """
 
     ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
@@ -80,11 +79,6 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         value_g = ws.value
         vals = oracle.values_with(ws, working, ledger)
         gains = vals - value_g
-        finite = np.isfinite(gains)
-        if not finite.all():
-            j = int(finite.argmin())
-            raise NonFiniteValue(f"objective answered f(G) = {value_g!r} and "
-                                 f"f(G + {working[j]}) = {float(vals[j])!r}")
         dens = np.where(gains > 0.0, gains, 0.0) / costs
         g, d = int(vals.argmax()), int(dens.argmax())
         best_gain, best_density = int(working[g]), int(working[d])
@@ -162,10 +156,8 @@ def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy_plus_max", instance, ledger)
     run = _run_greedy(instance, oracle, ledger)
-    best_i, best_s, best_v = 0, None, -math.inf
-    for i, s, v in run.candidates:
-        if v > best_v:
-            best_i, best_s, best_v = i, s, v
+    # the first best candidate, as the oracle answers only finite values
+    best_i, best_s, best_v = max(run.candidates, key=lambda c: c[2])
     ids = set(run.prefix_ids[:best_i])
     if best_s is not None:
         ids.add(best_s)
@@ -190,12 +182,9 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
     for size in range(1, depth + 1):
         seeds.extend(c for c in combinations(ids, size) if instance.fits(c))
 
-    best_ids: frozenset[int] = frozenset()
-    best_v = -math.inf
-    for seed in seeds:
-        run = _run_greedy(instance, oracle, ledger, seed_ids=seed)
-        v = run.prefix_values[-1]
-        if v > best_v:
-            best_v = v
-            best_ids = frozenset(seed) | set(run.prefix_ids)
-    return OfflineResult(meter.report(best_ids, best_v))
+    # the first best seed, as the oracle answers only finite values
+    runs = ((seed, _run_greedy(instance, oracle, ledger, seed_ids=seed))
+            for seed in seeds)
+    seed, run = max(runs, key=lambda r: r[1].prefix_values[-1])
+    return OfflineResult(meter.report(frozenset(seed) | set(run.prefix_ids),
+                                      run.prefix_values[-1]))

@@ -58,15 +58,32 @@ class StreamSource:
         return len(self._elements)
 
 
+# a sieve may spend a stream pass per level and the estimator keeps a set
+# per grid index: a wider grid comes from a mistaken epsilon
+MAX_LEVELS = 100_000
+
+
+def grid_size(ratio: float, epsilon: float) -> int:
+    """At most how many levels of step 1+epsilon a range of factor ``ratio``
+    holds, one for rounding included; ``ValueError`` above ``MAX_LEVELS``."""
+    span = math.log(max(ratio, 1.0)) / math.log1p(epsilon)
+    if span > MAX_LEVELS - 1:
+        raise ValueError(f"a grid of step 1+{epsilon!r} over a factor {ratio:.3g} "
+                         f"would exceed MAX_LEVELS={MAX_LEVELS} levels")
+    return math.ceil(span) + 1
+
+
 def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
     """Geometric threshold grid, highest first: lam/(alpha*k) shrinking by
-    (1+epsilon) while still above lam/(2k)."""
+    (1+epsilon) while still above lam/(2k), at most :func:`grid_size` of
+    2/alpha levels."""
     if lam <= 0:
         raise InvalidLambda(f"value estimate must be positive, got {lam!r}")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    grid_size(2.0 / alpha, epsilon)
     levels = []
     tau = lam / (alpha * k)
     floor = lam / (2.0 * k)
@@ -74,6 +91,12 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
         levels.append(tau)
         tau /= 1.0 + epsilon
     return levels
+
+
+def _grid_indices(lo: float, hi: float, log_base: float) -> range:
+    """The i with lo <= base^i <= hi, give or take rounding."""
+    return range(math.ceil(math.log(lo) / log_base - 1e-9),
+                 math.floor(math.log(hi) / log_base + 1e-9) + 1)
 
 
 @dataclass
@@ -185,15 +208,9 @@ def _best_singleton(oracle, items, free, empty, ledger):
     costs one query against the ``empty`` working set.  ``Instance`` admits
     only elements that fit alone.
     """
-    best = None
-    for eid in items:
-        if eid in free:
-            v = empty.value + free[eid]
-        else:
-            v = oracle.value_with(empty, eid, ledger)
-        if best is None or v > best[0]:
-            best = (v, eid)
-    return best
+    values = ((empty.value + free[eid] if eid in free
+               else oracle.value_with(empty, eid, ledger), eid) for eid in items)
+    return max(values, key=lambda c: c[0], default=None)
 
 
 def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
@@ -334,15 +351,17 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     density meets, provided the set stays within budget, so every set is
     feasible and the estimate never exceeds the optimum.  Returns an
     estimate unpacking as (lam, alpha) with alpha = 1/3 - epsilon_est.
-    ``k`` must equal ``oracle.instance.capacity`` (``ValueError`` otherwise).
+    ``k`` must equal ``oracle.instance.capacity``, and the indices' widest
+    span, 3k(1+epsilon_est)/2, must pass :func:`grid_size` (or ``ValueError``).
     """
     if epsilon_est <= 0 or epsilon_est >= 1 / 3:
         raise ValueError("epsilon_est must lie in (0, 1/3)")
     _check_k(k, oracle)
+    base = 1.0 + epsilon_est
+    grid_size(1.5 * k * base, epsilon_est)
     ledger = ledger or QueryLedger()
     inst = oracle.instance
     units = inst.units
-    base = 1.0 + epsilon_est
     log_base = math.log(base)
 
     delta = 0.0          # best singleton value so far
@@ -365,12 +384,10 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
             continue
 
         tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
-        # active grid indices: tau_min/base <= base^i <= delta
-        i_lo = math.ceil(math.log(tau_min / base) / log_base - 1e-9)
-        i_hi = math.floor(math.log(delta) / log_base + 1e-9)
-        for i in [i for i in sets if i < i_lo]:
+        active = _grid_indices(tau_min / base, delta, log_base)
+        for i in [i for i in sets if i < active.start]:
             del sets[i]
-        for i in range(i_lo, i_hi + 1):
+        for i in active:
             ws = sets.setdefault(i, empty)
             if eid in ws.ids or units[eid] > ws.room:
                 continue

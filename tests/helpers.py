@@ -1,6 +1,15 @@
 """Hand-built instances shared across test modules."""
 
-from knapsub import ModularObjective, SubmodularOracle, normalize
+import math
+
+from knapsub import (
+    CoverageObjective,
+    Element,
+    Instance,
+    ModularObjective,
+    SubmodularOracle,
+    normalize,
+)
 
 # Three items: two complementary halves and one slightly denser spoiler that
 # blocks them.  The optimum {1, 2} is worth 1.0; density order grabs item 3.
@@ -18,3 +27,43 @@ def tight_instance():
 def tight_oracle():
     instance, objective = tight_instance()
     return instance, SubmodularOracle(instance, objective.value)
+
+
+class NanProbe(CoverageObjective):
+    """|S|/6 on six isolated vertices, except ``bad`` (NaN or an infinity)
+    on every set of two or more items that holds id 2.  Singletons stay
+    finite, so only a query on a grown set meets the bad value."""
+
+    def __init__(self, bad):
+        super().__init__([[] for _ in range(6)])
+        self.bad = bad
+
+    @staticmethod
+    def poisoned(cover: int) -> bool:
+        return bool(cover >> 2 & 1) and cover.bit_count() >= 2
+
+    def value(self, ids):
+        return self.bad if 2 in ids and len(ids) >= 2 else super().value(ids)
+
+    def value_with(self, state, eid):
+        cover = self.extend(state, (eid,))
+        return self.bad if self.poisoned(cover) else super().value_with(state, eid)
+
+    def values_with(self, state, ids):
+        out = super().values_with(state, ids)
+        for j, eid in enumerate(ids.tolist()):
+            if self.poisoned(self.extend(state, (eid,))):
+                out[j] = self.bad
+        return out
+
+
+def nan_probe(bad, path):
+    """The probe's six unit items with K=3, and its objective as the solver
+    sees it: the protocol object (``"protocol"``) or a plain callable."""
+    objective = NanProbe(bad)
+    instance = Instance([Element(i, 1.0) for i in range(6)], 3.0)
+    fn = objective if path == "protocol" else (lambda ids: objective.value(ids))
+    return instance, SubmodularOracle(instance, fn)
+
+
+NONFINITE = (math.nan, math.inf, -math.inf)

@@ -12,6 +12,7 @@ from knapsub import (
     MemoryCapExceeded,
     ModularObjective,
     MpcConfig,
+    NonFiniteValue,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
@@ -22,7 +23,7 @@ from knapsub import (
     threshold_levels,
 )
 
-from helpers import tight_oracle
+from helpers import NONFINITE, nan_probe, tight_oracle
 
 
 def wide_config(inst, machines, seed=0):
@@ -248,3 +249,13 @@ def test_fresh_evaluation_matches_reported_value(corpus):
         fresh = objective.value(
             frozenset(result.report.solution.ids) | inst.base_set)
         assert fresh == pytest.approx(result.report.solution.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+@pytest.mark.parametrize("machines", [1, 3])
+def test_distributed_rejects_the_nan_probe(machines, path, bad):
+    instance, oracle = nan_probe(bad, path)
+    with pytest.raises(NonFiniteValue):
+        distributed_sieve_plus_max(instance, oracle, 0.5, 0.5, 0.5,
+                                   wide_config(instance, machines))

@@ -20,6 +20,7 @@ from knapsub import (
     Instance,
     MovieObjective,
     MpcConfig,
+    NonFiniteValue,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
@@ -37,6 +38,7 @@ from knapsub import (
 )
 
 from conftest import random_adjacency
+from helpers import NONFINITE, nan_probe
 
 
 def movie_instance(seed, base=0):
@@ -357,3 +359,48 @@ def test_greedy_asks_one_batch_per_step():
     steps = len(report.trace.steps) - 1
     assert steps >= 3
     assert calls == {"values_with": steps, "value_with": 0}
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+def test_every_query_rejects_a_nonfinite_value_after_counting_it(path, bad):
+    instance, oracle = nan_probe(bad, path)
+    ws = oracle.working_set([0])
+    for ask, counted in (
+            (lambda ledger: oracle.evaluate([0, 2], ledger), 1),
+            (lambda ledger: oracle.value_with(ws, 2, ledger), 1),
+            # one objective call answers the whole batch of fitting ids,
+            # and all of it is counted; single queries stop at id 2
+            (lambda ledger: oracle.values_with(ws, [1, 2, 3], ledger),
+             3 if path == "protocol" else 2)):
+        ledger = QueryLedger()
+        with pytest.raises(NonFiniteValue):
+            ask(ledger)
+        assert ledger.query_count == counted
+    ledger = QueryLedger()
+    assert oracle.values_with(ws, [1, 3, 0], ledger).tolist() == [2 / 6, 2 / 6, 1 / 6]
+    assert ledger.query_count == 3
+
+
+def test_batch_shortcut_needs_every_id_to_fit():
+    objective = CoverageObjective(ragged_adjacency(9, 1))
+    instance = Instance([Element(i, 2.5 if i == 7 else 1.0) for i in range(1, 8)],
+                        3.0)  # 7 fits alone but not next to 1
+    calls = {"values_with": 0, "value_with": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in calls:
+        setattr(objective, name, counted(name, getattr(objective, name)))
+    oracle = SubmodularOracle(instance, objective)
+    ws = oracle.working_set([1])
+    oracle.values_with(ws, [2, 3, 1, 4], QueryLedger())  # a member fits too
+    assert calls == {"values_with": 1, "value_with": 0}
+    ledger = QueryLedger(enforce_feasible=False)
+    oracle.values_with(ws, [2, 7, 3], ledger)
+    assert calls == {"values_with": 1, "value_with": 3}
+    assert (ledger.query_count, ledger.infeasible_query_count) == (3, 1)

@@ -22,7 +22,7 @@ from knapsub import (
     partial_enum_greedy,
 )
 
-from helpers import tight_oracle
+from helpers import NONFINITE, nan_probe, tight_oracle
 
 
 def test_greedy_tight_example_picks_the_spoiler():
@@ -258,3 +258,16 @@ def test_greedy_rejects_nonfinite_values(bad, path):
     for solver in (greedy, greedy_plus_max):
         with pytest.raises(NonFiniteValue):
             solver(instance, SubmodularOracle(instance, fn))
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+@pytest.mark.parametrize("solver", ["greedy", "greedy_or_max", "greedy_plus_max",
+                                    "partial_enum_greedy"])
+def test_offline_solvers_reject_the_nan_probe(solver, path, bad):
+    run = {"greedy": greedy, "greedy_or_max": greedy_or_max,
+           "greedy_plus_max": greedy_plus_max,
+           "partial_enum_greedy": lambda i, o: partial_enum_greedy(i, o, 1)}[solver]
+    instance, oracle = nan_probe(bad, path)
+    with pytest.raises(NonFiniteValue):
+        run(instance, oracle)

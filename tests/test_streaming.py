@@ -11,6 +11,7 @@ from knapsub import (
     Instance,
     InvalidLambda,
     ModularObjective,
+    NonFiniteValue,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
@@ -20,8 +21,9 @@ from knapsub import (
     sieve_plus_max,
     threshold_levels,
 )
+from knapsub.streaming import MAX_LEVELS, _grid_indices, grid_size
 
-from helpers import tight_oracle
+from helpers import NONFINITE, nan_probe, tight_oracle
 
 
 def tight_stream(inst):
@@ -326,3 +328,81 @@ def test_estimator_seeds_working_pipeline(corpus):
                                 density_cap=est.max_singleton_density)
         assert report.solution.value >= (0.5 - 0.1) * opt.value - 1e-9
         assert stream.pass_count <= 14
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+@pytest.mark.parametrize("solver", ["estimate_lambda", "sieve", "sieve_or_max",
+                                    "sieve_plus_max"])
+def test_streaming_solvers_reject_the_nan_probe(solver, path, bad):
+    # max(0.0, nan) is 0.0 in the threshold filter, and nan >= tau is False
+    # in the estimator: these solvers used to answer 3 items without a word
+    instance, oracle = nan_probe(bad, path)
+    stream = StreamSource.from_instance(instance)
+    with pytest.raises(NonFiniteValue):
+        if solver == "estimate_lambda":
+            estimate_lambda(stream, 3.0, oracle)
+        else:
+            run = {"sieve": sieve, "sieve_or_max": sieve_or_max,
+                   "sieve_plus_max": sieve_plus_max}[solver]
+            run(stream, 3.0, oracle, 0.5, 0.5, 0.5)
+
+
+# ------------------------------------------------------------ grid bounds
+
+
+@given(st.floats(0.01, 1.0), st.floats(0.01, 2.0), st.floats(0.1, 10.0),
+       st.floats(1.0, 50.0))
+@settings(max_examples=300, deadline=None)
+def test_grid_size_bounds_the_threshold_grid(alpha, eps, lam, k):
+    levels = threshold_levels(lam, alpha, eps, k)
+    assert len(levels) <= grid_size(2 / alpha, eps) <= len(levels) + 2
+
+
+def test_grid_size_by_hand():
+    assert grid_size(2.0, 1.0) == 2          # 1 level, and one for rounding
+    assert grid_size(1024.0, 1.0) == 11
+    assert grid_size(0.5, 1.0) == 1          # a range narrower than one step
+    assert len(threshold_levels(1.0, 1.0, 1.0, 2.0)) == 1
+    # the last grid under the cap, and the first over it, never built
+    eps = math.expm1(math.log(2.0) / (MAX_LEVELS - 1))
+    assert grid_size(2.0, eps * (1 + 1e-9)) == MAX_LEVELS
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        grid_size(2.0, eps * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-17, 5e-324])
+def test_threshold_grid_over_the_cap_raises_before_it_is_built(eps):
+    # at eps=1e-7 the grid would hold 6.9 million levels; below 2**-53 the
+    # loop dividing by 1 + eps would never end
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        threshold_levels(1.0, 1.0, eps, 3.0)
+    inst, oracle = tight_oracle()
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        sieve(tight_stream(inst), inst.capacity, oracle, 1.0, 1.0, eps)
+
+
+@given(st.floats(1e-3, 1 / 3 - 1e-3), st.floats(1.0, 1e4), st.floats(1e-6, 1e6),
+       st.floats(0.0, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_grid_size_bounds_the_estimator_width(eps, k, delta, lb_ratio):
+    # the estimator keeps the indices i with tau_min/base <= base^i <= delta
+    base = 1 + eps
+    tau_min = max(2 * lb_ratio * delta, 2 * delta) / (3 * k)
+    active = _grid_indices(tau_min / base, delta, math.log(base))
+    assert len(active) <= grid_size(1.5 * k * base, eps)
+
+
+def test_estimator_over_the_cap_raises_before_any_query():
+    inst = Instance([Element(0, 1.0)], 3.0)
+    ledger = QueryLedger()
+    oracle = SubmodularOracle(inst, lambda ids: float(len(ids)))
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        estimate_lambda(StreamSource.from_instance(inst), 3.0, oracle, 1e-6, ledger)
+    assert ledger.query_count == 0
+    wide = Instance([Element(0, 1.0)], 1e300)  # the width grows with log k
+    wide_oracle = SubmodularOracle(wide, lambda ids: float(len(ids)))
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        estimate_lambda(StreamSource.from_instance(wide), 1e300, wide_oracle, 1e-3)
+    assert estimate_lambda(StreamSource.from_instance(wide), 1e300,
+                           wide_oracle).lam == 1.0
