@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from knapsub import (
     CoverageObjective,
     Element,
@@ -38,23 +40,20 @@ class NanProbe(CoverageObjective):
         super().__init__([[] for _ in range(6)])
         self.bad = bad
 
-    @staticmethod
-    def poisoned(cover: int) -> bool:
-        return bool(cover >> 2 & 1) and cover.bit_count() >= 2
+    def _answer(self, cover: int, value: float) -> float:
+        # an isolated vertex covers only itself: the cover is the set
+        return self.bad if cover >> 2 & 1 and cover.bit_count() >= 2 else value
 
     def value(self, ids):
-        return self.bad if 2 in ids and len(ids) >= 2 else super().value(ids)
+        return self._answer(self.extend(None, ids), super().value(ids))
 
     def value_with(self, state, eid):
-        cover = self.extend(state, (eid,))
-        return self.bad if self.poisoned(cover) else super().value_with(state, eid)
+        return self._answer(self.extend(state, (eid,)),
+                            super().value_with(state, eid))
 
     def values_with(self, state, ids):
-        out = super().values_with(state, ids)
-        for j, eid in enumerate(ids.tolist()):
-            if self.poisoned(self.extend(state, (eid,))):
-                out[j] = self.bad
-        return out
+        return np.array([self._answer(self.extend(state, (eid,)), v) for eid, v
+                         in zip(ids.tolist(), super().values_with(state, ids))])
 
 
 def nan_probe(bad, path):

@@ -397,8 +397,11 @@ def test_estimator_over_the_cap_raises_before_any_query():
     inst = Instance([Element(0, 1.0)], 3.0)
     ledger = QueryLedger()
     oracle = SubmodularOracle(inst, lambda ids: float(len(ids)))
-    with pytest.raises(ValueError, match="MAX_LEVELS"):
-        estimate_lambda(StreamSource.from_instance(inst), 3.0, oracle, 1e-6, ledger)
+    # at k=3 the span is 4.5 * (1 + eps): the first eps is one level over
+    for eps in (math.expm1(math.log(4.5) / (MAX_LEVELS - 1)), 1e-6):
+        with pytest.raises(ValueError, match="MAX_LEVELS"):
+            estimate_lambda(StreamSource.from_instance(inst), 3.0, oracle, eps,
+                            ledger)
     assert ledger.query_count == 0
     wide = Instance([Element(0, 1.0)], 1e300)  # the width grows with log k
     wide_oracle = SubmodularOracle(wide, lambda ids: float(len(ids)))
