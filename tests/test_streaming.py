@@ -141,6 +141,23 @@ def test_single_element_stream_two_passes():
     assert report.passes == 2
 
 
+def test_every_level_under_the_density_cap_is_skipped():
+    # the cap 0.1 lies below both levels, 10/3 and 20/9: no threshold pass
+    # runs, sieve_or_max spends one pass on the singletons alone, and
+    # sieve_plus_max augments the empty prefix in its one pass
+    inst = Instance([Element(i, 1.0 + i / 10) for i in range(5)], 3.0)
+    oracle = SubmodularOracle(
+        inst, ModularObjective({i: (i + 1) / 10 for i in range(5)}).value)
+    assert threshold_levels(10.0, 1.0, 0.5, 3.0) == [10 / 3, 10 / 3 / 1.5]
+    for solver, queries in ((sieve_or_max, 6), (sieve_plus_max, 7)):
+        report = solver(StreamSource.from_instance(inst), 3.0, oracle, 10.0,
+                        1.0, 0.5, density_cap=0.1)
+        assert report.solution.ids == frozenset({4})
+        assert report.solution.value == 0.5
+        assert report.queries == queries
+        assert report.passes == 1
+
+
 def test_empty_stream_returns_base_value():
     inst = Instance([], 2.0, base_set={5})
     oracle = SubmodularOracle(inst, lambda s: float(len(s)))
