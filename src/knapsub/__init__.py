@@ -56,7 +56,6 @@ from .offline import (
 )
 from .streaming import (
     OptEstimate,
-    SieveState,
     StreamSource,
     estimate_lambda,
     sieve,
@@ -92,7 +91,6 @@ __all__ = [
     "QueryLedger",
     "RoundLog",
     "RoundRecord",
-    "SieveState",
     "Solution",
     "StreamSource",
     "SubmodularOracle",

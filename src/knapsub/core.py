@@ -84,15 +84,17 @@ class Instance:
     whole array of ids at once by :meth:`fit_mask`.  Integer sums are exact
     in any order, so no two callers disagree on one set.
 
-    A capacity that is not finite raises ``ValueError``: no solver has a
-    threshold grid or a size bound for an unbounded budget.
+    A capacity that is not finite and positive raises ``ValueError``: no
+    solver has a threshold grid or a size bound for an unbounded budget,
+    and none has anything to buy with an empty or negative one.
     """
 
     def __init__(self, elements, capacity, base_set=()):
         self.elements = tuple(elements)
         self.capacity = float(capacity)
-        if not math.isfinite(self.capacity):
-            raise ValueError(f"capacity must be finite, got {capacity!r}")
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise ValueError(f"capacity must be finite and positive, "
+                             f"got {capacity!r}")
         self.base_set = frozenset(base_set)
         self._cost = {e.id: e.cost for e in self.elements}
         if len(self._cost) != len(self.elements):
@@ -485,7 +487,8 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     capacity are dropped, and the capacity is divided by the same factor.
     Normalizing an already-normalized instance changes nothing.  An instance
     with no purchasable elements and no base set is returned as-is but
-    flagged with :class:`EmptyInstanceWarning`.
+    flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
+    finite and positive raises ``ValueError``, as in :class:`Instance`.
     """
 
     elems = []

@@ -9,7 +9,8 @@ final round reorders the collection greedily and lets machines race their
 best single-element augmentation against the bare prefixes.
 
 Machines and coordinator call the streaming module's ``threshold_pass``;
-the last round calls its ``augment_pass`` and ``best_augmented``.  With one
+the last round calls its ``augment_pass`` and ``best_augmented`` on the
+coordinator's greedy prefixes, which every machine shares.  With one
 machine this is Sieve+Max's own code by construction, run in another scan
 order (the sample, then a shuffled slice, instead of stream order).
 
@@ -179,15 +180,17 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     # augmentation round against greedily reordered prefixes
     rng = random.Random(config.seed * 1_000_003 + len(levels))
-    order, pvals = greedy_order(instance, oracle, ws_t.ids, ledger)
+    prefixes = greedy_order(instance, oracle, ws_t.ids, ledger)
     slices = _partition(all_ids, m, rng)
 
     def aug_machine(t_list, local_items):
-        return augment_pass(oracle, local_items, t_list, ledger)
+        # t_list counts toward the load; every machine augments the
+        # coordinator's prefixes
+        return augment_pass(oracle, local_items, prefixes, ledger)
 
-    payloads = [(order, slices[i]) for i in range(m)]
+    payloads = [(prefixes[-1].order, slices[i]) for i in range(m)]
     outputs = simulate_round([aug_machine] * m, payloads, config.memory_cap)
-    ids, value = best_augmented(order, pvals, [c for out in outputs for c in out])
+    ids, value = best_augmented(prefixes, [c for out in outputs for c in out])
     log.add(round=len(levels), threshold=0.0, gamma_size=0,
             sent_per_machine=tuple(len(o) for o in outputs),
             sent_total=sum(len(o) for o in outputs), t_size=len(ws_t.order),

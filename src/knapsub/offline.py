@@ -7,7 +7,8 @@ off the same evaluations.  Plain greedy, greedy-or-max and greedy-plus-max
 therefore issue exactly the same oracle queries; the stronger outputs are
 free.  Every iteration is one batch query against a G_i that stays fixed
 for the whole iteration, so batching never speculates and never changes a
-query count.
+query count.  A run keeps its prefixes G_0..G_m as working sets, each at
+its value; the answers and :func:`greedy_order`'s callers read them directly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     RunMeter,
     SubmodularOracle,
     TraceStep,
+    WorkingSet,
     _id_array,
 )
 
@@ -39,8 +41,7 @@ class OfflineResult:
 
 @dataclass
 class _GreedyRun:
-    prefix_ids: list[int]          # items in pick order
-    prefix_values: list[float]     # value of G_0..G_m
+    prefixes: list[WorkingSet]     # G_0..G_m, each recorded at its value
     candidates: list[tuple[int, int | None, float]]  # (i, best-gain id, f(G_i + s_i))
     trace: GreedyTrace
 
@@ -68,12 +69,10 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     working = working[instance.fit_mask(working, ws.room)]
     costs = np.array([instance.cost_of(e) for e in working.tolist()], dtype=float)
 
-    prefix_ids: list[int] = []
-    prefix_values = [ws.value]
+    prefixes = [ws]
     candidates: list[tuple[int, int | None, float]] = []
     steps: list[TraceStep] = []
     removed_max = 0.0
-    i = 0
 
     while working.size:
         value_g = ws.value
@@ -82,15 +81,13 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         dens = np.where(gains > 0.0, gains, 0.0) / costs
         g, d = int(vals.argmax()), int(dens.argmax())
         best_gain, best_density = int(working[g]), int(working[d])
-        candidates.append((i, best_gain, float(vals[g])))
+        candidates.append((len(prefixes) - 1, best_gain, float(vals[g])))
         top = float(dens[d])
         steps.append(TraceStep(cost_g, value_g, top, max(top, removed_max)))
 
         ws = oracle.add(ws, best_density, float(vals[d]))
         cost_g += instance.cost_of(best_density)
-        prefix_ids.append(best_density)
-        prefix_values.append(ws.value)
-        i += 1
+        prefixes.append(ws)
 
         kept = instance.fit_mask(working, ws.room)
         kept[d] = False
@@ -102,19 +99,16 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
 
     steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
     # terminal prefix competes with an empty augmentation
-    candidates.append((i, None, ws.value))
-    return _GreedyRun(prefix_ids, prefix_values, candidates, GreedyTrace(steps))
+    candidates.append((len(prefixes) - 1, None, ws.value))
+    return _GreedyRun(prefixes, candidates, GreedyTrace(steps))
 
 
 def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
-                 ledger: QueryLedger):
-    """Greedy pick order over ``members`` only, with prefix values.
-
-    The two returned lists are the picked ids in order and the value of
-    every prefix including the empty one.
-    """
-    run = _run_greedy(instance, oracle, ledger, restrict_to=frozenset(members))
-    return run.prefix_ids, run.prefix_values
+                 ledger: QueryLedger) -> list[WorkingSet]:
+    """Greedy prefixes over ``members`` only: the working sets G_0 (empty)
+    to G_m, each recorded at its value; ``[-1].order`` is the pick order."""
+    return _run_greedy(instance, oracle, ledger,
+                       restrict_to=frozenset(members)).prefixes
 
 
 def greedy(instance: Instance, oracle: SubmodularOracle,
@@ -123,8 +117,8 @@ def greedy(instance: Instance, oracle: SubmodularOracle,
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy", instance, ledger)
     run = _run_greedy(instance, oracle, ledger)
-    return OfflineResult(meter.report(run.prefix_ids, run.prefix_values[-1],
-                                      run.trace))
+    return OfflineResult(meter.report(run.prefixes[-1].ids,
+                                      run.prefixes[-1].value, run.trace))
 
 
 def greedy_or_max(instance: Instance, oracle: SubmodularOracle,
@@ -133,7 +127,7 @@ def greedy_or_max(instance: Instance, oracle: SubmodularOracle,
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy_or_max", instance, ledger)
     run = _run_greedy(instance, oracle, ledger)
-    ids, value = run.prefix_ids, run.prefix_values[-1]
+    ids, value = run.prefixes[-1].ids, run.prefixes[-1].value
     augmentations = []
     if run.candidates and run.candidates[0][1] is not None:
         # the first sweep already evaluated every singleton
@@ -158,9 +152,9 @@ def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
     run = _run_greedy(instance, oracle, ledger)
     # the first best candidate, as the oracle answers only finite values
     best_i, best_s, best_v = max(run.candidates, key=lambda c: c[2])
-    ids = set(run.prefix_ids[:best_i])
+    ids = run.prefixes[best_i].ids
     if best_s is not None:
-        ids.add(best_s)
+        ids |= {best_s}
     return OfflineResult(meter.report(ids, best_v, run.trace), run.candidates)
 
 
@@ -183,8 +177,6 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
         seeds.extend(c for c in combinations(ids, size) if instance.fits(c))
 
     # the first best seed, as the oracle answers only finite values
-    runs = ((seed, _run_greedy(instance, oracle, ledger, seed_ids=seed))
-            for seed in seeds)
-    seed, run = max(runs, key=lambda r: r[1].prefix_values[-1])
-    return OfflineResult(meter.report(frozenset(seed) | set(run.prefix_ids),
-                                      run.prefix_values[-1]))
+    runs = (_run_greedy(instance, oracle, ledger, seed_ids=seed) for seed in seeds)
+    best = max(runs, key=lambda run: run.prefixes[-1].value).prefixes[-1]
+    return OfflineResult(meter.report(best.ids, best.value))

@@ -14,7 +14,11 @@ the one "clears the level and still fits" filter, and ``augment_pass`` with
 ``best_augmented``, the one prefix-plus-one augmentation and its final
 pick.  With one machine it therefore runs Sieve+Max's filter, augmentation
 and tie rule by construction; only its scan order differs, and that alone
-can change the collected set.
+can change the collected set.  Both augment the prefixes, as working sets,
+that ``greedy_order`` returns.
+
+A stream carries ids only and every cost comes from the instance; ``_scan``
+skips base-set ids (cost 0, in every evaluation already) without a query.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 
 from .core import (
     AlgoReport,
-    Element,
     GreedyTrace,
     Instance,
     QueryLedger,
@@ -39,23 +42,30 @@ from .offline import greedy_order
 
 
 class StreamSource:
-    """Replayable element sequence; every traversal bumps ``pass_count``."""
+    """Replayable sequence of element ids; every traversal bumps
+    ``pass_count``.  It holds no costs: the solvers take every cost from
+    their instance."""
 
-    def __init__(self, elements):
-        self._elements = [e if isinstance(e, Element) else Element(int(e[0]), float(e[1]))
-                          for e in elements]
+    def __init__(self, ids):
+        self._ids = list(ids)
         self.pass_count = 0
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "StreamSource":
-        return cls(instance.elements)
+        return cls(instance.element_ids())
 
     def scan(self):
         self.pass_count += 1
-        yield from self._elements
+        yield from self._ids
 
     def __len__(self):
-        return len(self._elements)
+        return len(self._ids)
+
+
+def _scan(stream: StreamSource, instance: Instance):
+    """One pass over ``stream`` without the instance's base-set ids."""
+    base = instance.base_set
+    return (eid for eid in stream.scan() if eid not in base)
 
 
 # a sieve may spend a stream pass per level and the estimator keeps a set
@@ -97,16 +107,6 @@ def _grid_indices(lo: float, hi: float, log_base: float) -> range:
     """The i with lo <= base^i <= hi, give or take rounding."""
     return range(math.ceil(math.log(lo) / log_base - 1e-9),
                  math.floor(math.log(hi) / log_base + 1e-9) + 1)
-
-
-@dataclass
-class SieveState:
-    """Collected set in insertion order, its value and its trace."""
-
-    order: list[int]
-    value: float
-    trace: GreedyTrace
-    best_singleton: tuple[float, int] | None = None
 
 
 @dataclass
@@ -160,17 +160,18 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     return ws, accepted, seen
 
 
-def augment_pass(oracle: SubmodularOracle, items, order, ledger: QueryLedger):
-    """Try every item outside ``order`` on the deepest prefix of it that fits.
+def augment_pass(oracle: SubmodularOracle, items, prefixes,
+                 ledger: QueryLedger):
+    """Try every item outside ``prefixes[-1]`` on the deepest prefix that
+    still fits it.
 
-    Returns the best extension as ``[(value, j, id)]``, ``j`` the prefix
-    length, the first item scanned winning ties, or ``[]`` when no item
-    fits any prefix.
+    ``prefixes`` are the working sets G_0 (empty) to G_m that
+    ``greedy_order`` returns.  ``Instance`` admits only elements that fit
+    alone, so G_0 fits every item.  Returns the best extension as
+    ``[(value, j, id)]``, ``j`` the prefix length, the first item scanned
+    winning ties, or ``[]`` when ``items`` hold nothing outside G_m.
     """
     inst = oracle.instance
-    prefixes = [oracle.working_set()]
-    for eid in order:
-        prefixes.append(oracle.add(prefixes[-1], eid))
     # exact prefix costs, nondecreasing, so bisect finds the deepest fit
     prefix_units = [inst.unit_capacity - p.room for p in prefixes]
     members = prefixes[-1].ids
@@ -179,25 +180,21 @@ def augment_pass(oracle: SubmodularOracle, items, order, ledger: QueryLedger):
         if eid in members:
             continue
         j = bisect.bisect_right(prefix_units, inst.room((eid,))) - 1
-        if j < 0:
-            continue  # does not fit even the empty prefix
         v = oracle.value_with(prefixes[j], eid, ledger)
         if best is None or v > best[0]:
             best = (v, j, eid)
     return [] if best is None else [best]
 
 
-def best_augmented(order, prefix_values, extensions):
-    """Final pick: the best bare prefix (shortest on ties), replaced by the
-    first extension from ``augment_pass`` that is strictly better."""
-    j = max(range(len(prefix_values)), key=lambda i: (prefix_values[i], -i))
-    value, aug = prefix_values[j], None
-    for cand in extensions:
-        if cand[0] > value:
-            value, j, aug = cand
-    ids = set(order[:j])
-    if aug is not None:
-        ids.add(aug)
+def best_augmented(prefixes, extensions):
+    """Final pick as ``(ids, value)``: the best bare prefix (shortest on
+    ties), replaced by the first extension from ``augment_pass`` that is
+    strictly better."""
+    best = max(prefixes, key=lambda p: (p.value, -len(p.order)))
+    ids, value = best.ids, best.value
+    for v, j, eid in extensions:
+        if v > value:
+            ids, value = prefixes[j].ids | {eid}, v
     return ids, value
 
 
@@ -214,7 +211,8 @@ def _best_singleton(oracle, items, free, empty, ledger):
 
 
 def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
-    """Run the thresholding stage.  Returns the sieve state.
+    """Run the thresholding stage.  Returns the collected working set, its
+    trace and the best singleton as ``(value, id)`` (``None`` untracked).
 
     ``density_cap``, when given, must upper-bound every element's current
     marginal density (the estimator's exact singleton-density max serves);
@@ -235,7 +233,7 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
     for tau in levels:
         if tau >= cap:
             continue  # certificate: no remaining density clears this level
-        items = (e.id for e in stream.scan())
+        items = _scan(stream, inst)
         singles = None
         if singles_pending:
             # the singleton pick revisits this pass's items in stream order
@@ -252,25 +250,11 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
 
     if singles_pending:
         # every level was skipped; spend one dedicated singleton pass
-        best_single = _best_singleton(oracle, (e.id for e in stream.scan()),
-                                      {}, empty, ledger)
+        best_single = _best_singleton(oracle, _scan(stream, inst), {}, empty,
+                                      ledger)
 
     steps.append(TraceStep(cost_t, ws.value, 0.0))
-    return SieveState(list(ws.order), ws.value, GreedyTrace(steps), best_single)
-
-
-def _augment(stream, oracle, state: SieveState, ledger):
-    """One pass matching every outside element to its deepest fitting prefix.
-
-    Prefixes follow a greedy reordering of the collected set rather than
-    insertion order; the whole set still fits the budget, so the reorder is
-    in-memory and costs no stream pass.  Distributed+Max reorders its
-    collection with the same ``greedy_order``.
-    """
-    order, values = greedy_order(oracle.instance, oracle, state.order, ledger)
-    extensions = augment_pass(oracle, (e.id for e in stream.scan()), order,
-                              ledger)
-    return best_augmented(order, values, extensions)
+    return ws, GreedyTrace(steps), best_single
 
 
 def _check_k(k: float, oracle: SubmodularOracle) -> None:
@@ -283,14 +267,14 @@ def _check_k(k: float, oracle: SubmodularOracle) -> None:
 
 def _threshold_stage(name, stream, k, oracle, lam, alpha, epsilon, ledger,
                      density_cap, track_singletons):
-    """Shared start of the three sieves: checks, meter, collected set."""
+    """Shared start of the three sieves: checks, meter, and ``_collect``'s
+    working set, trace and best singleton."""
     _check_k(k, oracle)
     ledger = ledger or QueryLedger()
     meter = RunMeter(name, oracle.instance, ledger, stream)
     levels = threshold_levels(lam, alpha, epsilon, k)
-    state = _collect(stream, oracle, levels, ledger, density_cap,
-                     track_singletons)
-    return ledger, meter, state
+    return ledger, meter, _collect(stream, oracle, levels, ledger, density_cap,
+                                   track_singletons)
 
 
 def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -303,9 +287,10 @@ def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
     the same holds for ``sieve_or_max``, ``sieve_plus_max`` and
     ``estimate_lambda``.
     """
-    _, meter, state = _threshold_stage("sieve", stream, k, oracle, lam, alpha,
-                                       epsilon, ledger, density_cap, False)
-    return meter.report(state.order, state.value, state.trace)
+    _, meter, (ws, trace, _) = _threshold_stage(
+        "sieve", stream, k, oracle, lam, alpha, epsilon, ledger, density_cap,
+        False)
+    return meter.report(ws.ids, ws.value, trace)
 
 
 def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -313,12 +298,13 @@ def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
                  ledger: QueryLedger | None = None,
                  density_cap: float | None = None) -> AlgoReport:
     """Better of the collected set and the best feasible singleton."""
-    _, meter, state = _threshold_stage("sieve_or_max", stream, k, oracle, lam,
-                                       alpha, epsilon, ledger, density_cap, True)
-    ids, value = state.order, state.value
-    if state.best_singleton is not None and state.best_singleton[0] > value:
-        value, ids = state.best_singleton[0], [state.best_singleton[1]]
-    return meter.report(ids, value, state.trace)
+    _, meter, (ws, trace, single) = _threshold_stage(
+        "sieve_or_max", stream, k, oracle, lam, alpha, epsilon, ledger,
+        density_cap, True)
+    ids, value = ws.ids, ws.value
+    if single is not None and single[0] > value:
+        value, ids = single[0], [single[1]]
+    return meter.report(ids, value, trace)
 
 
 def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -327,16 +313,20 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
                    density_cap: float | None = None) -> AlgoReport:
     """Thresholding plus one augmentation pass over collected-set prefixes.
 
-    The collection is reordered greedily in memory, then every outside
-    element is tried on the deepest reordered prefix it still fits (binary
-    search over the monotone prefix costs); the answer is the best
-    prefix-plus-one-item combination, bare prefixes included.
+    The collection is reordered greedily in memory (it fits the budget, so
+    this costs no stream pass), then every outside element is tried on the
+    deepest reordered prefix it still fits (binary search over the monotone
+    prefix costs); the answer is the best prefix-plus-one-item combination,
+    bare prefixes included.
     """
-    ledger, meter, state = _threshold_stage("sieve_plus_max", stream, k, oracle,
-                                            lam, alpha, epsilon, ledger,
-                                            density_cap, False)
-    ids, value = _augment(stream, oracle, state, ledger)
-    return meter.report(ids, value, state.trace)
+    ledger, meter, (ws, trace, _) = _threshold_stage(
+        "sieve_plus_max", stream, k, oracle, lam, alpha, epsilon, ledger,
+        density_cap, False)
+    prefixes = greedy_order(oracle.instance, oracle, ws.ids, ledger)
+    extensions = augment_pass(oracle, _scan(stream, oracle.instance), prefixes,
+                              ledger)
+    ids, value = best_augmented(prefixes, extensions)
+    return meter.report(ids, value, trace)
 
 
 def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
@@ -372,14 +362,12 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     sets: dict[int, WorkingSet] = {}   # grid index -> threshold set
     peak = 0
 
-    for elem in stream.scan():
-        eid = elem.id
+    for eid in _scan(stream, inst):
         c_e = inst.cost_of(eid)
         fe = oracle.value_with(empty, eid, ledger)
         if fe > delta:
             delta = fe
-        if c_e > 0:
-            max_density = max(max_density, fe / c_e)
+        max_density = max(max_density, fe / c_e)
         if delta <= 0:
             continue
 

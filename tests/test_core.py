@@ -50,6 +50,13 @@ def test_instance_rejects_nonfinite_capacity():
             Instance([Element(i, 1.0) for i in range(4)], capacity)
     with pytest.raises(ValueError, match="capacity"):
         normalize([(0, 1.0)], math.inf)
+    # a budget of 0 divided by zero in the sieves' threshold grid, and a
+    # negative one refused the empty set as an infeasible query
+    for capacity in (0.0, -1.0):
+        with pytest.raises(ValueError, match="capacity must be"):
+            Instance([], capacity)
+        with pytest.raises(ValueError, match="capacity must be"):
+            normalize([(0, 1.0)], capacity)
 
 
 def test_ids_beyond_int64_run_like_small_ids():

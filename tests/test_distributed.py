@@ -80,7 +80,8 @@ def test_simulate_round_enforces_memory_cap():
 
 def test_greedy_order_singleton():
     inst, oracle = tight_oracle()
-    order, values = greedy_order(inst, oracle, {3}, QueryLedger())
+    prefixes = greedy_order(inst, oracle, {3}, QueryLedger())
+    order, values = list(prefixes[-1].order), [p.value for p in prefixes]
     assert order == [3]
     assert [inst.cost(order[:j]) for j in range(2)] == [0.0, pytest.approx(1.1)]
     assert values == [0.0, 0.6]
@@ -89,7 +90,8 @@ def test_greedy_order_singleton():
 def test_greedy_order_by_density():
     inst = Instance([Element(0, 1.0), Element(1, 1.0)], 2.0)
     oracle = SubmodularOracle(inst, ModularObjective({0: 0.4, 1: 0.6}).value)
-    order, values = greedy_order(inst, oracle, {0, 1}, QueryLedger())
+    prefixes = greedy_order(inst, oracle, {0, 1}, QueryLedger())
+    order, values = list(prefixes[-1].order), [p.value for p in prefixes]
     assert order == [1, 0]
     assert values == [0.0, 0.6, 1.0]
 
@@ -103,7 +105,8 @@ def test_greedy_order_matches_independent_replay(corpus):
         members = set(rng.sample(ids, min(6, len(ids))))
         if not inst.fits(members):
             continue  # keep the sub-instance trivially within budget
-        order, values = greedy_order(inst, oracle, members, QueryLedger())
+        prefixes = greedy_order(inst, oracle, members, QueryLedger())
+        order, values = list(prefixes[-1].order), [p.value for p in prefixes]
         assert set(order) == members  # everything fits, so all get picked
         # replay: repeatedly take the highest marginal density member
         picked, replay = set(), []

@@ -21,7 +21,13 @@ from knapsub import (
     sieve_plus_max,
     threshold_levels,
 )
-from knapsub.streaming import MAX_LEVELS, _grid_indices, grid_size
+from knapsub.streaming import (
+    MAX_LEVELS,
+    _grid_indices,
+    augment_pass,
+    best_augmented,
+    grid_size,
+)
 
 from helpers import NONFINITE, nan_probe, tight_oracle
 
@@ -34,9 +40,9 @@ def tight_stream(inst):
 
 
 def test_stream_replays_in_order():
-    s = StreamSource([(3, 1.0), (1, 2.0), (2, 1.5)])
-    first = [e.id for e in s.scan()]
-    second = [e.id for e in s.scan()]
+    s = StreamSource([3, 1, 2])
+    first = list(s.scan())
+    second = list(s.scan())
     assert first == [3, 1, 2]
     assert first == second
     assert s.pass_count == 2
@@ -166,6 +172,26 @@ def test_empty_stream_returns_base_value():
     assert report.solution.value == 1.0
 
 
+def test_base_ids_in_the_stream_are_skipped_without_a_query():
+    # a base id costs 0, and the estimator and the threshold filter both
+    # divided its gain by that cost
+    inst = Instance([Element(i, 1.0) for i in range(4)], 2.0, base_set={9})
+    oracle = SubmodularOracle(
+        inst, ModularObjective({0: 0.5, 1: 0.25, 2: 0.125, 3: 1.0, 9: 2.0}).value)
+
+    def run(ids):
+        stream, ledger = StreamSource(ids), QueryLedger()
+        est = estimate_lambda(stream, 2.0, oracle, ledger=ledger)
+        runs = [(est, ledger.query_count, stream.pass_count)]
+        for solver in (sieve, sieve_or_max, sieve_plus_max):
+            report = solver(StreamSource(ids), 2.0, oracle, est.lam, est.alpha,
+                            0.5)
+            runs.append((report.solution, report.queries, report.passes))
+        return runs
+
+    assert run([0, 9, 1]) == run([0, 1])
+
+
 def test_sieve_or_max_returns_lone_big_singleton(corpus):
     # corpus instance 62 again: the collected set at lam = OPT stays weak
     # while one singleton covers 2/3
@@ -272,6 +298,59 @@ def test_invalid_lambda_propagates():
     inst, oracle = tight_oracle()
     with pytest.raises(InvalidLambda):
         sieve_plus_max(tight_stream(inst), inst.capacity, oracle, 0.0, 1.0, 0.5)
+
+
+# ----------------------------------------------------------- augmentation
+
+
+def augment_fixture():
+    """Prefixes G_0..G_3 of the unit items 0, 1, 2 (weights 1, 0, 0, so
+    G_1..G_3 tie at 1.0) under K=4, outside them items 3 and 4 (cost 2,
+    weight 0.5) and item 5 (cost 3, weight 0)."""
+    weights = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.5, 4: 0.5, 5: 0.0}
+    costs = {0: 1.0, 1: 1.0, 2: 1.0, 3: 2.0, 4: 2.0, 5: 3.0}
+    inst = Instance([Element(i, c) for i, c in costs.items()], 4.0)
+    oracle = SubmodularOracle(inst, ModularObjective(weights).value)
+    prefixes = [oracle.working_set((), 0.0)]
+    for eid in (0, 1, 2):
+        prefixes.append(oracle.add(prefixes[-1], eid,
+                                   prefixes[-1].value + weights[eid]))
+    return oracle, prefixes
+
+
+def test_best_bare_prefix_is_the_shortest_best():
+    _, prefixes = augment_fixture()
+    assert best_augmented(prefixes, []) == (frozenset({0}), 1.0)
+
+
+def test_an_extension_equal_to_the_best_prefix_does_not_replace_it():
+    oracle, prefixes = augment_fixture()
+    # item 5 fits only G_0 and G_1, and adds nothing to G_1
+    extensions = augment_pass(oracle, [5], prefixes, QueryLedger())
+    assert extensions == [(1.0, 1, 5)]
+    assert best_augmented(prefixes, extensions) == (frozenset({0}), 1.0)
+
+
+def test_first_of_two_equal_better_extensions_wins():
+    oracle, prefixes = augment_fixture()
+    ledger = QueryLedger()
+    # members are skipped without a query; 3 and 4 tie on G_2
+    extensions = augment_pass(oracle, [0, 3, 4, 2], prefixes, ledger)
+    assert extensions == [(1.5, 2, 3)]
+    assert ledger.query_count == 2
+    assert best_augmented(prefixes, extensions) == (frozenset({0, 1, 3}), 1.5)
+    # across machines, the first extension listed wins
+    ids, _ = best_augmented(prefixes, [(1.5, 2, 4), (1.5, 2, 3)])
+    assert ids == frozenset({0, 1, 4})
+    assert augment_pass(oracle, [0, 1, 2], prefixes, ledger) == []
+
+
+def test_an_item_that_exactly_fills_the_capacity_goes_on_the_deepest_fit():
+    oracle, prefixes = augment_fixture()
+    # G_2 costs 2, so item 3 (cost 2) fills K=4 exactly there; G_3 costs 3
+    [(value, j, eid)] = augment_pass(oracle, [3], prefixes, QueryLedger())
+    assert (value, j, eid) == (1.5, 2, 3)
+    assert oracle.instance.room(prefixes[j].ids | {eid}) == 0
 
 
 # -------------------------------------------------------------- estimator
