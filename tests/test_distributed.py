@@ -7,6 +7,8 @@ import pytest
 
 import knapsub.distributed
 from knapsub import (
+    BudgetExceeded,
+    CoverageObjective,
     Element,
     Instance,
     MemoryCapExceeded,
@@ -18,11 +20,13 @@ from knapsub import (
     SubmodularOracle,
     distributed_sieve_plus_max,
     greedy_order,
+    normalize,
     sieve_plus_max,
     simulate_round,
     threshold_levels,
 )
 
+from conftest import random_adjacency
 from helpers import NONFINITE, nan_probe, tight_oracle
 
 
@@ -230,6 +234,57 @@ def test_memory_cap_violation_raises():
     cfg = MpcConfig(machines=8, memory_cap=5.0, seed=0)
     with pytest.raises(MemoryCapExceeded):
         distributed_sieve_plus_max(inst, oracle, 4.0, 1.0, 0.5, cfg)
+
+
+def sparse_coverage():
+    """80 vertices of a sparse random graph at costs 1-3, K=8: four machines
+    with samples of 11 to 31 items make 587 queries over five rounds."""
+    rng = random.Random(3)
+    adj = random_adjacency(80, 0.06, rng)
+    inst = normalize([(i, rng.uniform(1.0, 3.0)) for i in range(80)], 8.0)
+    return inst, CoverageObjective(adj)
+
+
+def sparse_run(oracle, ledger, memory_cap=800.0):
+    config = MpcConfig(machines=4, memory_cap=memory_cap, seed=2,
+                       sample_factor=1.0)
+    return distributed_sieve_plus_max(oracle.instance, oracle, 0.4125, 0.5,
+                                      0.5, config, ledger)
+
+
+def test_budget_stops_at_its_count_in_every_pass():
+    # every budget up to the full count lands in some machine's sample or
+    # slice pass, or in the coordinator's; each stops exactly there
+    inst, objective = sparse_coverage()
+    oracle = SubmodularOracle(inst, objective)
+    full = sparse_run(oracle, QueryLedger())
+    total = full.report.queries
+    assert total == 587
+    assert [r.queries for r in full.round_log.records] == [165, 204, 122, 0, 96]
+    for budget in range(total + 2):
+        ledger = QueryLedger(budget=budget)
+        if budget < total:
+            with pytest.raises(BudgetExceeded):
+                sparse_run(oracle, ledger)
+            assert ledger.query_count == budget
+        else:
+            result = sparse_run(oracle, ledger)
+            assert ledger.query_count == total
+            assert result.report.solution.ids == full.report.solution.ids
+            assert result.report.solution.value == full.report.solution.value
+            assert result.round_log.records == full.round_log.records
+
+
+def test_memory_cap_raises_before_the_round_queries():
+    # round 1 loads 31 sample + 20 slice items on machine 0, the most of any
+    # round; a cap of 50 lets round 0 run and stops round 1 before its first
+    # query, so the ledger holds round 0's queries alone
+    inst, objective = sparse_coverage()
+    oracle = SubmodularOracle(inst, objective)
+    ledger = QueryLedger()
+    with pytest.raises(MemoryCapExceeded, match="machine 0 would hold 51"):
+        sparse_run(oracle, ledger, memory_cap=50.0)
+    assert ledger.query_count == 165
 
 
 def test_empty_instance_returns_base_value():
