@@ -16,7 +16,12 @@ order (the sample, then a shuffled slice, instead of stream order).
 
 The simulation runs machines sequentially in index order, so results are
 reproducible and independent of any physical parallelism.  Per-machine
-memory is asserted, never truncated.
+memory is asserted, never truncated.  Every machine would filter the
+round's shared sample against the same collected set and get the same
+answer, so the first machine filters it once and every later machine is
+charged that pass's queries on the ledger before filtering its own slice:
+ids, values, ledger counts, rounds and receipts are those of m separate
+passes, but a wrapper on the objective sees the sample's queries only once.
 """
 
 from __future__ import annotations
@@ -161,11 +166,23 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
         gamma = [eid for eid in all_ids if eid not in ws_t.ids and rng.random() < p]
         slices = _partition(all_ids, m, rng)
 
+        sample = None  # (ws_g, accepted ids, queries) of the sample's pass
+
         def machine(t_list, gamma_items, local_items):
-            # t_list counts toward the load; every machine starts from ws_t
-            items = list(gamma_items) + list(local_items)
-            _, accepted, _ = threshold_pass(oracle, items, t, ws_t, ledger)
-            return [eid for eid, _ in accepted]
+            # t_list counts toward the load.  The sample's pass is the same
+            # on every machine: the first runs it, each later one is charged.
+            nonlocal sample
+            if sample is None:
+                mark = ledger.query_count
+                ws_g, accepted, _ = threshold_pass(oracle, gamma_items, t,
+                                                   ws_t, ledger)
+                sample = (ws_g, [eid for eid, _ in accepted],
+                          ledger.query_count - mark)
+            else:
+                ledger._admit_batch(sample[2])
+            ws_g, sample_ids, _ = sample
+            _, accepted, _ = threshold_pass(oracle, local_items, t, ws_g, ledger)
+            return sample_ids + [eid for eid, _ in accepted]
 
         payloads = [(ws_t.order, gamma, slices[i]) for i in range(m)]
         outputs = simulate_round([machine] * m, payloads, config.memory_cap)

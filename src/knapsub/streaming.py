@@ -18,7 +18,8 @@ can change the collected set.  Both augment the prefixes, as working sets,
 that ``greedy_order`` returns.
 
 A stream carries ids only and every cost comes from the instance; ``_scan``
-skips base-set ids (cost 0, in every evaluation already) without a query.
+skips base-set ids (cost 0, in every evaluation already) without a query,
+and raises ``KeyError`` on an id the instance does not hold.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .offline import greedy_order
 class StreamSource:
     """Replayable sequence of element ids; every traversal bumps
     ``pass_count``.  It holds no costs: the solvers take every cost from
-    their instance."""
+    their instance, and raise ``KeyError`` on an id the instance does not
+    hold."""
 
     def __init__(self, ids):
         self._ids = list(ids)
@@ -63,9 +65,19 @@ class StreamSource:
 
 
 def _scan(stream: StreamSource, instance: Instance):
-    """One pass over ``stream`` without the instance's base-set ids."""
-    base = instance.base_set
-    return (eid for eid in stream.scan() if eid not in base)
+    """One pass over ``stream`` without the instance's base-set ids.
+
+    An id the instance does not hold raises ``KeyError`` when the pass
+    reaches it, before any query on it.
+    """
+    units = instance.units  # base ids hold 0 units, elements more
+    for eid in stream.scan():
+        try:
+            held = units[eid]
+        except KeyError:
+            raise KeyError(f"stream id {eid!r} is not in the instance") from None
+        if held:
+            yield eid
 
 
 # a sieve may spend a stream pass per level and the estimator keeps a set
@@ -283,9 +295,10 @@ def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
           density_cap: float | None = None) -> AlgoReport:
     """Thresholding stage alone: return the collected set.
 
-    ``k`` must equal ``oracle.instance.capacity`` (``ValueError`` otherwise);
-    the same holds for ``sieve_or_max``, ``sieve_plus_max`` and
-    ``estimate_lambda``.
+    ``k`` must equal ``oracle.instance.capacity`` (``ValueError`` otherwise),
+    and a stream id the instance does not hold raises ``KeyError`` when the
+    pass reaches it; the same holds for ``sieve_or_max``, ``sieve_plus_max``
+    and ``estimate_lambda``.
     """
     _, meter, (ws, trace, _) = _threshold_stage(
         "sieve", stream, k, oracle, lam, alpha, epsilon, ledger, density_cap,

@@ -25,6 +25,7 @@ from knapsub import (
     simulate_round,
     threshold_levels,
 )
+from knapsub.streaming import threshold_pass
 
 from conftest import random_adjacency
 from helpers import NONFINITE, nan_probe, tight_oracle
@@ -245,11 +246,11 @@ def sparse_coverage():
     return inst, CoverageObjective(adj)
 
 
-def sparse_run(oracle, ledger, memory_cap=800.0):
-    config = MpcConfig(machines=4, memory_cap=memory_cap, seed=2,
+def sparse_run(oracle, ledger, memory_cap=800.0, machines=4, lam=0.4125):
+    config = MpcConfig(machines=machines, memory_cap=memory_cap, seed=2,
                        sample_factor=1.0)
-    return distributed_sieve_plus_max(oracle.instance, oracle, 0.4125, 0.5,
-                                      0.5, config, ledger)
+    return distributed_sieve_plus_max(oracle.instance, oracle, lam, 0.5, 0.5,
+                                      config, ledger)
 
 
 def test_budget_stops_at_its_count_in_every_pass():
@@ -285,6 +286,51 @@ def test_memory_cap_raises_before_the_round_queries():
     with pytest.raises(MemoryCapExceeded, match="machine 0 would hold 51"):
         sparse_run(oracle, ledger, memory_cap=50.0)
     assert ledger.query_count == 165
+
+
+def test_the_shared_sample_is_filtered_once_per_round(monkeypatch):
+    # a plain callable sees each query that runs: with m machines a round's
+    # sample pass runs once, and the ledger is charged for it m times
+    inst, objective = sparse_coverage()
+    calls = 0
+
+    def covered(ids):  # vertices covered, an exact integer
+        return float(round(objective.value(ids) * inst.n))
+
+    def counted(ids):
+        nonlocal calls
+        calls += 1
+        return covered(ids)
+
+    payloads = []
+    real_round = knapsub.distributed.simulate_round
+
+    def recording(workers, round_payloads, memory_cap=None):
+        payloads.append(round_payloads[0])
+        return real_round(workers, round_payloads, memory_cap)
+
+    monkeypatch.setattr(knapsub.distributed, "simulate_round", recording)
+    replay = SubmodularOracle(inst, covered)
+    for machines, total, rows in [(1, 341, [102, 111, 32, 0, 96]),
+                                  (4, 587, [165, 204, 122, 0, 96])]:
+        calls = 0
+        payloads.clear()
+        ledger = QueryLedger()
+        result = sparse_run(SubmodularOracle(inst, counted), ledger,
+                            machines=machines, lam=0.4125 * inst.n)
+        assert ledger.query_count == total
+        assert [r.queries for r in result.round_log.records] == rows
+        # replay each threshold round's sample pass from machine 0's payload
+        sample_queries = 0
+        threshold_rounds = zip(result.round_log.records, payloads[:-1])
+        for rec, (t_list, gamma, _) in threshold_rounds:
+            scratch = QueryLedger()
+            ws_t = replay.working_set(t_list, replay.evaluate(t_list, scratch))
+            mark = scratch.query_count
+            threshold_pass(replay, gamma, rec.threshold, ws_t, scratch)
+            sample_queries += scratch.query_count - mark
+        assert sample_queries > 0
+        assert calls == total - (machines - 1) * sample_queries
 
 
 def test_empty_instance_returns_base_value():

@@ -192,6 +192,27 @@ def test_base_ids_in_the_stream_are_skipped_without_a_query():
     assert run([0, 9, 1]) == run([0, 1])
 
 
+def test_an_unknown_stream_id_raises_before_a_query_on_it():
+    # id 7 has no cost: without a check the solvers met it inside
+    # Instance.cost_of or Instance.units as a bare KeyError: 7
+    inst = Instance([Element(i, 1.0) for i in range(4)], 2.0)
+    queried = []
+
+    def value(ids):
+        queried.append(ids)
+        return float(len(ids))
+
+    oracle = SubmodularOracle(inst, value)
+    runs = [lambda stream: estimate_lambda(stream, 2.0, oracle)]
+    runs += [lambda stream, solver=solver: solver(stream, 2.0, oracle, 1.0,
+                                                  0.5, 0.5)
+             for solver in (sieve, sieve_or_max, sieve_plus_max)]
+    for run in runs:
+        with pytest.raises(KeyError, match="stream id 7 is not in the instance"):
+            run(StreamSource([0, 7, 1]))
+    assert queried and not any(7 in ids for ids in queried)
+
+
 def test_sieve_or_max_returns_lone_big_singleton(corpus):
     # corpus instance 62 again: the collected set at lam = OPT stays weak
     # while one singleton covers 2/3
