@@ -9,7 +9,9 @@ from knapsub import (
     Element,
     Instance,
     ModularObjective,
+    MovieObjective,
     SubmodularOracle,
+    movie_costs,
     normalize,
 )
 
@@ -66,3 +68,22 @@ def nan_probe(bad, path):
 
 
 NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def movie_case(seed, movies, capacity, base=0, targets=None):
+    """Low-rank 1..5 ratings, a quarter observed per movie and mean-centered,
+    so the similarity table holds exact zeros; the first ``base`` movies
+    cost 0 and so join the base set."""
+    rng = np.random.default_rng(seed)
+    users, rank = 16, 3
+    scores = (rng.standard_normal((movies, rank))
+              @ rng.standard_normal((users, rank)).T / math.sqrt(rank))
+    noise = 0.5 * rng.standard_normal(scores.shape)
+    stars = np.clip(np.rint(3.5 + scores + noise), 1.0, 5.0)
+    per_movie = np.arange(users) < users // 4
+    seen = rng.permuted(np.tile(per_movie, (movies, 1)), axis=1)
+    vectors = np.where(seen, stars - stars[seen].mean(), 0.0)
+    objective = MovieObjective(vectors, targets)
+    costs = movie_costs(objective)
+    raw = [(i, 0.0 if i < base else costs[i]) for i in range(movies)]
+    return normalize(raw, capacity), objective

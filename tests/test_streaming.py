@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knapsub import (
+    BudgetExceeded,
     Element,
     Instance,
     InvalidLambda,
@@ -29,7 +30,7 @@ from knapsub.streaming import (
     grid_size,
 )
 
-from helpers import NONFINITE, nan_probe, tight_oracle
+from helpers import NONFINITE, movie_case, nan_probe, tight_oracle
 
 
 def tight_stream(inst):
@@ -463,6 +464,40 @@ def test_streaming_solvers_reject_the_nan_probe(solver, path, bad):
             run = {"sieve": sieve, "sieve_or_max": sieve_or_max,
                    "sieve_plus_max": sieve_plus_max}[solver]
             run(stream, 3.0, oracle, 0.5, 0.5, 0.5)
+
+
+def movie_pipeline(instance, oracle, ledger):
+    """The estimator, then Sieve+Max under its density cap, on one ledger."""
+    stream = StreamSource.from_instance(instance)
+    est = estimate_lambda(stream, instance.capacity, oracle, ledger=ledger)
+    report = sieve_plus_max(stream, instance.capacity, oracle, est.lam,
+                            est.alpha, 0.1, ledger,
+                            density_cap=est.max_singleton_density)
+    return est, report
+
+
+def test_budget_stops_the_movie_pipeline_at_its_count():
+    # the budgets run through the estimator's singleton and grid queries,
+    # the threshold passes, the greedy reorder and the augmentation pass
+    instance, objective = movie_case(2, 40, 3.0)
+    oracle = SubmodularOracle(instance, objective)
+    full_ledger = QueryLedger()
+    full_est, full = movie_pipeline(instance, oracle, full_ledger)
+    total = full_ledger.query_count
+    assert total == 154 + 25 == full.queries + 154
+    for budget in range(total + 2):
+        ledger = QueryLedger(budget=budget)
+        if budget < total:
+            with pytest.raises(BudgetExceeded):
+                movie_pipeline(instance, oracle, ledger)
+            assert ledger.query_count == budget
+        else:
+            est, report = movie_pipeline(instance, oracle, ledger)
+            assert ledger.query_count == total
+            assert est == full_est
+            assert (report.solution, report.queries, report.passes,
+                    report.trace) == (full.solution, full.queries,
+                                      full.passes, full.trace)
 
 
 # ------------------------------------------------------------ grid bounds
