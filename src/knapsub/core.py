@@ -19,8 +19,18 @@ through :meth:`SubmodularOracle.values_with`.  An objective that also
 implements ``values_with(state, ids) -> ndarray`` answers it in one call
 when every id fits S, and must return, for each id, exactly the float
 ``value_with`` returns, bit for bit.  Any other batch is asked one id at a
-time, so it stops where, and with the error, single queries would.  A NaN
-or an infinity raises :class:`NonFiniteValue` once the query is counted.
+time, so it stops where, and with the error, single queries would.
+
+The estimator asks the transpose: "f(S_r + e)" for one id against many
+working sets, through :meth:`SubmodularOracle.value_with_stack` on a
+:class:`WorkingStack`.  An objective that also implements
+``stack(states) -> stacked`` and ``value_with_stack(stacked, rows, eid)
+-> ndarray`` answers it in one call when the id is a member of none of the
+asked sets and fits each, and must return, for each row, exactly the float
+``value_with`` returns on that row's state, bit for bit; any other such
+batch is asked one set at a time.  A NaN or an infinity raises
+:class:`NonFiniteValue` once the query is counted; a batch answered in one
+call is counted whole before that check.
 """
 
 from __future__ import annotations
@@ -279,6 +289,21 @@ class WorkingSet:
     state: object
 
 
+@dataclass(frozen=True, slots=True)
+class WorkingStack:
+    """Working sets S_0..S_r kept ready for "f(S_i + e)" asked of one id
+    across many of them.
+
+    ``state`` is the objective's stacked state of the sets, ``None`` on the
+    fallback path.  Make one with :meth:`SubmodularOracle.stack`; it is
+    never mutated, so it describes the sets it was made from: when one of
+    them grows, make a new stack.
+    """
+
+    sets: tuple[WorkingSet, ...]
+    state: object
+
+
 class SubmodularOracle:
     """Query-counted access to a set function on an instance.
 
@@ -304,7 +329,19 @@ class SubmodularOracle:
     that also defines ``values_with(state, ids) -> ndarray`` promises, for
     each id, exactly the float ``value_with(state, id)`` returns.
     :meth:`values_with` lets it answer a batch of ids that all fit S in one
-    call; ``CoverageObjective`` implements it.
+    call; ``CoverageObjective`` and ``MovieObjective`` implement it.
+
+    Stack protocol (optional, on top of the incremental one).  An objective
+    that also defines ``stack(states) -> stacked`` and
+    ``value_with_stack(stacked, rows, eid) -> ndarray`` promises, for each
+    row r, exactly the float ``value_with(states[r], eid)`` returns.
+    :meth:`value_with_stack` lets it answer one id against many working
+    sets in one call when the id is a member of none and fits each;
+    ``MovieObjective`` implements it.
+
+    Every batch answered in one call is counted whole, and stopped by a
+    budget where single queries would be, before its values are checked
+    for NaN and infinities.
     """
 
     def __init__(self, instance: Instance, fn):
@@ -316,6 +353,8 @@ class SubmodularOracle:
         incremental = hasattr(fn, "extend") and hasattr(fn, "value_with")
         self._incremental = fn if incremental else None
         self._batch = fn if incremental and hasattr(fn, "values_with") else None
+        self._stacked = (fn if incremental and hasattr(fn, "stack")
+                         and hasattr(fn, "value_with_stack") else None)
 
     def _infeasible(self, ids) -> InfeasibleQuery:
         return InfeasibleQuery(
@@ -392,6 +431,40 @@ class SubmodularOracle:
         if not finite.all():
             j = int(finite.argmin())
             raise _nonfinite(float(values[j]), ws.ids | {int(ids[j])})
+        return values
+
+    def stack(self, sets) -> WorkingStack:
+        """The working sets ``sets``, kept ready for
+        :meth:`value_with_stack`; spends no query."""
+        sets = tuple(sets)
+        obj = self._stacked
+        state = None if obj is None else obj.stack([ws.state for ws in sets])
+        return WorkingStack(sets, state)
+
+    def value_with_stack(self, stack: WorkingStack, rows, eid: int,
+                         ledger: QueryLedger) -> np.ndarray:
+        """f(S_r + eid) for every row r in ``rows`` of ``stack``, in order,
+        as a float array.
+
+        When ``eid`` is a member of none of those sets and fits each, a
+        stack protocol objective answers in one call: ``len(rows)``
+        queries, all counted before a non-finite value raises, stopped at a
+        budget where single queries would be.  Any other batch is that many
+        :meth:`value_with` calls.
+        """
+        obj = self._stacked
+        sets = [stack.sets[r] for r in rows]
+        units = self.instance.units
+        if obj is None or any(eid in ws.ids or units[eid] > ws.room
+                              for ws in sets):
+            return np.array([self.value_with(ws, eid, ledger) for ws in sets],
+                            dtype=float)
+        ledger._admit_batch(len(sets))
+        values = obj.value_with_stack(stack.state, rows, eid)
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise _nonfinite(float(values[j]), sets[j].ids | {eid})
         return values
 
 

@@ -13,13 +13,22 @@ without touching S.  ``ModularObjective`` and ``HiddenPairObjective`` do
 not: a running float sum would differ from ``value`` in the last bits, and
 the hidden pair needs the whole set.
 
-``CoverageObjective`` also implements the batch protocol:
-``values_with(state, ids)`` returns an array holding, for each id, exactly
-the float ``value_with(state, id)`` returns, bit for bit; below E/256 ids
-it is that ``value_with`` loop.  The oracle asks it only for ids that all
-fit S.  ``MovieObjective`` does not: a batch would hold |ids| x |targets|
-floats at once.  No objective checks for NaN: the oracle raises
-:class:`~knapsub.errors.NonFiniteValue` on it.
+Both also implement the batch protocol: ``values_with(state, ids)``
+returns an array holding, for each id, exactly the float
+``value_with(state, id)`` returns, bit for bit.  Coverage's is its
+``value_with`` loop below E/256 ids; the movie's reads at most 256 rows of
+its table (and at most 4 MB) at a time.  The oracle asks it only for ids
+that all fit S.
+
+``MovieObjective`` also implements the stack protocol, one id against many
+states: ``stack(states)`` keeps the states as rows of one matrix, and
+``value_with_stack(stacked, rows, eid)`` returns, for each row r, exactly
+the float ``value_with(states[r], eid)`` returns, bit for bit.  The oracle
+asks it only when the id is outside every asked set and fits each.
+
+No objective checks for NaN: the oracle raises
+:class:`~knapsub.errors.NonFiniteValue` on it, after counting the whole
+batch.
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
+
+# a movie batch reads at most this many ids' rows, and this many floats,
+# of the table at once: 256 rows of 2048 targets make 4 MB
+_MOVIE_BATCH_ROWS = 256
+_MOVIE_BATCH_FLOATS = 1 << 19
 
 
 class CoverageObjective:
@@ -213,6 +227,51 @@ class MovieObjective:
         row = self._table[eid]
         best = np.maximum(row, 0.0) if state is None else np.maximum(state, row)
         return float(best.sum())
+
+    def values_with(self, state, ids) -> np.ndarray:
+        """``value_with(state, eid)`` for every id, bit for bit: the same
+        elementwise maxima, in the same argument order, each row summed
+        contiguously as the 1-D sum is."""
+        ids = np.asarray(ids, dtype=np.intp)
+        out = np.empty(len(ids))
+        step = max(1, min(_MOVIE_BATCH_ROWS,
+                          _MOVIE_BATCH_FLOATS // max(1, self._table.shape[1])))
+        for a in range(0, len(ids), step):
+            block = self._table[ids[a:a + step]]
+            if state is None:
+                np.maximum(block, 0.0, out=block)
+            else:
+                np.maximum(state, block, out=block)
+            block.sum(axis=1, out=out[a:a + step])
+        return out
+
+    def stack(self, states):
+        """The states that are not ``None`` as rows of one matrix, and for
+        each state its row there, ``None`` for the empty set: ``value_with``
+        clamps that one with ``max(row, 0)``, not against a zero row, whose
+        zeros may carry the other sign."""
+        where, kept = [], []
+        for state in states:
+            where.append(None if state is None else len(kept))
+            if state is not None:
+                kept.append(state)
+        matrix = np.array(kept) if kept else np.empty((0, self._table.shape[1]))
+        return matrix, where
+
+    def value_with_stack(self, stacked, rows, eid: int) -> np.ndarray:
+        """``value_with(states[r], eid)`` for every row r, bit for bit: a
+        matrix row is summed contiguously as the 1-D sum is, and every
+        empty set shares one ``value_with(None, eid)``."""
+        matrix, where = stacked
+        at = [where[r] for r in rows]
+        if None not in at:
+            return np.maximum(matrix[at], self._table[eid]).sum(axis=1)
+        values = np.full(len(at), self.value_with(None, eid))
+        filled = [k for k, m in enumerate(at) if m is not None]
+        if filled:
+            values[filled] = np.maximum(matrix[[at[k] for k in filled]],
+                                        self._table[eid]).sum(axis=1)
+        return values
 
     def singleton_values(self) -> np.ndarray:
         # summed over a column-major copy: that order fixes the rounding of

@@ -27,6 +27,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .core import (
     AlgoReport,
@@ -37,6 +40,7 @@ from .core import (
     SubmodularOracle,
     TraceStep,
     WorkingSet,
+    _id_array,
 )
 from .errors import InvalidLambda
 from .offline import greedy_order
@@ -83,6 +87,9 @@ def _scan(stream: StreamSource, instance: Instance):
 # a sieve may spend a stream pass per level and the estimator keeps a set
 # per grid index: a wider grid comes from a mistaken epsilon
 MAX_LEVELS = 100_000
+
+# the augmentation pass holds at most this many stream items at once
+AUGMENT_CHUNK = 4096
 
 
 def grid_size(ratio: float, epsilon: float) -> int:
@@ -182,19 +189,37 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     alone, so G_0 fits every item.  Returns the best extension as
     ``[(value, j, id)]``, ``j`` the prefix length, the first item scanned
     winning ties, or ``[]`` when ``items`` hold nothing outside G_m.
+
+    Items are read ``AUGMENT_CHUNK`` at a time.  Within a chunk, the items
+    on one prefix form one :meth:`SubmodularOracle.values_with` batch: the
+    same queries, counted and stopped by a budget as single ones would be,
+    asked prefix by prefix rather than in scan order.
     """
     inst = oracle.instance
+    units = inst.units
     # exact prefix costs, nondecreasing, so bisect finds the deepest fit
     prefix_units = [inst.unit_capacity - p.room for p in prefixes]
     members = prefixes[-1].ids
     best = None
-    for eid in items:
-        if eid in members:
+    items = iter(items)
+    while chunk := list(islice(items, AUGMENT_CHUNK)):
+        kept = [eid for eid in chunk if eid not in members]
+        if not kept:
             continue
-        j = bisect.bisect_right(prefix_units, inst.room((eid,))) - 1
-        v = oracle.value_with(prefixes[j], eid, ledger)
-        if best is None or v > best[0]:
-            best = (v, j, eid)
+        depth = [bisect.bisect_right(prefix_units,
+                                     inst.unit_capacity - units[eid]) - 1
+                 for eid in kept]
+        # items on one prefix share its state: one exact batch per prefix
+        groups: dict[int, list[int]] = {}
+        for at, j in enumerate(depth):
+            groups.setdefault(j, []).append(at)
+        ids = _id_array(kept)
+        values = np.empty(len(kept))
+        for j, at in groups.items():
+            values[at] = oracle.values_with(prefixes[j], ids[at], ledger)
+        k = int(values.argmax())  # the first scanned of equal values
+        if best is None or values[k] > best[0]:
+            best = (float(values[k]), depth[k], kept[k])
     return [] if best is None else [best]
 
 
@@ -356,6 +381,12 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     estimate unpacking as (lam, alpha) with alpha = 1/3 - epsilon_est.
     ``k`` must equal ``oracle.instance.capacity``, and the indices' widest
     span, 3k(1+epsilon_est)/2, must pass :func:`grid_size` (or ``ValueError``).
+
+    Per element, the singleton query comes first and alone, since it moves
+    the window; the queries on the window's sets the element may join are
+    then one :meth:`SubmodularOracle.value_with_stack` batch, in index
+    order, against a stack made anew only after the window moves or a set
+    grows.
     """
     if epsilon_est <= 0 or epsilon_est >= 1 / 3:
         raise ValueError("epsilon_est must lie in (0, 1/3)")
@@ -372,11 +403,15 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     max_density = 0.0
     # the empty set is recorded at 0 (the estimator never queries it)
     empty = oracle.working_set((), 0.0)
-    sets: dict[int, WorkingSet] = {}   # grid index -> threshold set
-    peak = 0
+    window = range(0)    # the grid indices kept, ascending
+    sets: list[WorkingSet] = []  # the threshold set of each index in window
+    taus: list[float] = []       # base ** i for each index in window
+    stack = None         # the sets, ready for one batch; None after a change
+    retained = peak = 0
 
     for eid in _scan(stream, inst):
         c_e = inst.cost_of(eid)
+        # f({e}) moves delta and so the window: it cannot join the batch
         fe = oracle.value_with(empty, eid, ledger)
         if fe > delta:
             delta = fe
@@ -386,16 +421,32 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
 
         tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
         active = _grid_indices(tau_min / base, delta, log_base)
-        for i in [i for i in sets if i < active.start]:
-            del sets[i]
-        for i in active:
-            ws = sets.setdefault(i, empty)
-            if eid in ws.ids or units[eid] > ws.room:
-                continue
-            gain = oracle.value_with(ws, eid, ledger) - ws.value
-            if gain / c_e >= base ** i:
-                ws = sets[i] = oracle.add(ws, eid, ws.value + gain)
+        # not active != window: two empty ranges are equal at any start
+        if (active.start, active.stop) != (window.start, window.stop):
+            kept = dict(zip(window, sets))
+            retained -= sum(len(ws.order) for i, ws in kept.items()
+                            if i not in active)
+            window, stack = active, None
+            sets = [kept.get(i, empty) for i in window]
+            taus = [base ** i for i in window]
+        # adding e to one set leaves the others as they are, so every set
+        # it may join is asked in one batch
+        need = units[eid]
+        rows = [r for r, ws in enumerate(sets)
+                if eid not in ws.ids and need <= ws.room]
+        if not rows:
+            continue
+        if stack is None:
+            stack = oracle.stack(sets)
+        values = oracle.value_with_stack(stack, rows, eid, ledger).tolist()
+        for r, v in zip(rows, values):
+            ws = sets[r]
+            gain = v - ws.value
+            if gain / c_e >= taus[r]:
+                ws = sets[r] = oracle.add(ws, eid, ws.value + gain)
                 lb = max(lb, ws.value)
-        peak = max(peak, sum(len(ws.order) for ws in sets.values()))
+                retained += 1
+                stack = None
+        peak = max(peak, retained)
 
     return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

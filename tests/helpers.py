@@ -58,10 +58,46 @@ class NanProbe(CoverageObjective):
                          in zip(ids.tolist(), super().values_with(state, ids))])
 
 
-def nan_probe(bad, path):
+class MovieNanProbe(MovieObjective):
+    """The movie twin of :class:`NanProbe`: six unit vectors, each movie its
+    own target, so f(S) = |S| and a state marks the set's members; ``bad``
+    on every set of two or more items that holds id 2, on every path,
+    the stack batch included."""
+
+    def __init__(self, bad):
+        super().__init__(np.eye(6))
+        self.bad = bad
+
+    def _answer(self, best, value: float) -> float:
+        poisoned = best is not None and best[2] > 0 and np.count_nonzero(best) >= 2
+        return self.bad if poisoned else value
+
+    def value(self, ids):
+        return self._answer(self.extend(None, ids), super().value(ids))
+
+    def value_with(self, state, eid):
+        return self._answer(self.extend(state, (eid,)),
+                            super().value_with(state, eid))
+
+    def values_with(self, state, ids):
+        return np.array([self._answer(self.extend(state, (eid,)), v) for eid, v
+                         in zip(ids.tolist(), super().values_with(state, ids))])
+
+    def stack(self, states):
+        return states, super().stack(states)
+
+    def value_with_stack(self, stacked, rows, eid):
+        states, inner = stacked
+        values = super().value_with_stack(inner, rows, eid)
+        return np.array([self._answer(self.extend(states[r], (eid,)), v)
+                         for r, v in zip(rows, values)])
+
+
+def nan_probe(bad, path, kind="coverage"):
     """The probe's six unit items with K=3, and its objective as the solver
-    sees it: the protocol object (``"protocol"``) or a plain callable."""
-    objective = NanProbe(bad)
+    sees it: the protocol object (``"protocol"``) or a plain callable.
+    ``kind`` picks :class:`NanProbe` or :class:`MovieNanProbe`."""
+    objective = (NanProbe if kind == "coverage" else MovieNanProbe)(bad)
     instance = Instance([Element(i, 1.0) for i in range(6)], 3.0)
     fn = objective if path == "protocol" else (lambda ids: objective.value(ids))
     return instance, SubmodularOracle(instance, fn)
@@ -70,10 +106,9 @@ def nan_probe(bad, path):
 NONFINITE = (math.nan, math.inf, -math.inf)
 
 
-def movie_case(seed, movies, capacity, base=0, targets=None):
+def movie_vectors(seed, movies):
     """Low-rank 1..5 ratings, a quarter observed per movie and mean-centered,
-    so the similarity table holds exact zeros; the first ``base`` movies
-    cost 0 and so join the base set."""
+    so the similarity table holds exact zeros."""
     rng = np.random.default_rng(seed)
     users, rank = 16, 3
     scores = (rng.standard_normal((movies, rank))
@@ -82,8 +117,13 @@ def movie_case(seed, movies, capacity, base=0, targets=None):
     stars = np.clip(np.rint(3.5 + scores + noise), 1.0, 5.0)
     per_movie = np.arange(users) < users // 4
     seen = rng.permuted(np.tile(per_movie, (movies, 1)), axis=1)
-    vectors = np.where(seen, stars - stars[seen].mean(), 0.0)
-    objective = MovieObjective(vectors, targets)
+    return np.where(seen, stars - stars[seen].mean(), 0.0)
+
+
+def movie_case(seed, movies, capacity, base=0, targets=None):
+    """An instance on :func:`movie_vectors` with singleton-proportional
+    costs; the first ``base`` movies cost 0 and so join the base set."""
+    objective = MovieObjective(movie_vectors(seed, movies), targets)
     costs = movie_costs(objective)
     raw = [(i, 0.0 if i < base else costs[i]) for i in range(movies)]
     return normalize(raw, capacity), objective

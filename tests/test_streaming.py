@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +13,13 @@ from knapsub import (
     Instance,
     InvalidLambda,
     ModularObjective,
+    MovieObjective,
     NonFiniteValue,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
     estimate_lambda,
+    greedy_plus_max,
     sieve,
     sieve_or_max,
     sieve_plus_max,
@@ -30,7 +33,7 @@ from knapsub.streaming import (
     grid_size,
 )
 
-from helpers import NONFINITE, movie_case, nan_probe, tight_oracle
+from helpers import NONFINITE, movie_case, movie_vectors, nan_probe, tight_oracle
 
 
 def tight_stream(inst):
@@ -464,6 +467,57 @@ def test_streaming_solvers_reject_the_nan_probe(solver, path, bad):
             run = {"sieve": sieve, "sieve_or_max": sieve_or_max,
                    "sieve_plus_max": sieve_plus_max}[solver]
             run(stream, 3.0, oracle, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_the_estimator_batch_rejects_the_movie_nan_probe(bad):
+    # id 2 arrives after 0 and 1 have joined every grid set, so the bad
+    # value first shows in the batch of id 2 against those sets
+    instance, oracle = nan_probe(bad, "protocol", kind="movie")
+    ledger = QueryLedger()
+    with pytest.raises(NonFiniteValue) as info:
+        estimate_lambda(StreamSource.from_instance(instance), 3.0, oracle,
+                        ledger=ledger)
+    assert info.traceback[-1].name == "value_with_stack"
+    # three singletons and three whole batches: the window's floor
+    # max(2 lb, 2 delta) / 9 is 2/9 for ids 0 and 1, then 4/9 at lb = 2
+    widths = [len(_grid_indices(tau / (7 / 6), 1.0, math.log(7 / 6)))
+              for tau in (2 / 9, 2 / 9, 4 / 9)]
+    assert widths == [11, 11, 7]
+    assert ledger.query_count == 3 + sum(widths)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_a_nonfinite_movie_vector_stops_the_movie_pipeline(bad):
+    # costs come from the clean vectors; movie x then gets one bad rating
+    # and is no target, so only f(S + x) goes bad
+    clean, objective = movie_case(2, 40, 3.0)
+    x = clean.elements[5].id
+    vectors = movie_vectors(2, 40)
+    vectors[x, np.flatnonzero(vectors[x])[0]] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 in the table is NaN
+        poisoned = MovieObjective(vectors, [t for t in range(40) if t != x])
+    oracle = SubmodularOracle(clean, poisoned)
+    assert not math.isfinite(poisoned.value_with(None, x))
+
+    # the estimator's singleton query meets row x before any batch can
+    with pytest.raises(NonFiniteValue) as info:
+        estimate_lambda(StreamSource.from_instance(clean), 3.0, oracle)
+    assert info.traceback[-1].name == "value_with"
+    # with every level skipped, the first query on x is in the augmentation
+    # pass's batch on the empty prefix, counted whole
+    ledger = QueryLedger()
+    with pytest.raises(NonFiniteValue) as info:
+        sieve_plus_max(StreamSource.from_instance(clean), 3.0, oracle, 1.0,
+                       0.5, 0.5, ledger, density_cap=0.0)
+    assert info.traceback[-1].name == "values_with"
+    assert ledger.query_count == 2 + clean.n  # f(empty) twice, then the batch
+    # the greedy sweep's first step is one batch too
+    ledger = QueryLedger()
+    with pytest.raises(NonFiniteValue) as info:
+        greedy_plus_max(clean, oracle, ledger)
+    assert info.traceback[-1].name == "values_with"
+    assert ledger.query_count == 1 + clean.n
 
 
 def movie_pipeline(instance, oracle, ledger):
