@@ -96,8 +96,7 @@ def main(argv=None) -> int:
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
 
     result = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-              "checkouts": {side: {"path": str(path), "commit": git_commit(path)}
-                            for side, path in checkouts.items()},
+              "commits": {side: git_commit(path) for side, path in checkouts.items()},
               "workloads": {}}
     for workload in args.workload:
         runs = alternate(args.pairs, lambda side: perfbench(
