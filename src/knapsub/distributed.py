@@ -144,7 +144,9 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     certify emptiness for elements they never saw), then a final round where
     machines try their local elements against greedily reordered prefixes of
     the collection.  With one machine it runs Sieve+Max's kernels on the
-    same grid, in a different scan order.
+    same grid, in a different scan order.  A ``lam`` that
+    :func:`~knapsub.streaming.threshold_levels` rejects raises
+    ``InvalidLambda`` before any query.
     """
     config = config or MpcConfig.for_instance(instance)
     config.validate(instance)
@@ -157,9 +159,9 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     all_ids = instance.element_ids()
     p = 1.0 if n == 0 else min(1.0, config.sample_factor * math.sqrt(instance.k_tilde / n))
 
+    levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
     ws_t = oracle.working_set((), oracle.evaluate((), ledger))  # central collection
     log = RoundLog()
-    levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
 
     for rno, t in enumerate(levels):
         rng = random.Random(config.seed * 1_000_003 + rno)

@@ -24,7 +24,8 @@ class NonFiniteValue(KnapsubError):
 
 
 class InvalidLambda(KnapsubError):
-    """A streaming run was started with a non-positive value estimate."""
+    """A streaming run was started with a value estimate that is not
+    positive and finite, or so large that its top threshold overflows."""
 
 
 class MemoryCapExceeded(KnapsubError):

@@ -20,12 +20,6 @@ returns an array holding, for each id, exactly the float
 its table (and at most 4 MB) at a time.  The oracle asks it only for ids
 that all fit S.
 
-``MovieObjective`` also implements the stack protocol, one id against many
-states: ``stack(states)`` keeps the states as rows of one matrix, and
-``value_with_stack(stacked, rows, eid)`` returns, for each row r, exactly
-the float ``value_with(states[r], eid)`` returns, bit for bit.  The oracle
-asks it only when the id is outside every asked set and fits each.
-
 No objective checks for NaN: the oracle raises
 :class:`~knapsub.errors.NonFiniteValue` on it, after counting the whole
 batch.
@@ -244,34 +238,6 @@ class MovieObjective:
                 np.maximum(state, block, out=block)
             block.sum(axis=1, out=out[a:a + step])
         return out
-
-    def stack(self, states):
-        """The states that are not ``None`` as rows of one matrix, and for
-        each state its row there, ``None`` for the empty set: ``value_with``
-        clamps that one with ``max(row, 0)``, not against a zero row, whose
-        zeros may carry the other sign."""
-        where, kept = [], []
-        for state in states:
-            where.append(None if state is None else len(kept))
-            if state is not None:
-                kept.append(state)
-        matrix = np.array(kept) if kept else np.empty((0, self._table.shape[1]))
-        return matrix, where
-
-    def value_with_stack(self, stacked, rows, eid: int) -> np.ndarray:
-        """``value_with(states[r], eid)`` for every row r, bit for bit: a
-        matrix row is summed contiguously as the 1-D sum is, and every
-        empty set shares one ``value_with(None, eid)``."""
-        matrix, where = stacked
-        at = [where[r] for r in rows]
-        if None not in at:
-            return np.maximum(matrix[at], self._table[eid]).sum(axis=1)
-        values = np.full(len(at), self.value_with(None, eid))
-        filled = [k for k, m in enumerate(at) if m is not None]
-        if filled:
-            values[filled] = np.maximum(matrix[[at[k] for k in filled]],
-                                        self._table[eid]).sum(axis=1)
-        return values
 
     def singleton_values(self) -> np.ndarray:
         # summed over a column-major copy: that order fixes the rounding of

@@ -105,9 +105,16 @@ def grid_size(ratio: float, epsilon: float) -> int:
 def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
     """Geometric threshold grid, highest first: lam/(alpha*k) shrinking by
     (1+epsilon) while still above lam/(2k), at most :func:`grid_size` of
-    2/alpha levels."""
-    if lam <= 0:
-        raise InvalidLambda(f"value estimate must be positive, got {lam!r}")
+    2/alpha levels.
+
+    ``InvalidLambda`` rejects a ``lam`` that is not positive and finite
+    (NaN included), or whose top level lam/(alpha*k) overflows to inf,
+    before the first level: inf/(1+epsilon) stays inf, so that grid would
+    never end.
+    """
+    if not 0 < lam < math.inf:
+        raise InvalidLambda(f"value estimate must be positive and finite, "
+                            f"got {lam!r}")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if epsilon <= 0:
@@ -115,6 +122,9 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
     grid_size(2.0 / alpha, epsilon)
     levels = []
     tau = lam / (alpha * k)
+    if math.isinf(tau):
+        raise InvalidLambda(f"the top level lam/(alpha*k) overflows for "
+                            f"lam={lam!r}, alpha={alpha!r}, k={k!r}")
     floor = lam / (2.0 * k)
     while tau > floor:
         levels.append(tau)
@@ -323,7 +333,8 @@ def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
     ``k`` must equal ``oracle.instance.capacity`` (``ValueError`` otherwise),
     and a stream id the instance does not hold raises ``KeyError`` when the
     pass reaches it; the same holds for ``sieve_or_max``, ``sieve_plus_max``
-    and ``estimate_lambda``.
+    and ``estimate_lambda``.  The three sieves raise ``InvalidLambda``
+    before any query on a ``lam`` that :func:`threshold_levels` rejects.
     """
     _, meter, (ws, trace, _) = _threshold_stage(
         "sieve", stream, k, oracle, lam, alpha, epsilon, ledger, density_cap,
@@ -382,11 +393,13 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     ``k`` must equal ``oracle.instance.capacity``, and the indices' widest
     span, 3k(1+epsilon_est)/2, must pass :func:`grid_size` (or ``ValueError``).
 
-    Per element, the singleton query comes first and alone, since it moves
-    the window; the queries on the window's sets the element may join are
-    then one :meth:`SubmodularOracle.value_with_stack` batch, in index
-    order, against a stack made anew only after the window moves or a set
-    grows.
+    Per element, the singleton query f({e}) comes first, since it moves
+    the window.  Then every window set the element may join is asked, in
+    index order: an empty set's query is f({e}) again, so those queries are
+    charged to the ledger at once and answered with the value just asked,
+    and each other set is one :meth:`SubmodularOracle.value_with` query.
+    A value so large that the window's floor max(2*LB, 2*delta)/(3k)
+    overflows a float raises ``ValueError``, naming the value.
     """
     if epsilon_est <= 0 or epsilon_est >= 1 / 3:
         raise ValueError("epsilon_est must lie in (0, 1/3)")
@@ -406,12 +419,10 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     window = range(0)    # the grid indices kept, ascending
     sets: list[WorkingSet] = []  # the threshold set of each index in window
     taus: list[float] = []       # base ** i for each index in window
-    stack = None         # the sets, ready for one batch; None after a change
     retained = peak = 0
 
     for eid in _scan(stream, inst):
         c_e = inst.cost_of(eid)
-        # f({e}) moves delta and so the window: it cannot join the batch
         fe = oracle.value_with(empty, eid, ledger)
         if fe > delta:
             delta = fe
@@ -420,33 +431,31 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
             continue
 
         tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
+        if math.isinf(tau_min):
+            raise ValueError(f"value {max(lb, delta)!r} is too large for the "
+                             f"grid: its floor max(2*LB, 2*delta)/(3k) overflows")
         active = _grid_indices(tau_min / base, delta, log_base)
         # not active != window: two empty ranges are equal at any start
         if (active.start, active.stop) != (window.start, window.stop):
             kept = dict(zip(window, sets))
             retained -= sum(len(ws.order) for i, ws in kept.items()
                             if i not in active)
-            window, stack = active, None
+            window = active
             sets = [kept.get(i, empty) for i in window]
             taus = [base ** i for i in window]
-        # adding e to one set leaves the others as they are, so every set
-        # it may join is asked in one batch
         need = units[eid]
         rows = [r for r, ws in enumerate(sets)
                 if eid not in ws.ids and need <= ws.room]
-        if not rows:
-            continue
-        if stack is None:
-            stack = oracle.stack(sets)
-        values = oracle.value_with_stack(stack, rows, eid, ledger).tolist()
-        for r, v in zip(rows, values):
+        # f(empty + e) is fe: charge those queries, but ask only the others
+        ledger._admit_batch(sum(sets[r] is empty for r in rows))
+        for r in rows:
             ws = sets[r]
-            gain = v - ws.value
+            gain = (fe if ws is empty
+                    else oracle.value_with(ws, eid, ledger)) - ws.value
             if gain / c_e >= taus[r]:
                 ws = sets[r] = oracle.add(ws, eid, ws.value + gain)
                 lb = max(lb, ws.value)
                 retained += 1
-                stack = None
         peak = max(peak, retained)
 
     return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

@@ -61,8 +61,7 @@ class NanProbe(CoverageObjective):
 class MovieNanProbe(MovieObjective):
     """The movie twin of :class:`NanProbe`: six unit vectors, each movie its
     own target, so f(S) = |S| and a state marks the set's members; ``bad``
-    on every set of two or more items that holds id 2, on every path,
-    the stack batch included."""
+    on every set of two or more items that holds id 2, on every path."""
 
     def __init__(self, bad):
         super().__init__(np.eye(6))
@@ -82,15 +81,6 @@ class MovieNanProbe(MovieObjective):
     def values_with(self, state, ids):
         return np.array([self._answer(self.extend(state, (eid,)), v) for eid, v
                          in zip(ids.tolist(), super().values_with(state, ids))])
-
-    def stack(self, states):
-        return states, super().stack(states)
-
-    def value_with_stack(self, stacked, rows, eid):
-        states, inner = stacked
-        values = super().value_with_stack(inner, rows, eid)
-        return np.array([self._answer(self.extend(states[r], (eid,)), v)
-                         for r, v in zip(rows, values)])
 
 
 def nan_probe(bad, path, kind="coverage"):

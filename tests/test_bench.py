@@ -1,5 +1,6 @@
 """Benchmark harness: loaders, generators, config, suite driver, CLI."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -439,3 +440,27 @@ def test_perfbench_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.strip().endswith("selftest passed")
+
+
+def _bench_pairs():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_spread_and_wins():
+    tool = _bench_pairs()
+    assert tool.spread([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "runs": [5.0, 1.0, 4.0, 2.0, 3.0]}
+    assert tool.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0,
+                                  "runs": [7.0]}
+    # pair by pair: the head wins the first pair when lower is better and
+    # the last when higher is; the tie in the middle counts for neither
+    base, head = [1.0, 2.0, 3.0], [0.5, 2.0, 4.0]
+    lower = tool.compare(base, head, "lower")
+    assert (lower["head_wins"], lower["change"]) == (1, 0.0)
+    assert tool.compare(base, head, "higher")["head_wins"] == 1
+    assert tool.compare(base, base, "lower")["head_wins"] == 0
+    assert tool.compare([0.0], [1.0], "higher")["change"] is None

@@ -11,6 +11,7 @@ from knapsub import (
     CoverageObjective,
     Element,
     Instance,
+    InvalidLambda,
     MemoryCapExceeded,
     ModularObjective,
     MpcConfig,
@@ -353,6 +354,17 @@ def test_fresh_evaluation_matches_reported_value(corpus):
         fresh = objective.value(
             frozenset(result.report.solution.ids) | inst.base_set)
         assert fresh == pytest.approx(result.report.solution.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 1e308])
+def test_distributed_rejects_a_nonfinite_or_overflowing_lambda(lam):
+    # a NaN lam used to run no threshold round and answer from the
+    # augmentation round alone; 1e308 / (k / 6) overflows to inf
+    inst, oracle = tight_oracle()  # capacity 2
+    ledger = QueryLedger()
+    with pytest.raises(InvalidLambda):
+        distributed_sieve_plus_max(inst, oracle, lam, 1 / 6, 0.1, ledger=ledger)
+    assert ledger.query_count == 0
 
 
 @pytest.mark.parametrize("bad", NONFINITE)

@@ -406,7 +406,7 @@ def test_batch_shortcut_needs_every_id_to_fit():
     assert (ledger.query_count, ledger.infeasible_query_count) == (3, 1)
 
 
-# ------------------------------------------------- movie batch and stack
+# ---------------------------------------------------------- movie batch
 
 
 def signed_zero_movie(movies=300, targets=24, seed=7):
@@ -452,18 +452,6 @@ def test_movie_batch_chunks_wide_tables_by_floats():
             hexes(objective.value_with(state, eid) for eid in ids.tolist())
 
 
-def test_movie_stack_is_value_with_bit_for_bit():
-    objective, states = signed_zero_movie()
-    states += [None, states[3]]  # two empty sets, and a state twice
-    stacked = objective.stack(states)
-    everything = list(range(len(states)))
-    for rows in (everything, [], [0], [3], [4, 1, 0], everything[::-1],
-                 [2, 2, 9], [r for r in everything if states[r] is not None]):
-        for eid in (0, 1, 2, 3, 150, 299):
-            assert hexes(objective.value_with_stack(stacked, rows, eid)) == \
-                hexes(objective.value_with(states[r], eid) for r in rows)
-
-
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 127, 128, 129, 1000, 2000])
 def test_numpy_sums_a_contiguous_row_as_a_1d_array(width):
     # the movie batches rest on this: NumPy sums each contiguous row of a
@@ -479,92 +467,28 @@ def test_numpy_sums_a_contiguous_row_as_a_1d_array(width):
     assert hexes(out) == hexes(np.maximum(matrix[r], matrix[7]).sum() for r in picked)
 
 
-def unit_movie(n=6, capacity=3.0):
-    objective = MovieObjective(np.random.default_rng(n).standard_normal((n, 4)))
-    instance = Instance([Element(i, 1.0) for i in range(n)], capacity)
-    return instance, objective
-
-
-def test_stack_batch_checks_each_set_like_value_with():
-    instance, objective = unit_movie()
-    calls = {"value_with_stack": 0, "value_with": 0}
-
-    def counted(name, method):
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
-
-    for name in calls:
-        setattr(objective, name, counted(name, getattr(objective, name)))
-    oracle = SubmodularOracle(instance, objective)
-    sets = [oracle.working_set(ids) for ids in ([], [0], [0, 1], [0, 1, 2])]
-    stack = oracle.stack(sets)
-
-    def single(r, eid, ledger):
-        return oracle.value_with(sets[r], eid, ledger)
-
-    # id 3 is new to the first three sets and fits each: one call, 3 queries
-    ledger = QueryLedger()
-    want = oracle.value_with_stack(stack, [2, 0, 1], 3, ledger)
-    assert hexes(want) == hexes(single(r, 3, QueryLedger()) for r in [2, 0, 1])
-    assert ledger.query_count == 3
-    assert calls["value_with_stack"] == 1
-    # a member, or a set id 3 no longer fits, sends the batch one set at a
-    # time, with the single query's count and error
-    calls.update(value_with_stack=0, value_with=0)
-    ledger = QueryLedger()
-    got = oracle.value_with_stack(stack, [1, 2], 0, ledger)
-    assert hexes(got) == hexes(single(r, 0, QueryLedger()) for r in [1, 2])
-    ledger = QueryLedger()
-    with pytest.raises(InfeasibleQuery):
-        oracle.value_with_stack(stack, [0, 3, 1], 3, ledger)
-    assert ledger.query_count == 1
-    relaxed = QueryLedger(enforce_feasible=False)
-    oracle.value_with_stack(stack, [0, 3, 1], 3, relaxed)
-    assert (relaxed.query_count, relaxed.infeasible_query_count) == (3, 1)
-    assert calls["value_with_stack"] == 0
-    # a budget stops the one-call batch where single queries would stop
-    for budget in range(3):
-        capped = QueryLedger(budget=budget)
-        with pytest.raises(BudgetExceeded):
-            oracle.value_with_stack(stack, [2, 0, 1], 3, capped)
-        assert capped.query_count == budget
-    capped = QueryLedger(budget=3)
-    assert hexes(oracle.value_with_stack(stack, [2, 0, 1], 3, capped)) == hexes(want)
-    # a whole-set objective answers one set at a time, bit for bit
-    plain = SubmodularOracle(instance, lambda ids: objective.value(ids))
-    plain_sets = [plain.working_set(ws.order) for ws in sets]
-    assert hexes(plain.value_with_stack(plain.stack(plain_sets), [2, 0, 1], 3,
-                                        QueryLedger())) == hexes(want)
-
-
 @pytest.mark.parametrize("bad", NONFINITE)
-def test_stack_batch_counts_whole_before_a_nonfinite_value(bad):
+def test_movie_batch_counts_whole_before_a_nonfinite_value(bad):
     # movie 4 rates one user ``bad`` and is no target, so only a set that
-    # holds it answers a bad value; building that set costs no query
+    # holds it answers a bad value
     vectors = np.random.default_rng(6).standard_normal((6, 4))
     vectors[4, 0] = bad
     with np.errstate(invalid="ignore"):
         objective = MovieObjective(vectors, targets=[0, 1, 2, 3, 5])
     instance = Instance([Element(i, 1.0) for i in range(6)], 3.0)
     oracle = SubmodularOracle(instance, objective)
-    stack = oracle.stack([oracle.working_set(ids) for ids in ([], [4], [0])])
     ledger = QueryLedger()
     with pytest.raises(NonFiniteValue):
-        oracle.value_with_stack(stack, [0, 1, 2], 3, ledger)
-    assert ledger.query_count == 3
-    ledger = QueryLedger()
-    with pytest.raises(NonFiniteValue):
-        oracle.values_with(stack.sets[0], [1, 4, 5], ledger)
+        oracle.values_with(oracle.working_set(), [1, 4, 5], ledger)
     assert ledger.query_count == 3
 
 
 def test_movie_solvers_ask_batches():
-    # the estimator asks each grid batch in one call, greedy each step,
-    # and the augmentation pass each prefix's items
+    # greedy asks each step in one call and the augmentation pass each
+    # prefix's items; the estimator asks one set at a time, and answers its
+    # empty grid sets from the singleton query
     instance, objective = movie_case(3, 40, 8.0)
-    calls = {"values_with": 0, "value_with_stack": 0, "value_with": 0}
+    calls = {"values_with": 0, "value_with": 0}
 
     def counted(name):
         method = getattr(objective, name)
@@ -580,15 +504,13 @@ def test_movie_solvers_ask_batches():
     ledger = QueryLedger()
     est = estimate_lambda(StreamSource.from_instance(instance), 8.0, oracle,
                           ledger=ledger)
-    # one singleton per element, and the empty sets' shared answer
-    assert calls["value_with"] >= instance.n
-    assert 0 < calls["value_with_stack"] <= instance.n
-    assert ledger.query_count > instance.n + calls["value_with_stack"]
-    calls.update(values_with=0, value_with_stack=0, value_with=0)
+    assert calls["values_with"] == 0
+    assert instance.n <= calls["value_with"] < ledger.query_count
+    calls.update(values_with=0, value_with=0)
     report = greedy_plus_max(instance, oracle).report
     assert calls == {"values_with": len(report.trace.steps) - 1,
-                     "value_with_stack": 0, "value_with": 0}
+                     "value_with": 0}
     calls.update(values_with=0)
     sieve_plus_max(StreamSource.from_instance(instance), 8.0, oracle, est.lam,
                    est.alpha, 0.1, density_cap=est.max_singleton_density)
-    assert calls["values_with"] >= 1 and calls["value_with_stack"] == 0
+    assert calls["values_with"] >= 1

@@ -68,6 +68,10 @@ def test_threshold_levels_rejects_bad_parameters():
         threshold_levels(0.0, 1.0, 0.5, 2.0)
     with pytest.raises(InvalidLambda):
         threshold_levels(-1.0, 1.0, 0.5, 2.0)
+    for lam in (math.nan, math.inf, 1e308):  # 6e308 / k overflows
+        with pytest.raises(InvalidLambda):
+            threshold_levels(lam, 1 / 6, 0.1, 2.0)
+    assert len(threshold_levels(1e307, 1 / 6, 0.1, 2.0)) == 27  # 2/alpha = 12
     with pytest.raises(ValueError):
         threshold_levels(1.0, 0.0, 0.5, 2.0)
     with pytest.raises(ValueError):
@@ -320,9 +324,29 @@ def test_k_must_equal_instance_capacity():
 
 
 def test_invalid_lambda_propagates():
+    # a NaN lam used to make an empty grid, and 1e308 / (k / 6) overflows
+    # to inf, which a grid shrinking by 1 + epsilon never leaves
     inst, oracle = tight_oracle()
-    with pytest.raises(InvalidLambda):
-        sieve_plus_max(tight_stream(inst), inst.capacity, oracle, 0.0, 1.0, 0.5)
+    for lam in (0.0, math.nan, math.inf, 1e308):
+        ledger = QueryLedger()
+        with pytest.raises(InvalidLambda):
+            sieve_plus_max(tight_stream(inst), inst.capacity, oracle, lam,
+                           1 / 6, 0.5, ledger)
+        assert ledger.query_count == 0
+
+
+def test_an_estimate_past_the_float_range_raises_a_value_error():
+    # twice 1e308 overflows the window's floor: a ValueError names the
+    # value, where a bare OverflowError used to come from its logarithm
+    inst = Instance([Element(0, 1.0), Element(1, 1.0)], 2.0)
+
+    def run(top):
+        oracle = SubmodularOracle(inst, ModularObjective({0: top, 1: 1.0}))
+        return estimate_lambda(tight_stream(inst), 2.0, oracle)
+
+    with pytest.raises(ValueError, match=r"1e\+308"):
+        run(1e308)
+    assert run(1e307).lam == 1e307
 
 
 # ----------------------------------------------------------- augmentation
@@ -472,19 +496,53 @@ def test_streaming_solvers_reject_the_nan_probe(solver, path, bad):
 @pytest.mark.parametrize("bad", NONFINITE)
 def test_the_estimator_batch_rejects_the_movie_nan_probe(bad):
     # id 2 arrives after 0 and 1 have joined every grid set, so the bad
-    # value first shows in the batch of id 2 against those sets
-    instance, oracle = nan_probe(bad, "protocol", kind="movie")
-    ledger = QueryLedger()
-    with pytest.raises(NonFiniteValue) as info:
-        estimate_lambda(StreamSource.from_instance(instance), 3.0, oracle,
-                        ledger=ledger)
-    assert info.traceback[-1].name == "value_with_stack"
-    # three singletons and three whole batches: the window's floor
-    # max(2 lb, 2 delta) / 9 is 2/9 for ids 0 and 1, then 4/9 at lb = 2
+    # value first shows on id 2's first grid query; both paths ask the
+    # same queries in the same order and stop at the same count
     widths = [len(_grid_indices(tau / (7 / 6), 1.0, math.log(7 / 6)))
               for tau in (2 / 9, 2 / 9, 4 / 9)]
+    # the window's floor max(2 lb, 2 delta) / 9 is 2/9 for ids 0 and 1,
+    # then 4/9 at lb = 2
     assert widths == [11, 11, 7]
-    assert ledger.query_count == 3 + sum(widths)
+    for path in ("protocol", "callable"):
+        instance, oracle = nan_probe(bad, path, kind="movie")
+        ledger = QueryLedger()
+        with pytest.raises(NonFiniteValue, match=r"on \[0, 1, 2\]"):
+            estimate_lambda(StreamSource.from_instance(instance), 3.0, oracle,
+                            ledger=ledger)
+        # three singletons, two whole windows, and id 2's first grid query
+        assert ledger.query_count == 3 + 11 + 11 + 1 == 26
+
+
+def test_the_estimator_answers_its_empty_sets_from_the_singleton_query():
+    # an empty grid set's query is f({e}), just asked as the singleton:
+    # the ledger counts it, the objective is not asked it again
+    instance, objective = movie_case(3, 40, 8.0)
+    asked = []
+
+    def counted(ids):
+        asked.append(ids)
+        return objective.value(ids)
+
+    class Tally(QueryLedger):
+        batched = 0
+
+        def _admit_batch(self, count):
+            self.batched += count
+            super()._admit_batch(count)
+
+    ledger = Tally()
+    est = estimate_lambda(StreamSource.from_instance(instance), 8.0,
+                          SubmodularOracle(instance, counted), ledger=ledger)
+    singles = sorted(min(ids) for ids in asked if len(ids) == 1)
+    assert singles == sorted(instance.element_ids())  # once per element
+    assert ledger.batched > 0
+    assert ledger.query_count == len(asked) + ledger.batched
+    # the protocol path makes the same queries to the same estimate
+    protocol_ledger = QueryLedger()
+    assert estimate_lambda(StreamSource.from_instance(instance), 8.0,
+                           SubmodularOracle(instance, objective),
+                           ledger=protocol_ledger) == est
+    assert protocol_ledger.query_count == ledger.query_count
 
 
 @pytest.mark.parametrize("bad", NONFINITE)

@@ -10,7 +10,9 @@ ones, so neither side always meets a warm or a cold host.  Every run is a
 fresh process with its own set-up.  For each end-to-end metric named in
 the head's ``BENCHMARK.json`` the output holds both sides' runs, medians
 and quartiles, the relative change of the medians, and in how many pairs
-the head was strictly better.  ``--tier1 N`` also times the test suite,
+the head was strictly better (a tie counts for neither).  Each
+checkout's commit is recorded, and whether its files differ from that
+commit (``dirty``).  ``--tier1 N`` also times the test suite,
 ``python -m pytest -q``, in N alternating pairs.
 
 Run it from anywhere; only the two checkouts are read.  Runs are
@@ -73,10 +75,16 @@ def alternate(pairs: int, run):
     return out
 
 
-def git_commit(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+def git_state(checkout: Path) -> tuple[str | None, bool | None]:
+    """The checkout's commit, and whether its files differ from it (``git
+    status --porcelain`` lists anything); ``(None, None)`` outside git."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout,
+                              capture_output=True, text=True)
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return None, None
+    return head.stdout.strip(), bool(git("status", "--porcelain").stdout.strip())
 
 
 def main(argv=None) -> int:
@@ -95,8 +103,10 @@ def main(argv=None) -> int:
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
 
+    states = {side: git_state(path) for side, path in checkouts.items()}
     result = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-              "commits": {side: git_commit(path) for side, path in checkouts.items()},
+              "commits": {side: state[0] for side, state in states.items()},
+              "dirty": {side: state[1] for side, state in states.items()},
               "workloads": {}}
     for workload in args.workload:
         runs = alternate(args.pairs, lambda side: perfbench(
