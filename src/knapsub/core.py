@@ -299,7 +299,9 @@ class SubmodularOracle:
     callables, ``ModularObjective`` (a running float sum would change last
     bits) and ``HiddenPairObjective`` take the fallback path, which calls
     :meth:`evaluate` on the whole set, so a wrapper installed on
-    ``evaluate`` still sees every query.
+    ``evaluate`` still sees every query the oracle answers.  A query that a
+    solver charges with ``QueryLedger._admit_batch`` and answers from a
+    value already asked never reaches it.
 
     Batch protocol (optional, on top of the incremental one).  An objective
     that also defines ``values_with(state, ids) -> ndarray`` promises, for

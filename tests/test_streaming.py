@@ -498,19 +498,19 @@ def test_the_estimator_batch_rejects_the_movie_nan_probe(bad):
     # id 2 arrives after 0 and 1 have joined every grid set, so the bad
     # value first shows on id 2's first grid query; both paths ask the
     # same queries in the same order and stop at the same count
+    # the window's floor max(2 lb, 2 delta) / 9 is 2/9 for ids 0 and 1
     widths = [len(_grid_indices(tau / (7 / 6), 1.0, math.log(7 / 6)))
-              for tau in (2 / 9, 2 / 9, 4 / 9)]
-    # the window's floor max(2 lb, 2 delta) / 9 is 2/9 for ids 0 and 1,
-    # then 4/9 at lb = 2
-    assert widths == [11, 11, 7]
+              for tau in (2 / 9, 2 / 9)]
+    assert widths == [11, 11]
     for path in ("protocol", "callable"):
         instance, oracle = nan_probe(bad, path, kind="movie")
         ledger = QueryLedger()
         with pytest.raises(NonFiniteValue, match=r"on \[0, 1, 2\]"):
             estimate_lambda(StreamSource.from_instance(instance), 3.0, oracle,
                             ledger=ledger)
-        # three singletons, two whole windows, and id 2's first grid query
-        assert ledger.query_count == 3 + 11 + 11 + 1 == 26
+        # three singletons, ids 0 and 1 on their whole windows, and id 2's
+        # first grid query
+        assert ledger.query_count == 3 + sum(widths) + 1 == 26
 
 
 def test_the_estimator_answers_its_empty_sets_from_the_singleton_query():
