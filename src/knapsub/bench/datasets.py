@@ -23,14 +23,6 @@ class SnapGraph:
     adjacency: list[list[int]]
     original_ids: list[int]
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.adjacency)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(nb) for nb in self.adjacency) // 2
-
 
 def ingest_snap(path) -> SnapGraph:
     """Parse a whitespace edge list; '#' lines are comments.

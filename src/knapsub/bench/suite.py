@@ -39,6 +39,17 @@ KNOWN_ALGORITHMS = (
 KNOWN_KINDS = ("snap-edgelist", "movielens-csv", "synthetic")
 
 
+# a config value's parser, by the type its field declares
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "int | None": lambda s: None if s.lower() in ("", "none") else int(s),
+    "list[str]": lambda s: [a.strip() for a in s.split(",") if a.strip()],
+    "list[float]": lambda s: [float(k) for k in s.split(",") if k.strip()],
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One benchmark run: a dataset, an algorithm list, and a K sweep."""
@@ -77,7 +88,11 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         """Flat ``key = value`` lines; '#' comments and blanks are skipped.
 
-        Lists (``algorithms``, ``k``) are comma-separated.
+        Each key names a field (``k`` names ``k_values``) and is parsed by
+        the field's type: lists are comma-separated, and an empty or
+        ``none`` value leaves an optional integer unset.  A key left out
+        takes the field's default; ``dataset`` defaults to "", ``kind`` to
+        synthetic, and the two lists to empty.
         """
         raw: dict[str, str] = {}
         with open(path) as fh:
@@ -90,32 +105,14 @@ class ExperimentConfig:
                 key, _, value = line.partition("=")
                 raw[key.strip()] = value.strip()
 
-        def take(key, conv, default):
-            return conv(raw.pop(key)) if key in raw else default
-
-        def int_or_none(s):
-            return None if s.lower() in ("", "none") else int(s)
-
-        cfg = cls(
-            dataset=raw.pop("dataset", ""),
-            kind=raw.pop("kind", "synthetic"),
-            algorithms=[a.strip() for a in raw.pop("algorithms", "").split(",") if a.strip()],
-            k_values=[float(k) for k in raw.pop("k", "").split(",") if k.strip()],
-            epsilon=take("epsilon", float, 0.1),
-            depth=take("depth", int, 1),
-            seed=take("seed", int, 0),
-            budget=take("budget", int, 10 ** 9),
-            output=raw.pop("output", "results.csv"),
-            iterations=take("iterations", int, 1),
-            max_movies=take("max_movies", int_or_none, None),
-            max_users=take("max_users", int_or_none, None),
-            model=raw.pop("model", "gnp"),
-            n=take("n", int, 100),
-            p=take("p", float, 0.1),
-            attach=take("attach", int, 3),
-        )
+        kw = {"dataset": "", "kind": "synthetic", "algorithms": [], "k_values": []}
+        for f in fields(cls):
+            key = "k" if f.name == "k_values" else f.name
+            if key in raw:
+                kw[f.name] = _PARSERS[f.type](raw.pop(key))
         if raw:
             raise ValueError(f"unknown config keys: {sorted(raw)}")
+        cfg = cls(**kw)
         cfg.validate()
         return cfg
 
@@ -161,28 +158,6 @@ def row_lines(rows) -> list[str]:
 def write_csv(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(row_lines(rows)) + "\n")
-
-
-def parse_csv(path) -> list[ResultRow]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _HEADER:
-        raise ParseError("unexpected result header", line_no=1)
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise ParseError("wrong column count", line_no=None)
-        kw = {}
-        for col, part in zip(_COLUMNS, parts):
-            if col in ("dataset", "algorithm", "status"):
-                kw[col] = part
-            elif col in ("queries", "passes", "rounds"):
-                kw[col] = int(part)
-            else:
-                kw[col] = None if part == "" else float(part)
-        out.append(ResultRow(**kw))
-    return out
 
 
 def csv_hash(rows) -> str:
@@ -245,8 +220,9 @@ def _dispatch(name, instance, oracle, stream, ledger, cfg, seed):
                   density_cap=est.max_singleton_density)
 
 
-def run_suite(cfg: ExperimentConfig, write: bool = True):
-    """Run every (algorithm, K) cell and return the rows in config order.
+def run_suite(cfg: ExperimentConfig):
+    """Run every (algorithm, K) cell, write the rows to ``cfg.output`` and
+    return them in config order.
 
     Each cell (and each iteration inside it) gets a fresh budgeted ledger
     and a fresh stream.  The upper bound comes from one greedy trace per K
@@ -256,8 +232,7 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
     cfg.validate()
     label, objective, raw = build_dataset(cfg)
     rows = run_cells(label, objective, raw, cfg)
-    if write:
-        write_csv(rows, cfg.output)
+    write_csv(rows, cfg.output)
     return rows
 
 

@@ -235,22 +235,16 @@ class QueryLedger:
         self.infeasible_query_count = 0
         self._lock = threading.Lock()
 
-    def _admit(self, infeasible: bool):
-        with self._lock:
-            if self.budget is not None and self.query_count + 1 > self.budget:
-                raise BudgetExceeded(
-                    f"query budget of {self.budget} oracle calls exhausted")
-            self.query_count += 1
-            if infeasible:
-                self.infeasible_query_count += 1
-
-    def _admit_batch(self, count: int):
-        """Admit ``count`` feasible queries under one lock, stopped by a
-        budget where as many single queries would be."""
+    def _admit(self, count: int = 1, infeasible: bool = False):
+        """Admit ``count`` queries under one lock.  A budget stops them where
+        as many single queries would stop: those under it are counted, then
+        :class:`BudgetExceeded` is raised.  The count never falls."""
         with self._lock:
             taken = (count if self.budget is None
-                     else min(count, self.budget - self.query_count))
+                     else max(0, min(count, self.budget - self.query_count)))
             self.query_count += taken
+            if infeasible:
+                self.infeasible_query_count += taken
             if taken < count:
                 raise BudgetExceeded(
                     f"query budget of {self.budget} oracle calls exhausted")
@@ -300,8 +294,8 @@ class SubmodularOracle:
     bits) and ``HiddenPairObjective`` take the fallback path, which calls
     :meth:`evaluate` on the whole set, so a wrapper installed on
     ``evaluate`` still sees every query the oracle answers.  A query that a
-    solver charges with ``QueryLedger._admit_batch`` and answers from a
-    value already asked never reaches it.
+    solver charges with ``QueryLedger._admit`` and answers from a value
+    already asked never reaches it.
 
     Batch protocol (optional, on top of the incremental one).  An objective
     that also defines ``values_with(state, ids) -> ndarray`` promises, for
@@ -334,7 +328,7 @@ class SubmodularOracle:
         infeasible = not self.instance.fits(ids)
         if infeasible and ledger.enforce_feasible:
             raise self._infeasible(ids)
-        ledger._admit(infeasible)
+        ledger._admit(1, infeasible)
         value = float(self._fn(ids | self.instance.base_set))
         if not math.isfinite(value):
             raise _nonfinite(value, ids)
@@ -374,7 +368,7 @@ class SubmodularOracle:
             infeasible = self.instance.units[eid] > ws.room
         if infeasible and ledger.enforce_feasible:
             raise self._infeasible(ws.ids | {eid})
-        ledger._admit(infeasible)
+        ledger._admit(1, infeasible)
         value = obj.value_with(ws.state, eid)
         if not math.isfinite(value):
             raise _nonfinite(value, ws.ids | {eid})
@@ -393,7 +387,7 @@ class SubmodularOracle:
         if obj is None or not self.instance.fit_mask(ids, ws.room).all():
             return np.array([self.value_with(ws, eid, ledger)
                              for eid in ids.tolist()], dtype=float)
-        ledger._admit_batch(len(ids))
+        ledger._admit(len(ids))
         values = obj.values_with(ws.state, ids)
         finite = np.isfinite(values)
         if not finite.all():

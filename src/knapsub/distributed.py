@@ -57,16 +57,12 @@ class MpcConfig:
     sample_factor: float = 4.0
 
     @classmethod
-    def for_instance(cls, instance: Instance, machines: int | None = None,
-                     memory_factor: float = 8.0, seed: int = 0,
-                     sample_factor: float = 4.0) -> "MpcConfig":
+    def for_instance(cls, instance: Instance, seed: int = 0) -> "MpcConfig":
         """Default shape: about sqrt(n / k_tilde) machines holding
-        memory_factor * sqrt(n * k_tilde) items each."""
+        8 * sqrt(n * k_tilde) items each."""
         n = max(1, instance.n)
         kt = max(1, instance.k_tilde)
-        if machines is None:
-            machines = max(1, round(math.sqrt(n / kt)))
-        cfg = cls(machines, memory_factor * math.sqrt(n * kt), seed, sample_factor)
+        cfg = cls(max(1, round(math.sqrt(n / kt))), 8.0 * math.sqrt(n * kt), seed)
         cfg.validate(instance)
         return cfg
 
@@ -104,7 +100,7 @@ class RoundLog:
         return max((r.sent_total for r in self.records), default=0)
 
 
-def simulate_round(workers, payloads, memory_cap: float | None = None):
+def simulate_round(workers, payloads, memory_cap: float):
     """Run one synchronous round, machines in index order.
 
     ``payloads[i]`` is a tuple of sequences handed to machine ``i``; their
@@ -115,7 +111,7 @@ def simulate_round(workers, payloads, memory_cap: float | None = None):
     outs = []
     for i, (worker, payload) in enumerate(zip(workers, payloads)):
         load = sum(len(part) for part in payload)
-        if memory_cap is not None and load > memory_cap:
+        if load > memory_cap:
             raise MemoryCapExceeded(
                 f"machine {i} would hold {load} items, cap {memory_cap:.0f}")
         outs.append(worker(*payload))
@@ -181,7 +177,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
                 sample = (ws_g, [eid for eid, _ in accepted],
                           ledger.query_count - mark)
             else:
-                ledger._admit_batch(sample[2])
+                ledger._admit(sample[2])
             ws_g, sample_ids, _ = sample
             _, accepted, _ = threshold_pass(oracle, local_items, t, ws_g, ledger)
             return sample_ids + [eid for eid, _ in accepted]

@@ -25,7 +25,8 @@ class NonFiniteValue(KnapsubError):
 
 class InvalidLambda(KnapsubError):
     """A streaming run was started with a value estimate that is not
-    positive and finite, or so large that its top threshold overflows."""
+    positive and finite, so large that its top threshold overflows, or so
+    small that its lowest threshold lam/(2k) is not a normal float."""
 
 
 class MemoryCapExceeded(KnapsubError):

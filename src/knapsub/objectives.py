@@ -153,20 +153,20 @@ class CoverageObjective:
         totals = covered.bit_count() + (self._sizes[ids] - hits[ids])
         return totals / self.n_vertices
 
-    def degree(self, v: int) -> int:
-        return int(self._sizes[v]) - 1
+
+_COVERAGE_ALPHA = 1 / 20  # coverage_costs' degree offset: deg(v) - 1/20 > 0
 
 
-def coverage_costs(adjacency, alpha: float = 1 / 20) -> dict[int, float]:
+def coverage_costs(adjacency) -> dict[int, float]:
     """Degree-proportional vertex costs, rescaled so the minimum is exactly 1.
 
-    Raw cost of v is (deg(v) - alpha) / |V|.  Vertices of degree zero are
+    Raw cost of v is (deg(v) - 1/20) / |V|.  Vertices of degree zero are
     assigned the minimum cost directly so the rule stays positive.
     """
 
     n = len(adjacency)
     degs = {v: len({u for u in adjacency[v] if u != v}) for v in range(n)}
-    raw = {v: (d - alpha) / n for v, d in degs.items() if d >= 1}
+    raw = {v: (d - _COVERAGE_ALPHA) / n for v, d in degs.items() if d >= 1}
     if not raw:
         return {v: 1.0 for v in range(n)}
     unit = min(raw.values())
@@ -247,18 +247,15 @@ class MovieObjective:
         return clamped.sum(axis=1)
 
 
-def movie_costs(objective: MovieObjective, gamma: float | None = None) -> dict[int, float]:
+def movie_costs(objective: MovieObjective) -> dict[int, float]:
     """Costs proportional to each movie's singleton value, minimum exactly 1.
 
-    With ``gamma`` unset the scale is 1 over the smallest positive singleton
-    value.  Movies whose singleton value is 0 get the minimum cost 1.
+    The scale is 1 over the smallest positive singleton value.  Movies
+    whose singleton value is 0 get the minimum cost 1.
     """
 
     singles = objective.singleton_values()
     positive = singles[singles > 0]
-    if gamma is not None:
-        return {x: (float(gamma * s) if s > 0 else 1.0)
-                for x, s in enumerate(singles)}
     unit = float(positive.min()) if positive.size else 1.0
     # division keeps the cheapest positive cost at exactly 1.0
     return {x: (float(s) / unit if s > 0 else 1.0)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -63,9 +64,6 @@ class StreamSource:
     def scan(self):
         self.pass_count += 1
         yield from self._ids
-
-    def __len__(self):
-        return len(self._ids)
 
 
 def _scan(stream: StreamSource, instance: Instance):
@@ -108,9 +106,11 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
     2/alpha levels.
 
     ``InvalidLambda`` rejects a ``lam`` that is not positive and finite
-    (NaN included), or whose top level lam/(alpha*k) overflows to inf,
-    before the first level: inf/(1+epsilon) stays inf, so that grid would
-    never end.
+    (NaN included), whose top level lam/(alpha*k) overflows to inf, or
+    whose floor lam/(2k) is below the smallest normal float
+    (``sys.float_info.min``), before the first level: inf/(1+epsilon)
+    stays inf, and a subnormal tau/(1+epsilon) can round back to tau
+    (5e-324/1.1 == 5e-324), so either grid would never end.
     """
     if not 0 < lam < math.inf:
         raise InvalidLambda(f"value estimate must be positive and finite, "
@@ -126,6 +126,9 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
         raise InvalidLambda(f"the top level lam/(alpha*k) overflows for "
                             f"lam={lam!r}, alpha={alpha!r}, k={k!r}")
     floor = lam / (2.0 * k)
+    if floor < sys.float_info.min:
+        raise InvalidLambda(f"the floor lam/(2k) is not a normal float for "
+                            f"lam={lam!r}, k={k!r}")
     while tau > floor:
         levels.append(tau)
         tau /= 1.0 + epsilon
@@ -140,20 +143,16 @@ def _grid_indices(lo: float, hi: float, log_base: float) -> range:
 
 @dataclass
 class OptEstimate:
-    """Result of the single-pass value estimator.
-
-    Unpacks as ``(lam, alpha)``; the remaining fields are diagnostics used
-    to seed later stages (the exact max singleton density) and to audit the
-    space bound (peak retained element count across parallel sieves).
+    """Result of the single-pass value estimator: ``lam`` and ``alpha``
+    seed the sieves; the remaining fields are diagnostics used to seed
+    later stages (the exact max singleton density) and to audit the space
+    bound (peak retained element count across parallel sieves).
     """
 
     lam: float
     alpha: float
     max_singleton_density: float = 0.0
     peak_retained: int = 0
-
-    def __iter__(self):
-        return iter((self.lam, self.alpha))
 
 
 def threshold_pass(oracle: SubmodularOracle, items, tau: float,
@@ -389,7 +388,7 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     arriving element joins every maintained set whose threshold its marginal
     density meets, provided the set stays within budget, so every set is
     feasible and the estimate never exceeds the optimum.  Returns an
-    estimate unpacking as (lam, alpha) with alpha = 1/3 - epsilon_est.
+    estimate ``lam`` with ``alpha`` = 1/3 - epsilon_est.
     ``k`` must equal ``oracle.instance.capacity``, and the indices' widest
     span, 3k(1+epsilon_est)/2, must pass :func:`grid_size` (or ``ValueError``).
 
@@ -447,7 +446,7 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         rows = [r for r, ws in enumerate(sets)
                 if eid not in ws.ids and need <= ws.room]
         # f(empty + e) is fe: charge those queries, but ask only the others
-        ledger._admit_batch(sum(sets[r] is empty for r in rows))
+        ledger._admit(sum(sets[r] is empty for r in rows))
         for r in rows:
             ws = sets[r]
             gain = (fe if ws is empty

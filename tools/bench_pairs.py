@@ -10,7 +10,10 @@ ones, so neither side always meets a warm or a cold host.  Every run is a
 fresh process with its own set-up.  For each end-to-end metric named in
 the head's ``BENCHMARK.json`` the output holds both sides' runs, medians
 and quartiles, the relative change of the medians, and in how many pairs
-the head was strictly better (a tie counts for neither).  Each
+the head was strictly better (a tie counts for neither).  A time (a
+metric in ``s``) below 1/10 or above 10 times its side's median is listed
+under ``implausible`` by pair index and reported on stderr: such a run
+measured something broken, not the code.  Each
 checkout's commit is recorded, and whether its files differ from that
 commit (``dirty``).  ``--tier1 N`` also times the test suite,
 ``python -m pytest -q``, in N alternating pairs.
@@ -53,6 +56,17 @@ def spread(values: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+# a time this many times off its side's median is flagged as implausible
+IMPLAUSIBLE_FACTOR = 10.0
+
+
+def implausible(values: list[float]) -> list[int]:
+    """Indices of the runs below 1/10 or above 10 times the median."""
+    median = statistics.median(values)
+    return [i for i, v in enumerate(values)
+            if v * IMPLAUSIBLE_FACTOR < median or v > IMPLAUSIBLE_FACTOR * median]
 
 
 def compare(base: list[float], head: list[float], better: str) -> dict:
@@ -119,6 +133,14 @@ def main(argv=None) -> int:
             metrics[name] = {"unit": metric["unit"], "better": metric["better"],
                              **compare(values["base"], values["head"],
                                        metric["better"])}
+            if metric["unit"] == "s":
+                flagged = {side: implausible(v) for side, v in values.items()}
+                metrics[name]["implausible"] = flagged
+                for side, at in flagged.items():
+                    if at:
+                        print(f"{workload} {name}: {side} runs {at} lie over "
+                              f"{IMPLAUSIBLE_FACTOR:g}x from their median",
+                              file=sys.stderr)
         result["workloads"][workload] = {
             "metrics": metrics,
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
