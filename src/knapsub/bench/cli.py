@@ -22,14 +22,10 @@ def _cmd_run(args) -> int:
     return 2 if flagged else 0
 
 
-def _probe_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=args.dataset, kind=args.kind, algorithms=[], k_values=[args.k],
-        max_movies=args.max_movies, max_users=args.max_users)
-
-
 def _cmd_brute(args) -> int:
-    label, objective, raw = build_dataset(_probe_config(args))
+    label, objective, raw = build_dataset(ExperimentConfig(
+        dataset=args.dataset, kind=args.kind, algorithms=[], k_values=[args.k],
+        max_movies=args.max_movies, max_users=args.max_users))
     instance = normalize(raw, args.k)
     oracle = SubmodularOracle(instance, objective)
     opt = brute_force_opt(instance, oracle)
@@ -60,6 +56,8 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a synthetic graph is generated, not read: no file kind
+    file_kinds = [k for k in KNOWN_KINDS if k != "synthetic"]
 
     p_run = sub.add_parser("run", help="run a configured experiment suite")
     p_run.add_argument("--config", required=True)
@@ -70,8 +68,7 @@ def main(argv=None) -> int:
     p_brute = sub.add_parser("brute", help="exact optimum for one dataset and K")
     p_brute.add_argument("--dataset", required=True)
     p_brute.add_argument("--k", type=float, required=True)
-    p_brute.add_argument("--kind", default="snap-edgelist",
-                         choices=[k for k in KNOWN_KINDS if k != "synthetic"])
+    p_brute.add_argument("--kind", default="snap-edgelist", choices=file_kinds)
     p_brute.add_argument("--max-movies", type=int, default=None)
     p_brute.add_argument("--max-users", type=int, default=None)
     p_brute.set_defaults(fn=_cmd_brute)
@@ -81,7 +78,7 @@ def main(argv=None) -> int:
     p_verify = data_sub.add_parser(
         "verify", help="parse a file and print its size and minimum cost")
     p_verify.add_argument("path")
-    p_verify.add_argument("--kind", default=None, choices=KNOWN_KINDS)
+    p_verify.add_argument("--kind", default=None, choices=file_kinds)
     p_verify.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)

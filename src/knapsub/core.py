@@ -240,14 +240,15 @@ class QueryLedger:
         as many single queries would stop: those under it are counted, then
         :class:`BudgetExceeded` is raised.  The count never falls."""
         with self._lock:
-            taken = (count if self.budget is None
-                     else max(0, min(count, self.budget - self.query_count)))
-            self.query_count += taken
-            if infeasible:
-                self.infeasible_query_count += taken
-            if taken < count:
+            if self.budget is not None and self.query_count + count > self.budget:
+                taken = max(0, self.budget - self.query_count)
+                self.query_count += taken
+                self.infeasible_query_count += taken if infeasible else 0
                 raise BudgetExceeded(
                     f"query budget of {self.budget} oracle calls exhausted")
+            self.query_count += count
+            if infeasible:
+                self.infeasible_query_count += count
 
 
 @dataclass(frozen=True, slots=True)

@@ -463,6 +463,16 @@ def test_cli_verify_sniffs_kind(tmp_path, capsys):
     assert "movielens-csv" in capsys.readouterr().out
 
 
+def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
+    # a synthetic kind read no file: verify summarized a generated graph
+    # and exited 0 for a path that does not exist
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["datasets", "verify", str(tmp_path / "missing.txt"),
+                  "--kind", "synthetic"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_errors_return_one(tmp_path, capsys):
     assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
