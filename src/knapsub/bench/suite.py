@@ -37,6 +37,7 @@ KNOWN_ALGORITHMS = (
     "distributed_sieve_plus_max",
 )
 KNOWN_KINDS = ("snap-edgelist", "movielens-csv", "synthetic")
+SYNTHETIC_MODELS = ("gnp", "pa")
 
 
 # a config value's parser, by the type its field declares
@@ -72,17 +73,20 @@ class ExperimentConfig:
     attach: int = 3
 
     def validate(self) -> None:
+        """Raise :class:`ParseError` on a value no run can use."""
         if self.kind not in KNOWN_KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ParseError(f"unknown dataset kind {self.kind!r}")
+        if self.kind == "synthetic" and self.model not in SYNTHETIC_MODELS:
+            raise ParseError(f"unknown synthetic model {self.model!r}")
         for a in self.algorithms:
             if a not in KNOWN_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+                raise ParseError(f"unknown algorithm {a!r}")
         if not all(math.isfinite(k) and k > 0 for k in self.k_values):
-            raise ValueError("K values must be positive and finite")
+            raise ParseError("K values must be positive and finite")
         if self.budget <= 0:
-            raise ValueError("query budget must be positive")
+            raise ParseError("query budget must be positive")
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise ParseError("iterations must be at least 1")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -93,8 +97,12 @@ class ExperimentConfig:
         ``none`` value leaves an optional integer unset.  A key left out
         takes the field's default; ``dataset`` defaults to "", ``kind`` to
         synthetic, and the two lists to empty.
+
+        A line that is not ``key = value``, an unknown key or a value that
+        does not parse raises :class:`ParseError` with its line number, and
+        a value :meth:`validate` rejects raises it without one.
         """
-        raw: dict[str, str] = {}
+        raw: dict[str, tuple[str, int]] = {}
         with open(path) as fh:
             for no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -103,15 +111,21 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise ParseError("expected key = value", line_no=no)
                 key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
+                raw[key.strip()] = value.strip(), no
 
         kw = {"dataset": "", "kind": "synthetic", "algorithms": [], "k_values": []}
         for f in fields(cls):
             key = "k" if f.name == "k_values" else f.name
             if key in raw:
-                kw[f.name] = _PARSERS[f.type](raw.pop(key))
+                value, no = raw.pop(key)
+                try:
+                    kw[f.name] = _PARSERS[f.type](value)
+                except ValueError:
+                    raise ParseError(f"cannot read {key} = {value!r} as {f.type}",
+                                     line_no=no) from None
         if raw:
-            raise ValueError(f"unknown config keys: {sorted(raw)}")
+            key, (_, no) = min(raw.items(), key=lambda item: item[1][1])
+            raise ParseError(f"unknown config key {key!r}", line_no=no)
         cfg = cls(**kw)
         cfg.validate()
         return cfg

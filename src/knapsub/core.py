@@ -22,6 +22,13 @@ when every id fits S, and must return, for each id, exactly the float
 time, so it stops where, and with the error, single queries would.  A NaN
 or an infinity raises :class:`NonFiniteValue` once the query is counted; a
 batch answered in one call is counted whole before that check.
+
+A threshold pass may grow S after any query, so it computes a batch ahead
+with :meth:`SubmodularOracle.values_ahead`, which counts nothing, and
+charges with :meth:`SubmodularOracle.charge_ahead` only the prefix that
+single queries would have asked.  The rest is tallied in
+``QueryLedger.speculative_evaluations``: computed, never asked, and never a
+query.
 """
 
 from __future__ import annotations
@@ -117,6 +124,7 @@ class Instance:
         self.unit_capacity = units[0]
         self.units = dict(zip(self._cost, units[1:]))
         self.units.update(dict.fromkeys(self.base_set, 0))
+        self._cost.update(dict.fromkeys(self.base_set, 0.0))
         # built by fit_mask on first use; set here, because an attribute
         # added after __init__ slows every attribute read on the instance
         self._ranks = None
@@ -133,8 +141,6 @@ class Instance:
         return [e.id for e in self.elements]
 
     def cost_of(self, eid: int) -> float:
-        if eid in self.base_set:
-            return 0.0
         return self._cost[eid]
 
     def cost(self, ids) -> float:
@@ -226,6 +232,9 @@ class QueryLedger:
     ``infeasible_query_count`` for observability.  An optional ``budget``
     turns the ledger into a hard stop: a query that would push the count past
     the budget raises :class:`BudgetExceeded` before being evaluated.
+    ``speculative_evaluations`` tallies objective evaluations computed ahead
+    of a query and never asked (see :meth:`SubmodularOracle.values_ahead`);
+    they are not queries.
     """
 
     def __init__(self, enforce_feasible: bool = True, budget: int | None = None):
@@ -233,12 +242,18 @@ class QueryLedger:
         self.budget = budget
         self.query_count = 0
         self.infeasible_query_count = 0
+        self.speculative_evaluations = 0
         self._lock = threading.Lock()
 
-    def _admit(self, count: int = 1, infeasible: bool = False):
+    def _admit(self, count: int = 1, infeasible: bool = False,
+               speculative: int = 0):
         """Admit ``count`` queries under one lock.  A budget stops them where
         as many single queries would stop: those under it are counted, then
-        :class:`BudgetExceeded` is raised.  The count never falls."""
+        :class:`BudgetExceeded` is raised.  The count never falls.
+
+        ``speculative`` more evaluations were computed beside them and never
+        asked: they go to ``speculative_evaluations``, never to
+        ``query_count``, once the queries are admitted."""
         with self._lock:
             if self.budget is not None and self.query_count + count > self.budget:
                 taken = max(0, self.budget - self.query_count)
@@ -249,6 +264,7 @@ class QueryLedger:
             self.query_count += count
             if infeasible:
                 self.infeasible_query_count += count
+            self.speculative_evaluations += speculative
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,6 +412,33 @@ class SubmodularOracle:
             raise _nonfinite(float(values[j]), ws.ids | {int(ids[j])})
         return values
 
+    @property
+    def batched(self) -> bool:
+        """Whether the objective implements the batch protocol."""
+        return self._batch is not None
+
+    def values_ahead(self, ws: WorkingSet, ids) -> np.ndarray:
+        """f(S + e) for every id in ``ids``, computed before anyone asks:
+        nothing is counted and nothing is checked.  Only for a
+        :attr:`batched` oracle and ids that are all held and fit S.  The
+        caller counts the prefix it uses with :meth:`charge_ahead`."""
+        return self._batch.values_with(ws.state, _id_array(ids))
+
+    def charge_ahead(self, ws: WorkingSet, ids, values: np.ndarray, used: int,
+                     ledger: QueryLedger) -> None:
+        """Count the first ``used`` of a :meth:`values_ahead` batch as the
+        queries single ones would be, and the rest as speculative
+        evaluations.  A non-finite value among the first ``used`` ends the
+        count there and raises :class:`NonFiniteValue`, as a single query
+        would; one beyond them is never raised."""
+        finite = np.isfinite(values[:used])
+        if finite.all():
+            ledger._admit(used, speculative=len(values) - used)
+            return
+        used = int(finite.argmin()) + 1
+        ledger._admit(used, speculative=len(values) - used)
+        raise _nonfinite(float(values[used - 1]), ws.ids | {int(ids[used - 1])})
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -448,13 +491,15 @@ class AlgoReport:
     max_central_receipts: int = 0
     wall_time: float = 0.0
     trace: GreedyTrace | None = None
+    speculative_evaluations: int = 0
 
 
 class RunMeter:
     """Marks where one algorithm call starts and builds its :class:`AlgoReport`.
 
-    Queries and stream passes are counted from the moment the meter is made,
-    so work done earlier on a shared ledger or stream is not charged.
+    Queries, speculative evaluations and stream passes are counted from the
+    moment the meter is made, so work done earlier on a shared ledger or
+    stream is not charged.
     """
 
     def __init__(self, name: str, instance: Instance, ledger: QueryLedger,
@@ -464,6 +509,7 @@ class RunMeter:
         self.ledger = ledger
         self.stream = stream
         self.q0 = ledger.query_count
+        self.s0 = ledger.speculative_evaluations
         self.p0 = 0 if stream is None else stream.pass_count
         self.started = time.perf_counter()
 
@@ -479,6 +525,7 @@ class RunMeter:
             max_central_receipts=max_central_receipts,
             wall_time=time.perf_counter() - self.started,
             trace=trace,
+            speculative_evaluations=self.ledger.speculative_evaluations - self.s0,
         )
 
 

@@ -15,10 +15,10 @@ the hidden pair needs the whole set.
 
 Both also implement the batch protocol: ``values_with(state, ids)``
 returns an array holding, for each id, exactly the float
-``value_with(state, id)`` returns, bit for bit.  Coverage's is its
-``value_with`` loop below E/256 ids; the movie's reads at most 256 rows of
-its table (and at most 4 MB) at a time.  The oracle asks it only for ids
-that all fit S.
+``value_with(state, id)`` returns, bit for bit.  Coverage's reads only the
+requested ids' rows below n/4 ids and passes over every edge from there
+on; the movie's reads at most 256 rows of its table (and at most 4 MB) at
+a time.  The oracle asks it only for ids that all fit S.
 
 No objective checks for NaN: the oracle raises
 :class:`~knapsub.errors.NonFiniteValue` on it, after counting the whole
@@ -35,6 +35,10 @@ import numpy as np
 # of the table at once: 256 rows of 2048 targets make 4 MB
 _MOVIE_BATCH_ROWS = 256
 _MOVIE_BATCH_FLOATS = 1 << 19
+# a coverage batch read row by row gathers this many rows at a time
+_ROWS_PER_GATHER = 256
+# the movie cost rule clamps this many columns of the table at a time
+_MOVIE_SUM_COLUMNS = 64
 
 
 class CoverageObjective:
@@ -44,7 +48,8 @@ class CoverageObjective:
     neighborhoods are kept twice: as integer bitmasks, so one evaluation is
     |Z| bitwise ors and a popcount, and as a CSR array (self included,
     duplicates removed, ``int32`` indices), so one batch of "f(S + e)"
-    queries is a few NumPy passes over the edges.
+    queries is a few NumPy passes over the requested rows, or over every
+    edge for a batch of n/4 ids or more.
     """
 
     def __init__(self, adjacency):
@@ -92,6 +97,9 @@ class CoverageObjective:
         self._nbytes = (n + 7) // 8
         # wide enough for any row's count, narrow so a batch stays small
         self._count_type = np.uint16 if n < 2**16 else np.int32
+        # a batch of fewer ids reads only their rows; measured near n/4
+        # ids, the pass over every edge catches up
+        self._row_cutoff = n // 4
         self._masks = self._bitmasks()
 
     def _bitmasks(self) -> list[int]:
@@ -130,17 +138,42 @@ class CoverageObjective:
     def values_with(self, state, ids) -> np.ndarray:
         """(popcount(S's cover) + uncovered vertices of each row) / n, which
         is ``value_with(state, eid)`` for every id, bit for bit: both divide
-        the same exactly representable integers once."""
+        the same exactly representable integers once.
+
+        Fewer than ``_row_cutoff`` ids read only their own rows, in
+        O(sum of their degrees); more take one pass over every edge."""
         ids = np.asarray(ids, dtype=np.intp)
-        if len(ids) * 256 < self._indices.size:
-            # a few rows: one bigint or each costs less than a pass over
-            # the edges (measured below E/256 ids on every graph tried)
-            return np.fromiter((self.value_with(state, e) for e in ids.tolist()),
-                               float, len(ids))
         covered = state or 0
         bits = np.unpackbits(
             np.frombuffer(covered.to_bytes(self._nbytes, "little"), np.uint8),
-            count=self.n_vertices, bitorder="little").astype(self._count_type)
+            count=self.n_vertices, bitorder="little")
+        if len(ids) < self._row_cutoff:
+            hits = self._row_hits(bits, ids)
+        else:
+            hits = self._all_hits(bits)[ids]
+        totals = covered.bit_count() + (self._sizes[ids] - hits)
+        return totals / self.n_vertices
+
+    def _row_hits(self, bits, ids) -> np.ndarray:
+        """The covered vertices of each id's row, from the rows alone, read
+        ``_ROWS_PER_GATHER`` rows at a time so the gathers stay small."""
+        hits = np.empty(len(ids), self._count_type)
+        for a in range(0, len(ids), _ROWS_PER_GATHER):
+            block = ids[a:a + _ROWS_PER_GATHER]
+            sizes = self._sizes[block]
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            # entry i of the gathered rows sits at indices[i + its row's shift]
+            at = np.repeat(self._indptr[block] - starts, sizes)
+            at += np.arange(at.size)
+            # every closed row holds its own vertex, so no row is empty
+            np.add.reduceat(bits[self._indices[at]], starts,
+                            dtype=self._count_type, out=hits[a:a + _ROWS_PER_GATHER])
+        return hits
+
+    def _all_hits(self, bits) -> np.ndarray:
+        """The covered vertices of every row, in one pass over the edges."""
+        bits = bits.astype(self._count_type)
         # np.take casts int32 indices to intp, and reduceat without
         # ``out`` allocates scratch: in chunks, and with ``out``, neither
         # builds an edge-sized int64 array
@@ -150,8 +183,7 @@ class CoverageObjective:
                     out=covered_in[a:a + 8192])
         hits = np.empty(self.n_vertices, self._count_type)
         np.add.reduceat(covered_in, self._indptr[:-1], out=hits)
-        totals = covered.bit_count() + (self._sizes[ids] - hits[ids])
-        return totals / self.n_vertices
+        return hits
 
 
 _COVERAGE_ALPHA = 1 / 20  # coverage_costs' degree offset: deg(v) - 1/20 > 0
@@ -240,11 +272,16 @@ class MovieObjective:
         return out
 
     def singleton_values(self) -> np.ndarray:
-        # summed over a column-major copy: that order fixes the rounding of
-        # every cost derived from these values, and a row-major sum differs
-        clamped = np.array(self._table, order="F")
-        np.maximum(clamped, 0.0, out=clamped)
-        return clamped.sum(axis=1)
+        # each row's clamped entries added one column at a time, left to
+        # right: that order fixes the rounding of every cost derived from
+        # these values, and a row-major (pairwise) sum differs.  Columns are
+        # clamped _MOVIE_SUM_COLUMNS at a time, so no table-sized copy is made.
+        total = np.zeros(self._table.shape[0])
+        for a in range(0, self._table.shape[1], _MOVIE_SUM_COLUMNS):
+            block = np.maximum(self._table[:, a:a + _MOVIE_SUM_COLUMNS], 0.0)
+            for column in block.T:
+                total += column
+        return total
 
 
 def movie_costs(objective: MovieObjective) -> dict[int, float]:

@@ -86,8 +86,12 @@ def _scan(stream: StreamSource, instance: Instance):
 # per grid index: a wider grid comes from a mistaken epsilon
 MAX_LEVELS = 100_000
 
-# the augmentation pass holds at most this many stream items at once
+# the augmentation pass holds at most this many stream items at once, and
+# so does a threshold pass
 AUGMENT_CHUNK = 4096
+
+# a threshold pass on a batched oracle first evaluates this many items ahead
+FIRST_CHUNK = 16
 
 
 def grid_size(ratio: float, epsilon: float) -> int:
@@ -168,24 +172,78 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     every density at the next lower level.  ``singles``, when given,
     receives the gain of each item evaluated while the set is empty, which
     is its singleton gain.
+
+    A :attr:`~knapsub.core.SubmodularOracle.batched` oracle evaluates the
+    fitting items a chunk at a time against the fixed S, with
+    :meth:`~knapsub.core.SubmodularOracle.values_ahead`, and charges them
+    with :meth:`~knapsub.core.SubmodularOracle.charge_ahead` up to and
+    including the first accept; the pass resumes just after it, against
+    the grown set.  The chunk starts at ``FIRST_CHUNK`` items, doubles after
+    a chunk without an accept up to ``AUGMENT_CHUNK``, and starts over
+    after an accept.  The rest of a chunk was computed but never asked: it
+    is tallied in ``QueryLedger.speculative_evaluations``, not counted as
+    queries.  Any other oracle takes chunks of one item, each a
+    :meth:`~knapsub.core.SubmodularOracle.value_with` query.  Either way
+    the pass asks, counts, stops at a budget or a non-finite value, and
+    records ``seen`` and ``singles`` exactly as one query at a time would.
+    ``items`` is read lazily and at most one chunk is held.
     """
     inst = oracle.instance
     units = inst.units
+    batched = oracle.batched
+    first, most = (FIRST_CHUNK, AUGMENT_CHUNK) if batched else (1, 1)
+    size = first
     accepted = []
     seen = 0.0
-    for eid in items:
-        if eid in ws.ids or units[eid] > ws.room:
+    items = iter(items)
+    pending: list[int] = []  # read, not yet charged, in stream order
+    failed = None            # an error raised by ``items`` while reading
+    while True:
+        if len(pending) < size and failed is None:
+            try:
+                for eid in islice(items, size - len(pending)):
+                    pending.append(eid)
+            except KeyError as exc:  # the items before it still run
+                failed = exc
+        if not pending:
+            if failed is not None:
+                raise failed
+            return ws, accepted, seen
+        chunk = [eid for eid in pending[:size]
+                 if eid not in ws.ids and units[eid] <= ws.room]
+        del pending[:size]
+        if not chunk:
+            size = min(2 * size, most)
             continue
-        gain = oracle.value_with(ws, eid, ledger) - ws.value
+        if batched:
+            ahead = oracle.values_ahead(ws, chunk)
+            values = ahead.tolist()
+        else:
+            values = [oracle.value_with(ws, chunk[0], ledger)]
+        gains = [value - ws.value for value in values]
+        hit = None  # the first item that clears tau ends what is charged
+        best = seen
+        for at, (gain, cost) in enumerate(zip(gains, map(inst.cost_of, chunk))):
+            density = max(0.0, gain) / cost
+            if density > tau:
+                hit = at
+                break
+            if density > best:
+                best = density
+        used = len(chunk) if hit is None else hit + 1
+        if batched:
+            oracle.charge_ahead(ws, chunk, ahead, used, ledger)
+        seen = best
         if singles is not None and not ws.ids:
-            singles[eid] = gain
-        density = max(0.0, gain) / inst.cost_of(eid)
-        if density > tau:
+            singles.update(zip(chunk[:used], gains))
+        if hit is None:
+            size = min(2 * size, most)
+        else:
+            eid, gain = chunk[hit], gains[hit]
             ws = oracle.add(ws, eid, ws.value + gain)
             accepted.append((eid, gain))
-        elif density > seen:
-            seen = density
-    return ws, accepted, seen
+            pending[:0] = chunk[used:]
+            size = first
 
 
 def augment_pass(oracle: SubmodularOracle, items, prefixes,

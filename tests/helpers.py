@@ -117,3 +117,37 @@ def movie_case(seed, movies, capacity, base=0, targets=None):
     costs = movie_costs(objective)
     raw = [(i, 0.0 if i < base else costs[i]) for i in range(movies)]
     return normalize(raw, capacity), objective
+
+
+def scalar_threshold_pass(oracle, items, tau, ws, ledger, singles=None):
+    """The reference for ``knapsub.streaming.threshold_pass``: one
+    :meth:`SubmodularOracle.value_with` query per fitting item, in order,
+    with the same ``(ws, accepted, seen)`` result and ``singles`` record."""
+    inst = oracle.instance
+    accepted = []
+    seen = 0.0
+    for eid in items:
+        if eid in ws.ids or inst.units[eid] > ws.room:
+            continue
+        gain = oracle.value_with(ws, eid, ledger) - ws.value
+        if singles is not None and not ws.ids:
+            singles[eid] = gain
+        density = max(0.0, gain) / inst.cost_of(eid)
+        if density > tau:
+            ws = oracle.add(ws, eid, ws.value + gain)
+            accepted.append((eid, gain))
+        elif density > seen:
+            seen = density
+    return ws, accepted, seen
+
+
+def recording(kernel, log):
+    """``kernel`` that appends, per pass, its accepted pairs, ``seen`` and
+    a copy of ``singles`` to ``log``, with every float as hex."""
+    def run(oracle, items, tau, ws, ledger, singles=None):
+        ws, accepted, seen = kernel(oracle, items, tau, ws, ledger, singles)
+        log.append(([(eid, gain.hex()) for eid, gain in accepted], seen.hex(),
+                    None if singles is None
+                    else {eid: gain.hex() for eid, gain in singles.items()}))
+        return ws, accepted, seen
+    return run

@@ -207,15 +207,16 @@ def test_config_from_file_parses_every_field_by_its_type(tmp_path):
     assert ExperimentConfig.from_file(p) == ExperimentConfig(
         "", "synthetic", ["greedy"], [3.0])
     p.write_text("k_values = 3\n")  # the key is k
-    with pytest.raises(ValueError, match="k_values"):
+    with pytest.raises(ParseError, match="k_values"):
         ExperimentConfig.from_file(p)
 
 
 def test_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text("kind = synthetic\nalgorithms = greedy\nk = 3\nwat = 1\n")
-    with pytest.raises(ValueError, match="wat"):
+    with pytest.raises(ParseError, match="wat") as err:
         ExperimentConfig.from_file(p)
+    assert err.value.line_no == 4
 
 
 def test_config_rejects_missing_equals(tmp_path):
@@ -227,20 +228,23 @@ def test_config_rejects_missing_equals(tmp_path):
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         ExperimentConfig("d", "nope", ["greedy"], [3.0]).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         ExperimentConfig("d", "synthetic", ["wat"], [3.0]).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         ExperimentConfig("d", "synthetic", ["greedy"], [0.0]).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         ExperimentConfig("d", "synthetic", ["greedy"], [3.0],
                          iterations=0).validate()
+    with pytest.raises(ParseError, match="model"):
+        ExperimentConfig("d", "synthetic", ["greedy"], [3.0],
+                         model="er").validate()
 
 
 def test_config_rejects_nonfinite_k():
     for k in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="K values"):
+        with pytest.raises(ParseError, match="K values"):
             ExperimentConfig("d", "synthetic", ["greedy"], [3.0, k]).validate()
 
 
@@ -471,6 +475,29 @@ def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
                   "--kind", "synthetic"])
     assert exit_.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    # a value that does not parse, with its line
+    ("kind = synthetic\nn = ten\nalgorithms = greedy\nk = 3\n",
+     "error: line 2: cannot read n = 'ten'"),
+    # a key no field has, with its line
+    ("kind = synthetic\nalgorithms = greedy\nk = 3\nwat = 1\n",
+     "error: line 4: unknown config key 'wat'"),
+    # values that parse but that validate rejects
+    ("kind = synthetic\nalgorithms = greedy\nk = 3\niterations = 0\n",
+     "error: iterations must be at least 1"),
+    ("kind = synthetic\nalgorithms = gredy\nk = 3\n",
+     "error: unknown algorithm 'gredy'"),
+])
+def test_cli_run_reports_a_bad_config_and_exits_one(tmp_path, capsys, text,
+                                                    message):
+    # these escaped main as a bare ValueError traceback
+    cfgp = tmp_path / "exp.cfg"
+    cfgp.write_text(text + f"output = {tmp_path / 'out.csv'}\n")
+    assert cli_main(["run", "--config", str(cfgp)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_errors_return_one(tmp_path, capsys):

@@ -19,17 +19,26 @@ from knapsub import (
     QueryLedger,
     StreamSource,
     SubmodularOracle,
+    coverage_costs,
     distributed_sieve_plus_max,
     greedy_order,
+    greedy_plus_max,
     normalize,
     sieve_plus_max,
     simulate_round,
     threshold_levels,
 )
+from knapsub.bench.datasets import preferential_adjacency
 from knapsub.streaming import threshold_pass
 
 from conftest import random_adjacency
-from helpers import NONFINITE, nan_probe, tight_oracle
+from helpers import (
+    NONFINITE,
+    nan_probe,
+    recording,
+    scalar_threshold_pass,
+    tight_oracle,
+)
 
 
 def wide_config(inst, machines, seed=0):
@@ -368,3 +377,57 @@ def test_distributed_rejects_the_nan_probe(machines, path, bad):
     with pytest.raises(NonFiniteValue):
         distributed_sieve_plus_max(instance, oracle, 0.5, 0.5, 0.5,
                                    wide_config(instance, machines))
+
+
+@pytest.mark.parametrize("machines", [1, 4])
+def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, machines):
+    # machines, the shared sample and the coordinator all filter through
+    # the kernel; the coordinator's arrivals repeat every accepted sample id
+    # once per machine, and each copy is charged as the scalar loop charges it
+    adjacency = preferential_adjacency(600, 2, seed=4)
+    instance = normalize(sorted(coverage_costs(adjacency).items()), 12.0)
+    oracle = SubmodularOracle(instance, CoverageObjective(adjacency))
+    lam = greedy_plus_max_value(instance, oracle)
+    repeated = []
+    runs = []
+    for kernel in (threshold_pass, scalar_threshold_pass):
+        log = []
+        record = recording(kernel, log)
+
+        def noting(oracle, items, *args, record=record):
+            items = list(items)
+            repeated.append(len(items) > len(set(items)))
+            return record(oracle, items, *args)
+
+        monkeypatch.setattr(knapsub.distributed, "threshold_pass", noting)
+        ledger = QueryLedger()
+        result = distributed_sieve_plus_max(instance, oracle, lam, 0.5, 0.25,
+                                            wide_config(instance, machines), ledger)
+        report = result.report
+        runs.append((sorted(report.solution.ids), report.solution.value.hex(),
+                     report.queries, ledger.query_count,
+                     result.round_log.records, log))
+        spent = report.speculative_evaluations
+    assert runs[0] == runs[1]
+    assert sum(len(accepted) for accepted, _, _ in runs[0][-1]) >= 5
+    assert spent == 0
+    assert any(repeated) == (machines > 1)
+
+
+def greedy_plus_max_value(instance, oracle):
+    return greedy_plus_max(instance, oracle, QueryLedger()).report.solution.value
+
+
+def test_distributed_tallies_what_it_computes_ahead():
+    adjacency = preferential_adjacency(600, 2, seed=4)
+    instance = normalize(sorted(coverage_costs(adjacency).items()), 12.0)
+    objective = CoverageObjective(adjacency)
+    lam = greedy_plus_max_value(instance, SubmodularOracle(instance, objective))
+    reports = [distributed_sieve_plus_max(
+        instance, SubmodularOracle(instance, fn), lam, 0.5, 0.25,
+        wide_config(instance, 3)).report
+        for fn in (objective, lambda ids: objective.value(ids))]
+    assert reports[0].speculative_evaluations > 0
+    assert reports[1].speculative_evaluations == 0
+    assert (reports[0].solution, reports[0].queries) == \
+        (reports[1].solution, reports[1].queries)

@@ -234,13 +234,36 @@ def test_values_with_is_value_with_bit_for_bit(n):
     ids = [e.id for e in instance.elements]
     for _ in range(20):
         ws = oracle.working_set(rng.sample(ids, rng.randint(0, n // 2)))
-        # all ids (one pass over the edges) and a few (one bigint or each)
+        # all ids (one pass over the edges) and a few (their rows alone)
         for batch in (ids, [], *(ids[j:j + 3] for j in range(0, len(ids), 3))):
             got = oracle.values_with(ws, batch, QueryLedger())
             want = [oracle.value_with(ws, eid, QueryLedger()) for eid in batch]
             assert hexes(got) == hexes(want)
             assert hexes(objective.values_with(None, batch)) == \
                 hexes(objective.value_with(None, eid) for eid in batch)
+
+
+@pytest.mark.parametrize("n", [9, 40, 150])
+def test_both_coverage_batch_paths_are_value_with_bit_for_bit(n):
+    # fewer than the cutoff's ids read their rows alone, the cutoff and
+    # more pass over every edge; multiples of 7 are isolated vertices
+    objective = CoverageObjective(ragged_adjacency(n, n))
+    cutoff = objective._row_cutoff
+    assert cutoff == n // 4 >= 2
+    passes = []
+    all_hits = objective._all_hits
+    objective._all_hits = lambda bits: passes.append(len(bits)) or all_hits(bits)
+    rng = random.Random(n)
+    for state in (None, objective.extend(None, [0]),
+                  objective.extend(None, rng.sample(range(n), n // 3)),
+                  objective.extend(None, range(n))):
+        for size in (0, 1, cutoff - 1, cutoff, cutoff + 1, n):
+            ids = [0, *rng.sample(range(1, n), size - 1)] if size else []
+            before = len(passes)
+            got = objective.values_with(state, np.array(ids, dtype=np.intp))
+            assert hexes(got) == hexes(objective.value_with(state, eid)
+                                       for eid in ids)
+            assert len(passes) - before == (size >= cutoff)
 
 
 def both_oracles(instance, objective):

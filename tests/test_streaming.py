@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knapsub.streaming
 from knapsub import (
     BudgetExceeded,
+    CoverageObjective,
     Element,
     Instance,
     InvalidLambda,
@@ -19,22 +21,35 @@ from knapsub import (
     QueryLedger,
     StreamSource,
     SubmodularOracle,
+    coverage_costs,
     estimate_lambda,
     greedy_plus_max,
+    normalize,
     sieve,
     sieve_or_max,
     sieve_plus_max,
     threshold_levels,
 )
+from knapsub.bench.datasets import preferential_adjacency
 from knapsub.streaming import (
     MAX_LEVELS,
     _grid_indices,
     augment_pass,
     best_augmented,
     grid_size,
+    threshold_pass,
 )
 
-from helpers import NONFINITE, movie_case, movie_vectors, nan_probe, tight_oracle
+from helpers import (
+    NONFINITE,
+    NanProbe,
+    movie_case,
+    movie_vectors,
+    nan_probe,
+    recording,
+    scalar_threshold_pass,
+    tight_oracle,
+)
 
 
 def tight_stream(inst):
@@ -694,3 +709,200 @@ def test_estimator_over_the_cap_raises_before_any_query():
         estimate_lambda(StreamSource.from_instance(wide), 1e300, wide_oracle, 1e-3)
     assert estimate_lambda(StreamSource.from_instance(wide), 1e300,
                            wide_oracle).lam == 1.0
+
+
+# ------------------------------------------------- speculative threshold kernel
+
+
+def kernel_case(kind):
+    """A stream long enough for the threshold chunks to grow past their
+    first size, with accepts inside them: a sparse coverage graph with
+    degree costs, or movies with singleton costs."""
+    if kind == "coverage":
+        adjacency = preferential_adjacency(600, 2, seed=4)
+        costs = coverage_costs(adjacency)
+        instance = normalize(sorted(costs.items()), 12.0)
+        return instance, CoverageObjective(adjacency)
+    return movie_case(5, 300, 30.0)
+
+
+def sieve_run(solver, instance, oracle, ledger):
+    stream = StreamSource.from_instance(instance)
+    est = estimate_lambda(stream, instance.capacity, oracle, ledger=QueryLedger())
+    run = {"sieve": sieve, "sieve_or_max": sieve_or_max,
+           "sieve_plus_max": sieve_plus_max}[solver]
+    return run(stream, instance.capacity, oracle, est.lam, est.alpha, 0.1,
+               ledger, density_cap=est.max_singleton_density)
+
+
+@pytest.mark.parametrize("kind", ["coverage", "movie"])
+@pytest.mark.parametrize("solver", ["sieve", "sieve_or_max", "sieve_plus_max"])
+def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, kind, solver):
+    # ids, values, queries, passes and the trace, and per pass the accepted
+    # gains, seen and the singleton gains, bit for bit
+    instance, objective = kernel_case(kind)
+    oracle = SubmodularOracle(instance, objective)
+    runs = []
+    for kernel in (threshold_pass, scalar_threshold_pass):
+        log = []
+        monkeypatch.setattr(knapsub.streaming, "threshold_pass",
+                            recording(kernel, log))
+        ledger = QueryLedger()
+        report = sieve_run(solver, instance, oracle, ledger)
+        runs.append((sorted(report.solution.ids), report.solution.value.hex(),
+                     report.queries, ledger.query_count, report.passes,
+                     report.trace, log))
+        spent = report.speculative_evaluations
+    assert runs[0] == runs[1]
+    assert sum(len(accepted) for accepted, _, _ in runs[0][-1]) >= 5
+    assert spent == 0  # the reference never computes ahead
+
+
+def test_the_chunked_kernel_computes_ahead_and_tallies_it():
+    # chunks grow past 16 items and accepts fall inside them
+    instance, objective = kernel_case("coverage")
+    report = sieve_run("sieve", instance, SubmodularOracle(instance, objective),
+                       QueryLedger())
+    accepted = len(report.trace.steps) - 1
+    assert accepted >= 5
+    assert report.speculative_evaluations > 16
+
+
+def counting(objective):
+    """Count every id the objective evaluates, on every path."""
+    asked = {"ids": 0}
+    for name, size in (("value", lambda args: 1), ("value_with", lambda args: 1),
+                       ("values_with", lambda args: len(args[1]))):
+        method = getattr(objective, name)
+
+        def wrapper(*args, method=method, size=size):
+            asked["ids"] += size(args)
+            return method(*args)
+        setattr(objective, name, wrapper)
+    return asked
+
+
+@pytest.mark.parametrize("kind", ["coverage", "movie"])
+@pytest.mark.parametrize("solver", ["sieve", "sieve_plus_max"])
+def test_the_tally_is_what_was_evaluated_and_not_charged(kind, solver):
+    instance, objective = kernel_case(kind)
+    asked = counting(objective)
+    oracle = SubmodularOracle(instance, objective)
+    stream = StreamSource.from_instance(instance)
+    est = estimate_lambda(stream, instance.capacity, oracle)
+    asked["ids"] = 0
+    ledger = QueryLedger()
+    run = sieve if solver == "sieve" else sieve_plus_max
+    report = run(stream, instance.capacity, oracle, est.lam, est.alpha, 0.1,
+                 ledger, density_cap=est.max_singleton_density)
+    assert report.speculative_evaluations == ledger.speculative_evaluations > 0
+    assert asked["ids"] == report.queries + report.speculative_evaluations
+    # a plain callable is asked one query at a time, never ahead
+    plain = sieve_run(solver, instance,
+                      SubmodularOracle(instance, lambda ids: objective.value(ids)),
+                      QueryLedger())
+    assert plain.speculative_evaluations == 0
+    assert (plain.solution, plain.queries) == (report.solution, report.queries)
+
+
+def test_budget_stops_both_kernels_at_every_count(monkeypatch):
+    # every budget lands in a threshold pass, the greedy reorder or the
+    # augmentation pass; both kernels stop exactly there
+    adjacency = preferential_adjacency(150, 2, seed=4)
+    instance = normalize(sorted(coverage_costs(adjacency).items()), 8.0)
+    oracle = SubmodularOracle(instance, CoverageObjective(adjacency))
+    est = estimate_lambda(StreamSource.from_instance(instance), 8.0, oracle)
+
+    def run(ledger):
+        return sieve_plus_max(StreamSource.from_instance(instance), 8.0, oracle,
+                              est.lam, est.alpha, 0.1, ledger,
+                              density_cap=est.max_singleton_density)
+
+    full = run(QueryLedger())
+    total = full.queries
+    assert total == 240 and full.speculative_evaluations > 0
+    for kernel in (threshold_pass, scalar_threshold_pass):
+        monkeypatch.setattr(knapsub.streaming, "threshold_pass", kernel)
+        for budget in range(total + 2):
+            ledger = QueryLedger(budget=budget)
+            if budget < total:
+                with pytest.raises(BudgetExceeded):
+                    run(ledger)
+                assert ledger.query_count == budget
+            else:
+                assert run(ledger).solution == full.solution
+                assert ledger.query_count == total
+
+
+def probe_pass(bad, path, items, tau, capacity=3.0):
+    """``threshold_pass`` on the NaN probe from S = {0}: every item gains
+    1/6 at cost 1, and f(S + 2) is ``bad``.  Returns the pass's result or
+    its error, the queries counted and the speculative tally."""
+    objective = NanProbe(bad)
+    instance = Instance([Element(i, 1.0) for i in range(6)], capacity)
+    fn = objective if path == "protocol" else (lambda ids: objective.value(ids))
+    oracle = SubmodularOracle(instance, fn)
+    ws = oracle.working_set([0], 1 / 6)
+    ledger = QueryLedger()
+    try:
+        _, accepted, seen = threshold_pass(oracle, items, tau, ws, ledger)
+        result = ([eid for eid, _ in accepted], seen)
+    except NonFiniteValue:
+        result = "NonFiniteValue"
+    return result, ledger.query_count, ledger.speculative_evaluations
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_a_nonfinite_value_in_the_uncharged_tail_is_never_raised(bad):
+    # 1 is accepted, after which 2 no longer fits K=2: the scalar loop never
+    # asks f(S + 2), and the chunk that computed it ahead does not raise
+    assert probe_pass(bad, "callable", [1, 2], 0.1, capacity=2.0) == \
+        (([1], 0.0), 1, 0)
+    assert probe_pass(bad, "protocol", [1, 2], 0.1, capacity=2.0) == \
+        (([1], 0.0), 1, 1)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("items, tau, count", [
+    ([3, 2, 1], 0.5, 2),  # after a reject, before an item the chunk holds
+    ([2, 1], 0.1, 1),     # before an accept later in the chunk
+    ([1, 2], 0.5, 2),     # after a reject, last in the chunk
+])
+def test_a_nonfinite_value_in_the_charged_prefix_raises_at_the_scalar_count(
+        bad, items, tau, count):
+    assert probe_pass(bad, "callable", items, tau) == \
+        ("NonFiniteValue", count, 0)
+    assert probe_pass(bad, "protocol", items, tau) == \
+        ("NonFiniteValue", count, len(items) - count)
+
+
+def test_a_threshold_pass_reads_one_chunk_at_a_time():
+    # the pass never holds the whole stream: it reads at most the cap ahead
+    instance, objective = kernel_case("coverage")
+    oracle = SubmodularOracle(instance, objective)
+    read = []
+
+    def stream():
+        for eid in instance.element_ids():
+            read.append(eid)
+            yield eid
+
+    ws = oracle.working_set((), oracle.evaluate((), QueryLedger()))
+    ledger = QueryLedger()
+    # nothing clears an infinite level, so the chunks only grow
+    seen_sizes = []
+    items = stream()
+    original = oracle.values_ahead
+
+    def ahead(ws, ids):
+        seen_sizes.append((len(ids), len(read)))
+        return original(ws, ids)
+
+    oracle.values_ahead = ahead
+    threshold_pass(oracle, items, math.inf, ws, ledger)
+    assert instance.n == 592
+    assert [size for size, _ in seen_sizes] == [16, 32, 64, 128, 256, 96]
+    # each chunk is read just before it is evaluated, never further ahead
+    assert [total for _, total in seen_sizes] == [16, 48, 112, 240, 496, 592]
+    assert ledger.query_count == instance.n
+    assert ledger.speculative_evaluations == 0
