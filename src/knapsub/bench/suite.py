@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ParseError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "synthetic" and self.model not in SYNTHETIC_MODELS:
             raise ParseError(f"unknown synthetic model {self.model!r}")
+        if self.kind == "synthetic" and self.model == "pa" and \
+                not self.n >= self.attach >= 1:
+            raise ParseError(f"a pa graph needs n >= attach >= 1, got "
+                             f"n={self.n}, attach={self.attach}")
         for a in self.algorithms:
             if a not in KNOWN_ALGORITHMS:
                 raise ParseError(f"unknown algorithm {a!r}")

@@ -319,6 +319,8 @@ class SubmodularOracle:
     each id, exactly the float ``value_with(state, id)`` returns.
     :meth:`values_with` lets it answer a batch of ids that all fit S in one
     call; ``CoverageObjective`` and ``MovieObjective`` implement it.
+    :meth:`values_ahead` computes such a batch without counting it, for a
+    caller that then charges the prefix it uses with :meth:`charge_ahead`.
 
     Every batch answered in one call is counted whole, and stopped by a
     budget where single queries would be, before its values are checked

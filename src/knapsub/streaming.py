@@ -202,8 +202,10 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
         if len(pending) < size and failed is None:
             try:
                 for eid in islice(items, size - len(pending)):
+                    if eid not in units:
+                        raise KeyError(eid)
                     pending.append(eid)
-            except KeyError as exc:  # the items before it still run
+            except KeyError as exc:  # an unknown id: the items before it run
                 failed = exc
         if not pending:
             if failed is not None:

@@ -489,6 +489,9 @@ def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
      "error: iterations must be at least 1"),
     ("kind = synthetic\nalgorithms = gredy\nk = 3\n",
      "error: unknown algorithm 'gredy'"),
+    # the generator raised ValueError on a graph smaller than its attach
+    ("kind = synthetic\nmodel = pa\nn = 2\nattach = 3\nalgorithms = greedy\n"
+     "k = 3\n", "error: a pa graph needs n >= attach >= 1"),
 ])
 def test_cli_run_reports_a_bad_config_and_exits_one(tmp_path, capsys, text,
                                                     message):

@@ -876,6 +876,20 @@ def test_a_nonfinite_value_in_the_charged_prefix_raises_at_the_scalar_count(
         ("NonFiniteValue", count, len(items) - count)
 
 
+@pytest.mark.parametrize("ids, asked", [([0, 2, 99], 2), ([99, 0], 0)])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_an_unknown_id_stops_both_kernels_at_the_same_count(ids, asked, lazy):
+    # the items read before it are still asked, and it is never asked
+    instance = Instance([Element(i, 1.0) for i in range(4)], 3.0)
+    oracle = SubmodularOracle(instance, CoverageObjective([[1], [0], [3], [2]]))
+    for kernel in (threshold_pass, scalar_threshold_pass):
+        ledger = QueryLedger()
+        with pytest.raises(KeyError, match="99"):
+            kernel(oracle, iter(ids) if lazy else ids, 10.0,
+                   oracle.working_set((), 0.0), ledger)
+        assert ledger.query_count == asked
+
+
 def test_a_threshold_pass_reads_one_chunk_at_a_time():
     # the pass never holds the whole stream: it reads at most the cap ahead
     instance, objective = kernel_case("coverage")
