@@ -379,6 +379,10 @@ def test_distributed_rejects_the_nan_probe(machines, path, bad):
                                    wide_config(instance, machines))
 
 
+def greedy_plus_max_value(instance, oracle):
+    return greedy_plus_max(instance, oracle, QueryLedger()).report.solution.value
+
+
 @pytest.mark.parametrize("machines", [1, 4])
 def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, machines):
     # machines, the shared sample and the coordinator all filter through
@@ -412,10 +416,6 @@ def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, machines):
     assert sum(len(accepted) for accepted, _, _ in runs[0][-1]) >= 5
     assert spent == 0
     assert any(repeated) == (machines > 1)
-
-
-def greedy_plus_max_value(instance, oracle):
-    return greedy_plus_max(instance, oracle, QueryLedger()).report.solution.value
 
 
 def test_distributed_tallies_what_it_computes_ahead():
