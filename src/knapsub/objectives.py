@@ -9,9 +9,11 @@ incremental protocol of :class:`~knapsub.core.SubmodularOracle`:
 ``extend(state, ids)`` folds ids into an immutable state (``None`` is the
 empty set), and ``value_with(state, eid)`` returns exactly the float
 ``value(S | {eid})`` returns for the set S behind ``state``, bit for bit,
-without touching S.  ``ModularObjective`` and ``HiddenPairObjective`` do
-not: a running float sum would differ from ``value`` in the last bits, and
-the hidden pair needs the whole set.
+without touching S.  A coverage state is a read-only ``bool`` array of
+the covered vertices and their count; every coverage query reads the
+graph's one CSR array.  ``ModularObjective`` and ``HiddenPairObjective``
+do not implement it: a running float sum would differ from ``value`` in
+the last bits, and the hidden pair needs the whole set.
 
 Both also implement the batch protocol: ``values_with(state, ids)``
 returns an array holding, for each id, exactly the float
@@ -45,22 +47,27 @@ class CoverageObjective:
     """Fraction of vertices dominated by the chosen set.
 
     f(Z) = |Z union N(Z)| / |V| on an undirected graph.  Closed
-    neighborhoods are kept twice: as integer bitmasks, so one evaluation is
-    |Z| bitwise ors and a popcount, and as a CSR array (self included,
-    duplicates removed, ``int32`` indices), so one batch of "f(S + e)"
-    queries is a few NumPy passes over the requested rows, or over every
-    edge for a batch of n/4 ids or more.
+    neighborhoods are kept once, as a CSR array (self included, duplicates
+    removed), so the graph takes O(n + E) memory.  A set's state is a
+    read-only ``bool`` array of its covered vertices and their count: one
+    "f(S + e)" query reads e's row, and a batch of them is a few NumPy
+    passes over the requested rows, or over every edge for a batch of n/4
+    ids or more.
     """
 
     def __init__(self, adjacency):
         """``adjacency`` maps vertex id (0..n-1) to a collection of neighbors.
-        Edges must come symmetric; self-loops are ignored."""
+        Edges must come symmetric; self-loops are ignored.  An empty graph
+        raises ``ValueError``: f divides by |V|."""
         n = self.n_vertices = len(adjacency)
+        if not n:
+            raise ValueError("the graph has no vertices")
         rows = [adjacency[v] for v in range(n)]
         sizes = np.fromiter(map(len, rows), np.intp, n)
         total = int(sizes.sum())
         # one key row * n + col per entry, self included; int32 while n * n
-        # fits, and updated in place, so no edge-sized int64 array is built
+        # fits, and updated in place, so no second edge-sized key array is
+        # built
         key_type = np.int32 if n * n < 2**31 else np.int64
         own = np.arange(n + 1, dtype=key_type)
         try:
@@ -82,10 +89,9 @@ class CoverageObjective:
 
         self._indptr = np.searchsorted(keys, own * n)
         self._sizes = np.diff(self._indptr)
-        m = max(n, 1)
-        transposed = keys % m
+        transposed = keys % n
         transposed *= n
-        transposed += keys // m
+        transposed += keys // n
         transposed.sort()
         if not np.array_equal(keys, transposed):
             nbrs = [set(row) for row in rows]
@@ -93,68 +99,58 @@ class CoverageObjective:
                         if u != v and v not in nbrs[u])
             raise ValueError(f"edge {v}-{u} is not symmetric")
         del transposed
-        self._indices = (keys % m).astype(np.int32, copy=False)
-        self._nbytes = (n + 7) // 8
+        # intp, as NumPy indexes: an int32 row would be cast on every read
+        self._indices = (keys % n).astype(np.intp)
         # wide enough for any row's count, narrow so a batch stays small
         self._count_type = np.uint16 if n < 2**16 else np.int32
         # a batch of fewer ids reads only their rows; measured near n/4
         # ids, the pass over every edge catches up
         self._row_cutoff = n // 4
-        self._masks = self._bitmasks()
+        empty = np.zeros(n, dtype=bool)
+        empty.flags.writeable = False
+        self._empty = empty, 0
 
-    def _bitmasks(self) -> list[int]:
-        """Each closed neighborhood as an integer bitmask, packed little-endian
-        into about 64 KB of rows at a time."""
-        n, width = self.n_vertices, self._nbytes
-        masks = []
-        block = max(1, (1 << 16) // max(width, 1))
-        for lo in range(0, n, block):
-            hi = min(n, lo + block)
-            cols = self._indices[self._indptr[lo]:self._indptr[hi]]
-            packed = np.zeros((hi - lo) * width, dtype=np.uint8)
-            at = np.repeat(np.arange(hi - lo) * width, self._sizes[lo:hi])
-            # several columns can share a byte, so or them in unbuffered
-            np.bitwise_or.at(packed, at + (cols >> 3),
-                             np.left_shift(1, cols & 7).astype(np.uint8))
-            raw = packed.tobytes()
-            masks.extend(int.from_bytes(raw[i:i + width], "little")
-                          for i in range(0, len(raw), width))
-        return masks
-
-    def value(self, ids) -> float:
-        return self.extend(0, ids).bit_count() / self.n_vertices
-
-    def extend(self, state, ids) -> int:
-        """The state is the union of the chosen neighborhoods, as a bitmask."""
-        covered = state or 0
+    def _cover(self, covered, ids) -> np.ndarray:
+        """``covered`` with every id's row marked, in place."""
+        indptr, indices = self._indptr, self._indices
         for v in ids:
-            covered |= self._masks[v]
+            covered[indices[indptr[v]:indptr[v + 1]]] = True
         return covered
 
+    def value(self, ids) -> float:
+        covered = self._cover(np.zeros(self.n_vertices, dtype=bool), ids)
+        return int(np.count_nonzero(covered)) / self.n_vertices
+
+    def extend(self, state, ids) -> tuple[np.ndarray, int]:
+        """The state is ``(covered, count)``: a read-only ``bool`` array
+        marking the union of the chosen neighborhoods, and its true
+        entries' count.  One state seeds many sets, so none is written."""
+        covered = self._cover((state or self._empty)[0].copy(), ids)
+        covered.flags.writeable = False
+        return covered, int(np.count_nonzero(covered))
+
     def value_with(self, state, eid: int) -> float:
-        covered = self._masks[eid] if state is None else state | self._masks[eid]
-        return covered.bit_count() / self.n_vertices
+        covered, count = state or self._empty
+        row = self._indices[self._indptr[eid]:self._indptr[eid + 1]]
+        hits = int(np.count_nonzero(covered[row]))
+        return (count + row.size - hits) / self.n_vertices
 
     def values_with(self, state, ids) -> np.ndarray:
-        """(popcount(S's cover) + uncovered vertices of each row) / n, which
+        """(S's covered count + uncovered vertices of each row) / n, which
         is ``value_with(state, eid)`` for every id, bit for bit: both divide
         the same exactly representable integers once.
 
         Fewer than ``_row_cutoff`` ids read only their own rows, in
         O(sum of their degrees); more take one pass over every edge."""
         ids = np.asarray(ids, dtype=np.intp)
-        covered = state or 0
-        bits = np.unpackbits(
-            np.frombuffer(covered.to_bytes(self._nbytes, "little"), np.uint8),
-            count=self.n_vertices, bitorder="little")
+        covered, count = state or self._empty
         if len(ids) < self._row_cutoff:
-            hits = self._row_hits(bits, ids)
+            hits = self._row_hits(covered, ids)
         else:
-            hits = self._all_hits(bits)[ids]
-        totals = covered.bit_count() + (self._sizes[ids] - hits)
-        return totals / self.n_vertices
+            hits = self._all_hits(covered)[ids]
+        return (count + (self._sizes[ids] - hits)) / self.n_vertices
 
-    def _row_hits(self, bits, ids) -> np.ndarray:
+    def _row_hits(self, covered, ids) -> np.ndarray:
         """The covered vertices of each id's row, from the rows alone, read
         ``_ROWS_PER_GATHER`` rows at a time so the gathers stay small."""
         hits = np.empty(len(ids), self._count_type)
@@ -167,20 +163,14 @@ class CoverageObjective:
             at = np.repeat(self._indptr[block] - starts, sizes)
             at += np.arange(at.size)
             # every closed row holds its own vertex, so no row is empty
-            np.add.reduceat(bits[self._indices[at]], starts,
+            np.add.reduceat(covered[self._indices[at]], starts,
                             dtype=self._count_type, out=hits[a:a + _ROWS_PER_GATHER])
         return hits
 
-    def _all_hits(self, bits) -> np.ndarray:
+    def _all_hits(self, covered) -> np.ndarray:
         """The covered vertices of every row, in one pass over the edges."""
-        bits = bits.astype(self._count_type)
-        # np.take casts int32 indices to intp, and reduceat without
-        # ``out`` allocates scratch: in chunks, and with ``out``, neither
-        # builds an edge-sized int64 array
-        covered_in = np.empty(self._indices.size, self._count_type)
-        for a in range(0, covered_in.size, 8192):
-            np.take(bits, self._indices[a:a + 8192],
-                    out=covered_in[a:a + 8192])
+        covered_in = covered.astype(self._count_type)[self._indices]
+        # reduceat without ``out`` would allocate edge-sized scratch
         hits = np.empty(self.n_vertices, self._count_type)
         np.add.reduceat(covered_in, self._indptr[:-1], out=hits)
         return hits

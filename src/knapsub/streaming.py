@@ -458,7 +458,8 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     charged to the ledger at once and answered with the value just asked,
     and each other set is one :meth:`SubmodularOracle.value_with` query.
     A value so large that the window's floor max(2*LB, 2*delta)/(3k)
-    overflows a float raises ``ValueError``, naming the value.
+    overflows a float, or so small that it underflows to 0, raises
+    ``ValueError``, naming the value.
     """
     if epsilon_est <= 0 or epsilon_est >= 1 / 3:
         raise ValueError("epsilon_est must lie in (0, 1/3)")
@@ -493,6 +494,9 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         if math.isinf(tau_min):
             raise ValueError(f"value {max(lb, delta)!r} is too large for the "
                              f"grid: its floor max(2*LB, 2*delta)/(3k) overflows")
+        if tau_min == 0:
+            raise ValueError(f"value {max(lb, delta)!r} is too small for the "
+                             f"grid: its floor max(2*LB, 2*delta)/(3k) is 0")
         active = _grid_indices(tau_min / base, delta, log_base)
         # not active != window: two empty ranges are equal at any start
         if (active.start, active.stop) != (window.start, window.stop):

@@ -42,9 +42,10 @@ class NanProbe(CoverageObjective):
         super().__init__([[] for _ in range(6)])
         self.bad = bad
 
-    def _answer(self, cover: int, value: float) -> float:
+    def _answer(self, state, value: float) -> float:
         # an isolated vertex covers only itself: the cover is the set
-        return self.bad if cover >> 2 & 1 and cover.bit_count() >= 2 else value
+        covered, count = state
+        return self.bad if covered[2] and count >= 2 else value
 
     def value(self, ids):
         return self._answer(self.extend(None, ids), super().value(ids))

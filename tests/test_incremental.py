@@ -230,7 +230,7 @@ def test_values_with_is_value_with_bit_for_bit(n):
     raw = [(v, 0.0 if v in base else rng.uniform(1.0, 3.0)) for v in range(n)]
     instance = normalize(raw, 1e6)
     oracle = SubmodularOracle(instance, objective)
-    assert oracle.working_set().state  # the base set is covered
+    assert oracle.working_set().state[1]  # the base set is covered
     ids = [e.id for e in instance.elements]
     for _ in range(20):
         ws = oracle.working_set(rng.sample(ids, rng.randint(0, n // 2)))
@@ -264,6 +264,26 @@ def test_both_coverage_batch_paths_are_value_with_bit_for_bit(n):
             assert hexes(got) == hexes(objective.value_with(state, eid)
                                        for eid in ids)
             assert len(passes) - before == (size >= cutoff)
+
+
+def test_coverage_states_are_never_written():
+    # one working set seeds many machines and threshold sets, so growing
+    # it must leave its state as it was, and no state takes a write
+    n = 40
+    objective = CoverageObjective(ragged_adjacency(n, n))
+    oracle = SubmodularOracle(normalize([(v, 1.0) for v in range(n)], 1e6),
+                              objective)
+    parent = oracle.working_set([3, 8])
+    covered, count = parent.state
+    before = covered.copy()
+    children = [oracle.add(parent, eid) for eid in range(n)
+                if eid not in parent.ids]
+    assert parent.state[0] is covered and parent.state[1] == count
+    assert np.array_equal(covered, before)
+    assert count == np.count_nonzero(before)
+    for state in (parent.state, children[-1].state, objective.extend(None, ())):
+        with pytest.raises(ValueError, match="read-only"):
+            state[0][0] = True
 
 
 def both_oracles(instance, objective):

@@ -1,6 +1,7 @@
 """Objective functions: hand values, cost rules, structural properties."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from knapsub import (
     coverage_costs,
     movie_costs,
 )
+from knapsub.bench.datasets import preferential_adjacency
 
 STAR = [[1, 2, 3], [0], [0], [0]]  # center 0, three leaves
 
@@ -72,6 +74,28 @@ def test_coverage_names_the_bad_vertex_or_edge():
         CoverageObjective([[1], [0, 2**40]])
     with pytest.raises(ValueError, match="edge 1-2 is not symmetric"):
         CoverageObjective([[1], [0, 2, 0], [], []])
+
+
+def test_coverage_rejects_an_empty_graph():
+    # f = |Z union N(Z)| / |V| is undefined when |V| = 0; a solve on such a
+    # graph used to crash with ZeroDivisionError
+    with pytest.raises(ValueError, match="no vertices"):
+        CoverageObjective([])
+
+
+def test_coverage_builds_a_large_graph_in_linear_memory():
+    # n-bit neighbourhood masks took n^2/8 bytes, 50 MB at this n, and
+    # peaked near 42 MB; the CSR alone peaks near 3 MB
+    n = 20_000
+    adjacency = preferential_adjacency(n, 3)
+    tracemalloc.start()
+    try:
+        objective = CoverageObjective(adjacency)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert objective.value({0}) == (len(set(adjacency[0])) + 1) / n
 
 
 def test_coverage_drops_duplicate_neighbors():

@@ -18,6 +18,7 @@ from knapsub import (
     ModularObjective,
     MovieObjective,
     NonFiniteValue,
+    OptEstimate,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
@@ -380,6 +381,23 @@ def test_an_estimate_past_the_float_range_raises_a_value_error():
     with pytest.raises(ValueError, match=r"1e\+308"):
         run(1e308)
     assert run(1e307).lam == 1e307
+
+
+def test_an_estimate_whose_floor_underflows_raises_a_value_error():
+    # 2 * 5e-324 / 30 underflows the window's floor to 0: a ValueError
+    # names the value, where its logarithm used to raise a bare
+    # "math domain error"; subnormal values whose floor stays positive
+    # keep their estimate
+    inst = Instance([Element(0, 1.0), Element(1, 1.0)], 10.0)
+
+    def run(value):
+        oracle = SubmodularOracle(inst, ModularObjective({0: value, 1: value}))
+        return estimate_lambda(tight_stream(inst), 10.0, oracle)
+
+    with pytest.raises(ValueError, match="5e-324"):
+        run(5e-324)
+    for value, peak in ((1e-320, 38), (1e-310, 38), (1e-300, 36)):
+        assert run(value) == OptEstimate(2 * value, 1 / 3 - 1 / 6, value, peak)
 
 
 # ----------------------------------------------------------- augmentation
