@@ -8,27 +8,26 @@ exactly 1, which makes ``floor(capacity)`` an upper bound on solution size.
 
 Solvers ask "f(S + e)" of a :class:`WorkingSet`: S with its exact integer
 room and the objective's incremental state.  An objective that implements
-the optional protocol ``extend(state, ids) -> state`` and
-``value_with(state, eid) -> float`` answers such a query in time independent
-of |S|; any other objective is evaluated on the whole set, as by
+the protocol, all three of ``extend(state, ids) -> state``,
+``value_with(state, eid) -> float`` and ``values_with(state, ids) ->
+ndarray``, answers such a query in time independent of |S|, and a batch of
+them against one fixed S in one call.  Any other objective, one with only
+part of the protocol included, is evaluated on the whole set, as by
 :meth:`SubmodularOracle.evaluate`.  Both paths count the same queries and
-return the same floats, bit for bit.
+return the same floats, bit for bit.  A batch of ids that do not all fit S
+is asked one id at a time, so it stops where, and with the error, single
+queries would.  A NaN or an infinity raises :class:`NonFiniteValue` once
+the query is counted; a batch answered in one call is counted whole before
+that check.
 
-A greedy sweep asks "f(S + e)" for a whole batch of ids against one fixed S,
-through :meth:`SubmodularOracle.values_with`.  An objective that also
-implements ``values_with(state, ids) -> ndarray`` answers it in one call
-when every id fits S, and must return, for each id, exactly the float
-``value_with`` returns, bit for bit.  Any other batch is asked one id at a
-time, so it stops where, and with the error, single queries would.  A NaN
-or an infinity raises :class:`NonFiniteValue` once the query is counted; a
-batch answered in one call is counted whole before that check.
-
-A threshold pass may grow S after any query, so it computes a batch ahead
-with :meth:`SubmodularOracle.values_ahead`, which counts nothing, and
-charges with :meth:`SubmodularOracle.charge_ahead` only the prefix that
-single queries would have asked.  The rest is tallied in
-``QueryLedger.speculative_evaluations``: computed, never asked, and never a
-query.
+A threshold pass may grow S after any query, so it reads its values with
+:meth:`SubmodularOracle.values_ahead` and settles them with
+:meth:`SubmodularOracle.charge_ahead`, which counts only the prefix that
+single queries would have asked.  A protocol objective computes the batch
+ahead and the rest is tallied in ``QueryLedger.speculative_evaluations``:
+computed, never asked, and never a query.  Any other objective is asked
+one counted query at a time as the pass reads the values, so nothing is
+computed ahead.
 """
 
 from __future__ import annotations
@@ -278,7 +277,7 @@ class WorkingSet:
     exact integer capacity left (``Instance.units``, negative if over).
     ``value`` is f(S) as the caller recorded it, or ``None`` where nothing
     reads it; ``state`` is the objective's incremental state of S plus the
-    base set, ``None`` on the fallback path.  Make one with
+    base set, ``None`` on the whole-set path.  Make one with
     :meth:`SubmodularOracle.working_set` and grow it with
     :meth:`SubmodularOracle.add`; it is never mutated, so one working set
     may seed many machines or threshold sets.
@@ -299,28 +298,23 @@ class SubmodularOracle:
     The base set is unioned into every evaluation, so base members
     contribute nothing as marginals.
 
-    Incremental protocol (optional).  An objective that also defines
-    ``extend(state, ids) -> state`` (``None`` is the empty set) and
-    ``value_with(state, eid) -> float`` promises that
-    ``value_with(extend(None, S), eid)`` returns exactly the float
-    ``value(S | {eid})`` returns, bit for bit.  :meth:`value_with` then
-    answers from the working set's state and its exact ``room``, in time
-    independent of |S|.  :class:`~knapsub.objectives.CoverageObjective` and
-    :class:`~knapsub.objectives.MovieObjective` implement it.  Plain
-    callables, ``ModularObjective`` (a running float sum would change last
-    bits) and ``HiddenPairObjective`` take the fallback path, which calls
-    :meth:`evaluate` on the whole set, so a wrapper installed on
-    ``evaluate`` still sees every query the oracle answers.  A query that a
-    solver charges with ``QueryLedger._admit`` and answers from a value
-    already asked never reaches it.
-
-    Batch protocol (optional, on top of the incremental one).  An objective
-    that also defines ``values_with(state, ids) -> ndarray`` promises, for
-    each id, exactly the float ``value_with(state, id)`` returns.
-    :meth:`values_with` lets it answer a batch of ids that all fit S in one
-    call; ``CoverageObjective`` and ``MovieObjective`` implement it.
-    :meth:`values_ahead` computes such a batch without counting it, for a
-    caller that then charges the prefix it uses with :meth:`charge_ahead`.
+    The protocol (optional).  An objective that also defines
+    ``extend(state, ids) -> state`` (``None`` is the empty set),
+    ``value_with(state, eid) -> float`` and ``values_with(state, ids) ->
+    ndarray`` promises that ``value_with(extend(None, S), eid)`` returns
+    exactly the float ``value(S | {eid})`` returns, and ``values_with`` the
+    same float for each id, bit for bit.  :meth:`value_with` then answers
+    from the working set's state and its exact ``room``, in time
+    independent of |S|, and :meth:`values_with` answers a batch of ids that
+    all fit S in one call.  :class:`~knapsub.objectives.CoverageObjective`
+    and :class:`~knapsub.objectives.MovieObjective` implement it.  Any other
+    objective takes the whole-set path, which calls :meth:`evaluate` on the
+    whole set, so a wrapper installed on ``evaluate`` still sees every query
+    the oracle answers: plain callables, ``ModularObjective`` (a running
+    float sum would change last bits), ``HiddenPairObjective``, and an
+    object with only part of the protocol.  A query that a solver charges
+    with ``QueryLedger._admit`` and answers from a value already asked
+    never reaches it.
 
     Every batch answered in one call is counted whole, and stopped by a
     budget where single queries would be, before its values are checked
@@ -333,9 +327,9 @@ class SubmodularOracle:
         if owner is not None and fn == getattr(owner, "value", None):
             fn = owner
         self._fn = fn.value if hasattr(fn, "value") else fn
-        incremental = hasattr(fn, "extend") and hasattr(fn, "value_with")
-        self._incremental = fn if incremental else None
-        self._batch = fn if incremental and hasattr(fn, "values_with") else None
+        protocol = all(hasattr(fn, name)
+                       for name in ("extend", "value_with", "values_with"))
+        self._protocol = fn if protocol else None
 
     def _infeasible(self, ids) -> InfeasibleQuery:
         return InfeasibleQuery(
@@ -358,9 +352,8 @@ class SubmodularOracle:
         spends no query."""
         order = tuple(ids)
         state = None
-        if self._incremental is not None:
-            state = self._incremental.extend(
-                None, (*self.instance.base_set, *order))
+        if self._protocol is not None:
+            state = self._protocol.extend(None, (*self.instance.base_set, *order))
         return WorkingSet(order, frozenset(order), self.instance.room(order),
                           value, state)
 
@@ -370,15 +363,15 @@ class SubmodularOracle:
         spends no query."""
         order = (*ws.order, eid)
         state = None
-        if self._incremental is not None:
-            state = self._incremental.extend(ws.state, (eid,))
+        if self._protocol is not None:
+            state = self._protocol.extend(ws.state, (eid,))
         return WorkingSet(order, frozenset(order),
                           ws.room - self.instance.units[eid], value, state)
 
     def value_with(self, ws: WorkingSet, eid: int, ledger: QueryLedger) -> float:
         """f(S + eid) for the working set S: one query, counted and checked
         for feasibility exactly as :meth:`evaluate` would."""
-        obj = self._incremental
+        obj = self._protocol
         if obj is None:
             return self.evaluate(ws.ids | {eid}, ledger)
         if eid in ws.ids:
@@ -396,12 +389,12 @@ class SubmodularOracle:
     def values_with(self, ws: WorkingSet, ids, ledger: QueryLedger) -> np.ndarray:
         """f(S + e) for every id in ``ids``, in order, as a float array.
 
-        When every id is held and fits S, a batch protocol objective answers
-        in one call: ``len(ids)`` queries, all counted before a non-finite
+        When every id is held and fits S, a protocol objective answers in
+        one call: ``len(ids)`` queries, all counted before a non-finite
         value raises, stopped at a budget where single queries would be.
         Any other batch is that many :meth:`value_with` calls.
         """
-        obj = self._batch
+        obj = self._protocol
         ids = _id_array(ids)
         if obj is None or not self.instance.fit_mask(ids, ws.room).all():
             return np.array([self.value_with(ws, eid, ledger)
@@ -414,25 +407,30 @@ class SubmodularOracle:
             raise _nonfinite(float(values[j]), ws.ids | {int(ids[j])})
         return values
 
-    @property
-    def batched(self) -> bool:
-        """Whether the objective implements the batch protocol."""
-        return self._batch is not None
+    def values_ahead(self, ws: WorkingSet, ids, ledger: QueryLedger):
+        """f(S + e) for the ids of a list that are all held and fit S, to be
+        read in order up to a point and settled with :meth:`charge_ahead`.
 
-    def values_ahead(self, ws: WorkingSet, ids) -> np.ndarray:
-        """f(S + e) for every id in ``ids``, computed before anyone asks:
-        nothing is counted and nothing is checked.  Only for a
-        :attr:`batched` oracle and ids that are all held and fit S.  The
-        caller counts the prefix it uses with :meth:`charge_ahead`."""
-        return self._batch.values_with(ws.state, _id_array(ids))
+        A protocol objective computes them all at once, as a list of floats:
+        nothing is counted and nothing is checked until ``charge_ahead``.
+        Any other objective gets a generator of :meth:`value_with` queries,
+        each counted and checked when it is read, so nothing is computed
+        ahead and ``charge_ahead`` has nothing left to charge.
+        """
+        if self._protocol is None:
+            return (self.value_with(ws, eid, ledger) for eid in ids)
+        return self._protocol.values_with(ws.state, _id_array(ids)).tolist()
 
-    def charge_ahead(self, ws: WorkingSet, ids, values: np.ndarray, used: int,
+    def charge_ahead(self, ws: WorkingSet, ids, values, used: int,
                      ledger: QueryLedger) -> None:
-        """Count the first ``used`` of a :meth:`values_ahead` batch as the
-        queries single ones would be, and the rest as speculative
-        evaluations.  A non-finite value among the first ``used`` ends the
-        count there and raises :class:`NonFiniteValue`, as a single query
-        would; one beyond them is never raised."""
+        """Settle a :meth:`values_ahead` batch of which the first ``used``
+        were read: count them as the queries single ones would be, and the
+        rest as speculative evaluations.  A non-finite value among the
+        first ``used`` ends the count there and raises
+        :class:`NonFiniteValue`, as a single query would; one beyond them
+        is never raised."""
+        if self._protocol is None:
+            return  # each value read was a query, counted when read
         finite = np.isfinite(values[:used])
         if finite.all():
             ledger._admit(used, speculative=len(values) - used)
@@ -467,18 +465,6 @@ class GreedyTrace:
     """
 
     steps: list[TraceStep] = field(default_factory=list)
-
-    def validate(self, offline: bool = False):
-        """Assert the structural trace invariants."""
-        prev = None
-        for s in self.steps:
-            assert s.next_density >= 0.0 and s.ub_density >= 0.0
-            if prev is not None:
-                assert s.cum_cost > prev.cum_cost
-                assert s.value >= prev.value - 1e-12
-                if offline:
-                    assert s.next_density <= prev.next_density + 1e-12
-            prev = s
 
 
 @dataclass

@@ -62,9 +62,7 @@ class MpcConfig:
         8 * sqrt(n * k_tilde) items each."""
         n = max(1, instance.n)
         kt = max(1, instance.k_tilde)
-        cfg = cls(max(1, round(math.sqrt(n / kt))), 8.0 * math.sqrt(n * kt), seed)
-        cfg.validate(instance)
-        return cfg
+        return cls(max(1, round(math.sqrt(n / kt))), 8.0 * math.sqrt(n * kt), seed)
 
     def validate(self, instance: Instance) -> None:
         if self.machines < 1:
@@ -91,9 +89,6 @@ class RoundLog:
     """Per-round communication and query accounting for one run."""
 
     records: list[RoundRecord] = field(default_factory=list)
-
-    def add(self, **kw) -> None:
-        self.records.append(RoundRecord(**kw))
 
     @property
     def max_central_receipts(self) -> int:
@@ -187,10 +182,11 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
         arrivals = [eid for out in outputs for eid in out]
         ws_t, _, _ = threshold_pass(oracle, arrivals, t, ws_t, ledger)
-        log.add(round=rno, threshold=t, gamma_size=len(gamma),
-                sent_per_machine=tuple(len(o) for o in outputs),
-                sent_total=len(arrivals), t_size=len(ws_t.order),
-                queries=ledger.query_count - q_mark)
+        log.records.append(RoundRecord(
+            round=rno, threshold=t, gamma_size=len(gamma),
+            sent_per_machine=tuple(len(o) for o in outputs),
+            sent_total=len(arrivals), t_size=len(ws_t.order),
+            queries=ledger.query_count - q_mark))
         q_mark = ledger.query_count
 
     # augmentation round against greedily reordered prefixes
@@ -206,10 +202,11 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     payloads = [(prefixes[-1].order, slices[i]) for i in range(m)]
     outputs = simulate_round([aug_machine] * m, payloads, config.memory_cap)
     ids, value = best_augmented(prefixes, [c for out in outputs for c in out])
-    log.add(round=len(levels), threshold=0.0, gamma_size=0,
-            sent_per_machine=tuple(len(o) for o in outputs),
-            sent_total=sum(len(o) for o in outputs), t_size=len(ws_t.order),
-            queries=ledger.query_count - q_mark)
+    log.records.append(RoundRecord(
+        round=len(levels), threshold=0.0, gamma_size=0,
+        sent_per_machine=tuple(len(o) for o in outputs),
+        sent_total=sum(len(o) for o in outputs), t_size=len(ws_t.order),
+        queries=ledger.query_count - q_mark))
 
     report = meter.report(ids, value, rounds=len(levels) + 1,
                           max_central_receipts=log.max_central_receipts)

@@ -4,23 +4,21 @@ All objectives are monotone and submodular on feasible sets, evaluate
 deterministically on frozensets of ids, and keep no mutable state, so a
 single objective may back many concurrent runs.
 
-``CoverageObjective`` and ``MovieObjective`` also implement the optional
-incremental protocol of :class:`~knapsub.core.SubmodularOracle`:
-``extend(state, ids)`` folds ids into an immutable state (``None`` is the
-empty set), and ``value_with(state, eid)`` returns exactly the float
-``value(S | {eid})`` returns for the set S behind ``state``, bit for bit,
-without touching S.  A coverage state is a read-only ``bool`` array of
-the covered vertices and their count; every coverage query reads the
-graph's one CSR array.  ``ModularObjective`` and ``HiddenPairObjective``
-do not implement it: a running float sum would differ from ``value`` in
-the last bits, and the hidden pair needs the whole set.
-
-Both also implement the batch protocol: ``values_with(state, ids)``
-returns an array holding, for each id, exactly the float
-``value_with(state, id)`` returns, bit for bit.  Coverage's reads only the
-requested ids' rows below n/4 ids and passes over every edge from there
-on; the movie's reads at most 256 rows of its table (and at most 4 MB) at
-a time.  The oracle asks it only for ids that all fit S.
+``CoverageObjective`` and ``MovieObjective`` also implement the protocol
+of :class:`~knapsub.core.SubmodularOracle`: ``extend(state, ids)`` folds
+ids into an immutable state (``None`` is the empty set),
+``value_with(state, eid)`` returns exactly the float ``value(S | {eid})``
+returns for the set S behind ``state``, bit for bit, without touching S,
+and ``values_with(state, ids)`` returns an array holding, for each id,
+exactly the float ``value_with(state, id)`` returns.  The oracle asks
+``values_with`` only for ids that all fit S.  A coverage state is a
+read-only ``bool`` array of the covered vertices and their count; every
+coverage query reads the graph's one CSR array, a batch below n/4 ids
+only the requested rows and a larger one every edge.  The movie batch
+reads at most 256 rows of its table (and at most 4 MB) at a time.
+``ModularObjective`` and ``HiddenPairObjective`` do not implement it: a
+running float sum would differ from ``value`` in the last bits, and the
+hidden pair needs the whole set.
 
 No objective checks for NaN: the oracle raises
 :class:`~knapsub.errors.NonFiniteValue` on it, after counting the whole
@@ -37,8 +35,6 @@ import numpy as np
 # of the table at once: 256 rows of 2048 targets make 4 MB
 _MOVIE_BATCH_ROWS = 256
 _MOVIE_BATCH_FLOATS = 1 << 19
-# a coverage batch read row by row gathers this many rows at a time
-_ROWS_PER_GATHER = 256
 # the movie cost rule clamps this many columns of the table at a time
 _MOVIE_SUM_COLUMNS = 64
 
@@ -110,22 +106,17 @@ class CoverageObjective:
         empty.flags.writeable = False
         self._empty = empty, 0
 
-    def _cover(self, covered, ids) -> np.ndarray:
-        """``covered`` with every id's row marked, in place."""
-        indptr, indices = self._indptr, self._indices
-        for v in ids:
-            covered[indices[indptr[v]:indptr[v + 1]]] = True
-        return covered
-
     def value(self, ids) -> float:
-        covered = self._cover(np.zeros(self.n_vertices, dtype=bool), ids)
-        return int(np.count_nonzero(covered)) / self.n_vertices
+        return self.extend(None, ids)[1] / self.n_vertices
 
     def extend(self, state, ids) -> tuple[np.ndarray, int]:
         """The state is ``(covered, count)``: a read-only ``bool`` array
         marking the union of the chosen neighborhoods, and its true
         entries' count.  One state seeds many sets, so none is written."""
-        covered = self._cover((state or self._empty)[0].copy(), ids)
+        covered = (state or self._empty)[0].copy()
+        indptr, indices = self._indptr, self._indices
+        for v in ids:
+            covered[indices[indptr[v]:indptr[v + 1]]] = True
         covered.flags.writeable = False
         return covered, int(np.count_nonzero(covered))
 
@@ -151,21 +142,16 @@ class CoverageObjective:
         return (count + (self._sizes[ids] - hits)) / self.n_vertices
 
     def _row_hits(self, covered, ids) -> np.ndarray:
-        """The covered vertices of each id's row, from the rows alone, read
-        ``_ROWS_PER_GATHER`` rows at a time so the gathers stay small."""
-        hits = np.empty(len(ids), self._count_type)
-        for a in range(0, len(ids), _ROWS_PER_GATHER):
-            block = ids[a:a + _ROWS_PER_GATHER]
-            sizes = self._sizes[block]
-            ends = np.cumsum(sizes)
-            starts = ends - sizes
-            # entry i of the gathered rows sits at indices[i + its row's shift]
-            at = np.repeat(self._indptr[block] - starts, sizes)
-            at += np.arange(at.size)
-            # every closed row holds its own vertex, so no row is empty
-            np.add.reduceat(covered[self._indices[at]], starts,
-                            dtype=self._count_type, out=hits[a:a + _ROWS_PER_GATHER])
-        return hits
+        """The covered vertices of each id's row, from the rows alone."""
+        sizes = self._sizes[ids]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # entry i of the gathered rows sits at indices[i + its row's shift]
+        at = np.repeat(self._indptr[ids] - starts, sizes)
+        at += np.arange(at.size)
+        # every closed row holds its own vertex, so no row is empty
+        return np.add.reduceat(covered[self._indices[at]], starts,
+                               dtype=self._count_type)
 
     def _all_hits(self, covered) -> np.ndarray:
         """The covered vertices of every row, in one pass over the edges."""

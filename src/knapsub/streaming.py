@@ -90,7 +90,7 @@ MAX_LEVELS = 100_000
 # so does a threshold pass
 AUGMENT_CHUNK = 4096
 
-# a threshold pass on a batched oracle first evaluates this many items ahead
+# a threshold pass first reads this many items ahead
 FIRST_CHUNK = 16
 
 
@@ -173,26 +173,26 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     receives the gain of each item evaluated while the set is empty, which
     is its singleton gain.
 
-    A :attr:`~knapsub.core.SubmodularOracle.batched` oracle evaluates the
-    fitting items a chunk at a time against the fixed S, with
-    :meth:`~knapsub.core.SubmodularOracle.values_ahead`, and charges them
-    with :meth:`~knapsub.core.SubmodularOracle.charge_ahead` up to and
-    including the first accept; the pass resumes just after it, against
-    the grown set.  The chunk starts at ``FIRST_CHUNK`` items, doubles after
-    a chunk without an accept up to ``AUGMENT_CHUNK``, and starts over
-    after an accept.  The rest of a chunk was computed but never asked: it
-    is tallied in ``QueryLedger.speculative_evaluations``, not counted as
-    queries.  Any other oracle takes chunks of one item, each a
-    :meth:`~knapsub.core.SubmodularOracle.value_with` query.  Either way
-    the pass asks, counts, stops at a budget or a non-finite value, and
-    records ``seen`` and ``singles`` exactly as one query at a time would.
-    ``items`` is read lazily and at most one chunk is held.
+    The pass reads the fitting items a chunk at a time and takes their
+    values against the fixed S from
+    :meth:`~knapsub.core.SubmodularOracle.values_ahead`, up to and including
+    the first accept, then settles the chunk with
+    :meth:`~knapsub.core.SubmodularOracle.charge_ahead` and resumes just
+    after the accept, against the grown set.  The chunk starts at
+    ``FIRST_CHUNK`` items, doubles after a chunk without an accept up to
+    ``AUGMENT_CHUNK``, and starts over after an accept.  A protocol
+    objective computes each chunk ahead; what the pass never read is
+    tallied in ``QueryLedger.speculative_evaluations``, not counted as
+    queries.  Any other objective is asked one query per item read, so
+    nothing is computed ahead.  Either way the pass asks, counts, stops at
+    a budget or a non-finite value, and records ``seen`` and ``singles``
+    exactly as one query at a time would.  ``items`` is read lazily and at
+    most one chunk is held.
     """
     inst = oracle.instance
     units = inst.units
-    batched = oracle.batched
-    first, most = (FIRST_CHUNK, AUGMENT_CHUNK) if batched else (1, 1)
-    size = first
+    cost_of = inst.cost_of
+    size = FIRST_CHUNK
     accepted = []
     seen = 0.0
     items = iter(items)
@@ -215,37 +215,33 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
                  if eid not in ws.ids and units[eid] <= ws.room]
         del pending[:size]
         if not chunk:
-            size = min(2 * size, most)
+            size = min(2 * size, AUGMENT_CHUNK)
             continue
-        if batched:
-            ahead = oracle.values_ahead(ws, chunk)
-            values = ahead.tolist()
-        else:
-            values = [oracle.value_with(ws, chunk[0], ledger)]
-        gains = [value - ws.value for value in values]
-        hit = None  # the first item that clears tau ends what is charged
-        best = seen
-        for at, (gain, cost) in enumerate(zip(gains, map(inst.cost_of, chunk))):
-            density = max(0.0, gain) / cost
+        values = oracle.values_ahead(ws, chunk, ledger)
+        base = ws.value
+        gains = []  # of the items read, which end at the first accept
+        hit = False
+        for eid, value in zip(chunk, values):
+            gain = value - base
+            gains.append(gain)
+            density = max(0.0, gain) / cost_of(eid)
             if density > tau:
-                hit = at
+                hit = True
                 break
-            if density > best:
-                best = density
-        used = len(chunk) if hit is None else hit + 1
-        if batched:
-            oracle.charge_ahead(ws, chunk, ahead, used, ledger)
-        seen = best
+            if density > seen:
+                seen = density
+        used = len(gains)
+        oracle.charge_ahead(ws, chunk, values, used, ledger)
         if singles is not None and not ws.ids:
-            singles.update(zip(chunk[:used], gains))
-        if hit is None:
-            size = min(2 * size, most)
+            singles.update(zip(chunk, gains))
+        if not hit:
+            size = min(2 * size, AUGMENT_CHUNK)
         else:
-            eid, gain = chunk[hit], gains[hit]
-            ws = oracle.add(ws, eid, ws.value + gain)
+            eid, gain = chunk[used - 1], gains[-1]
+            ws = oracle.add(ws, eid, base + gain)
             accepted.append((eid, gain))
             pending[:0] = chunk[used:]
-            size = first
+            size = FIRST_CHUNK
 
 
 def augment_pass(oracle: SubmodularOracle, items, prefixes,
@@ -405,7 +401,12 @@ def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
                  lam: float, alpha: float, epsilon: float,
                  ledger: QueryLedger | None = None,
                  density_cap: float | None = None) -> AlgoReport:
-    """Better of the collected set and the best feasible singleton."""
+    """Better of the collected set and the best feasible singleton.
+
+    The singleton pick revisits the first executed pass's items, so that
+    pass is read into a list: unlike the other sieves, this one holds
+    O(n) stream ids at once.
+    """
     _, meter, (ws, trace, single) = _threshold_stage(
         "sieve_or_max", stream, k, oracle, lam, alpha, epsilon, ledger,
         density_cap, True)

@@ -142,6 +142,21 @@ def scalar_threshold_pass(oracle, items, tau, ws, ledger, singles=None):
     return ws, accepted, seen
 
 
+def validate_trace(trace, offline=False):
+    """Assert a greedy trace's structural invariants: densities are
+    non-negative, costs rise and values never fall; an offline trace's
+    densities also never rise."""
+    prev = None
+    for s in trace.steps:
+        assert s.next_density >= 0.0 and s.ub_density >= 0.0
+        if prev is not None:
+            assert s.cum_cost > prev.cum_cost
+            assert s.value >= prev.value - 1e-12
+            if offline:
+                assert s.next_density <= prev.next_density + 1e-12
+        prev = s
+
+
 def recording(kernel, log):
     """``kernel`` that appends, per pass, its accepted pairs, ``seen`` and
     a copy of ``singles`` to ``log``, with every float as hex."""

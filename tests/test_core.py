@@ -27,7 +27,7 @@ from knapsub import (
 )
 from knapsub.offline import greedy
 
-from helpers import tight_oracle
+from helpers import tight_oracle, validate_trace
 
 
 def test_instance_rejects_nonpositive_cost():
@@ -348,18 +348,18 @@ def test_upper_bound_sound_on_corpus(corpus):
 
 
 def test_trace_validate_flags_violations():
-    GreedyTrace([TraceStep(0.0, 0.0, 2.0, 2.0),
-                 TraceStep(1.0, 2.0, 0.5, 1.0),
-                 TraceStep(3.0, 3.0, 0.0, 0.0)]).validate(offline=True)
+    validate_trace(GreedyTrace([TraceStep(0.0, 0.0, 2.0, 2.0),
+                                TraceStep(1.0, 2.0, 0.5, 1.0),
+                                TraceStep(3.0, 3.0, 0.0, 0.0)]), offline=True)
     bad = GreedyTrace([TraceStep(0.0, 1.0, 1.0, 1.0),
                        TraceStep(1.0, 0.5, 0.0, 0.0)])
     with pytest.raises(AssertionError):
-        bad.validate()
+        validate_trace(bad)
     not_concave = GreedyTrace([TraceStep(0.0, 0.0, 1.0, 1.0),
                                TraceStep(1.0, 1.0, 2.0, 2.0)])
-    not_concave.validate()  # fine as a stream trace
+    validate_trace(not_concave)  # fine as a stream trace
     with pytest.raises(AssertionError):
-        not_concave.validate(offline=True)
+        validate_trace(not_concave, offline=True)
 
 
 def test_solution_value_matches_fresh_evaluation(corpus):

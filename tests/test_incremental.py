@@ -138,6 +138,42 @@ def test_incremental_path_matches_whole_set_path(kind, corpus):
     assert checked >= 10  # most instances reach the streaming solvers
 
 
+class PartialProtocol:
+    """A coverage objective behind ``value``, ``extend`` and ``value_with``
+    but no ``values_with``, counting the calls to each."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.calls = dict.fromkeys(("value", "extend", "value_with"), 0)
+
+    def value(self, ids):
+        self.calls["value"] += 1
+        return self.objective.value(ids)
+
+    def extend(self, state, ids):
+        self.calls["extend"] += 1
+        return self.objective.extend(state, ids)
+
+    def value_with(self, state, eid):
+        self.calls["value_with"] += 1
+        return self.objective.value_with(state, eid)
+
+
+def test_part_of_the_protocol_takes_the_whole_set_path(corpus):
+    # every query is asked of ``value`` on the whole set, with the protocol
+    # path's answers and counts
+    for instance, objective in instances("coverage", corpus):
+        partial = PartialProtocol(objective)
+        oracle = SubmodularOracle(instance, partial)
+        assert every_solver(instance, oracle) == every_solver(
+            instance, SubmodularOracle(instance, objective)), repr(instance)
+        assert partial.calls["extend"] == partial.calls["value_with"] == 0
+        partial.calls["value"] = 0
+        ledger = QueryLedger()
+        greedy_plus_max(instance, oracle, ledger)
+        assert partial.calls["value"] == ledger.query_count > 0
+
+
 def test_protocol_objectives_bypass_evaluate():
     objective = CoverageObjective([[1], [0, 2], [1]])
     instance = Instance([Element(i, 1.0) for i in range(3)], 2.0)

@@ -22,7 +22,7 @@ from knapsub import (
     partial_enum_greedy,
 )
 
-from helpers import NONFINITE, nan_probe, tight_oracle
+from helpers import NONFINITE, nan_probe, tight_oracle, validate_trace
 
 
 def test_greedy_tight_example_picks_the_spoiler():
@@ -141,7 +141,7 @@ def test_offline_traces_validate(corpus):
         inst, objective, _ = corpus(idx)
         oracle = SubmodularOracle(inst, objective.value)
         result = greedy(inst, oracle, QueryLedger())
-        result.report.trace.validate(offline=True)
+        validate_trace(result.report.trace, offline=True)
 
 
 def test_no_infeasible_queries(corpus):

@@ -470,14 +470,8 @@ def test_estimator_tight_example_hits_opt():
     inst, oracle = tight_oracle()
     est = estimate_lambda(tight_stream(inst), inst.capacity, oracle)
     assert est.lam == 1.0
-    assert est.max_singleton_density == pytest.approx(0.6 / 1.1)
-
-
-def test_estimator_unpacks_as_pair():
-    inst, oracle = tight_oracle()
-    est = estimate_lambda(tight_stream(inst), inst.capacity, oracle)
-    assert est.lam == 1.0
     assert est.alpha == pytest.approx(1 / 6)
+    assert est.max_singleton_density == pytest.approx(0.6 / 1.1)
 
 
 def test_estimator_bounds_on_corpus(corpus):
@@ -753,14 +747,18 @@ def sieve_run(solver, instance, oracle, ledger):
                ledger, density_cap=est.max_singleton_density)
 
 
+@pytest.mark.parametrize("path", ["protocol", "callable"])
 @pytest.mark.parametrize("kind", ["coverage", "movie"])
 @pytest.mark.parametrize("solver", ["sieve", "sieve_or_max", "sieve_plus_max"])
-def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, kind, solver):
+def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, kind, solver,
+                                                    path):
     # ids, values, queries, passes and the trace, and per pass the accepted
     # gains, seen and the singleton gains, bit for bit
     instance, objective = kernel_case(kind)
-    oracle = SubmodularOracle(instance, objective)
+    fn = objective if path == "protocol" else (lambda ids: objective.value(ids))
+    oracle = SubmodularOracle(instance, fn)
     runs = []
+    spent = []
     for kernel in (threshold_pass, scalar_threshold_pass):
         log = []
         monkeypatch.setattr(knapsub.streaming, "threshold_pass",
@@ -770,10 +768,12 @@ def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, kind, solver):
         runs.append((sorted(report.solution.ids), report.solution.value.hex(),
                      report.queries, ledger.query_count, report.passes,
                      report.trace, log))
-        spent = report.speculative_evaluations
+        spent.append(report.speculative_evaluations)
     assert runs[0] == runs[1]
     assert sum(len(accepted) for accepted, _, _ in runs[0][-1]) >= 5
-    assert spent == 0  # the reference never computes ahead
+    assert spent[1] == 0  # the reference never computes ahead
+    if path == "callable":
+        assert spent[0] == 0  # nor does the kernel on a plain callable
 
 
 def test_the_chunked_kernel_computes_ahead_and_tallies_it():
@@ -852,6 +852,42 @@ def test_budget_stops_both_kernels_at_every_count(monkeypatch):
                 assert ledger.query_count == total
 
 
+def test_a_plain_callable_stops_both_kernels_at_every_count(monkeypatch):
+    # a budget or an unknown id stops the kernel on a plain callable where
+    # it stops the scalar loop, and nothing is computed ahead
+    adjacency = preferential_adjacency(150, 2, seed=4)
+    instance = normalize(sorted(coverage_costs(adjacency).items()), 8.0)
+    objective = CoverageObjective(adjacency)
+    oracle = SubmodularOracle(instance, lambda ids: objective.value(ids))
+    est = estimate_lambda(StreamSource.from_instance(instance), 8.0, oracle)
+
+    def run(ledger):
+        return sieve(StreamSource.from_instance(instance), 8.0, oracle,
+                     est.lam, est.alpha, 0.1, ledger)
+
+    full = run(QueryLedger())
+    total = full.queries
+    assert total == 211 and len(full.trace.steps) == 9
+    assert full.speculative_evaluations == 0
+    for kernel in (threshold_pass, scalar_threshold_pass):
+        monkeypatch.setattr(knapsub.streaming, "threshold_pass", kernel)
+        for budget in range(total + 2):
+            ledger = QueryLedger(budget=budget)
+            if budget < total:
+                with pytest.raises(BudgetExceeded):
+                    run(ledger)
+                assert ledger.query_count == budget
+            else:
+                assert run(ledger).solution == full.solution
+                assert ledger.query_count == total
+        ledger = QueryLedger()
+        with pytest.raises(KeyError, match="999"):
+            kernel(oracle, [*instance.element_ids()[:2], 999], 10.0,
+                   oracle.working_set((), 0.0), ledger)
+        assert ledger.query_count == 2
+        assert ledger.speculative_evaluations == 0
+
+
 def probe_pass(bad, path, items, tau, capacity=3.0):
     """``threshold_pass`` on the NaN probe from S = {0}: every item gains
     1/6 at cost 1, and f(S + 2) is ``bad``.  Returns the pass's result or
@@ -926,9 +962,9 @@ def test_a_threshold_pass_reads_one_chunk_at_a_time():
     items = stream()
     original = oracle.values_ahead
 
-    def ahead(ws, ids):
+    def ahead(ws, ids, ledger):
         seen_sizes.append((len(ids), len(read)))
-        return original(ws, ids)
+        return original(ws, ids, ledger)
 
     oracle.values_ahead = ahead
     threshold_pass(oracle, items, math.inf, ws, ledger)

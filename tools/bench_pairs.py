@@ -16,7 +16,8 @@ under ``implausible`` by pair index and reported on stderr: such a run
 measured something broken, not the code.  Each
 checkout's commit is recorded, and whether its files differ from that
 commit (``dirty``).  ``--tier1 N`` also times the test suite,
-``python -m pytest -q``, in N alternating pairs.
+``python -m pytest -q``, in N alternating pairs.  A run that fails
+prints the last 30 lines of its output to stderr and stops the script.
 
 Run it from anywhere; only the two checkouts are read.  Runs are
 sequential, one process at a time.
@@ -34,12 +35,30 @@ import time
 from pathlib import Path
 
 
+# a failed run's last this many lines of output go to stderr
+FAILURE_TAIL = 30
+
+
+def run_checked(args, **kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run`` with captured text output; a failed run prints
+    the last ``FAILURE_TAIL`` lines of its stdout and stderr to stderr
+    before its ``CalledProcessError`` is raised."""
+    try:
+        return subprocess.run(args, capture_output=True, text=True, check=True,
+                              **kwargs)
+    except subprocess.CalledProcessError as exc:
+        lines = (exc.stdout + exc.stderr).splitlines()[-FAILURE_TAIL:]
+        print(f"{' '.join(map(str, args))} failed in {kwargs.get('cwd')}:",
+              *lines, sep="\n", file=sys.stderr)
+        raise
+
+
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``: its final JSON line."""
-    done = subprocess.run(
+    done = run_checked(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -47,8 +66,8 @@ def tier1(checkout: Path) -> float:
     """Seconds the test suite takes in ``checkout``; raises if it fails."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     started = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                   cwd=checkout, env=env, capture_output=True, check=True)
+    run_checked([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                cwd=checkout, env=env)
     return time.perf_counter() - started
 
 
