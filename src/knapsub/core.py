@@ -411,15 +411,19 @@ class SubmodularOracle:
         """f(S + e) for the ids of a list that are all held and fit S, to be
         read in order up to a point and settled with :meth:`charge_ahead`.
 
-        A protocol objective computes them all at once, as a list of floats:
+        A protocol objective computes them all at once, as a float array:
         nothing is counted and nothing is checked until ``charge_ahead``.
         Any other objective gets a generator of :meth:`value_with` queries,
         each counted and checked when it is read, so nothing is computed
-        ahead and ``charge_ahead`` has nothing left to charge.
+        ahead and ``charge_ahead`` has nothing left to charge.  ``ids`` may
+        be a list or an id array; either way the queries see Python ints.
         """
         if self._protocol is None:
+            if isinstance(ids, np.ndarray):
+                ids = ids.tolist()
             return (self.value_with(ws, eid, ledger) for eid in ids)
-        return self._protocol.values_with(ws.state, _id_array(ids)).tolist()
+        return np.asarray(self._protocol.values_with(ws.state, _id_array(ids)),
+                          dtype=float)
 
     def charge_ahead(self, ws: WorkingSet, ids, values, used: int,
                      ledger: QueryLedger) -> None:

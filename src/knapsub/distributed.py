@@ -8,10 +8,14 @@ the survivors up; the coordinator refilters arrivals in machine order.  A
 final round reorders the collection greedily and lets machines race their
 best single-element augmentation against the bare prefixes.
 
-Machines and coordinator call the streaming module's ``threshold_pass``;
-the last round calls its ``augment_pass`` and ``best_augmented`` on the
-coordinator's greedy prefixes, which every machine shares.  With one
-machine this is Sieve+Max's own code by construction, run in another scan
+Every filter applies the streaming module's one rule through its one scan
+helper, ``first_accept``: the sample's pass and the coordinator's call
+``threshold_pass``, and a machine asks its whole slice against the grown
+set G in one batch, stops at the first accept, and hands the rest of its
+slice to ``threshold_pass`` only then.  The last round calls
+``augment_pass`` and ``best_augmented`` on the coordinator's greedy
+prefixes, which every machine shares.  With one machine this is the same
+filter rule through the same scan helper as Sieve+Max, run in another scan
 order (the sample, then a shuffled slice, instead of stream order).
 
 The simulation runs machines sequentially in index order, so results are
@@ -22,20 +26,38 @@ answer, so the first machine filters it once and every later machine is
 charged that pass's queries on the ledger before filtering its own slice:
 ids, values, ledger counts, rounds and receipts are those of m separate
 passes, but a wrapper on the objective sees the sample's queries only once.
+What every machine shares is built once: the id and cost arrays per solve,
+and per round the mask of ids outside G that fit its room.
+
+Each round draws from one ``random.Random``: ``random() < p`` per id
+outside the collection, then ``shuffle`` for the slices.  Both are
+replayed word for word from ``getrandbits``, faster, so samples, slices
+and the generator's final state are those of CPython's own calls.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
-from .core import AlgoReport, Instance, QueryLedger, RunMeter, SubmodularOracle
+import numpy as np
+
+from .core import (
+    AlgoReport,
+    Instance,
+    QueryLedger,
+    RunMeter,
+    SubmodularOracle,
+    _id_array,
+)
 from .errors import MemoryCapExceeded
 from .offline import greedy_order
 from .streaming import (
     augment_pass,
     best_augmented,
+    first_accept,
     threshold_levels,
     threshold_pass,
 )
@@ -65,8 +87,21 @@ class MpcConfig:
         return cls(max(1, round(math.sqrt(n / kt))), 8.0 * math.sqrt(n * kt), seed)
 
     def validate(self, instance: Instance) -> None:
-        if self.machines < 1:
-            raise ValueError("need at least one machine")
+        """``ValueError``, naming the field, on a shape that cannot run or
+        would silently change the run: a machine count that is not a
+        positive integer, a NaN or negative ``memory_cap`` (a NaN cap
+        never binds), a ``sample_factor`` that is NaN or not positive (NaN
+        samples everything, a negative factor nothing), or too little
+        total memory for the instance."""
+        if not isinstance(self.machines, numbers.Integral) or self.machines < 1:
+            raise ValueError(f"machines must be a positive integer, "
+                             f"got {self.machines!r}")
+        if not self.memory_cap >= 0:
+            raise ValueError(f"memory_cap must be a number >= 0, "
+                             f"got {self.memory_cap!r}")
+        if not self.sample_factor > 0:
+            raise ValueError(f"sample_factor must be positive, "
+                             f"got {self.sample_factor!r}")
         if self.machines * self.memory_cap < instance.n:
             raise ValueError(
                 f"{self.machines} machines with cap {self.memory_cap:.0f} "
@@ -119,10 +154,44 @@ class DistributedResult:
     round_log: RoundLog
 
 
-def _partition(ids, machines: int, rng: random.Random):
-    perm = list(ids)
-    rng.shuffle(perm)
+def _partition(n: int, machines: int, rng: random.Random) -> list[np.ndarray]:
+    """Positions 0..n-1 in the order ``rng.shuffle`` leaves ``range(n)``,
+    with ``rng`` in the same state afterwards, dealt round-robin to
+    ``machines`` slices (position arrays).
+
+    CPython's shuffle swaps x[i] with x[_randbelow(i + 1)] for i from the
+    end down to 1, and ``_randbelow(b)`` redraws ``getrandbits(k)``, k the
+    bit length of b, until it falls below b.  Both are inlined here, one
+    band of equal k at a time.
+    """
+    perm = list(range(n))
+    getrandbits = rng.getrandbits
+    for k in range(n.bit_length(), 1, -1):
+        for b in range(min(n, (1 << k) - 1), (1 << (k - 1)) - 1, -1):
+            j = getrandbits(k)
+            while j >= b:
+                j = getrandbits(k)
+            perm[b - 1], perm[j] = perm[j], perm[b - 1]
+    perm = np.array(perm, dtype=np.intp)
     return [perm[i::machines] for i in range(machines)]
+
+
+def _sample(items: np.ndarray, p: float, rng: random.Random) -> np.ndarray:
+    """The entries of ``items`` that ``rng.random() < p`` keeps, one draw
+    each in order, with ``rng`` left as those draws leave it.
+
+    ``random()`` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 on the next two
+    32-bit words a, b; ``getrandbits(64 * c)`` yields the same 2c words,
+    the first in its lowest bits, on every host.
+    """
+    c = len(items)
+    if not c:
+        return items
+    words = np.frombuffer(rng.getrandbits(64 * c).to_bytes(8 * c, "little"),
+                          dtype="<u4")
+    draws = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
+        * (1.0 / 9007199254740992.0)
+    return items[draws < p]
 
 
 def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
@@ -134,8 +203,9 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     Runs one round per threshold level (none are skipped; machines cannot
     certify emptiness for elements they never saw), then a final round where
     machines try their local elements against greedily reordered prefixes of
-    the collection.  With one machine it runs Sieve+Max's kernels on the
-    same grid, in a different scan order.  A ``lam`` that
+    the collection.  With one machine it applies Sieve+Max's filter rule
+    through the same scan helper on the same grid, in a different scan
+    order.  A ``lam`` that
     :func:`~knapsub.streaming.threshold_levels` rejects raises
     ``InvalidLambda`` before any query.
     """
@@ -148,7 +218,13 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     n = instance.n
     m = config.machines
     all_ids = instance.element_ids()
+    ids = _id_array(all_ids)
+    costs = np.array([instance.cost_of(eid) for eid in all_ids], dtype=float)
+    where = dict(zip(all_ids, range(n)))
     p = 1.0 if n == 0 else min(1.0, config.sample_factor * math.sqrt(instance.k_tilde / n))
+
+    def positions(order) -> np.ndarray:
+        return np.fromiter(map(where.__getitem__, order), np.intp, len(order))
 
     levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
     ws_t = oracle.working_set((), oracle.evaluate((), ledger))  # central collection
@@ -156,12 +232,14 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     for rno, t in enumerate(levels):
         rng = random.Random(config.seed * 1_000_003 + rno)
-        gamma = [eid for eid in all_ids if eid not in ws_t.ids and rng.random() < p]
-        slices = _partition(all_ids, m, rng)
+        outside = np.ones(n, dtype=bool)
+        outside[positions(ws_t.order)] = False
+        gamma = ids[_sample(np.flatnonzero(outside), p, rng)].tolist()
+        slices = _partition(n, m, rng)
 
-        sample = None  # (ws_g, accepted ids, queries) of the sample's pass
+        sample = None  # (ws_g, accepted ids, queries, fit mask outside G)
 
-        def machine(t_list, gamma_items, local_items):
+        def machine(t_list, gamma_items, local):
             # t_list counts toward the load.  The sample's pass is the same
             # on every machine: the first runs it, each later one is charged.
             nonlocal sample
@@ -169,13 +247,28 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
                 mark = ledger.query_count
                 ws_g, accepted, _ = threshold_pass(oracle, gamma_items, t,
                                                    ws_t, ledger)
+                fits = instance.fit_mask(ids, ws_g.room)
+                fits[positions(ws_g.order)] = False
                 sample = (ws_g, [eid for eid, _ in accepted],
-                          ledger.query_count - mark)
+                          ledger.query_count - mark, fits)
             else:
                 ledger._admit(sample[2])
-            ws_g, sample_ids, _ = sample
-            _, accepted, _ = threshold_pass(oracle, local_items, t, ws_g, ledger)
-            return sample_ids + [eid for eid, _ in accepted]
+            ws_g, sample_ids, _, fits = sample
+            out = list(sample_ids)
+            # the slice's fitting items against G in one batch; the pass
+            # goes on from the first accept only if there is one
+            local = local[fits[local]]
+            if local.size:
+                chunk = ids[local]
+                used, gain, _ = first_accept(oracle, ws_g, chunk, costs[local],
+                                             t, ledger)
+                if gain is not None:
+                    out.append(int(chunk[used - 1]))
+                    ws = oracle.add(ws_g, out[-1], ws_g.value + gain)
+                    _, accepted, _ = threshold_pass(
+                        oracle, chunk[used:].tolist(), t, ws, ledger)
+                    out += [eid for eid, _ in accepted]
+            return out
 
         payloads = [(ws_t.order, gamma, slices[i]) for i in range(m)]
         outputs = simulate_round([machine] * m, payloads, config.memory_cap)
@@ -192,14 +285,15 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     # augmentation round against greedily reordered prefixes
     rng = random.Random(config.seed * 1_000_003 + len(levels))
     prefixes = greedy_order(instance, oracle, ws_t.ids, ledger)
-    slices = _partition(all_ids, m, rng)
+    slices = _partition(n, m, rng)
 
     def aug_machine(t_list, local_items):
         # t_list counts toward the load; every machine augments the
         # coordinator's prefixes
         return augment_pass(oracle, local_items, prefixes, ledger)
 
-    payloads = [(prefixes[-1].order, slices[i]) for i in range(m)]
+    payloads = [(prefixes[-1].order, ids[slices[i]].tolist())
+                for i in range(m)]
     outputs = simulate_round([aug_machine] * m, payloads, config.memory_cap)
     ids, value = best_augmented(prefixes, [c for out in outputs for c in out])
     log.records.append(RoundRecord(

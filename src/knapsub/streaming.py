@@ -9,11 +9,13 @@ certificate that every level above it would collect nothing; such levels
 are skipped without touching the stream.  Skipping never changes the
 collected set, it only avoids provably idle traversals.
 
-Distributed+Max shares two kernels with the sieves: ``threshold_pass``,
-the one "clears the level and still fits" filter, and ``augment_pass`` with
+Distributed+Max shares its kernels with the sieves: ``first_accept``,
+the one "clears the level" scan that ``threshold_pass`` runs on each chunk
+and a machine on its whole slice, ``threshold_pass``, the one "clears the
+level and still fits" filter, and ``augment_pass`` with
 ``best_augmented``, the one prefix-plus-one augmentation and its final
-pick.  With one machine it therefore runs Sieve+Max's filter, augmentation
-and tie rule by construction; only its scan order differs, and that alone
+pick.  With one machine it therefore applies Sieve+Max's filter rule,
+augmentation and tie rule; only its scan order differs, and that alone
 can change the collected set.  Both augment the prefixes, as working sets,
 that ``greedy_order`` returns.
 
@@ -159,6 +161,52 @@ class OptEstimate:
     peak_retained: int = 0
 
 
+def first_accept(oracle: SubmodularOracle, ws: WorkingSet, chunk, costs,
+                 tau: float, ledger: QueryLedger, singles: dict | None = None):
+    """Ask f(S + e) of ``chunk``, ids that are all held, outside S and fit
+    it, in order up to and including the first whose clamped density
+    max(0, gain)/c_e strictly clears ``tau``; ``costs`` holds each one's
+    c_e.  Returns ``(used, gain, seen)``: how many were asked, that item's
+    gain (``None`` when none clears), and the highest density among the
+    others.  ``singles``, when given and S is empty, receives each asked
+    item's gain.
+
+    The values come from :meth:`SubmodularOracle.values_ahead` and are
+    settled with :meth:`SubmodularOracle.charge_ahead`, so exactly the
+    ``used`` queries are counted, stopped by a budget and checked for
+    NaN and infinities as single queries would be.  A protocol
+    objective's array is scanned in a few NumPy passes; any other
+    objective's values are read one lazy query at a time, so nothing is
+    asked beyond the first item that clears.
+    """
+    values = oracle.values_ahead(ws, chunk, ledger)
+    base = ws.value
+    if isinstance(values, np.ndarray):
+        gains = values - base
+        density = np.maximum(gains, 0.0) / costs
+        clears = density > tau
+        hit = bool(clears.any())
+        used = int(clears.argmax()) + 1 if hit else len(chunk)
+        rejected = density[:used - hit]
+        seen = float(rejected.max()) if rejected.size else 0.0
+        gains = gains[:used].tolist()
+    else:
+        gains, hit, seen = [], False, 0.0
+        for value, cost in zip(values, costs):
+            gain = value - base
+            gains.append(gain)
+            density = max(0.0, gain) / cost
+            if density > tau:
+                hit = True
+                break
+            if density > seen:
+                seen = density
+    oracle.charge_ahead(ws, chunk, values, len(gains), ledger)
+    if singles is not None and not ws.ids:
+        singles.update(zip(chunk, gains))
+    return len(gains), gains[-1] if hit else None, seen
+
+
 def threshold_pass(oracle: SubmodularOracle, items, tau: float,
                    ws: WorkingSet, ledger: QueryLedger, singles: dict | None = None):
     """One thresholding sweep of ``items`` against the working set ``ws``,
@@ -173,16 +221,13 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     receives the gain of each item evaluated while the set is empty, which
     is its singleton gain.
 
-    The pass reads the fitting items a chunk at a time and takes their
-    values against the fixed S from
-    :meth:`~knapsub.core.SubmodularOracle.values_ahead`, up to and including
-    the first accept, then settles the chunk with
-    :meth:`~knapsub.core.SubmodularOracle.charge_ahead` and resumes just
-    after the accept, against the grown set.  The chunk starts at
-    ``FIRST_CHUNK`` items, doubles after a chunk without an accept up to
-    ``AUGMENT_CHUNK``, and starts over after an accept.  A protocol
-    objective computes each chunk ahead; what the pass never read is
-    tallied in ``QueryLedger.speculative_evaluations``, not counted as
+    The pass reads the fitting items a chunk at a time and asks each chunk
+    against the fixed S with :func:`first_accept`, up to and including the
+    first accept, then resumes just after it, against the grown set.  The
+    chunk starts at ``FIRST_CHUNK`` items, doubles after a chunk without an
+    accept up to ``AUGMENT_CHUNK``, and starts over after an accept.  A
+    protocol objective computes each chunk ahead; what the pass never read
+    is tallied in ``QueryLedger.speculative_evaluations``, not counted as
     queries.  Any other objective is asked one query per item read, so
     nothing is computed ahead.  Either way the pass asks, counts, stops at
     a budget or a non-finite value, and records ``seen`` and ``singles``
@@ -217,28 +262,16 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
         if not chunk:
             size = min(2 * size, AUGMENT_CHUNK)
             continue
-        values = oracle.values_ahead(ws, chunk, ledger)
-        base = ws.value
-        gains = []  # of the items read, which end at the first accept
-        hit = False
-        for eid, value in zip(chunk, values):
-            gain = value - base
-            gains.append(gain)
-            density = max(0.0, gain) / cost_of(eid)
-            if density > tau:
-                hit = True
-                break
-            if density > seen:
-                seen = density
-        used = len(gains)
-        oracle.charge_ahead(ws, chunk, values, used, ledger)
-        if singles is not None and not ws.ids:
-            singles.update(zip(chunk, gains))
-        if not hit:
+        used, gain, top = first_accept(oracle, ws, chunk,
+                                       list(map(cost_of, chunk)), tau,
+                                       ledger, singles)
+        if top > seen:
+            seen = top
+        if gain is None:
             size = min(2 * size, AUGMENT_CHUNK)
         else:
-            eid, gain = chunk[used - 1], gains[-1]
-            ws = oracle.add(ws, eid, base + gain)
+            eid = chunk[used - 1]
+            ws = oracle.add(ws, eid, ws.value + gain)
             accepted.append((eid, gain))
             pending[:0] = chunk[used:]
             size = FIRST_CHUNK

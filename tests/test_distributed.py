@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import knapsub.distributed
@@ -29,6 +30,7 @@ from knapsub import (
     threshold_levels,
 )
 from knapsub.bench.datasets import preferential_adjacency
+from knapsub.distributed import _partition, _sample
 from knapsub.streaming import threshold_pass
 
 from conftest import random_adjacency
@@ -65,6 +67,54 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MpcConfig(machines=2, memory_cap=10.0).validate(inst)
     MpcConfig(machines=2, memory_cap=50.0).validate(inst)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("memory_cap", math.nan),     # never binds: the run used to finish
+    ("sample_factor", math.nan),  # made p = 1, every id in every sample
+    ("sample_factor", -1.0),      # made every sample empty
+    ("machines", 2.5),            # used to die in the partition
+])
+def test_config_rejects_a_shape_that_changes_the_run(field, value):
+    inst = Instance([Element(i, 1.0) for i in range(40)], 4.0)
+    oracle = SubmodularOracle(inst, lambda s: float(len(s)))
+    shape = {"machines": 8, "memory_cap": 50.0, "seed": 0,
+             "sample_factor": 4.0, field: value}
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match=field):
+        distributed_sieve_plus_max(inst, oracle, 4.0, 1.0, 0.5,
+                                   MpcConfig(**shape), ledger)
+    assert ledger.query_count == 0
+
+
+# ------------------------------------------------------------- randomness
+# the solver replays CPython's random.shuffle and random() from
+# getrandbits; an interpreter that changes either algorithm fails here
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 64, 65, 1000, 5000])
+def test_partition_replays_random_shuffle(size):
+    for seed in (0, 1, 1_000_003, 2**61 - 1):
+        for drawn in (0, 3):  # a fresh generator, and one already used
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(drawn):
+                rng.random(), ref.random()
+            perm = list(range(size))
+            ref.shuffle(perm)
+            slices = _partition(size, 3, rng)
+            assert [s.tolist() for s in slices] == [perm[i::3] for i in range(3)]
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+def test_sample_replays_random_draws(p):
+    for seed in range(50):
+        for size in (0, 1, 2, 7, 500):
+            rng, ref = random.Random(seed), random.Random(seed)
+            items = np.arange(size) * 3 + 5
+            kept = [eid for eid in items.tolist() if ref.random() < p]
+            assert _sample(items, p, rng).tolist() == kept
+            assert rng.getstate() == ref.getstate()
 
 
 # ----------------------------------------------------------- round executor
@@ -418,16 +468,93 @@ def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, machines):
     assert any(repeated) == (machines > 1)
 
 
-def test_distributed_tallies_what_it_computes_ahead():
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("machines", [1, 4])
+def test_distributed_tallies_what_it_computes_ahead(machines, seed):
+    # machines batch their whole slice on the protocol objective and read
+    # a plain callable's queries one at a time: same run, nothing ahead
     adjacency = preferential_adjacency(600, 2, seed=4)
     instance = normalize(sorted(coverage_costs(adjacency).items()), 12.0)
     objective = CoverageObjective(adjacency)
     lam = greedy_plus_max_value(instance, SubmodularOracle(instance, objective))
-    reports = [distributed_sieve_plus_max(
+    results = [distributed_sieve_plus_max(
         instance, SubmodularOracle(instance, fn), lam, 0.5, 0.25,
-        wide_config(instance, 3)).report
+        wide_config(instance, machines, seed))
         for fn in (objective, lambda ids: objective.value(ids))]
+    reports = [r.report for r in results]
     assert reports[0].speculative_evaluations > 0
     assert reports[1].speculative_evaluations == 0
-    assert (reports[0].solution, reports[0].queries) == \
-        (reports[1].solution, reports[1].queries)
+    runs = [(sorted(r.report.solution.ids), r.report.solution.value.hex(),
+             r.report.queries, r.round_log.records) for r in results]
+    assert runs[0] == runs[1]
+
+
+class SetProbe:
+    """A protocol objective on unit items: the sum of integer ``weights``
+    over S, except ``bad`` on the one set ``poison`` (none by default);
+    its state is S."""
+
+    def __init__(self, weights, poison=None, bad=math.nan):
+        self.weights, self.poison, self.bad = weights, poison, bad
+        self.asked = []  # the ids of each values_with call
+
+    def value(self, ids):
+        ids = frozenset(ids)
+        return self.bad if ids == self.poison else float(
+            sum(self.weights[eid] for eid in ids))
+
+    def extend(self, state, ids):
+        return (state or frozenset()) | frozenset(ids)
+
+    def value_with(self, state, eid):
+        return self.value((state or frozenset()) | {eid})
+
+    def values_with(self, state, ids):
+        self.asked.append(ids.tolist())
+        return np.array([self.value_with(state, eid) for eid in ids.tolist()])
+
+
+def probe_run(probe, path):
+    """One machine, one level, K=2 on six unit items, and a sample that is
+    empty: the machine's first batch is its whole slice against the empty
+    set.  Returns the ledger and the result, or the error raised."""
+    instance = Instance([Element(i, 1.0) for i in range(6)], 2.0)
+    fn = probe if path == "protocol" else (lambda ids: probe.value(ids))
+    config = MpcConfig(machines=1, memory_cap=100.0, seed=3,
+                       sample_factor=1e-9)
+    ledger = QueryLedger()
+    try:
+        return ledger, distributed_sieve_plus_max(
+            instance, SubmodularOracle(instance, fn), 1.5, 1.0, 1.5, config,
+            ledger)
+    except NonFiniteValue as exc:
+        return ledger, exc
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_a_machine_raises_only_what_its_slice_asks(bad):
+    probe = SetProbe(dict.fromkeys(range(6), 1))
+    _, result = probe_run(probe, "protocol")
+    assert result.round_log.records[0].gamma_size == 0
+    order = probe.asked[0]  # the machine's slice, in scan order
+    assert sorted(order) == list(range(6))
+    # the first item clears the level, so the batch is charged up to it:
+    # a bad singleton at the end of the slice is computed, never asked
+    runs = []
+    for path in ("protocol", "callable"):
+        probe = SetProbe(dict.fromkeys(range(6), 1), {order[-1]}, bad)
+        ledger, result = probe_run(probe, path)
+        if path == "protocol":
+            assert probe.asked[0] == order  # the bad value was computed
+        runs.append((sorted(result.report.solution.ids),
+                     result.report.solution.value.hex(), ledger.query_count,
+                     result.round_log.records))
+        assert (result.report.speculative_evaluations > 0) == (path == "protocol")
+    assert runs[0] == runs[1]
+    # the first three items weigh 0, so the charged prefix runs to the
+    # fourth: a bad second item raises at the third query, f(empty) first
+    weights = {eid: int(eid not in order[:3]) for eid in range(6)}
+    for path in ("protocol", "callable"):
+        ledger, error = probe_run(SetProbe(weights, {order[1]}, bad), path)
+        assert isinstance(error, NonFiniteValue)
+        assert ledger.query_count == 3

@@ -14,8 +14,10 @@ the head was strictly better (a tie counts for neither).  A time (a
 metric in ``s``) below 1/10 or above 10 times its side's median is listed
 under ``implausible`` by pair index and reported on stderr: such a run
 measured something broken, not the code.  Each
-checkout's commit is recorded, and whether its files differ from that
-commit (``dirty``).  ``--tier1 N`` also times the test suite,
+checkout's commit is recorded, whether its files differ from that
+commit (``dirty``), and the Python and NumPy a run there imports
+(``versions``): distributed outputs replay CPython's ``random`` algorithm,
+so they hold only for the interpreter they were measured on.  ``--tier1 N`` also times the test suite,
 ``python -m pytest -q``, in N alternating pairs.  A run that fails
 prints the last 30 lines of its output to stderr and stops the script.
 
@@ -108,6 +110,18 @@ def alternate(pairs: int, run):
     return out
 
 
+# prints the interpreter and NumPy that a run in the checkout imports
+VERSIONS = ("import json, platform, numpy; print(json.dumps({"
+            "'python': platform.python_implementation() + ' '"
+            " + platform.python_version(), 'numpy': numpy.__version__}))")
+
+
+def versions(checkout: Path) -> dict:
+    """The Python and NumPy versions a run in ``checkout`` uses."""
+    return json.loads(run_checked([sys.executable, "-c", VERSIONS],
+                                  cwd=checkout).stdout)
+
+
 def git_state(checkout: Path) -> tuple[str | None, bool | None]:
     """The checkout's commit, and whether its files differ from it (``git
     status --porcelain`` lists anything); ``(None, None)`` outside git."""
@@ -140,6 +154,8 @@ def main(argv=None) -> int:
     result = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
               "commits": {side: state[0] for side, state in states.items()},
               "dirty": {side: state[1] for side, state in states.items()},
+              "versions": {side: versions(path)
+                           for side, path in checkouts.items()},
               "workloads": {}}
     for workload in args.workload:
         runs = alternate(args.pairs, lambda side: perfbench(
