@@ -26,8 +26,8 @@ answer, so the first machine filters it once and every later machine is
 charged that pass's queries on the ledger before filtering its own slice:
 ids, values, ledger counts, rounds and receipts are those of m separate
 passes, but a wrapper on the objective sees the sample's queries only once.
-What every machine shares is built once: the id and cost arrays per solve,
-and per round the mask of ids outside G that fit its room.
+Machines index the instance's array view, and share one mask per round:
+the elements outside G that fit its room.
 
 Each round draws from one ``random.Random``: ``random() < p`` per id
 outside the collection, then ``shuffle`` for the slices.  Both are
@@ -50,7 +50,6 @@ from .core import (
     QueryLedger,
     RunMeter,
     SubmodularOracle,
-    _id_array,
 )
 from .errors import MemoryCapExceeded
 from .offline import greedy_order
@@ -155,7 +154,7 @@ class DistributedResult:
 
 
 def _partition(n: int, machines: int, rng: random.Random) -> list[np.ndarray]:
-    """Positions 0..n-1 in the order ``rng.shuffle`` leaves ``range(n)``,
+    """The indices 0..n-1 in the order ``rng.shuffle`` leaves ``range(n)``,
     with ``rng`` in the same state afterwards, dealt round-robin to
     ``machines`` slices (position arrays).
 
@@ -201,11 +200,11 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     """Distributed thresholding plus one augmentation round.
 
     Runs one round per threshold level (none are skipped; machines cannot
-    certify emptiness for elements they never saw), then a final round where
-    machines try their local elements against greedily reordered prefixes of
-    the collection.  With one machine it applies Sieve+Max's filter rule
-    through the same scan helper on the same grid, in a different scan
-    order.  A ``lam`` that
+    certify emptiness for elements they never saw), then a final round in
+    which machines try their local elements against greedily reordered
+    prefixes of the collection.  With one machine it applies Sieve+Max's
+    filter rule through the same scan helper on the same grid, in a
+    different scan order.  A ``lam`` that
     :func:`~knapsub.streaming.threshold_levels` rejects raises
     ``InvalidLambda`` before any query.
     """
@@ -217,15 +216,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     n = instance.n
     m = config.machines
-    all_ids = instance.element_ids()
-    ids = _id_array(all_ids)
-    costs = np.array([instance.cost_of(eid) for eid in all_ids], dtype=float)
-    where = dict(zip(all_ids, range(n)))
     p = 1.0 if n == 0 else min(1.0, config.sample_factor * math.sqrt(instance.k_tilde / n))
-
-    def positions(order) -> np.ndarray:
-        return np.fromiter(map(where.__getitem__, order), np.intp, len(order))
-
     levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
     ws_t = oracle.working_set((), oracle.evaluate((), ledger))  # central collection
     log = RoundLog()
@@ -233,8 +224,8 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     for rno, t in enumerate(levels):
         rng = random.Random(config.seed * 1_000_003 + rno)
         outside = np.ones(n, dtype=bool)
-        outside[positions(ws_t.order)] = False
-        gamma = ids[_sample(np.flatnonzero(outside), p, rng)].tolist()
+        outside[instance.locate(ws_t.order)] = False
+        gamma = instance.ids[_sample(np.flatnonzero(outside), p, rng)].tolist()
         slices = _partition(n, m, rng)
 
         sample = None  # (ws_g, accepted ids, queries, fit mask outside G)
@@ -247,8 +238,8 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
                 mark = ledger.query_count
                 ws_g, accepted, _ = threshold_pass(oracle, gamma_items, t,
                                                    ws_t, ledger)
-                fits = instance.fit_mask(ids, ws_g.room)
-                fits[positions(ws_g.order)] = False
+                fits = instance.ranks < instance.rank_limit(ws_g.room)
+                fits[instance.locate(ws_g.order)] = False
                 sample = (ws_g, [eid for eid, _ in accepted],
                           ledger.query_count - mark, fits)
             else:
@@ -259,9 +250,9 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
             # goes on from the first accept only if there is one
             local = local[fits[local]]
             if local.size:
-                chunk = ids[local]
-                used, gain, _ = first_accept(oracle, ws_g, chunk, costs[local],
-                                             t, ledger)
+                chunk = instance.ids[local]
+                used, gain, _ = first_accept(oracle, ws_g, chunk,
+                                             instance.costs[local], t, ledger)
                 if gain is not None:
                     out.append(int(chunk[used - 1]))
                     ws = oracle.add(ws_g, out[-1], ws_g.value + gain)
@@ -292,7 +283,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
         # coordinator's prefixes
         return augment_pass(oracle, local_items, prefixes, ledger)
 
-    payloads = [(prefixes[-1].order, ids[slices[i]].tolist())
+    payloads = [(prefixes[-1].order, instance.ids[slices[i]].tolist())
                 for i in range(m)]
     outputs = simulate_round([aug_machine] * m, payloads, config.memory_cap)
     ids, value = best_augmented(prefixes, [c for out in outputs for c in out])

@@ -26,7 +26,7 @@ class NonFiniteValue(KnapsubError):
 class InvalidLambda(KnapsubError):
     """A streaming run was started with a value estimate that is not
     positive and finite, so large that its top threshold overflows, or so
-    small that its lowest threshold lam/(2k) is not a normal float."""
+    small that floats near its floor lam/(2k) are too coarse for its grid."""
 
 
 class MemoryCapExceeded(KnapsubError):

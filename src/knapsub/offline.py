@@ -27,7 +27,6 @@ from .core import (
     SubmodularOracle,
     TraceStep,
     WorkingSet,
-    _id_array,
 )
 
 
@@ -50,24 +49,27 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
                 seed_ids=(), restrict_to=None) -> _GreedyRun:
     """Density greedy from ``seed_ids``, harvesting augmentations and the trace.
 
-    Each step is one batch, :meth:`SubmodularOracle.values_with`, over the
-    working ids, kept sorted by id in an array, so both argmaxes go to the
-    smallest id on ties.  Elements that stop fitting the residual budget
-    (the exact rule, :meth:`Instance.fit_mask`) are physically dropped;
-    their last known density still feeds the trace's ``ub_density`` field,
-    which submodularity keeps an upper bound.  ``restrict_to`` limits the
-    candidate pool to a subset of element ids.  Every working id fits G,
-    so each step takes the oracle's batch shortcut, and the oracle raises
-    ``NonFiniteValue`` on a NaN or infinite value.
+    Each step asks the working elements in one batch,
+    :meth:`SubmodularOracle.values_with`; they are positions in the array
+    view, in ``Instance.by_id`` order, so both argmaxes go to the smallest
+    id on ties.  Those that stop fitting the residual budget (the exact
+    rule, by ``Instance.ranks``) are dropped; their last known density
+    still feeds the trace's ``ub_density`` field, which submodularity
+    keeps an upper bound.  ``restrict_to`` limits the pool to a subset of
+    element ids.  Every working id fits G, so each step takes the oracle's
+    batch shortcut, which raises ``NonFiniteValue`` on a NaN or infinity.
     """
 
     ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
     cost_g = instance.cost(seed_ids)
-    working = _id_array(sorted(e.id for e in instance.elements
-                               if e.id not in ws.ids
-                               and (restrict_to is None or e.id in restrict_to)))
-    working = working[instance.fit_mask(working, ws.room)]
-    costs = np.array([instance.cost_of(e) for e in working.tolist()], dtype=float)
+    pool = np.zeros(instance.n + 2, dtype=bool)  # by position
+    if restrict_to is None:
+        pool[:instance.n] = True
+    else:
+        pool[instance.locate(restrict_to)] = True
+    pool[instance.locate(ws.order)] = False
+    working = instance.by_id[pool[instance.by_id]]
+    working = working[instance.ranks[working] < instance.rank_limit(ws.room)]
 
     prefixes = [ws]
     candidates: list[tuple[int, int | None, float]] = []
@@ -76,11 +78,12 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
 
     while working.size:
         value_g = ws.value
-        vals = oracle.values_with(ws, working, ledger)
+        ids = instance.ids[working]
+        vals = oracle.values_with(ws, ids, ledger)
         gains = vals - value_g
-        dens = np.where(gains > 0.0, gains, 0.0) / costs
+        dens = np.where(gains > 0.0, gains, 0.0) / instance.costs[working]
         g, d = int(vals.argmax()), int(dens.argmax())
-        best_gain, best_density = int(working[g]), int(working[d])
+        best_gain, best_density = int(ids[g]), int(ids[d])
         candidates.append((len(prefixes) - 1, best_gain, float(vals[g])))
         top = float(dens[d])
         steps.append(TraceStep(cost_g, value_g, top, max(top, removed_max)))
@@ -89,13 +92,13 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         cost_g += instance.cost_of(best_density)
         prefixes.append(ws)
 
-        kept = instance.fit_mask(working, ws.room)
+        kept = instance.ranks[working] < instance.rank_limit(ws.room)
         kept[d] = False
         dropped = ~kept
         dropped[d] = False
         if dropped.any():
             removed_max = max(removed_max, float(dens[dropped].max()))
-        working, costs = working[kept], costs[kept]
+        working = working[kept]
 
     steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
     # terminal prefix competes with an empty augmentation
@@ -107,8 +110,7 @@ def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
                  ledger: QueryLedger) -> list[WorkingSet]:
     """Greedy prefixes over ``members`` only: the working sets G_0 (empty)
     to G_m, each recorded at its value; ``[-1].order`` is the pick order."""
-    return _run_greedy(instance, oracle, ledger,
-                       restrict_to=frozenset(members)).prefixes
+    return _run_greedy(instance, oracle, ledger, restrict_to=members).prefixes
 
 
 def greedy(instance: Instance, oracle: SubmodularOracle,

@@ -26,9 +26,7 @@ and raises ``KeyError`` on an id the instance does not hold.
 
 from __future__ import annotations
 
-import bisect
 import math
-import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -43,7 +41,6 @@ from .core import (
     SubmodularOracle,
     TraceStep,
     WorkingSet,
-    _id_array,
 )
 from .errors import InvalidLambda
 from .offline import greedy_order
@@ -111,12 +108,12 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
     (1+epsilon) while still above lam/(2k), at most :func:`grid_size` of
     2/alpha levels.
 
-    ``InvalidLambda`` rejects a ``lam`` that is not positive and finite
-    (NaN included), whose top level lam/(alpha*k) overflows to inf, or
-    whose floor lam/(2k) is below the smallest normal float
-    (``sys.float_info.min``), before the first level: inf/(1+epsilon)
-    stays inf, and a subnormal tau/(1+epsilon) can round back to tau
-    (5e-324/1.1 == 5e-324), so either grid would never end.
+    ``InvalidLambda`` rejects, before the first level, a ``lam`` that is
+    not positive and finite (NaN included), whose top level lam/(alpha*k)
+    overflows to inf, or whose floor lam/(2k) lies where floats are over
+    epsilon*floor/4 apart, so far below the normal range that tau could
+    round back to itself (5e-324/1.1 == 5e-324).  On any finer floor each
+    division shrinks tau and rounds it by at most epsilon/8 of itself.
     """
     if not 0 < lam < math.inf:
         raise InvalidLambda(f"value estimate must be positive and finite, "
@@ -132,9 +129,9 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
         raise InvalidLambda(f"the top level lam/(alpha*k) overflows for "
                             f"lam={lam!r}, alpha={alpha!r}, k={k!r}")
     floor = lam / (2.0 * k)
-    if floor < sys.float_info.min:
-        raise InvalidLambda(f"the floor lam/(2k) is not a normal float for "
-                            f"lam={lam!r}, k={k!r}")
+    if math.ulp(floor) > epsilon * floor / 4:
+        raise InvalidLambda(f"the floor lam/(2k) lies too far below the normal float "
+                            f"range for lam={lam!r}, k={k!r}, epsilon={epsilon!r}")
     while tau > floor:
         levels.append(tau)
         tau /= 1.0 + epsilon
@@ -212,9 +209,9 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     """One thresholding sweep of ``items`` against the working set ``ws``,
     whose ``value`` is f(S) on entry.
 
-    Members and items that no longer fit are skipped; an item joins the set
-    iff its clamped density max(0, gain)/c_e strictly clears ``tau``, and
-    the set's value grows by its gain.  Returns ``(ws, accepted, seen)``:
+    Members, base ids and items that no longer fit are skipped; an item
+    joins iff its clamped density max(0, gain)/c_e strictly clears ``tau``,
+    and the set's value grows by its gain.  Returns ``(ws, accepted, seen)``:
     the grown working set, the accepted (id, gain) pairs in order, and the
     highest density among fitting items that were rejected, which bounds
     every density at the next lower level.  ``singles``, when given,
@@ -236,7 +233,6 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     """
     inst = oracle.instance
     units = inst.units
-    cost_of = inst.cost_of
     size = FIRST_CHUNK
     accepted = []
     seen = 0.0
@@ -257,13 +253,13 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
                 raise failed
             return ws, accepted, seen
         chunk = [eid for eid in pending[:size]
-                 if eid not in ws.ids and units[eid] <= ws.room]
+                 if eid not in ws.ids and 0 < units[eid] <= ws.room]
         del pending[:size]
         if not chunk:
             size = min(2 * size, AUGMENT_CHUNK)
             continue
         used, gain, top = first_accept(oracle, ws, chunk,
-                                       list(map(cost_of, chunk)), tau,
+                                       inst.costs[inst.locate(chunk)], tau,
                                        ledger, singles)
         if top > seen:
             seen = top
@@ -287,37 +283,39 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     alone, so G_0 fits every item.  Returns the best extension as
     ``[(value, j, id)]``, ``j`` the prefix length, the first item scanned
     winning ties, or ``[]`` when ``items`` hold nothing outside G_m.
+    Base ids are skipped; an id not held raises ``KeyError``.
 
-    Items are read ``AUGMENT_CHUNK`` at a time.  Within a chunk, the items
-    on one prefix form one :meth:`SubmodularOracle.values_with` batch: the
-    same queries, counted and stopped by a budget as single ones would be,
-    asked prefix by prefix rather than in scan order.
+    Items are read ``AUGMENT_CHUNK`` at a time.  The prefixes' rank limits
+    fall as they grow, so one ``searchsorted`` of the items' unit ranks
+    finds each deepest fit.  The items on one prefix form one
+    :meth:`SubmodularOracle.values_with` batch, asked prefix by prefix in
+    the order the chunk first reaches them: the same queries, counted and
+    stopped by a budget as single ones would be.
     """
     inst = oracle.instance
-    units = inst.units
-    # exact prefix costs, nondecreasing, so bisect finds the deepest fit
-    prefix_units = [inst.unit_capacity - p.room for p in prefixes]
-    members = prefixes[-1].ids
+    # minus each prefix's rank limit, which falls as the prefixes grow
+    limits = -np.array([inst.rank_limit(p.room) for p in prefixes])
+    skip = np.zeros(inst.n + 2, dtype=bool)  # by position: members, base ids
+    skip[inst.locate(prefixes[-1].order)] = skip[inst.n] = True
     best = None
     items = iter(items)
     while chunk := list(islice(items, AUGMENT_CHUNK)):
-        kept = [eid for eid in chunk if eid not in members]
-        if not kept:
+        at = inst.locate(chunk)
+        if (at > inst.n).any():
+            raise KeyError(chunk[int((at > inst.n).argmax())])
+        at = at[~skip[at]]
+        if not at.size:
             continue
-        depth = [bisect.bisect_right(prefix_units,
-                                     inst.unit_capacity - units[eid]) - 1
-                 for eid in kept]
+        depth = np.searchsorted(limits, -inst.ranks[at]) - 1  # deepest fit
+        ids = inst.ids[at]
+        values = np.empty(at.size)
         # items on one prefix share its state: one exact batch per prefix
-        groups: dict[int, list[int]] = {}
-        for at, j in enumerate(depth):
-            groups.setdefault(j, []).append(at)
-        ids = _id_array(kept)
-        values = np.empty(len(kept))
-        for j, at in groups.items():
-            values[at] = oracle.values_with(prefixes[j], ids[at], ledger)
+        for j in depth[np.sort(np.unique(depth, return_index=True)[1])].tolist():
+            on = depth == j
+            values[on] = oracle.values_with(prefixes[j], ids[on], ledger)
         k = int(values.argmax())  # the first scanned of equal values
         if best is None or values[k] > best[0]:
-            best = (float(values[k]), depth[k], kept[k])
+            best = (float(values[k]), int(depth[k]), int(ids[k]))
     return [] if best is None else [best]
 
 
@@ -457,9 +455,9 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
 
     The collection is reordered greedily in memory (it fits the budget, so
     this costs no stream pass), then every outside element is tried on the
-    deepest reordered prefix it still fits (binary search over the monotone
-    prefix costs); the answer is the best prefix-plus-one-item combination,
-    bare prefixes included.
+    deepest reordered prefix it still fits (one ``searchsorted`` over the
+    prefixes' rank limits); the answer is the best prefix-plus-one-item
+    combination, bare prefixes included.
     """
     ledger, meter, (ws, trace, _) = _threshold_stage(
         "sieve_plus_max", stream, k, oracle, lam, alpha, epsilon, ledger,

@@ -17,12 +17,19 @@ from knapsub import (
     InfeasibleQuery,
     Instance,
     ModularObjective,
+    MpcConfig,
     QueryLedger,
+    StreamSource,
     SubmodularOracle,
     TooLarge,
     TraceStep,
     brute_force_opt,
+    distributed_sieve_plus_max,
+    estimate_lambda,
     normalize,
+    sieve,
+    sieve_or_max,
+    sieve_plus_max,
     upper_bound_opt,
 )
 from knapsub.offline import greedy
@@ -60,18 +67,29 @@ def test_instance_rejects_nonfinite_capacity():
 
 
 def test_ids_beyond_int64_run_like_small_ids():
-    # greedy sweeps hold ids in arrays; ids past int64 must not round
+    # the solvers hold ids in arrays; ids past int64 must not round
     # through float64, which would merge 2**63 - 1 and 2**63
     big = [-2**70, -2**63 - 1, -1, 2**63 - 1, 2**63, 2**70]
     costs = [2.0, 1.0, 3.0, 1.0, 1.0, 2.0]
     weights = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]
-    picks = []
-    for ids in (big, range(len(big))):
+
+    def runs(ids):
         inst = Instance([Element(i, c) for i, c in zip(ids, costs)], 4.0)
         oracle = SubmodularOracle(inst, ModularObjective(dict(zip(ids, weights))))
-        solution = greedy(inst, oracle).report.solution
-        picks.append((sorted(ids.index(i) for i in solution.ids), solution.value))
-    assert picks[0] == picks[1]
+        est = estimate_lambda(StreamSource(ids), 4.0, oracle)
+        reports = [greedy(inst, oracle).report]
+        reports += [solver(StreamSource(ids), 4.0, oracle, est.lam, est.alpha,
+                           0.1) for solver in (sieve, sieve_or_max, sieve_plus_max)]
+        reports += [distributed_sieve_plus_max(
+            inst, oracle, est.lam, est.alpha, 0.1,
+            MpcConfig(machines, 100.0)).report for machines in (1, 2)]
+        return est, [(sorted(map(ids.index, r.solution.ids)), r.solution.value,
+                      r.queries) for r in reports]
+
+    est, picks = runs(range(len(big)))
+    assert runs(big) == (est, picks)
+    # Sieve+Max and one machine
+    assert picks[3][:2] == picks[4][:2] == ([1, 4, 5], 15.0)
     inst = Instance([Element(i, c) for i, c in zip(big, costs)], 4.0)
     assert inst.fit_mask([2**63, 2**63 + 1, -1, -2**70], 2).tolist() == \
         [True, False, False, True]

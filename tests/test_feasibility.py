@@ -146,3 +146,6 @@ def test_fit_mask_is_the_exact_fit_rule(first_id, gap):
     strangers = [first_id - 1, first_id + 2, first_id + gap + 1,
                  first_id + gap * len(costs) + 1, -2**70, 2**70]
     assert not instance.fit_mask(strangers, instance.unit_capacity).any()
+    # positions: each element's index, n for the base id, n + 1 for the rest
+    assert instance.locate(ids + strangers).tolist() == \
+        [5, *range(5), *range(5), *[6] * len(strangers)]

@@ -21,6 +21,8 @@ from knapsub import (
     greedy_plus_max,
     partial_enum_greedy,
 )
+from knapsub.bench.datasets import preferential_adjacency
+from knapsub.offline import greedy_order
 
 from helpers import NONFINITE, nan_probe, tight_oracle, validate_trace
 
@@ -63,6 +65,28 @@ def test_greedy_modular_unit_costs_takes_top_weights():
     result = greedy(inst, oracle)
     assert result.report.solution.ids == frozenset({0, 1})
     assert result.report.solution.value == 5.0
+
+
+def test_the_greedies_do_not_depend_on_the_build_order():
+    # unit costs on a coverage graph tie often: ties go to the smallest id
+    # whatever order the elements were built in
+    objective = CoverageObjective(preferential_adjacency(80, 2, seed=3))
+    elements = [Element(v, 1.0) for v in range(80)]
+    shuffled = elements[:]
+    random.Random(7).shuffle(shuffled)
+    runs = []
+    for order in (elements, shuffled):
+        inst = Instance(order, 8.0)
+        oracle = SubmodularOracle(inst, objective)
+        run = [(r.solution.ids, r.solution.value, r.queries) for r in (
+            solver(inst, oracle).report
+            for solver in (greedy, greedy_or_max, greedy_plus_max))]
+        ledger = QueryLedger()
+        prefixes = greedy_order(inst, oracle, range(0, 80, 3), ledger)
+        run.append(([p.order for p in prefixes], [p.value for p in prefixes],
+                    ledger.query_count))
+        runs.append(run)
+    assert runs[0] == runs[1]
 
 
 def test_greedy_single_element():

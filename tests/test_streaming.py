@@ -17,12 +17,15 @@ from knapsub import (
     InvalidLambda,
     ModularObjective,
     MovieObjective,
+    MpcConfig,
     NonFiniteValue,
     OptEstimate,
     QueryLedger,
     StreamSource,
     SubmodularOracle,
+    brute_force_opt,
     coverage_costs,
+    distributed_sieve_plus_max,
     estimate_lambda,
     greedy_plus_max,
     normalize,
@@ -110,8 +113,32 @@ def test_threshold_levels_accepts_the_smallest_normal_floor():
     levels = threshold_levels(lam, 1.0, 0.1, 1.0)
     assert len(levels) == 8  # log(2)/log(1.1) = 7.3
     assert levels[0] == lam and levels[-1] > lam / 2 >= levels[-1] / 1.1
-    with pytest.raises(InvalidLambda):
-        threshold_levels(lam, 1.0, 0.1, 1.0 + 2**-52)
+    # a floor just below the normal range still has floats fine enough
+    # for steps of 1.1, so its grid is built as well
+    assert len(threshold_levels(lam, 1.0, 0.1, 1.0 + 2**-52)) == 8
+
+
+@pytest.mark.parametrize("value, n, k", [
+    (2e-308, 4, 4.0),  # OPT 8e-308 is normal, the floor lam/(2k) is not
+    (1e-320, 2, 10.0), (1e-310, 2, 10.0), (1e-300, 2, 10.0),
+])
+def test_the_sieves_accept_the_estimators_lambda_at_subnormal_scale(value, n, k):
+    # every sieve and Distributed+Max used to refuse a subnormal floor,
+    # and with it the estimator's own lam on these instances
+    inst = Instance([Element(i, 1.0) for i in range(n)], k)
+    oracle = SubmodularOracle(inst, ModularObjective(dict.fromkeys(range(n), value)))
+    opt = brute_force_opt(inst, oracle).value
+    est = estimate_lambda(tight_stream(inst), k, oracle)
+    assert (1 / 3 - 1 / 6) * opt <= est.lam <= opt
+    reports = [solver(tight_stream(inst), k, oracle, est.lam, est.alpha, 0.1)
+               for solver in (sieve, sieve_or_max, sieve_plus_max)]
+    reports += [distributed_sieve_plus_max(
+        inst, oracle, est.lam, est.alpha, 0.1,
+        MpcConfig(machines, 10.0 * n)).report for machines in (1, 2)]
+    values = [report.solution.value for report in reports]
+    assert all(inst.fits(report.solution.ids) for report in reports)
+    assert values[0] <= values[1] <= values[2]
+    assert min(values[2:]) >= (0.5 - 0.1) * opt
 
 
 @given(st.floats(0.1, 50.0), st.floats(0.05, 1.0),
@@ -380,6 +407,10 @@ def test_an_estimate_past_the_float_range_raises_a_value_error():
 
     with pytest.raises(ValueError, match=r"1e\+308"):
         run(1e308)
+    # up to the largest float, 2*delta overflows before any base ** i
+    for top in (1.7e308, sys.float_info.max):
+        with pytest.raises(ValueError, match="too large for the grid"):
+            run(top)
     assert run(1e307).lam == 1e307
 
 
@@ -443,6 +474,23 @@ def test_first_of_two_equal_better_extensions_wins():
     ids, _ = best_augmented(prefixes, [(1.5, 2, 4), (1.5, 2, 3)])
     assert ids == frozenset({0, 1, 4})
     assert augment_pass(oracle, [0, 1, 2], prefixes, ledger) == []
+
+
+def test_both_kernels_skip_base_ids_and_augment_pass_stops_at_an_unknown_id():
+    weights = {0: 1.0, 1: 0.5, 7: 2.0}
+    inst = Instance([Element(0, 1.0), Element(1, 1.0)], 2.0, base_set={7})
+    oracle = SubmodularOracle(inst, ModularObjective(weights))
+    prefixes = [oracle.working_set((), 2.0)]
+    ledger = QueryLedger()
+    # a base id is in every set already, so neither kernel asks it
+    assert augment_pass(oracle, [7, 1, 7], prefixes, ledger) == [(2.5, 0, 1)]
+    assert ledger.query_count == 1
+    _, accepted, _ = threshold_pass(oracle, [7, 1, 7], 0.1, prefixes[0], ledger)
+    assert accepted == [(1, 0.5)] and ledger.query_count == 2
+    # an id the instance does not hold stops its chunk before any query
+    with pytest.raises(KeyError, match="99"):
+        augment_pass(oracle, [0, 99], prefixes, ledger)
+    assert ledger.query_count == 2
 
 
 def test_an_item_that_exactly_fills_the_capacity_goes_on_the_deepest_fit():
