@@ -128,7 +128,7 @@ def scalar_threshold_pass(oracle, items, tau, ws, ledger, singles=None):
     accepted = []
     seen = 0.0
     for eid in items:
-        if eid in ws.ids or inst.units[eid] > ws.room:
+        if eid in ws.ids or not 0 < inst.units[eid] <= ws.room:
             continue
         gain = oracle.value_with(ws, eid, ledger) - ws.value
         if singles is not None and not ws.ids:

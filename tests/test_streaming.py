@@ -485,12 +485,13 @@ def test_both_kernels_skip_base_ids_and_augment_pass_stops_at_an_unknown_id():
     # a base id is in every set already, so neither kernel asks it
     assert augment_pass(oracle, [7, 1, 7], prefixes, ledger) == [(2.5, 0, 1)]
     assert ledger.query_count == 1
-    _, accepted, _ = threshold_pass(oracle, [7, 1, 7], 0.1, prefixes[0], ledger)
-    assert accepted == [(1, 0.5)] and ledger.query_count == 2
+    for count, kernel in ((2, threshold_pass), (3, scalar_threshold_pass)):
+        _, accepted, _ = kernel(oracle, [7, 1, 7], 0.1, prefixes[0], ledger)
+        assert accepted == [(1, 0.5)] and ledger.query_count == count
     # an id the instance does not hold stops its chunk before any query
     with pytest.raises(KeyError, match="99"):
         augment_pass(oracle, [0, 99], prefixes, ledger)
-    assert ledger.query_count == 2
+    assert ledger.query_count == 3
 
 
 def test_an_item_that_exactly_fills_the_capacity_goes_on_the_deepest_fit():
