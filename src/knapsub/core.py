@@ -14,8 +14,8 @@ ndarray``, answers such a query in time independent of |S|, and a batch of
 them against one fixed S in one call.  Any other objective, one with only
 part of the protocol included, is evaluated on the whole set, as by
 :meth:`SubmodularOracle.evaluate`.  Both paths count the same queries and
-return the same floats, bit for bit.  A batch of ids that do not all fit S
-is asked one id at a time, so it stops where, and with the error, single
+return the same floats, bit for bit.  A batch of elements that do not all
+fit S is asked one at a time, so it stops where, and with the error, single
 queries would.  A NaN or an infinity raises :class:`NonFiniteValue` once
 the query is counted; a batch answered in one call is counted whole before
 that check.
@@ -314,8 +314,9 @@ class SubmodularOracle:
     exactly the float ``value(S | {eid})`` returns, and ``values_with`` the
     same float for each id, bit for bit.  :meth:`value_with` then answers
     from the working set's state and its exact ``room``, in time
-    independent of |S|, and :meth:`values_with` answers a batch of ids that
-    all fit S in one call.  :class:`~knapsub.objectives.CoverageObjective`
+    independent of |S|, and :meth:`values_with` answers a batch of
+    elements, given by position in the array view, that all fit S in one
+    call.  :class:`~knapsub.objectives.CoverageObjective`
     and :class:`~knapsub.objectives.MovieObjective` implement it.  Any other
     objective takes the whole-set path, which calls :meth:`evaluate` on the
     whole set, so a wrapper installed on ``evaluate`` still sees every query
@@ -395,19 +396,32 @@ class SubmodularOracle:
             raise _nonfinite(value, ws.ids | {eid})
         return value
 
-    def values_with(self, ws: WorkingSet, ids, ledger: QueryLedger) -> np.ndarray:
-        """f(S + e) for every id in ``ids``, in order, as a float array.
+    def values_with(self, ws: WorkingSet, positions,
+                    ledger: QueryLedger) -> np.ndarray:
+        """f(S + e) for the element e at each position of the array view
+        (``Instance.ids``), in order, as a float array.
 
-        When every id is held and fits S, a protocol objective answers in
-        one call: ``len(ids)`` queries, all counted before a non-finite
-        value raises, stopped at a budget where single queries would be.
-        Any other batch is that many :meth:`value_with` calls.
+        When every position is an element's (below n) and fits S by rank,
+        a protocol objective answers in one call: ``len(positions)``
+        queries, all counted before a non-finite value raises, stopped at
+        a budget where single queries would be.  Any other batch is that
+        many :meth:`value_with` calls, up to a position that is no
+        element's (``Instance.locate``'s n or n + 1), where it raises
+        ``KeyError``.
         """
-        obj = self._protocol
-        ids = _id_array(ids)
-        if obj is None or not self.instance.fit_mask(ids, ws.room).all():
-            return np.array([self.value_with(ws, eid, ledger)
-                             for eid in ids.tolist()], dtype=float)
+        obj, inst = self._protocol, self.instance
+        positions = np.asarray(positions, dtype=np.intp)
+        limit = inst.rank_limit(ws.room)
+        if obj is None or positions.size and (
+                positions.max() >= inst.n or inst.ranks[positions].max() >= limit):
+            ids = iter(inst.ids[positions[positions < inst.n]].tolist())
+            values = []
+            for p in positions.tolist():
+                if p >= inst.n:
+                    raise KeyError(f"position {p} holds no element")
+                values.append(self.value_with(ws, next(ids), ledger))
+            return np.array(values, dtype=float)
+        ids = inst.ids[positions]
         ledger._admit(len(ids))
         values = obj.values_with(ws.state, ids)
         finite = np.isfinite(values)
@@ -541,22 +555,23 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     finite and positive raises ``ValueError``, as in :class:`Instance`.
     """
 
-    elems = []
+    pairs = []  # (id, cost): each kept Element is built once, rescaled
     base = set(base_ids)
     for item in raw_elements:
-        e = item if isinstance(item, Element) else Element(int(item[0]), float(item[1]))
-        if e.cost < 0:
-            raise ValueError(f"negative cost on element {e.id}")
-        if e.cost == 0.0:
-            base.add(e.id)
+        eid, cost = ((item.id, item.cost) if isinstance(item, Element)
+                     else (int(item[0]), float(item[1])))
+        if cost < 0:
+            raise ValueError(f"negative cost on element {eid}")
+        if cost == 0.0:
+            base.add(eid)
         else:
-            elems.append(e)
+            pairs.append((eid, cost))
 
-    if elems:
-        unit = min(e.cost for e in elems)
+    if pairs:
+        unit = min(cost for _, cost in pairs)
         capacity = capacity / unit
-        elems = [Element(e.id, e.cost / unit) for e in elems]
-    elems = [e for e in elems if e.cost <= capacity]
+        pairs = [(eid, cost / unit) for eid, cost in pairs]
+    elems = [Element(eid, cost) for eid, cost in pairs if cost <= capacity]
 
     inst = Instance(elems, capacity, base)
     if inst.empty:

@@ -6,16 +6,21 @@ single objective may back many concurrent runs.
 
 ``CoverageObjective`` and ``MovieObjective`` also implement the protocol
 of :class:`~knapsub.core.SubmodularOracle`: ``extend(state, ids)`` folds
-ids into an immutable state (``None`` is the empty set),
+ids into a new state and leaves the old one as it was (``None`` is the
+empty set),
 ``value_with(state, eid)`` returns exactly the float ``value(S | {eid})``
 returns for the set S behind ``state``, bit for bit, without touching S,
 and ``values_with(state, ids)`` returns an array holding, for each id,
 exactly the float ``value_with(state, id)`` returns.  The oracle asks
-``values_with`` only for ids that all fit S.  A coverage state is a
-read-only ``bool`` array of the covered vertices and their count; every
-coverage query reads the graph's one CSR array, a batch below n/4 ids
-only the requested rows and a larger one every edge.  The movie batch
-reads at most 256 rows of its table (and at most 4 MB) at a time.
+``values_with`` only for ids that all fit S.  A coverage state holds
+the covered vertices as a read-only ``bool`` array, their count, and a
+memo slot for every vertex's covered-neighbour count; the slot is the
+only thing ever written on a state.  A coverage batch below n/4 ids
+reads only the requested rows of the graph's one CSR array; a larger
+one reads the memoized counts, which the first such batch on a state
+builds in one pass over every edge and each grown state carries on in
+O(n + the new vertices' degrees).  The movie batch reads at most 256
+rows of its table (and at most 4 MB) at a time.
 ``ModularObjective`` and ``HiddenPairObjective`` do not implement it: a
 running float sum would differ from ``value`` in the last bits, and the
 hidden pair needs the whole set.
@@ -39,16 +44,41 @@ _MOVIE_BATCH_FLOATS = 1 << 19
 _MOVIE_SUM_COLUMNS = 64
 
 
+class CoverState:
+    """A set's state under :class:`CoverageObjective`.
+
+    ``covered`` is a read-only ``bool`` array marking the union of the
+    chosen closed neighborhoods and ``count`` its true entries.  ``hits``
+    is ``None`` or the read-only count of covered vertices in every
+    vertex's closed neighborhood: a memo slot, filled by a large batch and
+    taken by the next state grown from this one.  It is the only attribute
+    ever assigned after construction.
+    """
+
+    __slots__ = ("covered", "count", "hits")
+
+    def __init__(self, covered: np.ndarray, count: int,
+                 hits: np.ndarray | None = None):
+        self.covered, self.count, self.hits = covered, count, hits
+
+
 class CoverageObjective:
     """Fraction of vertices dominated by the chosen set.
 
     f(Z) = |Z union N(Z)| / |V| on an undirected graph.  Closed
     neighborhoods are kept once, as a CSR array (self included, duplicates
-    removed), so the graph takes O(n + E) memory.  A set's state is a
-    read-only ``bool`` array of its covered vertices and their count: one
-    "f(S + e)" query reads e's row, and a batch of them is a few NumPy
-    passes over the requested rows, or over every edge for a batch of n/4
-    ids or more.
+    removed, checked symmetric), so the graph takes O(n + E) memory.  A
+    set's state is a :class:`CoverState`: its covered vertices and their
+    count, and a memo slot for ``hits[w] = |N[w] & covered|``.  One
+    "f(S + e)" query reads e's row.  A batch of fewer than n/4 of them
+    reads the requested rows; a larger one reads ``hits``, which the first
+    such batch on a state builds in one pass over every edge.  A state
+    grown from one that holds ``hits`` takes them and adds the rows of the
+    newly covered vertices U, which is exact because the graph is
+    symmetric: w gains one covered neighbour per row of U holding w.  So a
+    greedy sweep passes over the edges once, not once per step.  The
+    parent is left without ``hits``; asked again, it builds them anew, the
+    same integers.
     """
 
     def __init__(self, adjacency):
@@ -104,27 +134,38 @@ class CoverageObjective:
         self._row_cutoff = n // 4
         empty = np.zeros(n, dtype=bool)
         empty.flags.writeable = False
-        self._empty = empty, 0
+        self._empty = CoverState(empty, 0)
 
     def value(self, ids) -> float:
-        return self.extend(None, ids)[1] / self.n_vertices
+        return self.extend(None, ids).count / self.n_vertices
 
-    def extend(self, state, ids) -> tuple[np.ndarray, int]:
-        """The state is ``(covered, count)``: a read-only ``bool`` array
-        marking the union of the chosen neighborhoods, and its true
-        entries' count.  One state seeds many sets, so none is written."""
-        covered = (state or self._empty)[0].copy()
+    def extend(self, state, ids) -> CoverState:
+        """``state`` with the neighborhoods of ``ids`` covered.  One state
+        seeds many sets, so only its ``hits`` slot is written: the new
+        state takes them, grown by the newly covered vertices' rows.
+        ``extend(None, ids)`` builds no ``hits``."""
+        covered = (state or self._empty).covered.copy()
         indptr, indices = self._indptr, self._indices
         for v in ids:
             covered[indices[indptr[v]:indptr[v + 1]]] = True
         covered.flags.writeable = False
-        return covered, int(np.count_nonzero(covered))
+        hits = None
+        if state is not None:
+            hits, state.hits = state.hits, None
+        if hits is None:
+            return CoverState(covered, int(np.count_nonzero(covered)))
+        fresh = np.flatnonzero(covered > state.covered)
+        grown = np.bincount(self._rows(fresh)[0], minlength=self.n_vertices)
+        grown = grown.astype(self._count_type)
+        grown += hits  # into a new array, so no reader sees ``hits`` change
+        grown.flags.writeable = False
+        return CoverState(covered, state.count + fresh.size, grown)
 
     def value_with(self, state, eid: int) -> float:
-        covered, count = state or self._empty
+        state = state or self._empty
         row = self._indices[self._indptr[eid]:self._indptr[eid + 1]]
-        hits = int(np.count_nonzero(covered[row]))
-        return (count + row.size - hits) / self.n_vertices
+        hits = int(np.count_nonzero(state.covered[row]))
+        return (state.count + row.size - hits) / self.n_vertices
 
     def values_with(self, state, ids) -> np.ndarray:
         """(S's covered count + uncovered vertices of each row) / n, which
@@ -132,33 +173,43 @@ class CoverageObjective:
         the same exactly representable integers once.
 
         Fewer than ``_row_cutoff`` ids read only their own rows, in
-        O(sum of their degrees); more take one pass over every edge."""
+        O(sum of their degrees); more read the state's ``hits``, built on
+        the first such batch in one pass over every edge."""
         ids = np.asarray(ids, dtype=np.intp)
-        covered, count = state or self._empty
+        state = state or self._empty
         if len(ids) < self._row_cutoff:
-            hits = self._row_hits(covered, ids)
+            hits = self._row_hits(state.covered, ids)
         else:
-            hits = self._all_hits(covered)[ids]
-        return (count + (self._sizes[ids] - hits)) / self.n_vertices
+            hits = state.hits
+            if hits is None:
+                hits = state.hits = self._all_hits(state.covered)
+            hits = hits[ids]
+        return (state.count + (self._sizes[ids] - hits)) / self.n_vertices
 
-    def _row_hits(self, covered, ids) -> np.ndarray:
-        """The covered vertices of each id's row, from the rows alone."""
+    def _rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Each id's row, back to back, and where each row starts."""
         sizes = self._sizes[ids]
         ends = np.cumsum(sizes)
         starts = ends - sizes
         # entry i of the gathered rows sits at indices[i + its row's shift]
         at = np.repeat(self._indptr[ids] - starts, sizes)
         at += np.arange(at.size)
+        return self._indices[at], starts
+
+    def _row_hits(self, covered, ids) -> np.ndarray:
+        """The covered vertices of each id's row, from the rows alone."""
+        entries, starts = self._rows(ids)
         # every closed row holds its own vertex, so no row is empty
-        return np.add.reduceat(covered[self._indices[at]], starts,
-                               dtype=self._count_type)
+        return np.add.reduceat(covered[entries], starts, dtype=self._count_type)
 
     def _all_hits(self, covered) -> np.ndarray:
-        """The covered vertices of every row, in one pass over the edges."""
+        """The covered vertices of every row, in one pass over the edges,
+        read-only."""
         covered_in = covered.astype(self._count_type)[self._indices]
         # reduceat without ``out`` would allocate edge-sized scratch
         hits = np.empty(self.n_vertices, self._count_type)
         np.add.reduceat(covered_in, self._indptr[:-1], out=hits)
+        hits.flags.writeable = False
         return hits
 
 

@@ -78,12 +78,11 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
 
     while working.size:
         value_g = ws.value
-        ids = instance.ids[working]
-        vals = oracle.values_with(ws, ids, ledger)
+        vals = oracle.values_with(ws, working, ledger)
         gains = vals - value_g
         dens = np.where(gains > 0.0, gains, 0.0) / instance.costs[working]
         g, d = int(vals.argmax()), int(dens.argmax())
-        best_gain, best_density = int(ids[g]), int(ids[d])
+        best_gain, best_density = instance.ids[working[[g, d]]].tolist()
         candidates.append((len(prefixes) - 1, best_gain, float(vals[g])))
         top = float(dens[d])
         steps.append(TraceStep(cost_g, value_g, top, max(top, removed_max)))

@@ -307,15 +307,14 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
         if not at.size:
             continue
         depth = np.searchsorted(limits, -inst.ranks[at]) - 1  # deepest fit
-        ids = inst.ids[at]
         values = np.empty(at.size)
         # items on one prefix share its state: one exact batch per prefix
         for j in depth[np.sort(np.unique(depth, return_index=True)[1])].tolist():
             on = depth == j
-            values[on] = oracle.values_with(prefixes[j], ids[on], ledger)
+            values[on] = oracle.values_with(prefixes[j], at[on], ledger)
         k = int(values.argmax())  # the first scanned of equal values
         if best is None or values[k] > best[0]:
-            best = (float(values[k]), int(depth[k]), int(ids[k]))
+            best = (float(values[k]), int(depth[k]), int(inst.ids[at[k]]))
     return [] if best is None else [best]
 
 

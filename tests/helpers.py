@@ -44,8 +44,7 @@ class NanProbe(CoverageObjective):
 
     def _answer(self, state, value: float) -> float:
         # an isolated vertex covers only itself: the cover is the set
-        covered, count = state
-        return self.bad if covered[2] and count >= 2 else value
+        return self.bad if state.covered[2] and state.count >= 2 else value
 
     def value(self, ids):
         return self._answer(self.extend(None, ids), super().value(ids))

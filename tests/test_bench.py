@@ -579,3 +579,32 @@ def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
     assert metrics["wall_s"]["implausible"] == {"base": [], "head": [1]}
     assert "implausible" not in metrics["queries"]
     assert "w wall_s: head runs [1]" in capsys.readouterr().err
+
+
+def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
+                                                             monkeypatch, capsys):
+    tool = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "value_ratio", "unit": "ratio", "better": "higher"}]}))
+    # base, head, then head, base: the head is faster in both pairs and
+    # scores 0.0 once, so its median ratio is 0.5 and it never wins
+    runs = iter([(0.4, 1.0), (0.2, 1.0), (0.1, 0.0), (0.3, 1.0)] * 2)
+
+    def fake_run(checkout, workload, seed, seconds):
+        wall, ratio = next(runs)
+        return {"metrics": {"wall_s": {"value": wall},
+                            "value_ratio": {"value": ratio}},
+                "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(tool, "perfbench", fake_run)
+    assert tool.main(["--base", str(tmp_path), "--head", str(tmp_path),
+                      "--workload", "a", "--workload", "b", "--seed", "1",
+                      "--pairs", "2", "--out", str(tmp_path / "pairs.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
+        "a value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
+        "b wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
+        "b value_ratio: base 1 head 0.5 change -50.0% head wins 0/2"]
+    assert tool.summary("t", "m", tool.compare([0.0], [1.0], "lower")) == \
+        "t m: base 0 head 1 change n/a head wins 0/1"

@@ -8,6 +8,8 @@ plain callable, which takes the whole-set path one query at a time.
 """
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -266,13 +268,13 @@ def test_values_with_is_value_with_bit_for_bit(n):
     raw = [(v, 0.0 if v in base else rng.uniform(1.0, 3.0)) for v in range(n)]
     instance = normalize(raw, 1e6)
     oracle = SubmodularOracle(instance, objective)
-    assert oracle.working_set().state[1]  # the base set is covered
+    assert oracle.working_set().state.count  # the base set is covered
     ids = [e.id for e in instance.elements]
     for _ in range(20):
         ws = oracle.working_set(rng.sample(ids, rng.randint(0, n // 2)))
         # all ids (one pass over the edges) and a few (their rows alone)
         for batch in (ids, [], *(ids[j:j + 3] for j in range(0, len(ids), 3))):
-            got = oracle.values_with(ws, batch, QueryLedger())
+            got = oracle.values_with(ws, instance.locate(batch), QueryLedger())
             want = [oracle.value_with(ws, eid, QueryLedger()) for eid in batch]
             assert hexes(got) == hexes(want)
             assert hexes(objective.values_with(None, batch)) == \
@@ -282,7 +284,9 @@ def test_values_with_is_value_with_bit_for_bit(n):
 @pytest.mark.parametrize("n", [9, 40, 150])
 def test_both_coverage_batch_paths_are_value_with_bit_for_bit(n):
     # fewer than the cutoff's ids read their rows alone, the cutoff and
-    # more pass over every edge; multiples of 7 are isolated vertices
+    # more read the counts of every row, which the first such batch on a
+    # state builds in one pass over every edge; multiples of 7 are
+    # isolated vertices
     objective = CoverageObjective(ragged_adjacency(n, n))
     cutoff = objective._row_cutoff
     assert cutoff == n // 4 >= 2
@@ -299,27 +303,124 @@ def test_both_coverage_batch_paths_are_value_with_bit_for_bit(n):
             got = objective.values_with(state, np.array(ids, dtype=np.intp))
             assert hexes(got) == hexes(objective.value_with(state, eid)
                                        for eid in ids)
-            assert len(passes) - before == (size >= cutoff)
+            assert len(passes) - before == (size == cutoff)
 
 
 def test_coverage_states_are_never_written():
     # one working set seeds many machines and threshold sets, so growing
-    # it must leave its state as it was, and no state takes a write
+    # it must leave its state as it was, and no array takes a write; only
+    # the counts' memo slot changes hands, to the first child grown
     n = 40
     objective = CoverageObjective(ragged_adjacency(n, n))
-    oracle = SubmodularOracle(normalize([(v, 1.0) for v in range(n)], 1e6),
-                              objective)
+    instance = normalize([(v, 1.0) for v in range(n)], 1e6)
+    oracle = SubmodularOracle(instance, objective)
     parent = oracle.working_set([3, 8])
-    covered, count = parent.state
-    before = covered.copy()
+    state = parent.state
+    assert state.hits is None  # a working set starts without counts
+    oracle.values_with(parent, np.arange(instance.n), QueryLedger())
+    covered, count, hits = state.covered, state.count, state.hits
+    before = covered.copy(), hits.copy()
     children = [oracle.add(parent, eid) for eid in range(n)
                 if eid not in parent.ids]
-    assert parent.state[0] is covered and parent.state[1] == count
-    assert np.array_equal(covered, before)
-    assert count == np.count_nonzero(before)
-    for state in (parent.state, children[-1].state, objective.extend(None, ())):
+    assert parent.state is state and state.covered is covered
+    assert state.count == count == np.count_nonzero(before[0])
+    assert np.array_equal(covered, before[0])
+    assert np.array_equal(hits, before[1])
+    assert state.hits is None  # taken by the first child alone
+    assert children[0].state.hits is not None
+    assert all(child.state.hits is None for child in children[1:])
+    for arr in (covered, hits, children[0].state.covered, children[0].state.hits,
+                children[-1].state.covered, objective.extend(None, ()).covered):
         with pytest.raises(ValueError, match="read-only"):
-            state[0][0] = True
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("n", [9, 40, 150])
+def test_carried_counts_are_a_full_pass_at_every_step(n):
+    # chains of 0 to 3 ids at a time, with repeats, covered vertices and
+    # isolated ones (multiples of 7)
+    objective = CoverageObjective(ragged_adjacency(n, n + 1))
+    rng = random.Random(n)
+    state = objective.extend(None, rng.sample(range(n), 2))
+    objective.values_with(state, np.arange(n))
+    for _ in range(n):
+        grown = objective.extend(state, [rng.randrange(n)
+                                         for _ in range(rng.randint(0, 3))])
+        assert state.hits is None
+        assert grown.hits.dtype == objective._count_type
+        assert grown.hits.tolist() == objective._all_hits(grown.covered).tolist()
+        assert grown.count == np.count_nonzero(grown.covered)
+        state = grown
+
+
+def test_siblings_answer_alike_whichever_took_the_counts():
+    n = 150
+    objective = CoverageObjective(ragged_adjacency(n, 3))
+    everything = np.arange(n)
+    want = {v: hexes(objective.value_with(objective.extend(None, [1, 2, v]), e)
+                     for e in range(n)) for v in (5, 9)}
+    for first, second in ((5, 9), (9, 5)):
+        parent = objective.extend(None, [1, 2])
+        asked = hexes(objective.values_with(parent, everything))
+        took = objective.extend(parent, [first])
+        late = objective.extend(parent, [second])
+        assert took.hits is not None and late.hits is None
+        assert hexes(objective.values_with(took, everything)) == want[first]
+        assert hexes(objective.values_with(late, everything)) == want[second]
+        # the parent, asked again, builds its counts anew
+        assert hexes(objective.values_with(parent, everything)) == asked
+
+
+def test_one_parent_shared_by_threads_answers_exactly():
+    # threads race to take the parent's counts and to build them anew;
+    # whoever wins, every answer is the one a full pass gives
+    n = 150
+    objective = CoverageObjective(ragged_adjacency(n, 5))
+    everything = np.arange(n)
+    want = {v: hexes(objective.value_with(objective.extend(None, [1, 2, v]), e)
+                     for e in range(n)) for v in range(0, n, 10)}
+    parent = objective.extend(None, [1, 2])
+    wrong = []
+
+    def work(offset):
+        for v in list(want)[offset::3] * 5:
+            objective.values_with(parent, everything)
+            child = objective.extend(parent, [v])
+            if hexes(objective.values_with(child, everything)) != want[v]:
+                wrong.append(v)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 3,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_greedy_passes_over_the_edges_once():
+    # one full pass on the first step; every later step of the sweep
+    # reads counts carried from the step before, or its rows alone
+    n = 150
+    objective = CoverageObjective(ragged_adjacency(n, 4))
+    instance = normalize([(v, 1.0 + v % 4) for v in range(n)], 24.0)
+    passes = []
+    all_hits = objective._all_hits
+    objective._all_hits = lambda bits: passes.append(len(bits)) or all_hits(bits)
+    batches = []
+    values_with = objective.values_with
+    objective.values_with = lambda state, ids: (batches.append(len(ids))
+                                                or values_with(state, ids))
+    fast, slow = both_oracles(instance, objective)
+    report = greedy_plus_max(instance, fast).report
+    assert passes == [n]
+    assert sum(size >= objective._row_cutoff for size in batches) >= 5
+    assert report_key(report) == report_key(greedy_plus_max(instance, slow).report)
 
 
 def both_oracles(instance, objective):
@@ -376,17 +477,17 @@ def test_batch_feasibility_matches_single_queries(corpus):
             for oracle in both_oracles(instance, objective):
                 ws = oracle.working_set(chosen)
                 ledger = QueryLedger(enforce_feasible=enforce, budget=budget)
-                results.append(outcome(
-                    lambda: oracle.values_with(ws, batch, ledger), ledger))
+                results.append(outcome(lambda: oracle.values_with(
+                    ws, instance.locate(batch), ledger), ledger))
             assert results[0] == results[1]
             checked += results[0][2] > 0
     assert checked >= 10  # some batches held infeasible queries
 
 
 def test_batch_stops_at_an_unknown_id_like_single_queries():
-    """An id the instance does not hold raises KeyError at its place in the
-    batch: the queries before it are counted, and an earlier infeasible id
-    or budget stop wins."""
+    """An id the instance does not hold, located at n + 1, raises KeyError
+    at its place in the batch: the queries before it are counted, and an
+    earlier infeasible id or budget stop wins."""
     objective = CoverageObjective(ragged_adjacency(9, 1))
     instance = Instance([Element(i, 2.5 if i == 7 else 1.0) for i in range(1, 8)],
                         3.0)  # 7 fits alone but not next to 1
@@ -401,8 +502,8 @@ def test_batch_stops_at_an_unknown_id_like_single_queries():
                         ws = oracle.working_set([1])
                         ledger = QueryLedger(enforce_feasible=enforce,
                                              budget=budget)
-                        results.append(outcome(
-                            lambda: oracle.values_with(ws, batch, ledger), ledger))
+                        results.append(outcome(lambda: oracle.values_with(
+                            ws, instance.locate(batch), ledger), ledger))
                     assert results[0] == results[1], (stranger, batch)
                     stops.add(results[0][0])
     assert stops == {"KeyError", "InfeasibleQuery", "BudgetExceeded"}
@@ -450,14 +551,16 @@ def test_every_query_rejects_a_nonfinite_value_after_counting_it(path, bad):
             (lambda ledger: oracle.value_with(ws, 2, ledger), 1),
             # one objective call answers the whole batch of fitting ids,
             # and all of it is counted; single queries stop at id 2
-            (lambda ledger: oracle.values_with(ws, [1, 2, 3], ledger),
+            (lambda ledger: oracle.values_with(
+                ws, instance.locate([1, 2, 3]), ledger),
              3 if path == "protocol" else 2)):
         ledger = QueryLedger()
         with pytest.raises(NonFiniteValue):
             ask(ledger)
         assert ledger.query_count == counted
     ledger = QueryLedger()
-    assert oracle.values_with(ws, [1, 3, 0], ledger).tolist() == [2 / 6, 2 / 6, 1 / 6]
+    assert oracle.values_with(ws, instance.locate([1, 3, 0]), ledger).tolist() == \
+        [2 / 6, 2 / 6, 1 / 6]
     assert ledger.query_count == 3
 
 
@@ -477,10 +580,11 @@ def test_batch_shortcut_needs_every_id_to_fit():
         setattr(objective, name, counted(name, getattr(objective, name)))
     oracle = SubmodularOracle(instance, objective)
     ws = oracle.working_set([1])
-    oracle.values_with(ws, [2, 3, 1, 4], QueryLedger())  # a member fits too
+    # a member fits too
+    oracle.values_with(ws, instance.locate([2, 3, 1, 4]), QueryLedger())
     assert calls == {"values_with": 1, "value_with": 0}
     ledger = QueryLedger(enforce_feasible=False)
-    oracle.values_with(ws, [2, 7, 3], ledger)
+    oracle.values_with(ws, instance.locate([2, 7, 3]), ledger)
     assert calls == {"values_with": 1, "value_with": 3}
     assert (ledger.query_count, ledger.infeasible_query_count) == (3, 1)
 
@@ -558,7 +662,8 @@ def test_movie_batch_counts_whole_before_a_nonfinite_value(bad):
     oracle = SubmodularOracle(instance, objective)
     ledger = QueryLedger()
     with pytest.raises(NonFiniteValue):
-        oracle.values_with(oracle.working_set(), [1, 4, 5], ledger)
+        oracle.values_with(oracle.working_set(), instance.locate([1, 4, 5]),
+                           ledger)
     assert ledger.query_count == 3
 
 

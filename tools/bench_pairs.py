@@ -10,7 +10,9 @@ ones, so neither side always meets a warm or a cold host.  Every run is a
 fresh process with its own set-up.  For each end-to-end metric named in
 the head's ``BENCHMARK.json`` the output holds both sides' runs, medians
 and quartiles, the relative change of the medians, and in how many pairs
-the head was strictly better (a tie counts for neither).  A time (a
+the head was strictly better (a tie counts for neither); stdout gets one
+line per workload and metric with the two medians, the change and the
+head's wins.  A time (a
 metric in ``s``) below 1/10 or above 10 times its side's median is listed
 under ``implausible`` by pair index and reported on stderr: such a run
 measured something broken, not the code.  Each
@@ -99,6 +101,16 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
             "head_wins": sum(sign * (y - x) > 0 for x, y in zip(base, head))}
 
 
+def summary(workload: str, name: str, compared: dict) -> str:
+    """One stdout line: both medians, the change in percent and the
+    head's wins out of the pairs."""
+    change = compared["change"]
+    return (f"{workload} {name}: base {compared['base']['median']:.6g} "
+            f"head {compared['head']['median']:.6g} change "
+            f"{'n/a' if change is None else f'{100 * change:+.1f}%'} "
+            f"head wins {compared['head_wins']}/{len(compared['base']['runs'])}")
+
+
 def alternate(pairs: int, run):
     """``run(side)`` for both sides of every pair, base first in even pairs;
     returns each side's results in pair order."""
@@ -168,6 +180,7 @@ def main(argv=None) -> int:
             metrics[name] = {"unit": metric["unit"], "better": metric["better"],
                              **compare(values["base"], values["head"],
                                        metric["better"])}
+            print(summary(workload, name, metrics[name]))
             if metric["unit"] == "s":
                 flagged = {side: implausible(v) for side, v in values.items()}
                 metrics[name]["implausible"] = flagged
@@ -184,6 +197,7 @@ def main(argv=None) -> int:
     if args.tier1:
         times = alternate(args.tier1, lambda side: tier1(checkouts[side]))
         result["tier1_s"] = compare(times["base"], times["head"], "lower")
+        print(summary("tier-1", "tier1_s", result["tier1_s"]))
 
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
