@@ -555,7 +555,7 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     finite and positive raises ``ValueError``, as in :class:`Instance`.
     """
 
-    pairs = []  # (id, cost): each kept Element is built once, rescaled
+    pairs = []  # (id, cost), so each kept Element is built once, rescaled
     base = set(base_ids)
     for item in raw_elements:
         eid, cost = ((item.id, item.cost) if isinstance(item, Element)
@@ -567,11 +567,13 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
         else:
             pairs.append((eid, cost))
 
+    unit = 1.0
     if pairs:
         unit = min(cost for _, cost in pairs)
         capacity = capacity / unit
-        pairs = [(eid, cost / unit) for eid, cost in pairs]
-    elems = [Element(eid, cost) for eid, cost in pairs if cost <= capacity]
+    elems = [Element(eid, scaled) for eid, cost in pairs
+             if (scaled := cost / unit) <= capacity]
+    del pairs  # freed before Instance builds its view, which peaks higher
 
     inst = Instance(elems, capacity, base)
     if inst.empty:
