@@ -567,13 +567,13 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
         else:
             pairs.append((eid, cost))
 
-    unit = 1.0
+    elems = []
     if pairs:
         unit = min(cost for _, cost in pairs)
         capacity = capacity / unit
-    elems = [Element(eid, scaled) for eid, cost in pairs
-             if (scaled := cost / unit) <= capacity]
-    del pairs  # freed before Instance builds its view, which peaks higher
+        elems = [Element(eid, scaled) for eid, cost in pairs
+                 if (scaled := cost / unit) <= capacity]
+    del pairs  # freed first: building the Instance is normalize's peak
 
     inst = Instance(elems, capacity, base)
     if inst.empty:
