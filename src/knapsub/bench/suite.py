@@ -87,6 +87,10 @@ class ExperimentConfig:
                 raise ParseError(f"unknown algorithm {a!r}")
         if not all(math.isfinite(k) and k > 0 for k in self.k_values):
             raise ParseError("K values must be positive and finite")
+        if not self.epsilon > 0:
+            raise ParseError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0 <= self.depth <= 3:
+            raise ParseError(f"depth must be between 0 and 3, got {self.depth!r}")
         if self.budget <= 0:
             raise ParseError("query budget must be positive")
         if self.iterations < 1:

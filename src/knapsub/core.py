@@ -5,6 +5,9 @@ Every algorithm in this package talks to the objective through a
 and, when enforcement is on, refuses to evaluate sets that do not fit the
 knapsack.  Costs are normalized so the cheapest purchasable element costs
 exactly 1, which makes ``floor(capacity)`` an upper bound on solution size.
+Every batch names its elements by position in the instance's array view
+(:meth:`Instance.locate`), and :meth:`Instance.fit_mask` is the one
+vectorized fit rule.
 
 Solvers ask "f(S + e)" of a :class:`WorkingSet`: S with its exact integer
 room and the objective's incremental state.  An objective that implements
@@ -82,21 +85,22 @@ class Instance:
     elements : tuple of Element, in construction order (stream order)
     capacity : rescaled knapsack budget K
     base_set : ids of zero-cost items, absorbed into every evaluation
-    k_tilde  : min(len(elements), floor(capacity)), a solution-size bound
+    k_tilde  : min(n, how many of the cheapest element fit), a bound on
+               solution size; floor(capacity) once normalized
     units    : every cost (0 for base ids) as an exact integer
     unit_capacity : the capacity on the same integer scale
 
     Feasibility is decided in these integers alone, by :meth:`fits` or by a
     solver that starts from :meth:`room` and subtracts ``units``, or for a
-    whole array of ids at once by :meth:`fit_mask`.  Integer sums are exact
-    in any order, so no two callers disagree on one set.
+    whole array of positions at once by :meth:`fit_mask`.  Integer sums are
+    exact in any order, so no two callers disagree on one set.
 
     The array view, built once, indexes the elements 0..n-1 in stream
     order: ``ids`` (int64, or object past int64), ``costs``, ``ranks``
     among the sorted distinct ``levels`` of ``units`` (n is every base id,
     n + 1 an id not held), and ``by_id``, the positions by increasing id.
-    Ids become positions only through :meth:`locate`; a position fits a
-    room iff its rank is below :meth:`rank_limit`.
+    Ids become positions only through :meth:`locate`, and every batch
+    kernel takes positions; :meth:`fit_mask` decides which fit a room.
 
     A capacity that is not finite and positive raises ``ValueError``: no
     solver has a threshold grid or a size bound for an unbounded budget,
@@ -121,7 +125,6 @@ class Instance:
                                  "cost (zero-cost items belong in base_set)")
             if e.cost > self.capacity:
                 raise ValueError(f"element {e.id} does not fit the capacity")
-        self.k_tilde = min(len(self.elements), math.floor(self.capacity))
         # every finite float is m * 2**e: scaled by the finest denominator
         # among them, all costs and the capacity become exact integers
         ratios = [c.as_integer_ratio() for c in (self.capacity, *self._cost.values())]
@@ -140,6 +143,8 @@ class Instance:
                                       return_inverse=True)
         self.levels = [0, *(units[1 + i] for i in first.tolist())]
         self.ranks = np.append(inverse + 1, [0, len(self.levels)])
+        # levels[1] is the cheapest element's units; no elements, no items
+        self.k_tilde = self.n and min(self.n, self.unit_capacity // self.levels[1])
         held = _id_array(held)
         order = np.argsort(held, kind="stable")
         at = np.minimum(order, self.n)
@@ -182,10 +187,11 @@ class Instance:
         """The number of ``levels`` at or below ``room``."""
         return bisect.bisect_right(self.levels, room)
 
-    def fit_mask(self, ids, room: int) -> np.ndarray:
-        """``units[i] <= room`` for every id in ``ids``, as a bool array;
-        an id the instance does not hold never fits."""
-        return self.ranks[self.locate(ids)] < self.rank_limit(room)
+    def fit_mask(self, positions, room: int) -> np.ndarray:
+        """Whether the units at each of ``positions`` are at most ``room``,
+        as a bool array: the one vectorized fit rule.  Position n, a base
+        id, fits any room >= 0; n + 1, an id not held, never fits."""
+        return self.ranks[positions] < self.rank_limit(room)
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
@@ -195,9 +201,7 @@ class Instance:
 def _id_array(ids) -> np.ndarray:
     """``ids`` as an int64 array, or as an object array of Python ints when
     one lies outside int64 (NumPy alone would make a float64 array of a
-    mix such as ``[-1, 2**63]``).  An array is returned as it is."""
-    if isinstance(ids, np.ndarray):
-        return ids
+    mix such as ``[-1, 2**63]``)."""
     ids = list(ids)
     try:
         return np.array(ids, dtype=np.int64)
@@ -307,28 +311,15 @@ class SubmodularOracle:
     The base set is unioned into every evaluation, so base members
     contribute nothing as marginals.
 
-    The protocol (optional).  An objective that also defines
-    ``extend(state, ids) -> state`` (``None`` is the empty set),
-    ``value_with(state, eid) -> float`` and ``values_with(state, ids) ->
-    ndarray`` promises that ``value_with(extend(None, S), eid)`` returns
-    exactly the float ``value(S | {eid})`` returns, and ``values_with`` the
-    same float for each id, bit for bit.  :meth:`value_with` then answers
-    from the working set's state and its exact ``room``, in time
-    independent of |S|, and :meth:`values_with` answers a batch of
-    elements, given by position in the array view, that all fit S in one
-    call.  :class:`~knapsub.objectives.CoverageObjective`
+    The protocol (optional, see the module docstring) promises that
+    ``value_with(extend(None, S), eid)`` returns exactly the float
+    ``value(S | {eid})`` returns, and ``values_with`` the same float for
+    each id, bit for bit.  :class:`~knapsub.objectives.CoverageObjective`
     and :class:`~knapsub.objectives.MovieObjective` implement it.  Any other
-    objective takes the whole-set path, which calls :meth:`evaluate` on the
-    whole set, so a wrapper installed on ``evaluate`` still sees every query
-    the oracle answers: plain callables, ``ModularObjective`` (a running
-    float sum would change last bits), ``HiddenPairObjective``, and an
-    object with only part of the protocol.  A query that a solver charges
-    with ``QueryLedger._admit`` and answers from a value already asked
-    never reaches it.
-
-    Every batch answered in one call is counted whole, and stopped by a
-    budget where single queries would be, before its values are checked
-    for NaN and infinities.
+    objective takes the whole-set path through :meth:`evaluate`, so a
+    wrapper installed on ``evaluate`` sees every query the oracle answers,
+    except one a solver charges with ``QueryLedger._admit`` and answers
+    from a value already asked.
     """
 
     def __init__(self, instance: Instance, fn):
@@ -401,25 +392,24 @@ class SubmodularOracle:
         """f(S + e) for the element e at each position of the array view
         (``Instance.ids``), in order, as a float array.
 
-        When every position is an element's (below n) and fits S by rank,
-        a protocol objective answers in one call: ``len(positions)``
-        queries, all counted before a non-finite value raises, stopped at
-        a budget where single queries would be.  Any other batch is that
-        many :meth:`value_with` calls, up to a position that is no
-        element's (``Instance.locate``'s n or n + 1), where it raises
-        ``KeyError``.
+        When every position is an element's (below n) and fits S
+        (:meth:`Instance.fit_mask`), a protocol objective answers in one
+        call: ``len(positions)`` queries, all counted before a non-finite
+        value raises, stopped at a budget where single queries would be.
+        Any other batch is that many :meth:`value_with` calls, up to a
+        position that is no element's (``Instance.locate``'s n or n + 1),
+        where it raises ``KeyError``.
         """
         obj, inst = self._protocol, self.instance
         positions = np.asarray(positions, dtype=np.intp)
-        limit = inst.rank_limit(ws.room)
         if obj is None or positions.size and (
-                positions.max() >= inst.n or inst.ranks[positions].max() >= limit):
-            ids = iter(inst.ids[positions[positions < inst.n]].tolist())
+                positions.max() >= inst.n
+                or not inst.fit_mask(positions, ws.room).all()):
             values = []
             for p in positions.tolist():
                 if p >= inst.n:
                     raise KeyError(f"position {p} holds no element")
-                values.append(self.value_with(ws, next(ids), ledger))
+                values.append(self.value_with(ws, int(inst.ids[p]), ledger))
             return np.array(values, dtype=float)
         ids = inst.ids[positions]
         ledger._admit(len(ids))
@@ -430,25 +420,23 @@ class SubmodularOracle:
             raise _nonfinite(float(values[j]), ws.ids | {int(ids[j])})
         return values
 
-    def values_ahead(self, ws: WorkingSet, ids, ledger: QueryLedger):
-        """f(S + e) for the ids of a list that are all held and fit S, to be
-        read in order up to a point and settled with :meth:`charge_ahead`.
+    def values_ahead(self, ws: WorkingSet, positions, ledger: QueryLedger):
+        """f(S + e) for the element e at each position of the array view,
+        all outside S and fitting it, to be read in order up to a point and
+        settled with :meth:`charge_ahead`.
 
         A protocol objective computes them all at once, as a float array:
         nothing is counted and nothing is checked until ``charge_ahead``.
         Any other objective gets a generator of :meth:`value_with` queries,
         each counted and checked when it is read, so nothing is computed
-        ahead and ``charge_ahead`` has nothing left to charge.  ``ids`` may
-        be a list or an id array; either way the queries see Python ints.
+        ahead and ``charge_ahead`` has nothing left to charge.
         """
+        ids = self.instance.ids[positions]
         if self._protocol is None:
-            if isinstance(ids, np.ndarray):
-                ids = ids.tolist()
-            return (self.value_with(ws, eid, ledger) for eid in ids)
-        return np.asarray(self._protocol.values_with(ws.state, _id_array(ids)),
-                          dtype=float)
+            return (self.value_with(ws, eid, ledger) for eid in ids.tolist())
+        return np.asarray(self._protocol.values_with(ws.state, ids), dtype=float)
 
-    def charge_ahead(self, ws: WorkingSet, ids, values, used: int,
+    def charge_ahead(self, ws: WorkingSet, positions, values, used: int,
                      ledger: QueryLedger) -> None:
         """Settle a :meth:`values_ahead` batch of which the first ``used``
         were read: count them as the queries single ones would be, and the
@@ -464,7 +452,8 @@ class SubmodularOracle:
             return
         used = int(finite.argmin()) + 1
         ledger._admit(used, speculative=len(values) - used)
-        raise _nonfinite(float(values[used - 1]), ws.ids | {int(ids[used - 1])})
+        eid = int(self.instance.ids[positions[used - 1]])
+        raise _nonfinite(float(values[used - 1]), ws.ids | {eid})
 
 
 @dataclass(frozen=True)
@@ -552,7 +541,9 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     Normalizing an already-normalized instance changes nothing.  An instance
     with no purchasable elements and no base set is returned as-is but
     flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
-    finite and positive raises ``ValueError``, as in :class:`Instance`.
+    finite and positive raises ``ValueError``, as in :class:`Instance`, and
+    so do a cost that is not a number >= 0 (NaN included), naming its
+    element, and a capacity that overflows once rescaled.
     """
 
     pairs = []  # (id, cost), so each kept Element is built once, rescaled
@@ -560,8 +551,8 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     for item in raw_elements:
         eid, cost = ((item.id, item.cost) if isinstance(item, Element)
                      else (int(item[0]), float(item[1])))
-        if cost < 0:
-            raise ValueError(f"negative cost on element {eid}")
+        if not cost >= 0:
+            raise ValueError(f"element {eid} has cost {cost!r}, not a number >= 0")
         if cost == 0.0:
             base.add(eid)
         else:
@@ -570,6 +561,9 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     elems = []
     if pairs:
         unit = min(cost for _, cost in pairs)
+        if math.isinf(capacity / unit) and math.isfinite(capacity):
+            raise ValueError(f"capacity {capacity!r} over the cheapest cost "
+                             f"{unit!r} overflows a float")
         capacity = capacity / unit
         elems = [Element(eid, scaled) for eid, cost in pairs
                  if (scaled := cost / unit) <= capacity]

@@ -8,15 +8,13 @@ the survivors up; the coordinator refilters arrivals in machine order.  A
 final round reorders the collection greedily and lets machines race their
 best single-element augmentation against the bare prefixes.
 
-Every filter applies the streaming module's one rule through its one scan
-helper, ``first_accept``: the sample's pass and the coordinator's call
-``threshold_pass``, and a machine asks its whole slice against the grown
-set G in one batch, stops at the first accept, and hands the rest of its
-slice to ``threshold_pass`` only then.  The last round calls
-``augment_pass`` and ``best_augmented`` on the coordinator's greedy
-prefixes, which every machine shares.  With one machine this is the same
-filter rule through the same scan helper as Sieve+Max, run in another scan
-order (the sample, then a shuffled slice, instead of stream order).
+Every filter is the streaming module's one scan, ``first_accept``: the
+sample's pass and the coordinator call ``threshold_pass``, and a machine
+asks its fitting slice, as array-view positions, against the grown set G
+in one batch and hands what follows its first accept, as ids, to
+``threshold_pass``.  The last round calls ``augment_pass`` and
+``best_augmented`` on the coordinator's greedy prefixes, which every
+machine shares.
 
 The simulation runs machines sequentially in index order, so results are
 reproducible and independent of any physical parallelism.  Per-machine
@@ -27,7 +25,7 @@ charged that pass's queries on the ledger before filtering its own slice:
 ids, values, ledger counts, rounds and receipts are those of m separate
 passes, but a wrapper on the objective sees the sample's queries only once.
 Machines index the instance's array view, and share one mask per round:
-the elements outside G that fit its room.
+the elements outside G that fit its room, by ``Instance.fit_mask``.
 
 Each round draws from one ``random.Random``: ``random() < p`` per id
 outside the collection, then ``shuffle`` for the slices.  Both are
@@ -238,7 +236,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
                 mark = ledger.query_count
                 ws_g, accepted, _ = threshold_pass(oracle, gamma_items, t,
                                                    ws_t, ledger)
-                fits = instance.ranks < instance.rank_limit(ws_g.room)
+                fits = instance.fit_mask(np.arange(n), ws_g.room)
                 fits[instance.locate(ws_g.order)] = False
                 sample = (ws_g, [eid for eid, _ in accepted],
                           ledger.query_count - mark, fits)
@@ -250,14 +248,12 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
             # goes on from the first accept only if there is one
             local = local[fits[local]]
             if local.size:
-                chunk = instance.ids[local]
-                used, gain, _ = first_accept(oracle, ws_g, chunk,
-                                             instance.costs[local], t, ledger)
+                used, gain, _ = first_accept(oracle, ws_g, local, t, ledger)
                 if gain is not None:
-                    out.append(int(chunk[used - 1]))
-                    ws = oracle.add(ws_g, out[-1], ws_g.value + gain)
-                    _, accepted, _ = threshold_pass(
-                        oracle, chunk[used:].tolist(), t, ws, ledger)
+                    eid, *rest = instance.ids[local[used - 1:]].tolist()
+                    out.append(eid)
+                    ws = oracle.add(ws_g, eid, ws_g.value + gain)
+                    _, accepted, _ = threshold_pass(oracle, rest, t, ws, ledger)
                     out += [eid for eid, _ in accepted]
             return out
 

@@ -53,7 +53,7 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     :meth:`SubmodularOracle.values_with`; they are positions in the array
     view, in ``Instance.by_id`` order, so both argmaxes go to the smallest
     id on ties.  Those that stop fitting the residual budget (the exact
-    rule, by ``Instance.ranks``) are dropped; their last known density
+    rule, ``Instance.fit_mask``) are dropped; their last known density
     still feeds the trace's ``ub_density`` field, which submodularity
     keeps an upper bound.  ``restrict_to`` limits the pool to a subset of
     element ids.  Every working id fits G, so each step takes the oracle's
@@ -69,7 +69,7 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         pool[instance.locate(restrict_to)] = True
     pool[instance.locate(ws.order)] = False
     working = instance.by_id[pool[instance.by_id]]
-    working = working[instance.ranks[working] < instance.rank_limit(ws.room)]
+    working = working[instance.fit_mask(working, ws.room)]
 
     prefixes = [ws]
     candidates: list[tuple[int, int | None, float]] = []
@@ -91,7 +91,7 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         cost_g += instance.cost_of(best_density)
         prefixes.append(ws)
 
-        kept = instance.ranks[working] < instance.rank_limit(ws.room)
+        kept = instance.fit_mask(working, ws.room)
         kept[d] = False
         dropped = ~kept
         dropped[d] = False

@@ -9,15 +9,15 @@ certificate that every level above it would collect nothing; such levels
 are skipped without touching the stream.  Skipping never changes the
 collected set, it only avoids provably idle traversals.
 
-Distributed+Max shares its kernels with the sieves: ``first_accept``,
-the one "clears the level" scan that ``threshold_pass`` runs on each chunk
-and a machine on its whole slice, ``threshold_pass``, the one "clears the
-level and still fits" filter, and ``augment_pass`` with
-``best_augmented``, the one prefix-plus-one augmentation and its final
-pick.  With one machine it therefore applies Sieve+Max's filter rule,
-augmentation and tie rule; only its scan order differs, and that alone
-can change the collected set.  Both augment the prefixes, as working sets,
-that ``greedy_order`` returns.
+Distributed+Max shares its kernels with the sieves: ``first_accept``, the
+one "clears the level" scan, on array-view positions, that
+``threshold_pass`` runs on each chunk and a machine on its whole slice;
+``threshold_pass``, the one "clears the level and still fits" filter; and
+``augment_pass`` with ``best_augmented``, the one prefix-plus-one
+augmentation and its final pick.  With one machine it therefore applies
+Sieve+Max's filter rule, augmentation and tie rule; only its scan order
+differs, and that alone can change the collected set.  Both augment the
+prefixes, as working sets, that ``greedy_order`` returns.
 
 A stream carries ids only and every cost comes from the instance; ``_scan``
 skips base-set ids (cost 0, in every evaluation already) without a query,
@@ -120,8 +120,8 @@ def threshold_levels(lam: float, alpha: float, epsilon: float, k: float):
                             f"got {lam!r}")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     grid_size(2.0 / alpha, epsilon)
     levels = []
     tau = lam / (alpha * k)
@@ -158,15 +158,15 @@ class OptEstimate:
     peak_retained: int = 0
 
 
-def first_accept(oracle: SubmodularOracle, ws: WorkingSet, chunk, costs,
+def first_accept(oracle: SubmodularOracle, ws: WorkingSet, positions,
                  tau: float, ledger: QueryLedger, singles: dict | None = None):
-    """Ask f(S + e) of ``chunk``, ids that are all held, outside S and fit
-    it, in order up to and including the first whose clamped density
-    max(0, gain)/c_e strictly clears ``tau``; ``costs`` holds each one's
-    c_e.  Returns ``(used, gain, seen)``: how many were asked, that item's
-    gain (``None`` when none clears), and the highest density among the
+    """Ask f(S + e) of the elements at ``positions`` in the array view, all
+    outside S and fitting it, in order up to and including the first whose
+    clamped density max(0, gain)/c_e strictly clears ``tau``.  Returns
+    ``(used, gain, seen)``: how many were asked, that item's gain
+    (``None`` when none clears), and the highest density among the
     others.  ``singles``, when given and S is empty, receives each asked
-    item's gain.
+    item's gain by id.
 
     The values come from :meth:`SubmodularOracle.values_ahead` and are
     settled with :meth:`SubmodularOracle.charge_ahead`, so exactly the
@@ -176,14 +176,16 @@ def first_accept(oracle: SubmodularOracle, ws: WorkingSet, chunk, costs,
     objective's values are read one lazy query at a time, so nothing is
     asked beyond the first item that clears.
     """
-    values = oracle.values_ahead(ws, chunk, ledger)
+    inst = oracle.instance
+    values = oracle.values_ahead(ws, positions, ledger)
+    costs = inst.costs[positions]
     base = ws.value
     if isinstance(values, np.ndarray):
         gains = values - base
         density = np.maximum(gains, 0.0) / costs
         clears = density > tau
         hit = bool(clears.any())
-        used = int(clears.argmax()) + 1 if hit else len(chunk)
+        used = int(clears.argmax()) + 1 if hit else len(positions)
         rejected = density[:used - hit]
         seen = float(rejected.max()) if rejected.size else 0.0
         gains = gains[:used].tolist()
@@ -198,9 +200,9 @@ def first_accept(oracle: SubmodularOracle, ws: WorkingSet, chunk, costs,
                 break
             if density > seen:
                 seen = density
-    oracle.charge_ahead(ws, chunk, values, len(gains), ledger)
+    oracle.charge_ahead(ws, positions, values, len(gains), ledger)
     if singles is not None and not ws.ids:
-        singles.update(zip(chunk, gains))
+        singles.update(zip(inst.ids[positions[:len(gains)]].tolist(), gains))
     return len(gains), gains[-1] if hit else None, seen
 
 
@@ -218,11 +220,14 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     receives the gain of each item evaluated while the set is empty, which
     is its singleton gain.
 
-    The pass reads the fitting items a chunk at a time and asks each chunk
-    against the fixed S with :func:`first_accept`, up to and including the
-    first accept, then resumes just after it, against the grown set.  The
-    chunk starts at ``FIRST_CHUNK`` items, doubles after a chunk without an
-    accept up to ``AUGMENT_CHUNK``, and starts over after an accept.  A
+    The pass reads the fitting items a chunk at a time and asks each chunk,
+    located as array-view positions, against the fixed S with
+    :func:`first_accept`, up to and including the first accept, then
+    resumes just after it, against the grown set.  Its member and fit
+    filter reads dicts item by item: on small chunks that beats
+    ``Instance.fit_mask``.  The chunk starts at ``FIRST_CHUNK`` items,
+    doubles after a chunk without an accept up to ``AUGMENT_CHUNK``, and
+    starts over after an accept.  A
     protocol objective computes each chunk ahead; what the pass never read
     is tallied in ``QueryLedger.speculative_evaluations``, not counted as
     queries.  Any other objective is asked one query per item read, so
@@ -258,8 +263,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
         if not chunk:
             size = min(2 * size, AUGMENT_CHUNK)
             continue
-        used, gain, top = first_accept(oracle, ws, chunk,
-                                       inst.costs[inst.locate(chunk)], tau,
+        used, gain, top = first_accept(oracle, ws, inst.locate(chunk), tau,
                                        ledger, singles)
         if top > seen:
             seen = top
@@ -492,8 +496,8 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     overflows a float, or so small that it underflows to 0, raises
     ``ValueError``, naming the value.
     """
-    if epsilon_est <= 0 or epsilon_est >= 1 / 3:
-        raise ValueError("epsilon_est must lie in (0, 1/3)")
+    if not 0 < epsilon_est < 1 / 3:
+        raise ValueError(f"epsilon_est must lie in (0, 1/3), got {epsilon_est!r}")
     _check_k(k, oracle)
     base = 1.0 + epsilon_est
     grid_size(1.5 * k * base, epsilon_est)

@@ -242,6 +242,15 @@ def test_config_validation_errors():
                          model="er").validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", float("nan")),
+    ("depth", -1), ("depth", 4)])
+def test_config_rejects_bad_epsilon_and_depth(field, value):
+    with pytest.raises(ParseError, match=f"{field} must be"):
+        ExperimentConfig("d", "synthetic", ["greedy"], [3.0],
+                         **{field: value}).validate()
+
+
 def test_config_rejects_nonfinite_k():
     for k in (float("inf"), float("nan")):
         with pytest.raises(ParseError, match="K values"):
@@ -489,6 +498,11 @@ def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
      "error: iterations must be at least 1"),
     ("kind = synthetic\nalgorithms = gredy\nk = 3\n",
      "error: unknown algorithm 'gredy'"),
+    # the solvers raised ValueError mid-run on these
+    ("kind = synthetic\nalgorithms = sieve\nk = 3\nepsilon = nan\n",
+     "error: epsilon must be positive, got nan"),
+    ("kind = synthetic\nalgorithms = partial_enum_greedy\nk = 3\ndepth = 5\n",
+     "error: depth must be between 0 and 3, got 5"),
     # the generator raised ValueError on a graph smaller than its attach
     ("kind = synthetic\nmodel = pa\nn = 2\nattach = 3\nalgorithms = greedy\n"
      "k = 3\n", "error: a pa graph needs n >= attach >= 1"),
@@ -584,7 +598,16 @@ def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
 def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
                                                              monkeypatch, capsys):
     tool = _bench_pairs()
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    # fake checkouts: the head's package is three lines shorter, and files
+    # outside src/knapsub and src/knapsub/bench are not counted
+    sizes = {"base": {"core.py": 4, "bench/cli.py": 3, "bench/data/x.py": 9},
+             "head": {"core.py": 2, "bench/cli.py": 2, "../setup.py": 5}}
+    for side, files in sizes.items():
+        for name, count in files.items():
+            path = tmp_path / side / "src" / "knapsub" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x = 1\n" * count)
+    (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "wall_s", "unit": "s", "better": "lower"},
         {"name": "value_ratio", "unit": "ratio", "better": "higher"}]}))
     # base, head, then head, base: the head is faster in both pairs and
@@ -598,10 +621,14 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
                 "failed": 0, "attempted": 1}
 
     monkeypatch.setattr(tool, "perfbench", fake_run)
-    assert tool.main(["--base", str(tmp_path), "--head", str(tmp_path),
+    out = tmp_path / "pairs.json"
+    assert tool.main(["--base", str(tmp_path / "base"),
+                      "--head", str(tmp_path / "head"),
                       "--workload", "a", "--workload", "b", "--seed", "1",
-                      "--pairs", "2", "--out", str(tmp_path / "pairs.json")]) == 0
+                      "--pairs", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"base": 7, "head": 4}
     assert capsys.readouterr().out.splitlines() == [
+        "src lines: base 7 head 4 change -3",
         "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
         "a value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
         "b wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",

@@ -32,7 +32,7 @@ from knapsub import (
     sieve_plus_max,
     upper_bound_opt,
 )
-from knapsub.offline import greedy
+from knapsub.offline import greedy, greedy_plus_max
 
 from helpers import tight_oracle, validate_trace
 
@@ -91,8 +91,8 @@ def test_ids_beyond_int64_run_like_small_ids():
     # Sieve+Max and one machine
     assert picks[3][:2] == picks[4][:2] == ([1, 4, 5], 15.0)
     inst = Instance([Element(i, c) for i, c in zip(big, costs)], 4.0)
-    assert inst.fit_mask([2**63, 2**63 + 1, -1, -2**70], 2).tolist() == \
-        [True, False, False, True]
+    at = inst.locate([2**63, 2**63 + 1, -1, -2**70])
+    assert inst.fit_mask(at, 2).tolist() == [True, False, False, True]
 
 
 def test_instance_accessors():
@@ -111,6 +111,20 @@ def test_k_tilde_truncates_at_n():
     assert inst.k_tilde == 2
     inst = Instance([Element(i, 1.0) for i in range(5)], 3.5)
     assert inst.k_tilde == 3
+    assert Instance([], 3.0, base_set={1}).k_tilde == 0
+
+
+def test_k_tilde_bounds_solutions_of_an_instance_not_normalized():
+    # floor(capacity) read 2 here, yet four items of cost 0.5 fit
+    inst = Instance([Element(i, 0.5) for i in range(10)], 2.0)
+    assert inst.k_tilde == 4
+    oracle = SubmodularOracle(inst, ModularObjective({i: 1.0 for i in range(10)}))
+    assert len(greedy_plus_max(inst, oracle).report.solution.ids) == 4
+    report = distributed_sieve_plus_max(inst, oracle, 4.0, 1 / 6, 0.1).report
+    assert len(report.solution.ids) == 4
+    # an odd capacity: 0.75 fits the cheapest 0.25 three times over
+    inst = Instance([Element(0, 0.25), Element(1, 0.5)], 0.75)
+    assert inst.k_tilde == 2
 
 
 def test_normalize_moves_free_items_to_base():
@@ -142,6 +156,20 @@ def test_normalize_drops_items_exceeding_capacity():
 def test_normalize_rejects_negative_cost():
     with pytest.raises(ValueError):
         normalize([(0, -0.25)], 2.0)
+
+
+@pytest.mark.parametrize("raw", [[(0, 1.0), (1, math.nan)],
+                                 [(1, math.nan), (0, 1.0)]])
+def test_normalize_rejects_a_nan_cost_in_any_order(raw):
+    # last, it was dropped silently; first, it read as a NaN capacity
+    with pytest.raises(ValueError, match="element 1 has cost nan"):
+        normalize(raw, 5.0)
+
+
+def test_normalize_names_a_rescaled_capacity_that_overflows():
+    # it read "capacity must be finite and positive, got inf"
+    with pytest.raises(ValueError, match="over the cheapest cost 1e-320 overflows"):
+        normalize([(0, 1e-320), (1, 1.0)], 5.0)
 
 
 def test_normalize_idempotent(corpus):

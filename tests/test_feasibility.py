@@ -140,12 +140,13 @@ def test_fit_mask_is_the_exact_fit_rule(first_id, gap):
     units = sorted(set(instance.units.values()))
     rooms = [-1, *units, *(u - 1 for u in units), *(u + 1 for u in units)]
     for room in rooms:
-        got = instance.fit_mask(ids, room).tolist()
+        got = instance.fit_mask(instance.locate(ids), room).tolist()
         assert got == [instance.units[i] <= room for i in ids], room
     # ids between and beyond the instance's own, and outside int64, never fit
     strangers = [first_id - 1, first_id + 2, first_id + gap + 1,
                  first_id + gap * len(costs) + 1, -2**70, 2**70]
-    assert not instance.fit_mask(strangers, instance.unit_capacity).any()
+    assert not instance.fit_mask(instance.locate(strangers),
+                                 instance.unit_capacity).any()
     # positions: each element's index, n for the base id, n + 1 for the rest
     assert instance.locate(ids + strangers).tolist() == \
         [5, *range(5), *range(5), *[6] * len(strangers)]

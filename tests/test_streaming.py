@@ -97,6 +97,9 @@ def test_threshold_levels_rejects_bad_parameters():
         threshold_levels(1.0, 1.5, 0.5, 2.0)
     with pytest.raises(ValueError):
         threshold_levels(1.0, 1.0, 0.0, 2.0)
+    # NaN read "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
+        threshold_levels(1.0, 1.0, math.nan, 2.0)
 
 
 @pytest.mark.parametrize("lam, eps", [(5e-324, 0.1), (1e-320, 1e-5)])
@@ -550,6 +553,8 @@ def test_estimator_rejects_bad_epsilon():
         estimate_lambda(tight_stream(inst), inst.capacity, oracle, 0.0)
     with pytest.raises(ValueError):
         estimate_lambda(tight_stream(inst), inst.capacity, oracle, 1 / 3)
+    with pytest.raises(ValueError, match="epsilon_est must lie in .*got nan"):
+        estimate_lambda(tight_stream(inst), inst.capacity, oracle, math.nan)
 
 
 def test_estimator_seeds_working_pipeline(corpus):
@@ -1011,9 +1016,9 @@ def test_a_threshold_pass_reads_one_chunk_at_a_time():
     items = stream()
     original = oracle.values_ahead
 
-    def ahead(ws, ids, ledger):
-        seen_sizes.append((len(ids), len(read)))
-        return original(ws, ids, ledger)
+    def ahead(ws, positions, ledger):
+        seen_sizes.append((len(positions), len(read)))
+        return original(ws, positions, ledger)
 
     oracle.values_ahead = ahead
     threshold_pass(oracle, items, math.inf, ws, ledger)

@@ -19,7 +19,10 @@ measured something broken, not the code.  Each
 checkout's commit is recorded, whether its files differ from that
 commit (``dirty``), and the Python and NumPy a run there imports
 (``versions``): distributed outputs replay CPython's ``random`` algorithm,
-so they hold only for the interpreter they were measured on.  ``--tier1 N`` also times the test suite,
+so they hold only for the interpreter they were measured on.  Each
+checkout's size is recorded and printed too, as ``src_lines``: the lines
+of ``cat src/knapsub/*.py src/knapsub/bench/*.py | wc -l``.  ``--tier1 N``
+also times the test suite,
 ``python -m pytest -q``, in N alternating pairs.  A run that fails
 prints the last 30 lines of its output to stderr and stops the script.
 
@@ -134,6 +137,14 @@ def versions(checkout: Path) -> dict:
                                   cwd=checkout).stdout)
 
 
+def src_lines(checkout: Path) -> int:
+    """The newlines in the package's modules, as ``cat src/knapsub/*.py
+    src/knapsub/bench/*.py | wc -l`` counts them; 0 where there are none."""
+    package = checkout / "src" / "knapsub"
+    files = [*package.glob("*.py"), *(package / "bench").glob("*.py")]
+    return sum(f.read_bytes().count(b"\n") for f in files)
+
+
 def git_state(checkout: Path) -> tuple[str | None, bool | None]:
     """The checkout's commit, and whether its files differ from it (``git
     status --porcelain`` lists anything); ``(None, None)`` outside git."""
@@ -168,7 +179,12 @@ def main(argv=None) -> int:
               "dirty": {side: state[1] for side, state in states.items()},
               "versions": {side: versions(path)
                            for side, path in checkouts.items()},
+              "src_lines": {side: src_lines(path)
+                            for side, path in checkouts.items()},
               "workloads": {}}
+    lines = result["src_lines"]
+    print(f"src lines: base {lines['base']} head {lines['head']} "
+          f"change {lines['head'] - lines['base']:+d}")
     for workload in args.workload:
         runs = alternate(args.pairs, lambda side: perfbench(
             checkouts[side], workload, args.seed, args.seconds))
