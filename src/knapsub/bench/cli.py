@@ -23,9 +23,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    label, objective, raw = build_dataset(ExperimentConfig(
+    cfg = ExperimentConfig(
         dataset=args.dataset, kind=args.kind, algorithms=[], k_values=[args.k],
-        max_movies=args.max_movies, max_users=args.max_users))
+        max_movies=args.max_movies, max_users=args.max_users)
+    cfg.validate()
+    label, objective, raw = build_dataset(cfg)
     instance = normalize(raw, args.k)
     oracle = SubmodularOracle(instance, objective)
     opt = brute_force_opt(instance, oracle)

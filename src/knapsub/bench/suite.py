@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ParseError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "synthetic" and self.model not in SYNTHETIC_MODELS:
             raise ParseError(f"unknown synthetic model {self.model!r}")
+        if self.kind == "synthetic" and self.n < 1:
+            raise ParseError(f"n must be at least 1, got {self.n!r}")
         if self.kind == "synthetic" and self.model == "pa" and \
                 not self.n >= self.attach >= 1:
             raise ParseError(f"a pa graph needs n >= attach >= 1, got "
@@ -91,6 +93,9 @@ class ExperimentConfig:
             raise ParseError(f"epsilon must be positive, got {self.epsilon!r}")
         if not 0 <= self.depth <= 3:
             raise ParseError(f"depth must be between 0 and 3, got {self.depth!r}")
+        for name in ("max_movies", "max_users"):
+            if (cap := getattr(self, name)) is not None and cap < 1:
+                raise ParseError(f"{name} must be at least 1, got {cap!r}")
         if self.budget <= 0:
             raise ParseError("query budget must be positive")
         if self.iterations < 1:

@@ -5,9 +5,9 @@ Every algorithm in this package talks to the objective through a
 and, when enforcement is on, refuses to evaluate sets that do not fit the
 knapsack.  Costs are normalized so the cheapest purchasable element costs
 exactly 1, which makes ``floor(capacity)`` an upper bound on solution size.
-Every batch names its elements by position in the instance's array view
-(:meth:`Instance.locate`), and :meth:`Instance.fit_mask` is the one
-vectorized fit rule.
+Every batch names its elements by position in the instance's array view,
+found by :meth:`Instance.locate` in the instance's one id-to-position
+dict, and :meth:`Instance.fit_mask` is the one vectorized fit rule.
 
 Solvers ask "f(S + e)" of a :class:`WorkingSet`: S with its exact integer
 room and the objective's incremental state.  An objective that implements
@@ -41,6 +41,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .errors import (
 BRUTE_FORCE_LIMIT = 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """One purchasable item: an integer id and a positive cost."""
 
@@ -99,8 +100,9 @@ class Instance:
     order: ``ids`` (int64, or object past int64), ``costs``, ``ranks``
     among the sorted distinct ``levels`` of ``units`` (n is every base id,
     n + 1 an id not held), and ``by_id``, the positions by increasing id.
-    Ids become positions only through :meth:`locate`, and every batch
-    kernel takes positions; :meth:`fit_mask` decides which fit a room.
+    One dict, built with them, maps each id to its position (n for a base
+    id): :meth:`locate` and :meth:`cost_of` read it, every batch kernel
+    takes positions, and :meth:`fit_mask` decides which fit a room.
 
     A capacity that is not finite and positive raises ``ValueError``: no
     solver has a threshold grid or a size bound for an unbounded budget,
@@ -114,10 +116,11 @@ class Instance:
             raise ValueError(f"capacity must be finite and positive, "
                              f"got {capacity!r}")
         self.base_set = frozenset(base_set)
-        self._cost = {e.id: e.cost for e in self.elements}
-        if len(self._cost) != len(self.elements):
+        n = len(self.elements)
+        self._at = {e.id: i for i, e in enumerate(self.elements)}
+        if len(self._at) != n:
             raise ValueError("duplicate element ids")
-        if self.base_set & self._cost.keys():
+        if self.base_set & self._at.keys():
             raise ValueError("base_set must be disjoint from elements")
         for e in self.elements:
             if not math.isfinite(e.cost) or e.cost <= 0:
@@ -125,18 +128,19 @@ class Instance:
                                  "cost (zero-cost items belong in base_set)")
             if e.cost > self.capacity:
                 raise ValueError(f"element {e.id} does not fit the capacity")
+        costs = [e.cost for e in self.elements]
         # every finite float is m * 2**e: scaled by the finest denominator
         # among them, all costs and the capacity become exact integers
-        ratios = [c.as_integer_ratio() for c in (self.capacity, *self._cost.values())]
+        ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
         scale = max(d for _, d in ratios)
         units = [m * (scale // d) for m, d in ratios]
         self.unit_capacity = units[0]
-        self.units = dict(zip(self._cost, units[1:]))
+        self.units = dict(zip(self._at, units[1:]))
         self.units.update(dict.fromkeys(self.base_set, 0))
-        self._cost.update(dict.fromkeys(self.base_set, 0.0))
-        held = list(self.units)  # the elements, then the base ids
-        self.ids = _id_array(held[:self.n])
-        self.costs = np.array([e.cost for e in self.elements], dtype=float)
+        self.ids = _id_array(self._at)  # the map holds no base id yet
+        self._at.update(dict.fromkeys(self.base_set, n))
+        self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
+        self.costs = np.array(costs, dtype=float)
         # units are costs times one scale: rank the floats, keep each
         # level's units, and put 0, a base id's, lowest
         _, first, inverse = np.unique(self.costs, return_index=True,
@@ -144,12 +148,8 @@ class Instance:
         self.levels = [0, *(units[1 + i] for i in first.tolist())]
         self.ranks = np.append(inverse + 1, [0, len(self.levels)])
         # levels[1] is the cheapest element's units; no elements, no items
-        self.k_tilde = self.n and min(self.n, self.unit_capacity // self.levels[1])
-        held = _id_array(held)
-        order = np.argsort(held, kind="stable")
-        at = np.minimum(order, self.n)
-        self.by_id = at[at < self.n]
-        self._locate = _lookup(held[order], at, self.n + 1)
+        self.k_tilde = n and min(n, self.unit_capacity // self.levels[1])
+        self.by_id = np.argsort(self.ids, kind="stable")
 
     @property
     def n(self) -> int:
@@ -163,7 +163,7 @@ class Instance:
         return [e.id for e in self.elements]
 
     def cost_of(self, eid: int) -> float:
-        return self._cost[eid]
+        return self._costs[self._at[eid]]
 
     def cost(self, ids) -> float:
         """Total cost, correctly rounded (``math.fsum``): a set that fits
@@ -179,9 +179,10 @@ class Instance:
         return self.room(ids) >= 0
 
     def locate(self, ids) -> np.ndarray:
-        """The position of each id in ``ids``: its index for an element, n
-        for a base id and n + 1 for an id the instance does not hold."""
-        return self._locate(_id_array(ids))
+        """The position of each id in ``ids``, any iterable: its index for
+        an element, n for a base id and n + 1 for anything the instance
+        does not hold (1.5 included)."""
+        return np.fromiter(map(self._at.get, ids, repeat(self.n + 1)), np.intp)
 
     def rank_limit(self, room: int) -> int:
         """The number of ``levels`` at or below ``room``."""
@@ -207,28 +208,6 @@ def _id_array(ids) -> np.ndarray:
         return np.array(ids, dtype=np.int64)
     except OverflowError:
         return np.array(ids, dtype=object)
-
-
-def _lookup(known: np.ndarray, at: np.ndarray, stranger: int):
-    """A map from an id array to ``at[i]`` for ``known[i]``, the sorted ids,
-    and ``stranger`` for any other id: a binary search, or a table when the
-    ids are int64 and dense (for 4000 ids, a quarter of the search's time)."""
-    if not known.size:
-        return lambda q: np.full(len(q), stranger, np.intp)
-    lo, span = int(known[0]), int(known[-1]) - int(known[0]) + 1
-    dense = known.dtype != object and span <= 4 * known.size + 64
-    if dense:
-        table = np.full(span, stranger, np.intp)
-        table[known - lo] = at
-
-    def lookup(q):
-        if dense and q.dtype != object:  # an object q may hold ids past int64
-            q = q - lo  # cannot wrap into [0, span): lo + span <= 2**63
-            pos = q.clip(0, span - 1)
-            return np.where(pos == q, table[pos], stranger)
-        pos = np.searchsorted(known, q).clip(max=known.size - 1)
-        return np.where(known[pos] == q, at[pos], stranger)
-    return lookup
 
 
 def _nonfinite(value: float, ids) -> NonFiniteValue:
@@ -537,7 +516,8 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     """Rescale costs so the cheapest positive cost is exactly 1.
 
     Zero-cost items move into the base set, items costlier than the rescaled
-    capacity are dropped, and the capacity is divided by the same factor.
+    capacity are dropped (an infinite cost before the cheapest is picked),
+    and the capacity is divided by the same factor.
     Normalizing an already-normalized instance changes nothing.  An instance
     with no purchasable elements and no base set is returned as-is but
     flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
@@ -555,7 +535,7 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
             raise ValueError(f"element {eid} has cost {cost!r}, not a number >= 0")
         if cost == 0.0:
             base.add(eid)
-        else:
+        elif cost < math.inf:  # an infinite cost fits no capacity
             pairs.append((eid, cost))
 
     elems = []

@@ -244,7 +244,10 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("field, value", [
     ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", float("nan")),
-    ("depth", -1), ("depth", 4)])
+    ("depth", -1), ("depth", 4),
+    # a gnp graph of no vertices raised ValueError; -1 dropped a movie
+    ("n", 0), ("n", -2), ("max_movies", 0), ("max_movies", -1),
+    ("max_users", -1)])
 def test_config_rejects_bad_epsilon_and_depth(field, value):
     with pytest.raises(ParseError, match=f"{field} must be"):
         ExperimentConfig("d", "synthetic", ["greedy"], [3.0],
@@ -465,6 +468,19 @@ def test_cli_brute(tmp_path, capsys):
     assert repr(opt.value) in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "-1"], "error: K values must be positive and finite"),
+    (["--k", "2", "--max-movies", "-1"],
+     "error: max_movies must be at least 1, got -1"),
+])
+def test_cli_brute_reports_a_bad_flag_and_exits_one(tmp_path, capsys, flags,
+                                                    message):
+    # --k -1 escaped main as a ValueError traceback from Instance
+    graph = write_graph(tmp_path)
+    assert cli_main(["brute", "--dataset", str(graph), *flags]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_cli_verify_sniffs_kind(tmp_path, capsys):
     graph = write_graph(tmp_path)
     assert cli_main(["datasets", "verify", str(graph)]) == 0
@@ -506,6 +522,8 @@ def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
     # the generator raised ValueError on a graph smaller than its attach
     ("kind = synthetic\nmodel = pa\nn = 2\nattach = 3\nalgorithms = greedy\n"
      "k = 3\n", "error: a pa graph needs n >= attach >= 1"),
+    ("kind = synthetic\nmodel = gnp\nn = 0\nalgorithms = greedy\nk = 3\n",
+     "error: n must be at least 1, got 0"),
 ])
 def test_cli_run_reports_a_bad_config_and_exits_one(tmp_path, capsys, text,
                                                     message):

@@ -5,6 +5,7 @@ import math
 import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,22 @@ def test_ids_beyond_int64_run_like_small_ids():
     assert inst.fit_mask(at, 2).tolist() == [True, False, False, True]
 
 
+def test_locate_reads_any_iterable_of_ids_alike():
+    inst = Instance([Element(i, 1.0) for i in (5, 2, 9)], 4.0, base_set={7})
+    ids = [9, 7, 2**70, 5, -2**70, 3, 2, 9]
+    want = [2, 3, 4, 0, 4, 4, 1, 2]
+    for given in (ids, tuple(ids), (i for i in ids),
+                  np.array(ids, dtype=object)):
+        assert inst.locate(given).tolist() == want
+    small = [i for i in ids if abs(i) < 2**63]
+    assert inst.locate(np.array(small, dtype=np.int64)).tolist() == \
+        [w for i, w in zip(ids, want) if abs(i) < 2**63]
+    # an id is held only as itself: 1.5 was truncated to id 1's position
+    inst = Instance([Element(0, 1.0), Element(1, 1.0)], 2.0)
+    assert inst.locate([1.5, 1]).tolist() == [3, 1]
+    assert inst.locate([]).tolist() == []
+
+
 def test_instance_accessors():
     inst = Instance([Element(0, 1.0), Element(1, 2.0)], 3.0, base_set={7})
     assert inst.n == 2
@@ -164,6 +181,18 @@ def test_normalize_rejects_a_nan_cost_in_any_order(raw):
     # last, it was dropped silently; first, it read as a NaN capacity
     with pytest.raises(ValueError, match="element 1 has cost nan"):
         normalize(raw, 5.0)
+
+
+def test_normalize_drops_infinite_costs_before_picking_the_unit():
+    # an infinite unit made the capacity 5 / inf = 0.0, and inf / inf = nan
+    with pytest.warns(EmptyInstanceWarning):
+        inst = normalize([(0, math.inf)], 5.0)
+    assert inst.empty and inst.capacity == 5.0
+    with pytest.raises(ValueError, match="got inf"):
+        normalize([(0, math.inf)], math.inf)
+    inst = normalize([(0, 2.0), (1, math.inf), (2, 4.0)], 8.0)
+    assert [(e.id, e.cost) for e in inst.elements] == [(0, 1.0), (2, 2.0)]
+    assert inst.capacity == 4.0
 
 
 def test_normalize_names_a_rescaled_capacity_that_overflows():

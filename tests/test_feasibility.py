@@ -128,7 +128,7 @@ def test_boundary_sweep_stays_feasible(solver):
         assert exact_cost(inst, ids) <= Fraction(inst.capacity), f"seed {seed}"
 
 
-@pytest.mark.parametrize("gap", [3, 1000])  # a table lookup, a binary search
+@pytest.mark.parametrize("gap", [3, 1000])  # dense, sparse and past-int64 ids
 @pytest.mark.parametrize("first_id", [0, 10**12, 2**63 - 7])
 def test_fit_mask_is_the_exact_fit_rule(first_id, gap):
     # units far beyond int64: the capacity is 1e300 on a 2**-52 grid
