@@ -80,6 +80,9 @@ class ExperimentConfig:
             raise ParseError(f"unknown synthetic model {self.model!r}")
         if self.kind == "synthetic" and self.n < 1:
             raise ParseError(f"n must be at least 1, got {self.n!r}")
+        if self.kind == "synthetic" and self.model == "gnp" and \
+                not 0 <= self.p <= 1:
+            raise ParseError(f"p must be between 0 and 1, got {self.p!r}")
         if self.kind == "synthetic" and self.model == "pa" and \
                 not self.n >= self.attach >= 1:
             raise ParseError(f"a pa graph needs n >= attach >= 1, got "

@@ -19,8 +19,8 @@ only thing ever written on a state.  A coverage batch below n/4 ids
 reads only the requested rows of the graph's one CSR array; a larger
 one reads the memoized counts, which the first such batch on a state
 builds in one pass over every edge and each grown state carries on in
-O(n + the new vertices' degrees).  The movie batch reads at most 256
-rows of its table (and at most 4 MB) at a time.
+O(n + the new vertices' degrees).  The movie batch gathers at most 2**16
+floats (512 KB) of its table at a time: 32 rows of 2,000 targets.
 ``ModularObjective`` and ``HiddenPairObjective`` do not implement it: a
 running float sum would differ from ``value`` in the last bits, and the
 hidden pair needs the whole set.
@@ -36,10 +36,9 @@ from itertools import chain
 
 import numpy as np
 
-# a movie batch reads at most this many ids' rows, and this many floats,
-# of the table at once: 256 rows of 2048 targets make 4 MB
-_MOVIE_BATCH_ROWS = 256
-_MOVIE_BATCH_FLOATS = 1 << 19
+# a movie batch gathers at most this many floats of the table at once:
+# 512 KB, 32 rows of 2,000 targets, so a block stays in a core's L2 cache
+_MOVIE_BATCH_FLOATS = 1 << 16
 # the movie cost rule clamps this many columns of the table at a time
 _MOVIE_SUM_COLUMNS = 64
 
@@ -287,8 +286,7 @@ class MovieObjective:
         contiguously as the 1-D sum is."""
         ids = np.asarray(ids, dtype=np.intp)
         out = np.empty(len(ids))
-        step = max(1, min(_MOVIE_BATCH_ROWS,
-                          _MOVIE_BATCH_FLOATS // max(1, self._table.shape[1])))
+        step = max(1, _MOVIE_BATCH_FLOATS // max(1, self._table.shape[1]))
         for a in range(0, len(ids), step):
             block = self._table[ids[a:a + step]]
             if state is None:

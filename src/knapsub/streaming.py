@@ -19,13 +19,17 @@ Sieve+Max's filter rule, augmentation and tie rule; only its scan order
 differs, and that alone can change the collected set.  Both augment the
 prefixes, as working sets, that ``greedy_order`` returns.
 
-A stream carries ids only and every cost comes from the instance; ``_scan``
-skips base-set ids (cost 0, in every evaluation already) without a query,
-and raises ``KeyError`` on an id the instance does not hold.
+A stream carries ids only and every cost comes from the instance.  Both
+kernels read the raw stream: they skip base-set ids (cost 0, in every
+evaluation already) without a query, and raise ``KeyError("stream id X is
+not in the instance")`` on an id the instance does not hold, before any
+query on it.  ``_scan``, a per-item generator that does the same, serves
+only the estimator and ``sieve_or_max``'s singleton list.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -76,9 +80,13 @@ def _scan(stream: StreamSource, instance: Instance):
         try:
             held = units[eid]
         except KeyError:
-            raise KeyError(f"stream id {eid!r} is not in the instance") from None
+            raise _unknown(eid) from None
         if held:
             yield eid
+
+
+def _unknown(eid) -> KeyError:
+    return KeyError(f"stream id {eid!r} is not in the instance")
 
 
 # a sieve may spend a stream pass per level and the estimator keeps a set
@@ -211,8 +219,9 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     """One thresholding sweep of ``items`` against the working set ``ws``,
     whose ``value`` is f(S) on entry.
 
-    Members, base ids and items that no longer fit are skipped; an item
-    joins iff its clamped density max(0, gain)/c_e strictly clears ``tau``,
+    Members, base ids and items that no longer fit are skipped, and an id
+    the instance does not hold raises ``KeyError`` once the items read
+    before it have run, with no query on it; an item joins iff its clamped density max(0, gain)/c_e strictly clears ``tau``,
     and the set's value grows by its gain.  Returns ``(ws, accepted, seen)``:
     the grown working set, the accepted (id, gain) pairs in order, and the
     highest density among fitting items that were rejected, which bounds
@@ -249,7 +258,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
             try:
                 for eid in islice(items, size - len(pending)):
                     if eid not in units:
-                        raise KeyError(eid)
+                        raise _unknown(eid)
                     pending.append(eid)
             except KeyError as exc:  # an unknown id: the items before it run
                 failed = exc
@@ -287,7 +296,8 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     alone, so G_0 fits every item.  Returns the best extension as
     ``[(value, j, id)]``, ``j`` the prefix length, the first item scanned
     winning ties, or ``[]`` when ``items`` hold nothing outside G_m.
-    Base ids are skipped; an id not held raises ``KeyError``.
+    Base ids are skipped; an id not held raises ``KeyError`` before any
+    query on its chunk.
 
     Items are read ``AUGMENT_CHUNK`` at a time.  The prefixes' rank limits
     fall as they grow, so one ``searchsorted`` of the items' unit ranks
@@ -306,7 +316,7 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     while chunk := list(islice(items, AUGMENT_CHUNK)):
         at = inst.locate(chunk)
         if (at > inst.n).any():
-            raise KeyError(chunk[int((at > inst.n).argmax())])
+            raise _unknown(chunk[int((at > inst.n).argmax())])
         at = at[~skip[at]]
         if not at.size:
             continue
@@ -369,11 +379,12 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
     for tau in levels:
         if tau >= cap:
             continue  # certificate: no remaining density clears this level
-        items = _scan(stream, inst)
+        items = stream.scan()  # the kernel skips base ids itself
         singles = None
         if singles_pending:
             # the singleton pick revisits this pass's items in stream order
-            items, singles, singles_pending = list(items), {}, False
+            items = list(_scan(stream, inst))
+            singles, singles_pending = {}, False
         ws, accepted, cap = threshold_pass(oracle, items, tau, ws, ledger,
                                            singles)
         for eid, gain in accepted:
@@ -466,8 +477,7 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
         "sieve_plus_max", stream, k, oracle, lam, alpha, epsilon, ledger,
         density_cap, False)
     prefixes = greedy_order(oracle.instance, oracle, ws.ids, ledger)
-    extensions = augment_pass(oracle, _scan(stream, oracle.instance), prefixes,
-                              ledger)
+    extensions = augment_pass(oracle, stream.scan(), prefixes, ledger)
     ids, value = best_augmented(prefixes, extensions)
     return meter.report(ids, value, trace)
 
@@ -488,11 +498,15 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     span, 3k(1+epsilon_est)/2, must pass :func:`grid_size` (or ``ValueError``).
 
     Per element, the singleton query f({e}) comes first, since it moves
-    the window.  Then every window set the element may join is asked, in
-    index order: an empty set's query is f({e}) again, so those queries are
-    charged to the ledger at once and answered with the value just asked,
-    and each other set is one :meth:`SubmodularOracle.value_with` query.
-    A value so large that the window's floor max(2*LB, 2*delta)/(3k)
+    the window, which is recomputed only when LB or delta has changed.
+    Then every window set the element may join is asked, in index order:
+    an empty set's query is f({e}) again, so those queries are charged to
+    the ledger at once and answered with the value just asked, and each
+    other set is one :meth:`SubmodularOracle.value_with` query.  Only the
+    sets that hold something are walked, from an ascending list of their
+    rows rebuilt whenever the window moves; the empty sets whose threshold
+    f({e})/c_e meets lie below one ``bisect`` of the ascending thresholds,
+    and all take the same working set {e}.  A value so large that the window's floor max(2*LB, 2*delta)/(3k)
     overflows a float, or so small that it underflows to 0, raises
     ``ValueError``, naming the value.
     """
@@ -514,6 +528,8 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     window = range(0)    # the grid indices kept, ascending
     sets: list[WorkingSet] = []  # the threshold set of each index in window
     taus: list[float] = []       # base ** i for each index in window
+    full: list[int] = []         # the rows of sets not empty, ascending
+    floor_of = None      # the (lb, delta) that window was computed for
     retained = peak = 0
 
     for eid in _scan(stream, inst):
@@ -521,39 +537,54 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         fe = oracle.value_with(empty, eid, ledger)
         if fe > delta:
             delta = fe
-        max_density = max(max_density, fe / c_e)
+        density = fe / c_e
+        max_density = max(max_density, density)
         if delta <= 0:
             continue
 
-        tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
-        if math.isinf(tau_min):
-            raise ValueError(f"value {max(lb, delta)!r} is too large for the "
-                             f"grid: its floor max(2*LB, 2*delta)/(3k) overflows")
-        if tau_min == 0:
-            raise ValueError(f"value {max(lb, delta)!r} is too small for the "
-                             f"grid: its floor max(2*LB, 2*delta)/(3k) is 0")
-        active = _grid_indices(tau_min / base, delta, log_base)
-        # not active != window: two empty ranges are equal at any start
-        if (active.start, active.stop) != (window.start, window.stop):
-            kept = dict(zip(window, sets))
-            retained -= sum(len(ws.order) for i, ws in kept.items()
-                            if i not in active)
-            window = active
-            sets = [kept.get(i, empty) for i in window]
-            taus = [base ** i for i in window]
+        if floor_of != (lb, delta):
+            floor_of = lb, delta
+            tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
+            if math.isinf(tau_min):
+                raise ValueError(f"value {max(lb, delta)!r} is too large for the "
+                                 f"grid: its floor max(2*LB, 2*delta)/(3k) overflows")
+            if tau_min == 0:
+                raise ValueError(f"value {max(lb, delta)!r} is too small for the "
+                                 f"grid: its floor max(2*LB, 2*delta)/(3k) is 0")
+            active = _grid_indices(tau_min / base, delta, log_base)
+            # not active != window: two empty ranges are equal at any start
+            if (active.start, active.stop) != (window.start, window.stop):
+                kept = dict(zip(window, sets))
+                retained -= sum(len(ws.order) for i, ws in kept.items()
+                                if i not in active)
+                window = active
+                sets = [kept.get(i, empty) for i in window]
+                taus = [base ** i for i in window]
+                full = [r for r, ws in enumerate(sets) if ws is not empty]
+        # every empty set fits e, and f(empty + e) is fe: charge those
+        # queries, but ask only the sets that hold something
+        ledger._admit(len(sets) - len(full))
         need = units[eid]
-        rows = [r for r, ws in enumerate(sets)
-                if eid not in ws.ids and need <= ws.room]
-        # f(empty + e) is fe: charge those queries, but ask only the others
-        ledger._admit(sum(sets[r] is empty for r in rows))
-        for r in rows:
+        for r in full:
             ws = sets[r]
-            gain = (fe if ws is empty
-                    else oracle.value_with(ws, eid, ledger)) - ws.value
+            if eid in ws.ids or need > ws.room:
+                continue
+            gain = oracle.value_with(ws, eid, ledger) - ws.value
             if gain / c_e >= taus[r]:
                 ws = sets[r] = oracle.add(ws, eid, ws.value + gain)
                 lb = max(lb, ws.value)
                 retained += 1
+        # e joins every empty set whose threshold its density meets, all
+        # alike: the taus ascend, so those rows lie below one cut
+        cut = bisect.bisect_right(taus, density)
+        if bisect.bisect_left(full, cut) < cut:
+            joined = [r for r in range(cut) if sets[r] is empty]
+            one = oracle.add(empty, eid, fe)
+            for r in joined:
+                sets[r] = one
+            full = sorted(full + joined)
+            lb = max(lb, fe)
+            retained += len(joined)
         peak = max(peak, retained)
 
     return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

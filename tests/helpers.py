@@ -10,9 +10,18 @@ from knapsub import (
     Instance,
     ModularObjective,
     MovieObjective,
+    QueryLedger,
     SubmodularOracle,
     movie_costs,
     normalize,
+)
+from knapsub.core import WorkingSet
+from knapsub.streaming import (
+    OptEstimate,
+    _check_k,
+    _grid_indices,
+    _scan,
+    grid_size,
 )
 
 # Three items: two complementary halves and one slightly denser spoiler that
@@ -139,6 +148,74 @@ def scalar_threshold_pass(oracle, items, tau, ws, ledger, singles=None):
         elif density > seen:
             seen = density
     return ws, accepted, seen
+
+
+def scalar_estimate_lambda(stream, k, oracle, epsilon_est=1 / 6, ledger=None):
+    """The reference for ``knapsub.streaming.estimate_lambda``: every
+    window row is filtered and walked in index order for each element, and
+    every empty set the element joins takes its own working set.  It asks
+    the same queries in the same order and returns the same estimate."""
+    if not 0 < epsilon_est < 1 / 3:
+        raise ValueError(f"epsilon_est must lie in (0, 1/3), got {epsilon_est!r}")
+    _check_k(k, oracle)
+    base = 1.0 + epsilon_est
+    grid_size(1.5 * k * base, epsilon_est)
+    ledger = ledger or QueryLedger()
+    inst = oracle.instance
+    units = inst.units
+    log_base = math.log(base)
+
+    delta = 0.0          # best singleton value so far
+    lb = 0.0             # best collected-set value so far
+    max_density = 0.0
+    # the empty set is recorded at 0 (the estimator never queries it)
+    empty = oracle.working_set((), 0.0)
+    window = range(0)    # the grid indices kept, ascending
+    sets: list[WorkingSet] = []  # the threshold set of each index in window
+    taus: list[float] = []       # base ** i for each index in window
+    retained = peak = 0
+
+    for eid in _scan(stream, inst):
+        c_e = inst.cost_of(eid)
+        fe = oracle.value_with(empty, eid, ledger)
+        if fe > delta:
+            delta = fe
+        max_density = max(max_density, fe / c_e)
+        if delta <= 0:
+            continue
+
+        tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
+        if math.isinf(tau_min):
+            raise ValueError(f"value {max(lb, delta)!r} is too large for the "
+                             f"grid: its floor max(2*LB, 2*delta)/(3k) overflows")
+        if tau_min == 0:
+            raise ValueError(f"value {max(lb, delta)!r} is too small for the "
+                             f"grid: its floor max(2*LB, 2*delta)/(3k) is 0")
+        active = _grid_indices(tau_min / base, delta, log_base)
+        # not active != window: two empty ranges are equal at any start
+        if (active.start, active.stop) != (window.start, window.stop):
+            kept = dict(zip(window, sets))
+            retained -= sum(len(ws.order) for i, ws in kept.items()
+                            if i not in active)
+            window = active
+            sets = [kept.get(i, empty) for i in window]
+            taus = [base ** i for i in window]
+        need = units[eid]
+        rows = [r for r, ws in enumerate(sets)
+                if eid not in ws.ids and need <= ws.room]
+        # f(empty + e) is fe: charge those queries, but ask only the others
+        ledger._admit(sum(sets[r] is empty for r in rows))
+        for r in rows:
+            ws = sets[r]
+            gain = (fe if ws is empty
+                    else oracle.value_with(ws, eid, ledger)) - ws.value
+            if gain / c_e >= taus[r]:
+                ws = sets[r] = oracle.add(ws, eid, ws.value + gain)
+                lb = max(lb, ws.value)
+                retained += 1
+        peak = max(peak, retained)
+
+    return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)
 
 
 def validate_trace(trace, offline=False):

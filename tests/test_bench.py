@@ -247,7 +247,9 @@ def test_config_validation_errors():
     ("depth", -1), ("depth", 4),
     # a gnp graph of no vertices raised ValueError; -1 dropped a movie
     ("n", 0), ("n", -2), ("max_movies", 0), ("max_movies", -1),
-    ("max_users", -1)])
+    ("max_users", -1),
+    # gnp_adjacency clamped these: 2.0 built the complete graph
+    ("p", 2.0), ("p", -0.5), ("p", float("nan"))])
 def test_config_rejects_bad_epsilon_and_depth(field, value):
     with pytest.raises(ParseError, match=f"{field} must be"):
         ExperimentConfig("d", "synthetic", ["greedy"], [3.0],
@@ -524,6 +526,8 @@ def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
      "k = 3\n", "error: a pa graph needs n >= attach >= 1"),
     ("kind = synthetic\nmodel = gnp\nn = 0\nalgorithms = greedy\nk = 3\n",
      "error: n must be at least 1, got 0"),
+    ("kind = synthetic\nmodel = gnp\np = 2.0\nalgorithms = greedy\nk = 3\n",
+     "error: p must be between 0 and 1, got 2.0"),
 ])
 def test_cli_run_reports_a_bad_config_and_exits_one(tmp_path, capsys, text,
                                                     message):

@@ -38,6 +38,7 @@ from knapsub import (
     sieve_or_max,
     sieve_plus_max,
 )
+from knapsub.objectives import _MOVIE_BATCH_FLOATS
 
 from conftest import random_adjacency
 from helpers import NONFINITE, movie_case, nan_probe
@@ -611,12 +612,19 @@ def signed_zero_movie(movies=300, targets=24, seed=7):
     return objective, states
 
 
-@pytest.mark.parametrize("count", [0, 1, 255, 256, 257])
+# one chunk of a movie batch on signed_zero_movie's 24 targets: 2,730 ids
+BLOCK = _MOVIE_BATCH_FLOATS // 24
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257,
+                                   BLOCK - 1, BLOCK, BLOCK + 1])
 def test_movie_values_with_is_value_with_bit_for_bit(count):
-    # 256 ids make one chunk of the batch; 257 cross into a second
+    # BLOCK ids make one chunk of the batch; BLOCK + 1 cross into a second.
+    # Past 300 the ids repeat, as a batch may.
     objective, states = signed_zero_movie()
     rng = np.random.default_rng(count)
-    ids = np.concatenate([[0, 1, 2], rng.permutation(np.arange(3, 300))])[:count]
+    ids = np.resize(np.concatenate([[0, 1, 2],
+                                    rng.permutation(np.arange(3, 300))]), count)
     for state in states:
         assert hexes(objective.values_with(state, ids)) == \
             hexes(objective.value_with(state, eid) for eid in ids.tolist())
@@ -624,11 +632,13 @@ def test_movie_values_with_is_value_with_bit_for_bit(count):
     assert hexes(objective.values_with(None, [0, 1, 2])) == ["0x0.0p+0"] * 3
 
 
-def test_movie_batch_chunks_wide_tables_by_floats():
-    # 2500 targets: 2**19 floats hold 209 rows, so 420 ids take 3 chunks
+@pytest.mark.parametrize("width", [2500, 6])
+def test_movie_batch_chunks_wide_tables_by_floats(width):
+    # 2500 targets: 2**16 floats hold 26 rows, so 420 ids take 17 chunks;
+    # 6 targets: 10,922 rows, so all 420 ids make one chunk
     rng = np.random.default_rng(3)
     objective = MovieObjective(rng.standard_normal((420, 6)),
-                               targets=rng.integers(0, 420, 2500))
+                               targets=rng.integers(0, 420, width))
     ids = rng.permutation(420)
     for state in (None, objective.extend(None, ids[:5])):
         assert hexes(objective.values_with(state, ids)) == \

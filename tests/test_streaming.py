@@ -51,6 +51,7 @@ from helpers import (
     movie_vectors,
     nan_probe,
     recording,
+    scalar_estimate_lambda,
     scalar_threshold_pass,
     tight_oracle,
 )
@@ -283,6 +284,14 @@ def test_an_unknown_stream_id_raises_before_a_query_on_it():
         with pytest.raises(KeyError, match="stream id 7 is not in the instance"):
             run(StreamSource([0, 7, 1]))
     assert queried and not any(7 in ids for ids in queried)
+    # a cap under every level skips them all, so augment_pass meets id 7
+    # first, in its one pass over the raw stream, before asking id 0
+    queried.clear()
+    stream = StreamSource([0, 7, 1])
+    with pytest.raises(KeyError, match="stream id 7 is not in the instance"):
+        sieve_plus_max(stream, 2.0, oracle, 1.0, 0.5, 0.5, density_cap=0.0)
+    assert queried == [frozenset()] * 2  # f(empty) in _collect and greedy_order
+    assert stream.pass_count == 1
 
 
 def test_sieve_or_max_returns_lone_big_singleton(corpus):
@@ -645,6 +654,66 @@ def test_the_estimator_answers_its_empty_sets_from_the_singleton_query():
                            SubmodularOracle(instance, objective),
                            ledger=protocol_ledger) == est
     assert protocol_ledger.query_count == ledger.query_count
+
+
+def logged_estimate(estimator, instance, objective, path, budget=None):
+    """``estimator`` on ``instance`` as ``(estimate, queries)`` with every
+    float as hex, or ``("BudgetExceeded", queries)``, and its log: each
+    ledger admission's count and, on the callable path, each set the
+    objective is asked, in order."""
+    log = []
+
+    def asked(ids):
+        log.append(sorted(ids))
+        return objective.value(ids)
+
+    class Logged(QueryLedger):
+        def _admit(self, count=1, infeasible=False):
+            log.append(count)
+            super()._admit(count, infeasible)
+
+    ledger = Logged(budget=budget)
+    fn = objective if path == "protocol" else asked
+    try:
+        est = estimator(StreamSource.from_instance(instance),
+                        instance.capacity, SubmodularOracle(instance, fn),
+                        ledger=ledger)
+    except BudgetExceeded:
+        return ("BudgetExceeded", ledger.query_count), log
+    return ((est.lam.hex(), est.alpha.hex(), est.max_singleton_density.hex(),
+             est.peak_retained), ledger.query_count), log
+
+
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+def test_the_estimator_matches_the_per_row_reference(corpus, path):
+    # only the non-empty grid sets are walked, and the empty sets an
+    # element joins share one working set: the estimate, the queries and
+    # their order are the reference's, bit for bit
+    cases = [corpus(idx)[:2] for idx in range(60)]
+    cases += [movie_case(3, 120, 8.0), movie_case(5, 300, 30.0),
+              movie_case(2, 60, 5.0, base=4)]
+    for instance, objective in cases:
+        run = logged_estimate(estimate_lambda, instance, objective, path)
+        assert run == logged_estimate(scalar_estimate_lambda, instance,
+                                      objective, path)
+    if path == "callable":
+        # an element is charged its empty sets, then asked a non-empty one
+        log = run[1]
+        assert any(type(a) is int and a > 0 and b == 1 and type(c) is list
+                   and len(c) > 1 for a, b, c in zip(log, log[1:], log[2:]))
+
+
+def test_budget_stops_the_estimator_where_the_reference_stops():
+    instance, objective = movie_case(2, 40, 3.0)
+    full, _ = logged_estimate(estimate_lambda, instance, objective, "protocol")
+    total = full[1]
+    assert total == 154
+    for budget in range(total + 2):
+        run = logged_estimate(estimate_lambda, instance, objective,
+                              "protocol", budget)
+        assert run == logged_estimate(scalar_estimate_lambda, instance,
+                                      objective, "protocol", budget)
+        assert run[0] == (("BudgetExceeded", budget) if budget < total else full)
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
