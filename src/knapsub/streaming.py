@@ -221,8 +221,9 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
 
     Members, base ids and items that no longer fit are skipped, and an id
     the instance does not hold raises ``KeyError`` once the items read
-    before it have run, with no query on it; an item joins iff its clamped density max(0, gain)/c_e strictly clears ``tau``,
-    and the set's value grows by its gain.  Returns ``(ws, accepted, seen)``:
+    before it have run, with no query on it.  An item joins iff its
+    clamped density max(0, gain)/c_e strictly clears ``tau``, and the
+    set's value grows by its gain.  Returns ``(ws, accepted, seen)``:
     the grown working set, the accepted (id, gain) pairs in order, and the
     highest density among fitting items that were rejected, which bounds
     every density at the next lower level.  ``singles``, when given,
@@ -379,12 +380,11 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
     for tau in levels:
         if tau >= cap:
             continue  # certificate: no remaining density clears this level
-        items = stream.scan()  # the kernel skips base ids itself
-        singles = None
         if singles_pending:
             # the singleton pick revisits this pass's items in stream order
-            items = list(_scan(stream, inst))
-            singles, singles_pending = {}, False
+            items, singles, singles_pending = list(_scan(stream, inst)), {}, False
+        else:
+            items, singles = stream.scan(), None  # the kernel skips base ids
         ws, accepted, cap = threshold_pass(oracle, items, tau, ws, ledger,
                                            singles)
         for eid, gain in accepted:
@@ -506,9 +506,9 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     sets that hold something are walked, from an ascending list of their
     rows rebuilt whenever the window moves; the empty sets whose threshold
     f({e})/c_e meets lie below one ``bisect`` of the ascending thresholds,
-    and all take the same working set {e}.  A value so large that the window's floor max(2*LB, 2*delta)/(3k)
-    overflows a float, or so small that it underflows to 0, raises
-    ``ValueError``, naming the value.
+    and all take the same working set {e}.  A value so large that the
+    window's floor max(2*LB, 2*delta)/(3k) overflows a float, or so small
+    that it underflows to 0, raises ``ValueError``, naming the value.
     """
     if not 0 < epsilon_est < 1 / 3:
         raise ValueError(f"epsilon_est must lie in (0, 1/3), got {epsilon_est!r}")

@@ -632,17 +632,17 @@ def test_movie_values_with_is_value_with_bit_for_bit(count):
     assert hexes(objective.values_with(None, [0, 1, 2])) == ["0x0.0p+0"] * 3
 
 
-@pytest.mark.parametrize("width", [2500, 6])
-def test_movie_batch_chunks_wide_tables_by_floats(width):
+def test_movie_batch_chunks_wide_tables_by_floats():
     # 2500 targets: 2**16 floats hold 26 rows, so 420 ids take 17 chunks;
     # 6 targets: 10,922 rows, so all 420 ids make one chunk
     rng = np.random.default_rng(3)
-    objective = MovieObjective(rng.standard_normal((420, 6)),
-                               targets=rng.integers(0, 420, width))
-    ids = rng.permutation(420)
-    for state in (None, objective.extend(None, ids[:5])):
-        assert hexes(objective.values_with(state, ids)) == \
-            hexes(objective.value_with(state, eid) for eid in ids.tolist())
+    for width in (2500, 6):
+        objective = MovieObjective(rng.standard_normal((420, 6)),
+                                   targets=rng.integers(0, 420, width))
+        ids = rng.permutation(420)
+        for state in (None, objective.extend(None, ids[:5])):
+            assert hexes(objective.values_with(state, ids)) == \
+                hexes(objective.value_with(state, eid) for eid in ids.tolist())
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 127, 128, 129, 1000, 2000])
