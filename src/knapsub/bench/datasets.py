@@ -28,7 +28,8 @@ def ingest_snap(path) -> SnapGraph:
     """Parse a whitespace edge list; '#' lines are comments.
 
     Self-loops are dropped and duplicate edges collapse.  Vertex ids are
-    compacted to 0..|V|-1 in order of first appearance.
+    compacted to 0..|V|-1 in order of first appearance.  A file left with
+    no edge raises :class:`EmptyData`.
     """
     compact: dict[int, int] = {}
     original: list[int] = []
@@ -57,6 +58,8 @@ def ingest_snap(path) -> SnapGraph:
                 continue
             u, v = vertex(a), vertex(b)
             edges.add((min(u, v), max(u, v)))
+    if not edges:
+        raise EmptyData("edge list holds no edge between two distinct vertices")
 
     adjacency: list[list[int]] = [[] for _ in original]
     for u, v in edges:

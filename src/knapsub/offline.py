@@ -13,6 +13,7 @@ its value; the answers and :func:`greedy_order`'s callers read them directly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -167,8 +168,8 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
     n^(depth+1) * k_tilde queries; cap it with ``QueryLedger(budget=...)``,
     which raises :class:`BudgetExceeded` before the first query past the cap.
     """
-    if not 0 <= depth <= 3:
-        raise ValueError("enumeration depth must be between 0 and 3")
+    if not isinstance(depth, numbers.Integral) or not 0 <= depth <= 3:
+        raise ValueError(f"depth must be an integer between 0 and 3, got {depth!r}")
     ledger = ledger or QueryLedger()
     meter = RunMeter("partial_enum_greedy", instance, ledger)
 

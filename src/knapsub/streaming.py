@@ -503,10 +503,10 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     an empty set's query is f({e}) again, so those queries are charged to
     the ledger at once and answered with the value just asked, and each
     other set is one :meth:`SubmodularOracle.value_with` query.  Only the
-    sets that hold something are walked, from an ascending list of their
-    rows rebuilt whenever the window moves; the empty sets whose threshold
-    f({e})/c_e meets lie below one ``bisect`` of the ascending thresholds,
-    and all take the same working set {e}.  A value so large that the
+    sets that hold something are kept, and they fill the window's lowest
+    rows; the empty rows above them whose threshold f({e})/c_e meets end at
+    one ``bisect`` of the ascending thresholds, and all take the same
+    working set {e}.  A value so large that the
     window's floor max(2*LB, 2*delta)/(3k) overflows a float, or so small
     that it underflows to 0, raises ``ValueError``, naming the value.
     """
@@ -526,9 +526,11 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     # the empty set is recorded at 0 (the estimator never queries it)
     empty = oracle.working_set((), 0.0)
     window = range(0)    # the grid indices kept, ascending
-    sets: list[WorkingSet] = []  # the threshold set of each index in window
+    # the non-empty threshold sets, the window's lowest rows: e joins every
+    # empty row up to its cut, and while a set is held neither end of the
+    # window falls, so rows leave at the bottom and enter empty at the top
+    sets: list[WorkingSet] = []
     taus: list[float] = []       # base ** i for each index in window
-    full: list[int] = []         # the rows of sets not empty, ascending
     floor_of = None      # the (lb, delta) that window was computed for
     retained = peak = 0
 
@@ -552,21 +554,18 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
                 raise ValueError(f"value {max(lb, delta)!r} is too small for the "
                                  f"grid: its floor max(2*LB, 2*delta)/(3k) is 0")
             active = _grid_indices(tau_min / base, delta, log_base)
-            # not active != window: two empty ranges are equal at any start
-            if (active.start, active.stop) != (window.start, window.stop):
-                kept = dict(zip(window, sets))
-                retained -= sum(len(ws.order) for i, ws in kept.items()
-                                if i not in active)
-                window = active
-                sets = [kept.get(i, empty) for i in window]
-                taus = [base ** i for i in window]
-                full = [r for r, ws in enumerate(sets) if ws is not empty]
+            lo, hi = active.start, active.stop
+            if sets:
+                lo, hi = max(lo, window.start), max(hi, window.stop)
+            retained -= sum(len(ws.order) for ws in sets[:lo - window.start])
+            del sets[:lo - window.start]
+            window = range(lo, hi)
+            taus = [base ** i for i in window]
         # every empty set fits e, and f(empty + e) is fe: charge those
         # queries, but ask only the sets that hold something
-        ledger._admit(len(sets) - len(full))
+        ledger._admit(len(taus) - len(sets))
         need = units[eid]
-        for r in full:
-            ws = sets[r]
+        for r, ws in enumerate(sets):
             if eid in ws.ids or need > ws.room:
                 continue
             gain = oracle.value_with(ws, eid, ledger) - ws.value
@@ -574,17 +573,13 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
                 ws = sets[r] = oracle.add(ws, eid, ws.value + gain)
                 lb = max(lb, ws.value)
                 retained += 1
-        # e joins every empty set whose threshold its density meets, all
-        # alike: the taus ascend, so those rows lie below one cut
-        cut = bisect.bisect_right(taus, density)
-        if bisect.bisect_left(full, cut) < cut:
-            joined = [r for r in range(cut) if sets[r] is empty]
-            one = oracle.add(empty, eid, fe)
-            for r in joined:
-                sets[r] = one
-            full = sorted(full + joined)
+        # e joins every empty row whose threshold its density meets, all
+        # alike: the taus ascend, so those rows end at one cut
+        joined = bisect.bisect_right(taus, density) - len(sets)
+        if joined > 0:
+            sets += [oracle.add(empty, eid, fe)] * joined
             lb = max(lb, fe)
-            retained += len(joined)
+            retained += joined
         peak = max(peak, retained)
 
     return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

@@ -80,6 +80,15 @@ def test_ingest_snap_parse_errors(tmp_path):
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("text", ["", "# comments only\n\n", "1 1\n2 2\n"])
+def test_ingest_snap_without_an_edge_is_empty_data(tmp_path, text):
+    # a 0-vertex graph reached CoverageObjective, which raised ValueError
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(EmptyData):
+        ingest_snap(p)
+
+
 MOVIE_CSV = "userId,movieId,rating,timestamp\n1,10,5.0,111\n2,10,1.0,112\n1,20,1.0,113\n2,20,5.0,114\n"
 
 
@@ -545,6 +554,12 @@ def test_cli_errors_return_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
     assert cli_main(["datasets", "verify", str(bad)]) == 1
+    # a self-loop alone printed a traceback, not an error line
+    loop = tmp_path / "loop.txt"
+    loop.write_text("1 1\n")
+    capsys.readouterr()
+    assert cli_main(["datasets", "verify", str(loop)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --------------------------------------------------------------- perfbench
@@ -582,6 +597,25 @@ def test_bench_pairs_spread_and_wins():
     assert tool.compare(base, head, "higher")["head_wins"] == 1
     assert tool.compare(base, base, "lower")["head_wins"] == 0
     assert tool.compare([0.0], [1.0], "higher")["change"] is None
+
+
+@pytest.mark.parametrize("flags", [["--pairs", "0"], ["--tier1", "-1"],
+                                   ["--seconds", "0"], ["--seconds", "nan"]])
+def test_bench_pairs_rejects_bad_counts_before_any_run(tmp_path, monkeypatch,
+                                                       flags):
+    # --pairs 0 crashed in spread, after the version probes had run
+    tool = _bench_pairs()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a subprocess started")
+
+    monkeypatch.setattr(tool.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--base", str(tmp_path), "--head", str(tmp_path),
+                   "--workload", "w", "--seed", "1", "--out",
+                   str(tmp_path / "pairs.json"), *flags])
+    assert exit_.value.code == 2
+    assert not (tmp_path / "pairs.json").exists()
 
 
 def test_bench_pairs_flags_implausible_times():

@@ -204,6 +204,9 @@ def test_partial_enum_rejects_bad_depth():
         partial_enum_greedy(inst, oracle, -1)
     with pytest.raises(ValueError):
         partial_enum_greedy(inst, oracle, 4)
+    # 1.5 passed the range check and raised TypeError from range
+    with pytest.raises(ValueError, match="got 1.5"):
+        partial_enum_greedy(inst, oracle, 1.5)
 
 
 def test_partial_enum_budget_guard():

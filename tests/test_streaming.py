@@ -690,12 +690,27 @@ def test_the_estimator_matches_the_per_row_reference(corpus, path):
     # element joins share one working set: the estimate, the queries and
     # their order are the reference's, bit for bit
     cases = [corpus(idx)[:2] for idx in range(60)]
+    # unit costs: a late, much larger singleton moves the window past every
+    # non-empty set at once, and many equal items let LB, not delta, lift
+    # the floor; each pinned as its hex estimate and its queries
+    edges = [(Instance([Element(i, 1.0) for i in weights], k),
+              ModularObjective(weights), pinned) for weights, k, pinned in [
+        ({0: 1.0, 1: 1.0, 2: 1e6}, 3.0,
+         (("0x1.e848000000000p+19", "0x1.5555555555555p-3",
+           "0x1.e848000000000p+19", 22), 36)),
+        (dict.fromkeys(range(30), 1.0), 10.0,
+         (("0x1.4000000000000p+3", "0x1.5555555555555p-3",
+           "0x1.0000000000000p+0", 54), 138))]]
+    cases += [(instance, objective) for instance, objective, _ in edges]
     cases += [movie_case(3, 120, 8.0), movie_case(5, 300, 30.0),
               movie_case(2, 60, 5.0, base=4)]
     for instance, objective in cases:
         run = logged_estimate(estimate_lambda, instance, objective, path)
         assert run == logged_estimate(scalar_estimate_lambda, instance,
                                       objective, path)
+    for instance, objective, pinned in edges:
+        assert logged_estimate(estimate_lambda, instance, objective,
+                               path)[0] == pinned
     if path == "callable":
         # an element is charged its empty sets, then asked a non-empty one
         log = run[1]

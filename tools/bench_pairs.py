@@ -170,6 +170,12 @@ def main(argv=None) -> int:
                         help="also time the test suite in N pairs")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if args.tier1 < 0:
+        parser.error(f"--tier1 must not be negative, got {args.tier1}")
+    if not args.seconds > 0:
+        parser.error(f"--seconds must be positive, got {args.seconds}")
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
 
