@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import threading
 import time
 import warnings
@@ -222,13 +223,17 @@ class QueryLedger:
     With enforcement off the query is answered but tallied in
     ``infeasible_query_count`` for observability.  An optional ``budget``
     turns the ledger into a hard stop: a query that would push the count past
-    the budget raises :class:`BudgetExceeded` before being evaluated.
+    the budget raises :class:`BudgetExceeded` before being evaluated; any
+    budget but ``None`` or an integer >= 0 raises ``ValueError``.
     ``speculative_evaluations`` tallies objective evaluations computed ahead
     of a query and never asked (see :meth:`SubmodularOracle.values_ahead`);
     they are not queries.
     """
 
     def __init__(self, enforce_feasible: bool = True, budget: int | None = None):
+        if not (budget is None or isinstance(budget, numbers.Integral) and budget >= 0):
+            raise ValueError(f"budget must be None or an integer >= 0, "
+                             f"got {budget!r}")
         self.enforce_feasible = enforce_feasible
         self.budget = budget
         self.query_count = 0
@@ -522,15 +527,19 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     with no purchasable elements and no base set is returned as-is but
     flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
     finite and positive raises ``ValueError``, as in :class:`Instance`, and
-    so do a cost that is not a number >= 0 (NaN included), naming its
-    element, and a capacity that overflows once rescaled.
+    so do a cost that is not a number >= 0 (NaN included) or an id that
+    ``int`` would change (1.5), naming its element, and a capacity that
+    overflows once rescaled.
     """
 
     pairs = []  # (id, cost), so each kept Element is built once, rescaled
     base = set(base_ids)
     for item in raw_elements:
-        eid, cost = ((item.id, item.cost) if isinstance(item, Element)
-                     else (int(item[0]), float(item[1])))
+        if isinstance(item, Element):
+            item = item.id, item.cost
+        eid, cost = int(item[0]), float(item[1])
+        if eid != item[0]:
+            raise ValueError(f"element {item[0]!r} has an id that is not an integer")
         if not cost >= 0:
             raise ValueError(f"element {eid} has cost {cost!r}, not a number >= 0")
         if cost == 0.0:
@@ -605,6 +614,10 @@ def upper_bound_opt(instance: Instance, oracle: SubmodularOracle,
     elements, which bounds what the optimum can still add.  The ground-set
     evaluation may exceed the capacity, so it runs on a non-enforcing side
     ledger; no extra greedy passes are needed.
+
+    Only an offline greedy's trace records ``ub_density``: a sieve's trace
+    holds 0, so it bounds nothing.  On six unit-cost modular items of
+    weights 1..6 with K = 3, a ``sieve`` trace gives 0.0; the sieve found 15.0.
     """
 
     side = QueryLedger(enforce_feasible=False)

@@ -15,11 +15,10 @@ exactly the float ``value_with(state, id)`` returns.  The oracle asks
 ``values_with`` only for ids that all fit S.  A coverage state holds
 the covered vertices as a read-only ``bool`` array, their count, and a
 memo slot for every vertex's covered-neighbour count; the slot is the
-only thing ever written on a state.  A coverage batch below n/4 ids
-reads only the requested rows of the graph's one CSR array; a larger
-one reads the memoized counts, which the first such batch on a state
-builds in one pass over every edge and each grown state carries on in
-O(n + the new vertices' degrees).  The movie batch gathers at most 2**16
+only thing ever written on a state.  A coverage batch reads the
+memoized counts, which the first batch on a state builds in one pass
+over every edge and each grown state carries on in O(n + the new
+vertices' degrees).  The movie batch gathers at most 2**16
 floats (512 KB) of its table at a time: 32 rows of 2,000 targets.
 ``ModularObjective`` and ``HiddenPairObjective`` do not implement it: a
 running float sum would differ from ``value`` in the last bits, and the
@@ -69,13 +68,12 @@ class CoverageObjective:
     removed, checked symmetric), so the graph takes O(n + E) memory.  A
     set's state is a :class:`CoverState`: its covered vertices and their
     count, and a memo slot for ``hits[w] = |N[w] & covered|``.  One
-    "f(S + e)" query reads e's row.  A batch of fewer than n/4 of them
-    reads the requested rows; a larger one reads ``hits``, which the first
-    such batch on a state builds in one pass over every edge.  A state
-    grown from one that holds ``hits`` takes them and adds the rows of the
-    newly covered vertices U, which is exact because the graph is
-    symmetric: w gains one covered neighbour per row of U holding w.  So a
-    greedy sweep passes over the edges once, not once per step.  The
+    "f(S + e)" query reads e's row.  A batch of them reads ``hits``,
+    which the first batch on a state builds in one pass over every edge.
+    A state grown from one that holds ``hits`` takes them and adds the
+    rows of the newly covered vertices U, which is exact because the graph
+    is symmetric: w gains one covered neighbour per row of U holding w.
+    So a greedy sweep passes over the edges once, not once per step.  The
     parent is left without ``hits``; asked again, it builds them anew, the
     same integers.
     """
@@ -128,9 +126,6 @@ class CoverageObjective:
         self._indices = (keys % n).astype(np.intp)
         # wide enough for any row's count, narrow so a batch stays small
         self._count_type = np.uint16 if n < 2**16 else np.int32
-        # a batch of fewer ids reads only their rows; measured near n/4
-        # ids, the pass over every edge catches up
-        self._row_cutoff = n // 4
         empty = np.zeros(n, dtype=bool)
         empty.flags.writeable = False
         self._empty = CoverState(empty, 0)
@@ -154,7 +149,7 @@ class CoverageObjective:
         if hits is None:
             return CoverState(covered, int(np.count_nonzero(covered)))
         fresh = np.flatnonzero(covered > state.covered)
-        grown = np.bincount(self._rows(fresh)[0], minlength=self.n_vertices)
+        grown = np.bincount(self._rows(fresh), minlength=self.n_vertices)
         grown = grown.astype(self._count_type)
         grown += hits  # into a new array, so no reader sees ``hits`` change
         grown.flags.writeable = False
@@ -171,35 +166,23 @@ class CoverageObjective:
         is ``value_with(state, eid)`` for every id, bit for bit: both divide
         the same exactly representable integers once.
 
-        Fewer than ``_row_cutoff`` ids read only their own rows, in
-        O(sum of their degrees); more read the state's ``hits``, built on
-        the first such batch in one pass over every edge."""
+        Every batch reads the state's ``hits``, built on its first batch in
+        one pass over every edge, or carried from the state it grew from."""
         ids = np.asarray(ids, dtype=np.intp)
         state = state or self._empty
-        if len(ids) < self._row_cutoff:
-            hits = self._row_hits(state.covered, ids)
-        else:
-            hits = state.hits
-            if hits is None:
-                hits = state.hits = self._all_hits(state.covered)
-            hits = hits[ids]
-        return (state.count + (self._sizes[ids] - hits)) / self.n_vertices
+        hits = state.hits
+        if hits is None:
+            hits = state.hits = self._all_hits(state.covered)
+        return (state.count + (self._sizes[ids] - hits[ids])) / self.n_vertices
 
-    def _rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Each id's row, back to back, and where each row starts."""
+    def _rows(self, ids) -> np.ndarray:
+        """Each id's row, back to back."""
         sizes = self._sizes[ids]
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
         # entry i of the gathered rows sits at indices[i + its row's shift]
+        starts = np.cumsum(sizes) - sizes
         at = np.repeat(self._indptr[ids] - starts, sizes)
         at += np.arange(at.size)
-        return self._indices[at], starts
-
-    def _row_hits(self, covered, ids) -> np.ndarray:
-        """The covered vertices of each id's row, from the rows alone."""
-        entries, starts = self._rows(ids)
-        # every closed row holds its own vertex, so no row is empty
-        return np.add.reduceat(covered[entries], starts, dtype=self._count_type)
+        return self._indices[at]
 
     def _all_hits(self, covered) -> np.ndarray:
         """The covered vertices of every row, in one pass over the edges,

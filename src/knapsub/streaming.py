@@ -494,8 +494,9 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     density meets, provided the set stays within budget, so every set is
     feasible and the estimate never exceeds the optimum.  Returns an
     estimate ``lam`` with ``alpha`` = 1/3 - epsilon_est.
-    ``k`` must equal ``oracle.instance.capacity``, and the indices' widest
-    span, 3k(1+epsilon_est)/2, must pass :func:`grid_size` (or ``ValueError``).
+    ``k`` must equal ``oracle.instance.capacity``, 1 + epsilon_est must
+    round above 1, and the indices' widest span, 3k(1+epsilon_est)/2, must
+    pass :func:`grid_size` (or ``ValueError``, before any query).
 
     Per element, the singleton query f({e}) comes first, since it moves
     the window, which is recomputed only when LB or delta has changed.
@@ -510,10 +511,11 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     window's floor max(2*LB, 2*delta)/(3k) overflows a float, or so small
     that it underflows to 0, raises ``ValueError``, naming the value.
     """
-    if not 0 < epsilon_est < 1 / 3:
-        raise ValueError(f"epsilon_est must lie in (0, 1/3), got {epsilon_est!r}")
-    _check_k(k, oracle)
     base = 1.0 + epsilon_est
+    if not (0 < epsilon_est < 1 / 3 and base > 1.0):
+        raise ValueError(f"epsilon_est must lie in (0, 1/3) with 1 + epsilon_est "
+                         f"above 1, got {epsilon_est!r}")
+    _check_k(k, oracle)
     grid_size(1.5 * k * base, epsilon_est)
     ledger = ledger or QueryLedger()
     inst = oracle.instance

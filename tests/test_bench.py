@@ -126,6 +126,11 @@ def test_ingest_movielens_bad_row(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest_movielens(p)
     assert err.value.line_no == 2
+    # a blank row is skipped but still numbered; three fields are refused
+    p.write_text("userId,movieId,rating,timestamp\n\n1,10,5.0\n")
+    with pytest.raises(ParseError, match="expected 4 comma-separated fields") as err:
+        ingest_movielens(p)
+    assert err.value.line_no == 3
 
 
 def test_ingest_movielens_truncates_to_most_rated(tmp_path):
@@ -447,6 +452,9 @@ def test_cli_run_success(tmp_path, capsys):
     assert code == 0
     assert "4 cells" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 1 + 4  # header and 4 cells
+    # --iterations overrides the file's count, and is validated as it is
+    assert cli_main(["run", "--config", str(cfgp), "--iterations", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: iterations must be at least 1")
 
 
 def test_cli_run_budget_flag_exit_code(tmp_path, capsys):
@@ -537,6 +545,8 @@ def test_cli_verify_refuses_the_synthetic_kind(tmp_path, capsys):
      "error: n must be at least 1, got 0"),
     ("kind = synthetic\nmodel = gnp\np = 2.0\nalgorithms = greedy\nk = 3\n",
      "error: p must be between 0 and 1, got 2.0"),
+    ("kind = synthetic\nalgorithms = greedy\nk = 3\nbudget = 0\n",
+     "error: query budget must be positive"),
 ])
 def test_cli_run_reports_a_bad_config_and_exits_one(tmp_path, capsys, text,
                                                     message):
@@ -600,11 +610,15 @@ def test_bench_pairs_spread_and_wins():
 
 
 @pytest.mark.parametrize("flags", [["--pairs", "0"], ["--tier1", "-1"],
-                                   ["--seconds", "0"], ["--seconds", "nan"]])
+                                   ["--seconds", "0"], ["--seconds", "nan"],
+                                   ["--workload", "offline-coverag"]])
 def test_bench_pairs_rejects_bad_counts_before_any_run(tmp_path, monkeypatch,
                                                        flags):
-    # --pairs 0 crashed in spread, after the version probes had run
+    # --pairs 0 crashed in spread, after the version probes had run, and a
+    # misspelt workload inside the first perfbench run
     tool = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}, {"name": "offline-coverage"}]}))
 
     def no_run(*args, **kwargs):
         raise AssertionError("a subprocess started")
@@ -629,9 +643,10 @@ def test_bench_pairs_flags_implausible_times():
 
 def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
     tool = _bench_pairs()
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "unit": "s", "better": "lower"},
-        {"name": "queries", "unit": "count", "better": "lower"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}], "end_to_end": [
+            {"name": "wall_s", "unit": "s", "better": "lower"},
+            {"name": "queries", "unit": "count", "better": "lower"}]}))
     walls = iter([0.4, 0.4, 0.0015, 0.4, 0.41, 0.39])
 
     def fake_run(checkout, workload, seed, seconds):
@@ -663,9 +678,10 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
             path = tmp_path / side / "src" / "knapsub" / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("x = 1\n" * count)
-    (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "unit": "s", "better": "lower"},
-        {"name": "value_ratio", "unit": "ratio", "better": "higher"}]}))
+    (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": [
+            {"name": "wall_s", "unit": "s", "better": "lower"},
+            {"name": "value_ratio", "unit": "ratio", "better": "higher"}]}))
     # base, head, then head, base: the head is faster in both pairs and
     # scores 0.0 once, so its median ratio is 0.5 and it never wins
     runs = iter([(0.4, 1.0), (0.2, 1.0), (0.1, 0.0), (0.3, 1.0)] * 2)

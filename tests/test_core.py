@@ -45,6 +45,13 @@ def test_instance_rejects_nonpositive_cost():
         Instance([Element(0, -1.0)], 2.0)
 
 
+def test_instance_rejects_duplicate_ids_and_an_overlapping_base_set():
+    with pytest.raises(ValueError, match="duplicate element ids"):
+        Instance([Element(0, 1.0), Element(0, 2.0)], 4.0)
+    with pytest.raises(ValueError, match="base_set must be disjoint"):
+        Instance([Element(0, 1.0), Element(1, 2.0)], 4.0, base_set={1})
+
+
 def test_instance_rejects_oversized_element():
     with pytest.raises(ValueError):
         Instance([Element(0, 3.0)], 2.0)
@@ -183,6 +190,14 @@ def test_normalize_rejects_a_nan_cost_in_any_order(raw):
         normalize(raw, 5.0)
 
 
+def test_normalize_rejects_an_id_that_int_would_change():
+    # int() truncated 1.5 to id 1
+    with pytest.raises(ValueError, match="element 1.5 has an id that is not"):
+        normalize([(1.5, 1.0), (3, 2.0)], 4.0)
+    inst = normalize([(np.int64(1), 1.0), (3, 2.0), (5.0, 2.0)], 4.0)
+    assert [e.id for e in inst.elements] == [1, 3, 5]
+
+
 def test_normalize_drops_infinite_costs_before_picking_the_unit():
     # an infinite unit made the capacity 5 / inf = 0.0, and inf / inf = nan
     with pytest.warns(EmptyInstanceWarning):
@@ -270,6 +285,15 @@ def test_ledger_budget_stops_before_evaluation():
         oracle.evaluate({0}, ledger)
     assert len(calls) == 2  # the refused query never reached the function
     assert ledger.query_count == 2
+
+
+def test_ledger_refuses_a_budget_that_is_not_a_count():
+    # a NaN budget never stopped a run, and 2.5 stopped at 2.5 queries
+    for budget in (math.nan, 2.5, -1):
+        with pytest.raises(ValueError, match=f"budget must be .*got {budget!r}"):
+            QueryLedger(budget=budget)
+    assert QueryLedger(budget=0).budget == 0
+    assert QueryLedger(budget=np.int64(3)).budget == 3
 
 
 def test_ledger_admits_a_batch_up_to_its_budget_and_never_lowers_the_count():

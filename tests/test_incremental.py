@@ -284,27 +284,25 @@ def test_values_with_is_value_with_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [9, 40, 150])
 def test_both_coverage_batch_paths_are_value_with_bit_for_bit(n):
-    # fewer than the cutoff's ids read their rows alone, the cutoff and
-    # more read the counts of every row, which the first such batch on a
-    # state builds in one pass over every edge; multiples of 7 are
-    # isolated vertices
+    # every batch reads the counts of every row, which a state's first
+    # batch builds in one pass over every edge and later batches reuse;
+    # multiples of 7 are isolated vertices
     objective = CoverageObjective(ragged_adjacency(n, n))
-    cutoff = objective._row_cutoff
-    assert cutoff == n // 4 >= 2
     passes = []
     all_hits = objective._all_hits
     objective._all_hits = lambda bits: passes.append(len(bits)) or all_hits(bits)
     rng = random.Random(n)
+    quarter = n // 4
     for state in (None, objective.extend(None, [0]),
                   objective.extend(None, rng.sample(range(n), n // 3)),
                   objective.extend(None, range(n))):
-        for size in (0, 1, cutoff - 1, cutoff, cutoff + 1, n):
+        for i, size in enumerate((0, 1, quarter - 1, quarter, quarter + 1, n)):
             ids = [0, *rng.sample(range(1, n), size - 1)] if size else []
             before = len(passes)
             got = objective.values_with(state, np.array(ids, dtype=np.intp))
             assert hexes(got) == hexes(objective.value_with(state, eid)
                                        for eid in ids)
-            assert len(passes) - before == (size == cutoff)
+            assert passes[before:] == ([n] if i == 0 else [])
 
 
 def test_coverage_states_are_never_written():
@@ -406,7 +404,7 @@ def test_one_parent_shared_by_threads_answers_exactly():
 
 def test_greedy_passes_over_the_edges_once():
     # one full pass on the first step; every later step of the sweep
-    # reads counts carried from the step before, or its rows alone
+    # reads counts carried from the step before
     n = 150
     objective = CoverageObjective(ragged_adjacency(n, 4))
     instance = normalize([(v, 1.0 + v % 4) for v in range(n)], 24.0)
@@ -420,7 +418,7 @@ def test_greedy_passes_over_the_edges_once():
     fast, slow = both_oracles(instance, objective)
     report = greedy_plus_max(instance, fast).report
     assert passes == [n]
-    assert sum(size >= objective._row_cutoff for size in batches) >= 5
+    assert len(batches) >= 5
     assert report_key(report) == report_key(greedy_plus_max(instance, slow).report)
 
 

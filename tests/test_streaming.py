@@ -566,6 +566,18 @@ def test_estimator_rejects_bad_epsilon():
         estimate_lambda(tight_stream(inst), inst.capacity, oracle, math.nan)
 
 
+def test_estimator_rejects_an_epsilon_that_vanishes_beside_one():
+    # 1 + 1e-20 == 1.0: log(base) was 0 and the window's indices divided
+    # by it, a bare ZeroDivisionError after the first query
+    inst = Instance([Element(0, 0.25), Element(1, 0.25)], 0.5)
+    oracle = SubmodularOracle(inst, ModularObjective({0: 1.0, 1: 2.0}))
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match="epsilon_est .*got 1e-20"):
+        estimate_lambda(StreamSource([0, 1]), inst.capacity, oracle, 1e-20,
+                        ledger)
+    assert ledger.query_count == 0
+
+
 def test_estimator_seeds_working_pipeline(corpus):
     # end to end: estimator lambda feeding the sieve keeps the guarantee
     for idx in range(80):

@@ -12,7 +12,8 @@ the head's ``BENCHMARK.json`` the output holds both sides' runs, medians
 and quartiles, the relative change of the medians, and in how many pairs
 the head was strictly better (a tie counts for neither); stdout gets one
 line per workload and metric with the two medians, the change and the
-head's wins.  A time (a
+head's wins.  A workload that the head's ``BENCHMARK.json`` does not list
+stops the script before any run.  A time (a
 metric in ``s``) below 1/10 or above 10 times its side's median is listed
 under ``implausible`` by pair index and reported on stderr: such a run
 measured something broken, not the code.  Each
@@ -178,6 +179,11 @@ def main(argv=None) -> int:
         parser.error(f"--seconds must be positive, got {args.seconds}")
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    for workload in args.workload:
+        if workload not in known:
+            parser.error(f"unknown workload {workload!r}; the head's "
+                         f"BENCHMARK.json lists {', '.join(known)}")
 
     states = {side: git_state(path) for side, path in checkouts.items()}
     result = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
