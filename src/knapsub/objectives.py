@@ -48,9 +48,9 @@ class CoverState:
     ``covered`` is a read-only ``bool`` array marking the union of the
     chosen closed neighborhoods and ``count`` its true entries.  ``hits``
     is ``None`` or the read-only count of covered vertices in every
-    vertex's closed neighborhood: a memo slot, filled by a large batch and
-    taken by the next state grown from this one.  It is the only attribute
-    ever assigned after construction.
+    vertex's closed neighborhood: a memo slot, filled by the state's first
+    batch and taken by the next state grown from this one.  It is the only
+    attribute ever assigned after construction.
     """
 
     __slots__ = ("covered", "count", "hits")
