@@ -148,32 +148,40 @@ def preferential_adjacency(n: int, attach: int = 3, seed: int = 0) -> list[list[
     """Degree-proportional attachment graph with a heavy-tailed degree curve.
 
     Starts from a clique on ``attach`` vertices; every later vertex links to
-    ``attach`` distinct earlier vertices sampled proportionally to degree.
+    ``attach`` distinct earlier vertices sampled proportionally to degree,
+    as ``random.Random(seed).choice`` over the list that holds each vertex
+    once per edge end picks them.  CPython's ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]``, and ``_randbelow(b)`` redraws
+    ``getrandbits(k)``, k the bit length of b, until it falls below b; both
+    are inlined here.  Every row is sorted as it is built: a vertex links
+    to its sorted earlier targets, then to later vertices as they come.
     """
     if attach < 1 or n < attach:
         raise ValueError("need n >= attach >= 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    repeated: list[int] = []
-
-    def link(u: int, v: int) -> None:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-        repeated.append(u)
-        repeated.append(v)
-
+    repeated: list[int] = []  # each vertex once per edge end
     for i in range(attach):
         for j in range(i + 1, attach):
-            link(i, j)
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+            repeated += (i, j)
     if attach == 1:
         repeated.append(0)
 
     for v in range(attach, n):
+        size = len(repeated)
+        k = size.bit_length()
+        want = min(attach, v)
         targets: set[int] = set()
-        while len(targets) < min(attach, v):
-            targets.add(rng.choice(repeated))
+        while len(targets) < want:
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            targets.add(repeated[r])
+        row = adjacency[v]
         for u in sorted(targets):
-            link(u, v)
-    for nb in adjacency:
-        nb.sort()
+            adjacency[u].append(v)
+            row.append(u)
+            repeated += (u, v)
     return adjacency

@@ -97,6 +97,14 @@ class Instance:
     whole array of positions at once by :meth:`fit_mask`.  Integer sums are
     exact in any order, so no two callers disagree on one set.
 
+    ``units`` are the costs and the capacity times 2**S, S the most binary
+    places any of them has, so all are integers.  They are computed on the
+    cost array: ``np.frexp`` gives each value's places, and ``np.ldexp``
+    scales by 2**S exactly.  Where the scaled capacity overflows a float (a
+    5e-324 cost beside a 1e300 capacity), or a cost is not a float's value
+    (an int past 2**53, a ``Fraction``), each number's ``as_integer_ratio``
+    gives them in Python ints instead; both give the same integers.
+
     The array view, built once, indexes the elements 0..n-1 in stream
     order: ``ids`` (int64, or object past int64), ``costs``, ``ranks``
     among the sorted distinct ``levels`` of ``units`` (n is every base id,
@@ -118,30 +126,38 @@ class Instance:
                              f"got {capacity!r}")
         self.base_set = frozenset(base_set)
         n = len(self.elements)
-        self._at = {e.id: i for i, e in enumerate(self.elements)}
+        ids = [e.id for e in self.elements]
+        costs = [e.cost for e in self.elements]
+        self._at = dict(zip(ids, range(n)))
         if len(self._at) != n:
             raise ValueError("duplicate element ids")
         if self.base_set & self._at.keys():
             raise ValueError("base_set must be disjoint from elements")
-        for e in self.elements:
-            if not math.isfinite(e.cost) or e.cost <= 0:
-                raise ValueError(f"element {e.id} must have finite positive "
-                                 "cost (zero-cost items belong in base_set)")
-            if e.cost > self.capacity:
-                raise ValueError(f"element {e.id} does not fit the capacity")
-        costs = [e.cost for e in self.elements]
-        # every finite float is m * 2**e: scaled by the finest denominator
-        # among them, all costs and the capacity become exact integers
-        ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
-        scale = max(d for _, d in ratios)
-        units = [m * (scale // d) for m, d in ratios]
+        try:
+            self.costs = np.array(costs, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            self.costs = np.full(n, math.nan)  # the scalar rule names it
+        exact = self.costs.tolist() == costs  # every cost a float's value
+        if not (exact and ((self.costs > 0) & (self.costs <= self.capacity)).all()):
+            for e in self.elements:  # the first offender names the error
+                if not math.isfinite(e.cost) or e.cost <= 0:
+                    raise ValueError(f"element {e.id} must have finite positive "
+                                     "cost (zero-cost items belong in base_set)")
+                if e.cost > self.capacity:
+                    raise ValueError(f"element {e.id} does not fit the capacity")
+        units = _scaled_units(self.capacity, self.costs) if exact else None
+        if units is None:
+            # every finite number here is m / d: scaled by the largest d
+            # among them, all costs and the capacity become exact integers
+            ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
+            scale = max(d for _, d in ratios)
+            units = [m * (scale // d) for m, d in ratios]
         self.unit_capacity = units[0]
-        self.units = dict(zip(self._at, units[1:]))
+        self.units = dict(zip(ids, units[1:]))
         self.units.update(dict.fromkeys(self.base_set, 0))
-        self.ids = _id_array(self._at)  # the map holds no base id yet
+        self.ids = _id_array(ids)
         self._at.update(dict.fromkeys(self.base_set, n))
         self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
-        self.costs = np.array(costs, dtype=float)
         # units are costs times one scale: rank the floats, keep each
         # level's units, and put 0, a base id's, lowest
         _, first, inverse = np.unique(self.costs, return_index=True,
@@ -198,6 +214,31 @@ class Instance:
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
                 f"k_tilde={self.k_tilde}, base={len(self.base_set)})")
+
+
+def _scaled_units(capacity: float, costs: np.ndarray) -> list[int] | None:
+    """``[capacity, *costs]`` times 2**S as Python ints, S the fewest binary
+    places that make every one of them an integer, or ``None`` when the
+    capacity times 2**S overflows a float (no cost exceeds the capacity).
+
+    ``np.frexp`` gives each value as f * 2**e with f in [0.5, 1), so
+    m = f * 2**53 is an integer and the value is m * 2**(e - 53); its
+    places are 53 - e less the trailing zeros of m.  Scaling by a power of
+    two is exact, so the scaled floats are the integers themselves.
+    """
+    values = np.append(capacity, costs)
+    fractions, exponents = np.frexp(values)
+    mantissas = (fractions * 2.0**53).astype(np.int64)
+    # the lowest set bit of m is 2**(its exponent - 1)
+    _, low = np.frexp((mantissas & -mantissas).astype(float))
+    places = max(0, int((54 - exponents - low).max()))
+    top = int(exponents[0]) + places  # the scaled capacity lies below 2**top
+    if top > 1024:
+        return None
+    scaled = np.ldexp(values, places)
+    if top <= 63:
+        return scaled.astype(np.int64).tolist()
+    return list(map(int, scaled.tolist()))
 
 
 def _id_array(ids) -> np.ndarray:
@@ -527,19 +568,24 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     with no purchasable elements and no base set is returned as-is but
     flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
     finite and positive raises ``ValueError``, as in :class:`Instance`, and
-    so do a cost that is not a number >= 0 (NaN included) or an id that
-    ``int`` would change (1.5), naming its element, and a capacity that
-    overflows once rescaled.
+    so do a cost that is not a number >= 0 (NaN included), an id that
+    ``int`` would change (1.5) or an id given twice, naming its element,
+    before anything is dropped, and a capacity that overflows once
+    rescaled.
     """
 
     pairs = []  # (id, cost), so each kept Element is built once, rescaled
     base = set(base_ids)
+    seen = set()
     for item in raw_elements:
         if isinstance(item, Element):
             item = item.id, item.cost
         eid, cost = int(item[0]), float(item[1])
         if eid != item[0]:
             raise ValueError(f"element {item[0]!r} has an id that is not an integer")
+        if eid in seen:
+            raise ValueError(f"element id {eid} appears more than once")
+        seen.add(eid)
         if not cost >= 0:
             raise ValueError(f"element {eid} has cost {cost!r}, not a number >= 0")
         if cost == 0.0:

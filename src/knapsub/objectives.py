@@ -201,17 +201,25 @@ _COVERAGE_ALPHA = 1 / 20  # coverage_costs' degree offset: deg(v) - 1/20 > 0
 def coverage_costs(adjacency) -> dict[int, float]:
     """Degree-proportional vertex costs, rescaled so the minimum is exactly 1.
 
-    Raw cost of v is (deg(v) - 1/20) / |V|.  Vertices of degree zero are
-    assigned the minimum cost directly so the rule stays positive.
+    Raw cost of v is (deg(v) - 1/20) / |V|, deg(v) counting v's distinct
+    neighbours other than v.  Vertices of degree zero are assigned the
+    minimum cost directly so the rule stays positive.  The arithmetic runs
+    on arrays, one IEEE operation per scalar step, so every cost is the
+    float the scalar rule gives.
     """
 
     n = len(adjacency)
-    degs = {v: len({u for u in adjacency[v] if u != v}) for v in range(n)}
-    raw = {v: (d - _COVERAGE_ALPHA) / n for v, d in degs.items() if d >= 1}
-    if not raw:
-        return {v: 1.0 for v in range(n)}
-    unit = min(raw.values())
-    return {v: (raw[v] / unit if v in raw else 1.0) for v in range(n)}
+    degs = np.empty(n)
+    for v, row in enumerate(adjacency):
+        neighbours = set(row)
+        neighbours.discard(v)
+        degs[v] = len(neighbours)
+    linked = degs >= 1
+    if not linked.any():
+        return dict.fromkeys(range(n), 1.0)
+    raw = (degs - _COVERAGE_ALPHA) / n
+    costs = np.where(linked, raw / raw[linked].min(), 1.0)
+    return dict(zip(range(n), costs.tolist()))
 
 
 class ModularObjective:

@@ -1,6 +1,7 @@
 """Hand-built instances shared across test modules."""
 
 import math
+import random
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from knapsub import (
     movie_costs,
     normalize,
 )
-from knapsub.core import WorkingSet
+from knapsub.core import WorkingSet, _id_array
+from knapsub.objectives import _COVERAGE_ALPHA
 from knapsub.streaming import (
     OptEstimate,
     _check_k,
@@ -243,3 +245,96 @@ def recording(kernel, log):
                     else {eid: gain.hex() for eid, gain in singles.items()}))
         return ws, accepted, seen
     return run
+
+
+def reference_preferential_adjacency(n: int, attach: int = 3,
+                                     seed: int = 0) -> list[list[int]]:
+    """The reference for ``knapsub.bench.datasets.preferential_adjacency``:
+    one ``rng.choice`` call per draw and a sort of every row at the end."""
+    if attach < 1 or n < attach:
+        raise ValueError("need n >= attach >= 1")
+    rng = random.Random(seed)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    repeated: list[int] = []
+
+    def link(u: int, v: int) -> None:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        repeated.append(u)
+        repeated.append(v)
+
+    for i in range(attach):
+        for j in range(i + 1, attach):
+            link(i, j)
+    if attach == 1:
+        repeated.append(0)
+
+    for v in range(attach, n):
+        targets: set[int] = set()
+        while len(targets) < min(attach, v):
+            targets.add(rng.choice(repeated))
+        for u in sorted(targets):
+            link(u, v)
+    for nb in adjacency:
+        nb.sort()
+    return adjacency
+
+
+def reference_coverage_costs(adjacency) -> dict[int, float]:
+    """The reference for ``knapsub.objectives.coverage_costs``: one scalar
+    float operation at a time, in dicts."""
+    n = len(adjacency)
+    degs = {v: len({u for u in adjacency[v] if u != v}) for v in range(n)}
+    raw = {v: (d - _COVERAGE_ALPHA) / n for v, d in degs.items() if d >= 1}
+    if not raw:
+        return {v: 1.0 for v in range(n)}
+    unit = min(raw.values())
+    return {v: (raw[v] / unit if v in raw else 1.0) for v in range(n)}
+
+
+class ReferenceInstance:
+    """The reference for ``knapsub.Instance``'s attributes: every check
+    one element at a time, and the units from each number's
+    ``as_integer_ratio`` scaled by the largest denominator in big ints."""
+
+    def __init__(self, elements, capacity, base_set=()):
+        self.elements = tuple(elements)
+        self.capacity = float(capacity)
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise ValueError(f"capacity must be finite and positive, "
+                             f"got {capacity!r}")
+        self.base_set = frozenset(base_set)
+        n = len(self.elements)
+        self._at = {e.id: i for i, e in enumerate(self.elements)}
+        if len(self._at) != n:
+            raise ValueError("duplicate element ids")
+        if self.base_set & self._at.keys():
+            raise ValueError("base_set must be disjoint from elements")
+        for e in self.elements:
+            if not math.isfinite(e.cost) or e.cost <= 0:
+                raise ValueError(f"element {e.id} must have finite positive "
+                                 "cost (zero-cost items belong in base_set)")
+            if e.cost > self.capacity:
+                raise ValueError(f"element {e.id} does not fit the capacity")
+        costs = [e.cost for e in self.elements]
+        # every finite float is m * 2**e: scaled by the finest denominator
+        # among them, all costs and the capacity become exact integers
+        ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
+        scale = max(d for _, d in ratios)
+        units = [m * (scale // d) for m, d in ratios]
+        self.unit_capacity = units[0]
+        self.units = dict(zip(self._at, units[1:]))
+        self.units.update(dict.fromkeys(self.base_set, 0))
+        self.ids = _id_array(self._at)  # the map holds no base id yet
+        self._at.update(dict.fromkeys(self.base_set, n))
+        self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
+        self.costs = np.array(costs, dtype=float)
+        # units are costs times one scale: rank the floats, keep each
+        # level's units, and put 0, a base id's, lowest
+        _, first, inverse = np.unique(self.costs, return_index=True,
+                                      return_inverse=True)
+        self.levels = [0, *(units[1 + i] for i in first.tolist())]
+        self.ranks = np.append(inverse + 1, [0, len(self.levels)])
+        # levels[1] is the cheapest element's units; no elements, no items
+        self.k_tilde = n and min(n, self.unit_capacity // self.levels[1])
+        self.by_id = np.argsort(self.ids, kind="stable")

@@ -35,7 +35,12 @@ from knapsub.bench import (
 from knapsub.bench.cli import main as cli_main
 from knapsub.bench.suite import KNOWN_ALGORITHMS, row_lines
 
-from helpers import TIGHT_CAPACITY, TIGHT_RAW_COSTS, tight_instance
+from helpers import (
+    TIGHT_CAPACITY,
+    TIGHT_RAW_COSTS,
+    reference_preferential_adjacency,
+    tight_instance,
+)
 
 # ----------------------------------------------------------------- loaders
 
@@ -181,6 +186,14 @@ def test_preferential_generator_single_attach():
     adj = preferential_adjacency(10, attach=1, seed=0)
     check_undirected(adj)
     assert sum(len(nb) for nb in adj) // 2 == 9  # a tree
+
+
+@pytest.mark.parametrize("n, attach", [(1, 1), (12, 1), (5, 5), (60, 4),
+                                       (4000, 11), (5000, 3)])
+@pytest.mark.parametrize("seed", [0, 271, 613])
+def test_preferential_generator_matches_the_choice_reference(n, attach, seed):
+    assert preferential_adjacency(n, attach, seed) == \
+        reference_preferential_adjacency(n, attach, seed)
 
 
 # ------------------------------------------------------------------ config
@@ -632,6 +645,17 @@ def test_bench_pairs_rejects_bad_counts_before_any_run(tmp_path, monkeypatch,
     assert not (tmp_path / "pairs.json").exists()
 
 
+def test_bench_pairs_reads_the_host_slowdown_a_run_printed():
+    tool = _bench_pairs()
+    out = ("setup_s is the median of 9 set-ups; wall_s sums ...\n"
+           "times are divided by the host slowdown 1.0730118491: the mean "
+           "of 61 reference tasks, 0.0021460236982 s, over 0.002 s\n"
+           "wall_s                    0.0149 s\n")
+    assert tool.host_slowdown(out) == 1.0730118491
+    with pytest.raises(ValueError, match="no host slowdown"):
+        tool.host_slowdown("wall_s 0.0149 s\n")
+
+
 def test_bench_pairs_flags_implausible_times():
     tool = _bench_pairs()
     # the stream-movie run that read 0.0015 s among 0.36-0.48 s
@@ -652,7 +676,7 @@ def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
     def fake_run(checkout, workload, seed, seconds):
         return {"metrics": {"wall_s": {"value": next(walls)},
                             "queries": {"value": 1}},
-                "failed": 0, "attempted": 1}
+                "failed": 0, "attempted": 1, "slowdown": 1.0}
 
     monkeypatch.setattr(tool, "perfbench", fake_run)
     out = tmp_path / "pairs.json"
@@ -683,14 +707,16 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
             {"name": "wall_s", "unit": "s", "better": "lower"},
             {"name": "value_ratio", "unit": "ratio", "better": "higher"}]}))
     # base, head, then head, base: the head is faster in both pairs and
-    # scores 0.0 once, so its median ratio is 0.5 and it never wins
-    runs = iter([(0.4, 1.0), (0.2, 1.0), (0.1, 0.0), (0.3, 1.0)] * 2)
+    # scores 0.0 once, so its median ratio is 0.5 and it never wins; the
+    # base's host slowdowns are 1.0 and 1.5, the head's 1.25 and 1.125
+    runs = iter([(0.4, 1.0, 1.0), (0.2, 1.0, 1.25), (0.1, 0.0, 1.125),
+                 (0.3, 1.0, 1.5)] * 2)
 
     def fake_run(checkout, workload, seed, seconds):
-        wall, ratio = next(runs)
+        wall, ratio, slowdown = next(runs)
         return {"metrics": {"wall_s": {"value": wall},
                             "value_ratio": {"value": ratio}},
-                "failed": 0, "attempted": 1}
+                "failed": 0, "attempted": 1, "slowdown": slowdown}
 
     monkeypatch.setattr(tool, "perfbench", fake_run)
     out = tmp_path / "pairs.json"
@@ -698,12 +724,19 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
                       "--head", str(tmp_path / "head"),
                       "--workload", "a", "--workload", "b", "--seed", "1",
                       "--pairs", "2", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["src_lines"] == {"base": 7, "head": 4}
+    result = json.loads(out.read_text())
+    assert result["src_lines"] == {"base": 7, "head": 4}
+    assert result["workloads"]["b"]["slowdown"] == {
+        "base": {"median": 1.25, "q1": 1.125, "q3": 1.375, "runs": [1.0, 1.5]},
+        "head": {"median": 1.1875, "q1": 1.15625, "q3": 1.21875,
+                 "runs": [1.25, 1.125]}}
     assert capsys.readouterr().out.splitlines() == [
         "src lines: base 7 head 4 change -3",
         "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
         "a value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
+        "a host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)",
         "b wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
-        "b value_ratio: base 1 head 0.5 change -50.0% head wins 0/2"]
+        "b value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
+        "b host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)"]
     assert tool.summary("t", "m", tool.compare([0.0], [1.0], "lower")) == \
         "t m: base 0 head 1 change n/a head wins 0/1"

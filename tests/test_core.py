@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 import threading
 import warnings
 
@@ -35,7 +36,10 @@ from knapsub import (
 )
 from knapsub.offline import greedy, greedy_plus_max
 
-from helpers import tight_oracle, validate_trace
+from knapsub import coverage_costs
+from knapsub.bench.datasets import preferential_adjacency
+
+from helpers import ReferenceInstance, tight_oracle, validate_trace
 
 
 def test_instance_rejects_nonpositive_cost():
@@ -50,6 +54,78 @@ def test_instance_rejects_duplicate_ids_and_an_overlapping_base_set():
         Instance([Element(0, 1.0), Element(0, 2.0)], 4.0)
     with pytest.raises(ValueError, match="base_set must be disjoint"):
         Instance([Element(0, 1.0), Element(1, 2.0)], 4.0, base_set={1})
+
+
+def _instance_fields(inst):
+    """Every attribute ``Instance.__init__`` builds, with each Python
+    number's type and each array's dtype and bytes, so equal means bit for
+    bit."""
+    def typed(values):
+        return [(type(v), v) for v in values]
+
+    def array(a):
+        return a.dtype, a.shape, a.tolist() if a.dtype == object else a.tobytes()
+
+    return {"units": [(k, type(v), v) for k, v in inst.units.items()],
+            "unit_capacity": (type(inst.unit_capacity), inst.unit_capacity),
+            "levels": typed(inst.levels), "ranks": array(inst.ranks),
+            "k_tilde": (type(inst.k_tilde), inst.k_tilde),
+            "_at": list(inst._at.items()), "ids": array(inst.ids),
+            "by_id": array(inst.by_id), "costs": array(inst.costs),
+            "_costs": typed(inst._costs)}
+
+
+def _reference_inputs(corpus):
+    for idx in range(100):
+        inst, _, _ = corpus(idx)
+        yield inst.elements, inst.capacity, inst.base_set
+    adjacency = preferential_adjacency(400, 3, seed=271)
+    for k in (10.0, 30.0, 50.0):
+        inst = normalize(sorted(coverage_costs(adjacency).items()), k)
+        yield inst.elements, inst.capacity, inst.base_set
+    # int costs, and costs that are no float's value
+    yield [Element(i, c) for i, c in enumerate([3, 1, 2, 2, 2**60 + 1])], 2.0**61, ()
+    yield [Element(0, Fraction(1, 3)), Element(1, 0.5)], 1, ()
+    big = [-2**70, -2**63 - 1, -1, 2**63 - 1, 2**63, 2**70]
+    yield [Element(i, c) for i, c in zip(big, [2.0, 1.0, 3.0, 1.0, 1.0, 2.0])], 4.0, ()
+    yield [Element(i, 1.5 * i) for i in (5, 2, 9)], 14.0, {7, -3, 2**64}
+    yield [], 3.5, {1, 2}
+    # the capacity times 2**S: the last float below 2**63, 2**63, past it
+    # (1e20), and past a float (2,071 bits)
+    for capacity in (2.0**63 - 1024, 2.0**63):
+        yield [Element(0, 1.0), Element(1, 3.0)], capacity, ()
+    yield [Element(0, 1.0), Element(1, 2.5)], 1e20, ()
+    yield [Element(0, 5e-324), Element(1, 1e300)], 1e300, ()
+
+
+def test_instance_matches_the_scalar_reference(corpus):
+    seen = 0
+    for elements, capacity, base in _reference_inputs(corpus):
+        got = Instance(elements, capacity, base)
+        assert _instance_fields(got) == _instance_fields(
+            ReferenceInstance(elements, capacity, base)), (elements, capacity)
+        seen += 1
+    assert seen == 112
+    assert got.unit_capacity.bit_length() == 2071
+
+
+@pytest.mark.parametrize("costs, capacity", [
+    ([1.0, 2.0, math.nan, -1.0, 9.0], 5.0),
+    ([1.0, -1.0, math.nan, 9.0], 5.0),
+    ([1.0, 9.0, -1.0, math.nan], 5.0),
+    ([2.0, 0.0, 9.0], 5.0),
+    ([2.0, math.inf, 0.0], 5.0),
+    ([2, 6, math.nan], 5.0),
+    ([Fraction(11, 2), -1.0], 5.0),
+])
+def test_instance_names_the_first_bad_cost_as_the_scalar_reference(costs,
+                                                                   capacity):
+    elements = [Element(10 + i, c) for i, c in enumerate(costs)]
+    with pytest.raises(ValueError) as want:
+        ReferenceInstance(elements, capacity)
+    with pytest.raises(ValueError) as got:
+        Instance(elements, capacity)
+    assert str(got.value) == str(want.value)
 
 
 def test_instance_rejects_oversized_element():
@@ -196,6 +272,17 @@ def test_normalize_rejects_an_id_that_int_would_change():
         normalize([(1.5, 1.0), (3, 2.0)], 4.0)
     inst = normalize([(np.int64(1), 1.0), (3, 2.0), (5.0, 2.0)], 4.0)
     assert [e.id for e in inst.elements] == [1, 3, 5]
+
+
+@pytest.mark.parametrize("raw", [[(1, 1.0), (1, 100.0)],
+                                 [(1, 1.0), (1, math.inf)],
+                                 [(1, 0.0), (1, 0.0), (2, 1.0)],
+                                 [(1, 0.0), (1, 2.0)]])
+def test_normalize_names_an_id_given_twice(raw):
+    # the first two kept element 1 at cost 1.0, the third put it in the
+    # base set, and the last blamed the base set
+    with pytest.raises(ValueError, match="element id 1 appears more than once"):
+        normalize(raw, 5.0)
 
 
 def test_normalize_drops_infinite_costs_before_picking_the_unit():

@@ -16,6 +16,8 @@ from knapsub import (
 )
 from knapsub.bench.datasets import preferential_adjacency
 
+from helpers import reference_coverage_costs
+
 STAR = [[1, 2, 3], [0], [0], [0]]  # center 0, three leaves
 
 
@@ -128,6 +130,19 @@ def test_coverage_costs_isolated_vertex_gets_minimum():
     costs = coverage_costs([[1], [0], []])
     assert costs[2] == 1.0
     assert min(costs.values()) == 1.0
+
+
+def test_coverage_costs_match_the_scalar_reference():
+    rng = random.Random(5)
+    noisy = [[rng.randrange(40) for _ in range(rng.randrange(6))] + [v] * (v % 3)
+             for v in range(40)]  # self-loops, repeats, isolated vertices
+    for adjacency in (preferential_adjacency(4000, 11, seed=271),
+                      preferential_adjacency(300, 2, seed=613), noisy,
+                      [[0], [], [2, 2]], [[]], []):
+        want = reference_coverage_costs(adjacency)
+        got = coverage_costs(adjacency)
+        assert [(v, c.hex()) for v, c in got.items()] == \
+            [(v, c.hex()) for v, c in want.items()]
 
 
 def test_modular_sums_weights():

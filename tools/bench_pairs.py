@@ -12,11 +12,14 @@ the head's ``BENCHMARK.json`` the output holds both sides' runs, medians
 and quartiles, the relative change of the medians, and in how many pairs
 the head was strictly better (a tie counts for neither); stdout gets one
 line per workload and metric with the two medians, the change and the
-head's wins.  A workload that the head's ``BENCHMARK.json`` does not list
-stops the script before any run.  A time (a
-metric in ``s``) below 1/10 or above 10 times its side's median is listed
-under ``implausible`` by pair index and reported on stderr: such a run
-measured something broken, not the code.  Each
+head's wins.  Each run's host-slowdown divisor, which perfbench prints
+and divides every time by, is kept per side with its spread and printed
+as one line per workload: a change that moves where the reference task's
+samples land moves the divisor, and so every time, with it.  A workload
+that the head's ``BENCHMARK.json`` does not list stops the script before
+any run.  A time (a metric in ``s``) below 1/10 or above 10 times its
+side's median is listed under ``implausible`` by pair index and reported
+on stderr: such a run measured something broken, not the code.  Each
 checkout's commit is recorded, whether its files differ from that
 commit (``dirty``), and the Python and NumPy a run there imports
 (``versions``): distributed outputs replay CPython's ``random`` algorithm,
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -61,13 +65,27 @@ def run_checked(args, **kwargs) -> subprocess.CompletedProcess:
         raise
 
 
+# the line on which perfbench states the divisor of every time it reports
+SLOWDOWN = re.compile(r"times are divided by the host slowdown (\S+):")
+
+
+def host_slowdown(stdout: str) -> float:
+    """The host-slowdown divisor that a perfbench run printed."""
+    match = SLOWDOWN.search(stdout)
+    if match is None:
+        raise ValueError("the run printed no host slowdown")
+    return float(match[1])
+
+
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``: its final JSON line."""
+    """One benchmark run in ``checkout``: its final JSON line, plus its
+    host-slowdown divisor as ``slowdown``."""
     done = run_checked(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return {**json.loads(done.stdout.strip().splitlines()[-1]),
+            "slowdown": host_slowdown(done.stdout)}
 
 
 def tier1(checkout: Path) -> float:
@@ -217,8 +235,13 @@ def main(argv=None) -> int:
                         print(f"{workload} {name}: {side} runs {at} lie over "
                               f"{IMPLAUSIBLE_FACTOR:g}x from their median",
                               file=sys.stderr)
+        slowdown = {side: spread([r["slowdown"] for r in runs[side]])
+                    for side in runs}
+        print(f"{workload} host slowdown: " + " ".join(
+            f"{side} {s['median']:.4g} ({s['q1']:.4g}-{s['q3']:.4g})"
+            for side, s in slowdown.items()))
         result["workloads"][workload] = {
-            "metrics": metrics,
+            "metrics": metrics, "slowdown": slowdown,
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "attempted": {side: sum(r["attempted"] for r in runs[side])
                           for side in runs}}
