@@ -83,11 +83,13 @@ def _reference_inputs(corpus):
     for k in (10.0, 30.0, 50.0):
         inst = normalize(sorted(coverage_costs(adjacency).items()), k)
         yield inst.elements, inst.capacity, inst.base_set
-    # int costs, and costs that are no float's value
-    yield [Element(i, c) for i, c in enumerate([3, 1, 2, 2, 2**60 + 1])], 2.0**61, ()
+    # int costs, each a float's value or not (past 2**53, a Fraction)
+    yield [Element(i, c) for i, c in enumerate([3, 1, 2, 2])], 5, ()
+    yield [Element(i, c) for i, c in enumerate([3, 1, 2**60 + 1])], 2.0**61, ()
     yield [Element(0, Fraction(1, 3)), Element(1, 0.5)], 1, ()
     big = [-2**70, -2**63 - 1, -1, 2**63 - 1, 2**63, 2**70]
-    yield [Element(i, c) for i, c in zip(big, [2.0, 1.0, 3.0, 1.0, 1.0, 2.0])], 4.0, ()
+    costs = [2.0, 1.0, 3.0, 1.0, 1.0, 2.0]
+    yield [Element(i, c) for i, c in zip(big, costs)], 4.0, ()
     yield [Element(i, 1.5 * i) for i in (5, 2, 9)], 14.0, {7, -3, 2**64}
     yield [], 3.5, {1, 2}
     # the capacity times 2**S: the last float below 2**63, 2**63, past it
@@ -105,7 +107,7 @@ def test_instance_matches_the_scalar_reference(corpus):
         assert _instance_fields(got) == _instance_fields(
             ReferenceInstance(elements, capacity, base)), (elements, capacity)
         seen += 1
-    assert seen == 112
+    assert seen == 113
     assert got.unit_capacity.bit_length() == 2071
 
 
