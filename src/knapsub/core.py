@@ -100,10 +100,11 @@ class Instance:
     ``units`` are the costs and the capacity times 2**S, S the most binary
     places any of them has, so all are integers.  They are computed on the
     cost array: ``np.frexp`` gives each value's places, and ``np.ldexp``
-    scales by 2**S exactly.  Where the scaled capacity overflows a float (a
-    5e-324 cost beside a 1e300 capacity), or a cost is not a float's value
-    (an int past 2**53, a ``Fraction``), each number's ``as_integer_ratio``
-    gives them in Python ints instead; both give the same integers.
+    scales by 2**S exactly, then to int64.  Where the scaled capacity does
+    not fit int64 (a capacity of 2**63, or a 5e-324 cost beside a 1e300
+    capacity), or a cost is not a float's value (an int past 2**53, a
+    ``Fraction``), each number's ``as_integer_ratio`` gives them in Python
+    ints instead; both give the same integers.
 
     The array view, built once, indexes the elements 0..n-1 in stream
     order: ``ids`` (int64, or object past int64), ``costs``, ``ranks``
@@ -219,7 +220,7 @@ class Instance:
 def _scaled_units(capacity: float, costs: np.ndarray) -> list[int] | None:
     """``[capacity, *costs]`` times 2**S as Python ints, S the fewest binary
     places that make every one of them an integer, or ``None`` when the
-    capacity times 2**S overflows a float (no cost exceeds the capacity).
+    capacity times 2**S does not fit int64 (no cost exceeds the capacity).
 
     ``np.frexp`` gives each value as f * 2**e with f in [0.5, 1), so
     m = f * 2**53 is an integer and the value is m * 2**(e - 53); its
@@ -233,12 +234,9 @@ def _scaled_units(capacity: float, costs: np.ndarray) -> list[int] | None:
     _, low = np.frexp((mantissas & -mantissas).astype(float))
     places = max(0, int((54 - exponents - low).max()))
     top = int(exponents[0]) + places  # the scaled capacity lies below 2**top
-    if top > 1024:
+    if top > 63:
         return None
-    scaled = np.ldexp(values, places)
-    if top <= 63:
-        return scaled.astype(np.int64).tolist()
-    return list(map(int, scaled.tolist()))
+    return np.ldexp(values, places).astype(np.int64).tolist()
 
 
 def _id_array(ids) -> np.ndarray:

@@ -92,8 +92,8 @@ def _reference_inputs(corpus):
     yield [Element(i, c) for i, c in zip(big, costs)], 4.0, ()
     yield [Element(i, 1.5 * i) for i in (5, 2, 9)], 14.0, {7, -3, 2**64}
     yield [], 3.5, {1, 2}
-    # the capacity times 2**S: the last float below 2**63, 2**63, past it
-    # (1e20), and past a float (2,071 bits)
+    # the capacity times 2**S: the last float below 2**63 (int64), then
+    # 2**63, 1e20 and past a float (2,071 bits), each in Python ints
     for capacity in (2.0**63 - 1024, 2.0**63):
         yield [Element(0, 1.0), Element(1, 3.0)], capacity, ()
     yield [Element(0, 1.0), Element(1, 2.5)], 1e20, ()
