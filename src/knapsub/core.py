@@ -38,11 +38,12 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import operator
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .errors import (
 
 # exact search is capped at this many elements (2^22 subsets)
 BRUTE_FORCE_LIMIT = 22
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +86,9 @@ class Instance:
 
     Attributes
     ----------
-    elements : tuple of Element, in construction order (stream order)
+    elements : tuple of Element, in construction order (stream order);
+               the given tuple, or built from ``ids`` and the costs on
+               first read for an instance :func:`normalize` made
     capacity : rescaled knapsack budget K
     base_set : ids of zero-cost items, absorbed into every evaluation
     k_tilde  : min(n, how many of the cheapest element fit), a bound on
@@ -106,8 +110,9 @@ class Instance:
     ``Fraction``), each number's ``as_integer_ratio`` gives them in Python
     ints instead; both give the same integers.
 
-    The array view, built once, indexes the elements 0..n-1 in stream
-    order: ``ids`` (int64, or object past int64), ``costs``, ``ranks``
+    The array view, built once, is the instance's record; it indexes the
+    elements 0..n-1 in stream order: ``ids`` (int64, or object past
+    int64), ``costs``, ``ranks``
     among the sorted distinct ``levels`` of ``units`` (n is every base id,
     n + 1 an id not held), and ``by_id``, the positions by increasing id.
     One dict, built with them, maps each id to its position (n for a base
@@ -117,35 +122,59 @@ class Instance:
     A capacity that is not finite and positive raises ``ValueError``: no
     solver has a threshold grid or a size bound for an unbounded budget,
     and none has anything to buy with an empty or negative one.
+
+    The constructor reads each element's ``id`` and ``cost`` into one
+    build routine, which :func:`normalize` feeds its ids and rescaled
+    cost array directly, with the same checks and no ``Element`` made;
+    ``n``, ``empty`` and :meth:`element_ids` read ``ids``.
     """
 
     def __init__(self, elements, capacity, base_set=()):
-        self.elements = tuple(elements)
+        elements = tuple(elements)
+        self._build([e.id for e in elements], [e.cost for e in elements],
+                    capacity, base_set)
+        self._elements = elements
+
+    @classmethod
+    def _of(cls, ids, costs, capacity, base_set=()) -> Instance:
+        """The instance of ``ids``, a list of ints, at ``costs``, a float64
+        array, checked as the constructor checks; its ``elements`` are
+        built on first read."""
+        self = cls.__new__(cls)
+        self._build(ids, costs, capacity, base_set)
+        return self
+
+    def _build(self, ids, costs, capacity, base_set):
+        """The one build routine: ``costs`` is a list of the costs as given,
+        or a float64 array of them."""
+        self._elements = None
         self.capacity = float(capacity)
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be finite and positive, "
                              f"got {capacity!r}")
         self.base_set = frozenset(base_set)
-        n = len(self.elements)
-        ids = [e.id for e in self.elements]
-        costs = [e.cost for e in self.elements]
+        n = len(ids)
         self._at = dict(zip(ids, range(n)))
         if len(self._at) != n:
             raise ValueError("duplicate element ids")
         if self.base_set & self._at.keys():
             raise ValueError("base_set must be disjoint from elements")
-        try:
-            self.costs = np.array(costs, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            self.costs = np.full(n, math.nan)  # the scalar rule names it
-        exact = self.costs.tolist() == costs  # every cost a float's value
+        if isinstance(costs, np.ndarray):
+            self.costs, costs = costs, costs.tolist()
+            exact = True
+        else:
+            try:
+                self.costs = np.array(costs, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                self.costs = np.full(n, math.nan)  # the scalar rule names it
+            exact = self.costs.tolist() == costs  # every cost a float's value
         if not (exact and ((self.costs > 0) & (self.costs <= self.capacity)).all()):
-            for e in self.elements:  # the first offender names the error
-                if not math.isfinite(e.cost) or e.cost <= 0:
-                    raise ValueError(f"element {e.id} must have finite positive "
+            for eid, cost in zip(ids, costs):  # the first offender names the error
+                if not math.isfinite(cost) or cost <= 0:
+                    raise ValueError(f"element {eid} must have finite positive "
                                      "cost (zero-cost items belong in base_set)")
-                if e.cost > self.capacity:
-                    raise ValueError(f"element {e.id} does not fit the capacity")
+                if cost > self.capacity:
+                    raise ValueError(f"element {eid} does not fit the capacity")
         units = _scaled_units(self.capacity, self.costs) if exact else None
         if units is None:
             # every finite number here is m / d: scaled by the largest d
@@ -170,15 +199,24 @@ class Instance:
         self.by_id = np.argsort(self.ids, kind="stable")
 
     @property
+    def elements(self) -> tuple[Element, ...]:
+        """The elements in stream order, built from ``ids`` and the costs on
+        first read when none were given."""
+        if self._elements is None:
+            self._elements = tuple(map(Element, self.ids.tolist(),
+                                       self._costs[:-1]))
+        return self._elements
+
+    @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
 
     @property
     def empty(self) -> bool:
-        return not self.elements and not self.base_set
+        return not len(self.ids) and not self.base_set
 
     def element_ids(self):
-        return [e.id for e in self.elements]
+        return self.ids.tolist()
 
     def cost_of(self, eid: int) -> float:
         return self._costs[self._at[eid]]
@@ -570,12 +608,66 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     ``int`` would change (1.5) or an id given twice, naming its element,
     before anything is dropped, and a capacity that overflows once
     rescaled.
+
+    The items, ``(id, cost)`` pairs or :class:`Element` s, are read into
+    an id list (``int`` of each) and a cost array (``float`` of each) in
+    one pass, and every rule is decided on those.  Where one fails, or an
+    item cannot be read, the items are scanned in input order and the first
+    offender names the error.  The instance is built from the ids and the
+    rescaled costs; its ``elements`` are made only when read.
     """
 
-    pairs = []  # (id, cost), so each kept Element is built once, rescaled
+    items = list(raw_elements)
     base = set(base_ids)
+    try:
+        ids, costs = _columns(items)
+        eids = list(map(int, ids))
+        values = np.fromiter(map(float, costs), float, len(costs))
+    except Exception:  # the scan names the first bad item, or this error stands
+        _raise_first_bad_item(items)
+        raise
+    if eids != ids or len(set(eids)) != len(eids) or not (values >= 0).all():
+        _raise_first_bad_item(items)
+
+    zero = values == 0.0
+    if zero.any():
+        base.update(compress(eids, zero.tolist()))
+    keep = (values > 0.0) & (values < math.inf)  # an infinite cost fits no capacity
+    if keep.any():
+        unit = float(values[keep].min())
+        if math.isinf(capacity / unit) and math.isfinite(capacity):
+            raise ValueError(f"capacity {capacity!r} over the cheapest cost "
+                             f"{unit!r} overflows a float")
+        capacity = capacity / unit
+        values = values / unit
+        if isinstance(capacity, float):
+            keep &= values <= capacity
+        else:  # NumPy would compare as float64, Python in the capacity's type
+            keep &= np.array([v <= capacity for v in values.tolist()], dtype=bool)
+    if not keep.all():
+        eids = list(compress(eids, keep.tolist()))
+    inst = Instance._of(eids, values[keep], capacity, base)
+    if inst.empty:
+        warnings.warn("normalization produced an empty instance",
+                      EmptyInstanceWarning, stacklevel=2)
+    return inst
+
+
+def _columns(items) -> tuple[list, list]:
+    """``item[0]`` and ``item[1]`` of every item, an Element read as
+    ``(id, cost)``."""
+    try:
+        return list(map(_FIRST, items)), list(map(_SECOND, items))
+    except TypeError:  # an Element is no pair
+        pairs = [(e.id, e.cost) if isinstance(e, Element) else e for e in items]
+        return list(map(_FIRST, pairs)), list(map(_SECOND, pairs))
+
+
+def _raise_first_bad_item(items) -> None:
+    """Raise the error of the first item, in input order, whose id or cost
+    :func:`normalize` refuses, as reading the items one at a time would."""
     seen = set()
-    for item in raw_elements:
+    for item in items:
         if isinstance(item, Element):
             item = item.id, item.cost
         eid, cost = int(item[0]), float(item[1])
@@ -586,27 +678,6 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
         seen.add(eid)
         if not cost >= 0:
             raise ValueError(f"element {eid} has cost {cost!r}, not a number >= 0")
-        if cost == 0.0:
-            base.add(eid)
-        elif cost < math.inf:  # an infinite cost fits no capacity
-            pairs.append((eid, cost))
-
-    elems = []
-    if pairs:
-        unit = min(cost for _, cost in pairs)
-        if math.isinf(capacity / unit) and math.isfinite(capacity):
-            raise ValueError(f"capacity {capacity!r} over the cheapest cost "
-                             f"{unit!r} overflows a float")
-        capacity = capacity / unit
-        elems = [Element(eid, scaled) for eid, cost in pairs
-                 if (scaled := cost / unit) <= capacity]
-    del pairs  # freed first: building the Instance is normalize's peak
-
-    inst = Instance(elems, capacity, base)
-    if inst.empty:
-        warnings.warn("normalization produced an empty instance",
-                      EmptyInstanceWarning, stacklevel=2)
-    return inst
 
 
 def brute_force_opt(instance: Instance, oracle: SubmodularOracle) -> Solution:

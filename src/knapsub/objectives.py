@@ -17,8 +17,9 @@ the covered vertices as a read-only ``bool`` array, their count, and a
 memo slot for every vertex's covered-neighbour count; the slot is the
 only thing ever written on a state.  A coverage batch reads the
 memoized counts, which the first batch on a state builds in one pass
-over every edge and each grown state carries on in O(n + the new
-vertices' degrees).  The movie batch gathers at most 2**16
+over every edge and each state grown from it carries on in its own
+array, in O(n + the new vertices' degrees), while the state keeps its
+own.  The movie batch gathers at most 2**16
 floats (512 KB) of its table at a time: 32 rows of 2,000 targets.
 ``ModularObjective`` and ``HiddenPairObjective`` do not implement it: a
 running float sum would differ from ``value`` in the last bits, and the
@@ -49,8 +50,10 @@ class CoverState:
     chosen closed neighborhoods and ``count`` its true entries.  ``hits``
     is ``None`` or the read-only count of covered vertices in every
     vertex's closed neighborhood: a memo slot, filled by the state's first
-    batch and taken by the next state grown from this one.  It is the only
-    attribute ever assigned after construction.
+    batch and kept, so every state grown from this one starts its own
+    counts from it.  It is the only attribute ever assigned after
+    construction.  A state that holds counts holds n of them: 2 bytes each
+    below 2**16 vertices.
     """
 
     __slots__ = ("covered", "count", "hits")
@@ -70,12 +73,13 @@ class CoverageObjective:
     count, and a memo slot for ``hits[w] = |N[w] & covered|``.  One
     "f(S + e)" query reads e's row.  A batch of them reads ``hits``,
     which the first batch on a state builds in one pass over every edge.
-    A state grown from one that holds ``hits`` takes them and adds the
-    rows of the newly covered vertices U, which is exact because the graph
-    is symmetric: w gains one covered neighbour per row of U holding w.
-    So a greedy sweep passes over the edges once, not once per step.  The
-    parent is left without ``hits``; asked again, it builds them anew, the
-    same integers.
+    A state grown from one that holds ``hits`` carries them, plus the
+    rows of the newly covered vertices U, in a new array, which is exact
+    because the graph is symmetric: w gains one covered neighbour per row
+    of U holding w.  So a greedy sweep passes over the edges once, not
+    once per step.  The parent keeps its ``hits``: every child grown from
+    it, and a later batch on it (an augmentation asking a greedy prefix
+    again), reads them with no further pass.
     """
 
     def __init__(self, adjacency):
@@ -135,17 +139,15 @@ class CoverageObjective:
 
     def extend(self, state, ids) -> CoverState:
         """``state`` with the neighborhoods of ``ids`` covered.  One state
-        seeds many sets, so only its ``hits`` slot is written: the new
-        state takes them, grown by the newly covered vertices' rows.
-        ``extend(None, ids)`` builds no ``hits``."""
+        seeds many sets and nothing on it is written: the new state's
+        counts are its ``hits`` plus the newly covered vertices' rows, in
+        a new array.  ``extend(None, ids)`` builds no ``hits``."""
         covered = (state or self._empty).covered.copy()
         indptr, indices = self._indptr, self._indices
         for v in ids:
             covered[indices[indptr[v]:indptr[v + 1]]] = True
         covered.flags.writeable = False
-        hits = None
-        if state is not None:
-            hits, state.hits = state.hits, None
+        hits = None if state is None else state.hits
         if hits is None:
             return CoverState(covered, int(np.count_nonzero(covered)))
         fresh = np.flatnonzero(covered > state.covered)
@@ -203,17 +205,31 @@ def coverage_costs(adjacency) -> dict[int, float]:
 
     Raw cost of v is (deg(v) - 1/20) / |V|, deg(v) counting v's distinct
     neighbours other than v.  Vertices of degree zero are assigned the
-    minimum cost directly so the rule stays positive.  The arithmetic runs
+    minimum cost directly so the rule stays positive.  Neighbours must be
+    vertices 0..n-1, as :class:`CoverageObjective` requires; any other
+    raises ``ValueError``.  The arithmetic runs
     on arrays, one IEEE operation per scalar step, so every cost is the
     float the scalar rule gives.
     """
 
-    n = len(adjacency)
-    degs = np.empty(n)
-    for v, row in enumerate(adjacency):
-        neighbours = set(row)
-        neighbours.discard(v)
-        degs[v] = len(neighbours)
+    rows = list(adjacency)
+    n = len(rows)
+    sizes = np.fromiter(map(len, rows), np.int64, n)
+    cols = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        u = next(u for row in rows for u in row if not 0 <= u < n)
+        raise ValueError(f"vertex {u} out of range")
+    # one key row * n + col per entry, self-loops dropped, sorted once: a
+    # row's degree is its count of distinct keys
+    keys = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    linked = keys != cols
+    keys *= n
+    keys += cols
+    keys = keys[linked]
+    keys.sort()
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    degs = np.bincount(keys[distinct] // n, minlength=n).astype(float)
     linked = degs >= 1
     if not linked.any():
         return dict.fromkeys(range(n), 1.0)

@@ -173,7 +173,7 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
     ledger = ledger or QueryLedger()
     meter = RunMeter("partial_enum_greedy", instance, ledger)
 
-    ids = sorted(e.id for e in instance.elements)
+    ids = instance.ids[instance.by_id].tolist()
     seeds = [()]
     for size in range(1, depth + 1):
         seeds.extend(c for c in combinations(ids, size) if instance.fits(c))

@@ -2,12 +2,14 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 
 from knapsub import (
     CoverageObjective,
     Element,
+    EmptyInstanceWarning,
     Instance,
     ModularObjective,
     MovieObjective,
@@ -338,3 +340,43 @@ class ReferenceInstance:
         # levels[1] is the cheapest element's units; no elements, no items
         self.k_tilde = n and min(n, self.unit_capacity // self.levels[1])
         self.by_id = np.argsort(self.ids, kind="stable")
+
+
+def reference_normalize(raw_elements, capacity, base_ids=()):
+    """The reference for ``knapsub.normalize``: every rule decided one item
+    at a time, in input order, and each kept Element built as it is
+    rescaled, into a :class:`ReferenceInstance`."""
+    pairs = []  # (id, cost), so each kept Element is built once, rescaled
+    base = set(base_ids)
+    seen = set()
+    for item in raw_elements:
+        if isinstance(item, Element):
+            item = item.id, item.cost
+        eid, cost = int(item[0]), float(item[1])
+        if eid != item[0]:
+            raise ValueError(f"element {item[0]!r} has an id that is not an integer")
+        if eid in seen:
+            raise ValueError(f"element id {eid} appears more than once")
+        seen.add(eid)
+        if not cost >= 0:
+            raise ValueError(f"element {eid} has cost {cost!r}, not a number >= 0")
+        if cost == 0.0:
+            base.add(eid)
+        elif cost < math.inf:  # an infinite cost fits no capacity
+            pairs.append((eid, cost))
+
+    elems = []
+    if pairs:
+        unit = min(cost for _, cost in pairs)
+        if math.isinf(capacity / unit) and math.isfinite(capacity):
+            raise ValueError(f"capacity {capacity!r} over the cheapest cost "
+                             f"{unit!r} overflows a float")
+        capacity = capacity / unit
+        elems = [Element(eid, scaled) for eid, cost in pairs
+                 if (scaled := cost / unit) <= capacity]
+
+    inst = ReferenceInstance(elems, capacity, base)
+    if not inst.elements and not inst.base_set:
+        warnings.warn("normalization produced an empty instance",
+                      EmptyInstanceWarning, stacklevel=2)
+    return inst

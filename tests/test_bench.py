@@ -656,6 +656,18 @@ def test_bench_pairs_reads_the_host_slowdown_a_run_printed():
         tool.host_slowdown("wall_s 0.0149 s\n")
 
 
+def test_bench_pairs_reads_the_sweeps_and_solves_a_run_printed():
+    tool = _bench_pairs()
+    out = ("workload offline-coverage  seed 271  sweeps 183  cells 3  "
+           "solves 549  failed 0\n"
+           "setup_s is the median of 183 set-ups; wall_s sums each cell's "
+           "median solve time; solve_s_p50 is the median of 549 untraced "
+           "solves\n")
+    assert tool.run_counts(out) == {"sweeps": 183, "solves": 549}
+    with pytest.raises(ValueError, match="no sweep and solve counts"):
+        tool.run_counts("setup_s is the median of 183 set-ups\n")
+
+
 def test_bench_pairs_flags_implausible_times():
     tool = _bench_pairs()
     # the stream-movie run that read 0.0015 s among 0.36-0.48 s
@@ -676,7 +688,8 @@ def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
     def fake_run(checkout, workload, seed, seconds):
         return {"metrics": {"wall_s": {"value": next(walls)},
                             "queries": {"value": 1}},
-                "failed": 0, "attempted": 1, "slowdown": 1.0}
+                "failed": 0, "attempted": 1, "slowdown": 1.0, "sweeps": 1,
+                "solves": 1}
 
     monkeypatch.setattr(tool, "perfbench", fake_run)
     out = tmp_path / "pairs.json"
@@ -708,15 +721,17 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
             {"name": "value_ratio", "unit": "ratio", "better": "higher"}]}))
     # base, head, then head, base: the head is faster in both pairs and
     # scores 0.0 once, so its median ratio is 0.5 and it never wins; the
-    # base's host slowdowns are 1.0 and 1.5, the head's 1.25 and 1.125
-    runs = iter([(0.4, 1.0, 1.0), (0.2, 1.0, 1.25), (0.1, 0.0, 1.125),
-                 (0.3, 1.0, 1.5)] * 2)
+    # base's host slowdowns are 1.0 and 1.5, the head's 1.25 and 1.125; the
+    # base made 4 and 6 sweeps, the head 8 both times, 3 solves a sweep
+    runs = iter([(0.4, 1.0, 1.0, 4), (0.2, 1.0, 1.25, 8), (0.1, 0.0, 1.125, 8),
+                 (0.3, 1.0, 1.5, 6)] * 2)
 
     def fake_run(checkout, workload, seed, seconds):
-        wall, ratio, slowdown = next(runs)
+        wall, ratio, slowdown, sweeps = next(runs)
         return {"metrics": {"wall_s": {"value": wall},
                             "value_ratio": {"value": ratio}},
-                "failed": 0, "attempted": 1, "slowdown": slowdown}
+                "failed": 0, "attempted": 1, "slowdown": slowdown,
+                "sweeps": sweeps, "solves": 3 * sweeps}
 
     monkeypatch.setattr(tool, "perfbench", fake_run)
     out = tmp_path / "pairs.json"
@@ -730,13 +745,19 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
         "base": {"median": 1.25, "q1": 1.125, "q3": 1.375, "runs": [1.0, 1.5]},
         "head": {"median": 1.1875, "q1": 1.15625, "q3": 1.21875,
                  "runs": [1.25, 1.125]}}
+    assert result["workloads"]["a"]["solves"]["base"] == {
+        "median": 15, "q1": 13.5, "q3": 16.5, "runs": [12, 18]}
+    counts = ("sweeps: base 5 (4.5-5.5) head 8 (8-8); "
+              "solves: base 15 (13.5-16.5) head 24 (24-24)")
     assert capsys.readouterr().out.splitlines() == [
         "src lines: base 7 head 4 change -3",
         "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
         "a value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
         "a host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)",
+        f"a {counts}",
         "b wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
         "b value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
-        "b host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)"]
+        "b host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)",
+        f"b {counts}"]
     assert tool.summary("t", "m", tool.compare([0.0], [1.0], "lower")) == \
         "t m: base 0 head 1 change n/a head wins 0/1"

@@ -39,7 +39,12 @@ from knapsub.offline import greedy, greedy_plus_max
 from knapsub import coverage_costs
 from knapsub.bench.datasets import preferential_adjacency
 
-from helpers import ReferenceInstance, tight_oracle, validate_trace
+from helpers import (
+    ReferenceInstance,
+    reference_normalize,
+    tight_oracle,
+    validate_trace,
+)
 
 
 def test_instance_rejects_nonpositive_cost():
@@ -104,11 +109,76 @@ def test_instance_matches_the_scalar_reference(corpus):
     seen = 0
     for elements, capacity, base in _reference_inputs(corpus):
         got = Instance(elements, capacity, base)
-        assert _instance_fields(got) == _instance_fields(
-            ReferenceInstance(elements, capacity, base)), (elements, capacity)
+        want = ReferenceInstance(elements, capacity, base)
+        assert _instance_fields(got) == _instance_fields(want), \
+            (elements, capacity)
+        assert got.elements == want.elements
         seen += 1
     assert seen == 113
     assert got.unit_capacity.bit_length() == 2071
+
+
+def _normalize_inputs(corpus):
+    """Every :func:`_reference_inputs` case, then raw pairs that only
+    ``normalize`` takes, good and bad."""
+    yield from _reference_inputs(corpus)
+    yield [(np.int64(1), 1.0), (3, 2.0), (5.0, 2.0), (True, 3.0)], 4.0, ()
+    yield [(1.5, 1.0), (3, 2.0)], 4.0, ()
+    yield [(2**70, 1.0), (-2**63 - 1, 3.0), (2**63, 0.0), (7, 2.5)], 5.0, {-2**80}
+    yield [(0, Fraction(1, 3)), (1, Fraction(2, 3)), (2, 1)], Fraction(5, 3), ()
+    yield [(0, 2**60 + 1), (1, 3), (2, np.float32(0.1))], 2.0**61, ()
+    yield [(0, "1.5"), (1, 1.0), (2, 0.5, "ignored")], 4.0, ()
+    yield [(0, 0.0), (1, math.inf), (2, 2.0), (3, 4.0), (4, 9.0)], 8.0, ()
+    yield [Element(0, 2.0), (1, 4.0), Element(2, 0.0)], 8.0, ()
+    for bad in ([(0, 1.0), (1, math.nan)], [(1, math.nan), (0, 1.0)],
+                [(0, 1.0), (1, -0.5)], [(1, 1.0), (1, math.inf)],
+                [(1, 0.0), (1, 2.0)], [(0, 1.0), 5], [("a", 1.0)],
+                [(1.5, 1.0), (2, "x")], [(0, "x"), (1.5, 1.0)],
+                [(0, 1.0), (1,)], [(0, 10**400)], [(math.inf, 1.0)]):
+        yield bad, 5.0, ()
+    # the capacity overflows once rescaled, or is refused rescaled
+    yield [(0, 1e-320), (1, 1.0)], 5.0, ()
+    for capacity in (math.inf, math.nan, -1.0, 0.0):
+        yield [(0, 2.0), (1, 3.0)], capacity, ()
+    yield [(0, 1.0)], 2.0, {0}
+    # a float32 capacity compares as float32, then fails the float64 check
+    yield [(0, 3.0), (1, 5.0)], np.float32(5.0), ()
+    yield [(0, 1.0), (1, 2.0)], np.float32(2.5), ()
+    # empty instances, which warn
+    for raw, capacity in (([(0, 9.0)], 4.0), ([(0, math.inf)], 5.0), ([], 1.0)):
+        yield raw, capacity, ()
+
+
+def _normalized(build, raw, capacity, base):
+    """Everything ``build`` makes of the input, bit for bit, or its error,
+    with every warning and the file it points at."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            inst = build(raw, capacity, base)
+        except Exception as exc:
+            made = type(exc), str(exc)
+        else:
+            made = (_instance_fields(inst), inst.capacity.hex(),
+                    list(inst.base_set),
+                    [(type(e), type(e.id), e.id, type(e.cost), e.cost)
+                     for e in inst.elements])
+    return made, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def test_normalize_matches_the_scalar_reference(corpus):
+    kinds = set()
+    for raw, capacity, base in _normalize_inputs(corpus):
+        want = _normalized(reference_normalize, raw, capacity, base)
+        for given in (raw, iter(raw)):
+            assert _normalized(normalize, given, capacity, base) == want, \
+                (raw, capacity)
+        made, caught = want
+        kinds.add(made[0] if isinstance(made[0], type) else "built")
+        assert all(filename == __file__ for *_, filename in caught)
+        kinds.update(category for category, *_ in caught)
+    assert kinds == {"built", ValueError, TypeError, IndexError,
+                     OverflowError, EmptyInstanceWarning}
 
 
 @pytest.mark.parametrize("costs, capacity", [
@@ -326,11 +396,14 @@ def test_normalize_warns_on_empty_result():
 
 
 @given(st.lists(st.tuples(st.integers(0, 50),
-                          st.one_of(st.just(0.0), st.floats(1e-6, 40.0))),
+                          st.one_of(st.just(0.0), st.just(math.inf),
+                                    st.floats(1e-6, 40.0))),
                 min_size=1, max_size=12, unique_by=lambda t: t[0]),
        st.floats(1.0, 60.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_normalize_properties(raw, capacity):
+    assert _normalized(normalize, raw, capacity, ()) == \
+        _normalized(reference_normalize, raw, capacity, ())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyInstanceWarning)
         inst = normalize(raw, capacity)

@@ -38,6 +38,7 @@ from knapsub import (
     sieve_or_max,
     sieve_plus_max,
 )
+from knapsub import streaming
 from knapsub.objectives import _MOVIE_BATCH_FLOATS
 
 from conftest import random_adjacency
@@ -307,8 +308,8 @@ def test_both_coverage_batch_paths_are_value_with_bit_for_bit(n):
 
 def test_coverage_states_are_never_written():
     # one working set seeds many machines and threshold sets, so growing
-    # it must leave its state as it was, and no array takes a write; only
-    # the counts' memo slot changes hands, to the first child grown
+    # it must leave its state as it was, and no array takes a write; the
+    # parent keeps its counts and every child carries its own
     n = 40
     objective = CoverageObjective(ragged_adjacency(n, n))
     instance = normalize([(v, 1.0) for v in range(n)], 1e6)
@@ -324,12 +325,13 @@ def test_coverage_states_are_never_written():
     assert parent.state is state and state.covered is covered
     assert state.count == count == np.count_nonzero(before[0])
     assert np.array_equal(covered, before[0])
-    assert np.array_equal(hits, before[1])
-    assert state.hits is None  # taken by the first child alone
-    assert children[0].state.hits is not None
-    assert all(child.state.hits is None for child in children[1:])
-    for arr in (covered, hits, children[0].state.covered, children[0].state.hits,
-                children[-1].state.covered, objective.extend(None, ()).covered):
+    assert state.hits is hits and np.array_equal(hits, before[1])
+    counts = [child.state.hits for child in children]
+    assert all(c is not None and c is not hits for c in counts)
+    assert len({id(c) for c in counts}) == len(children)
+    for arr in (covered, hits, children[0].state.covered, counts[0],
+                children[-1].state.covered, counts[-1],
+                objective.extend(None, ()).covered):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
@@ -337,24 +339,35 @@ def test_coverage_states_are_never_written():
 @pytest.mark.parametrize("n", [9, 40, 150])
 def test_carried_counts_are_a_full_pass_at_every_step(n):
     # chains of 0 to 3 ids at a time, with repeats, covered vertices and
-    # isolated ones (multiples of 7)
+    # isolated ones (multiples of 7); at every step the parent keeps its
+    # counts and a sibling grown beside the chain carries a full pass too
     objective = CoverageObjective(ragged_adjacency(n, n + 1))
     rng = random.Random(n)
     state = objective.extend(None, rng.sample(range(n), 2))
     objective.values_with(state, np.arange(n))
     for _ in range(n):
+        kept = state.hits.tolist()
+        sibling = objective.extend(state, [rng.randrange(n)])
         grown = objective.extend(state, [rng.randrange(n)
                                          for _ in range(rng.randint(0, 3))])
-        assert state.hits is None
-        assert grown.hits.dtype == objective._count_type
-        assert grown.hits.tolist() == objective._all_hits(grown.covered).tolist()
-        assert grown.count == np.count_nonzero(grown.covered)
+        assert state.hits.tolist() == kept
+        for child in (sibling, grown):
+            assert child.hits.dtype == objective._count_type
+            assert child.hits.tolist() == \
+                objective._all_hits(child.covered).tolist()
+            assert child.count == np.count_nonzero(child.covered)
         state = grown
 
 
-def test_siblings_answer_alike_whichever_took_the_counts():
+def test_siblings_answer_alike_from_their_parents_counts():
+    # both children carry the parent's counts grown by their own rows, and
+    # the parent, asked again, reads the counts it kept: one pass over the
+    # edges per parent
     n = 150
     objective = CoverageObjective(ragged_adjacency(n, 3))
+    passes = []
+    all_hits = objective._all_hits
+    objective._all_hits = lambda bits: passes.append(len(bits)) or all_hits(bits)
     everything = np.arange(n)
     want = {v: hexes(objective.value_with(objective.extend(None, [1, 2, v]), e)
                      for e in range(n)) for v in (5, 9)}
@@ -363,16 +376,16 @@ def test_siblings_answer_alike_whichever_took_the_counts():
         asked = hexes(objective.values_with(parent, everything))
         took = objective.extend(parent, [first])
         late = objective.extend(parent, [second])
-        assert took.hits is not None and late.hits is None
+        assert took.hits is not None and late.hits is not None
         assert hexes(objective.values_with(took, everything)) == want[first]
         assert hexes(objective.values_with(late, everything)) == want[second]
-        # the parent, asked again, builds its counts anew
         assert hexes(objective.values_with(parent, everything)) == asked
+    assert passes == [n, n]
 
 
 def test_one_parent_shared_by_threads_answers_exactly():
-    # threads race to take the parent's counts and to build them anew;
-    # whoever wins, every answer is the one a full pass gives
+    # threads race to build the parent's counts and to grow children from
+    # it; whoever wins, every answer is the one a full pass gives
     n = 150
     objective = CoverageObjective(ragged_adjacency(n, 5))
     everything = np.arange(n)
@@ -420,6 +433,51 @@ def test_greedy_passes_over_the_edges_once():
     assert passes == [n]
     assert len(batches) >= 5
     assert report_key(report) == report_key(greedy_plus_max(instance, slow).report)
+
+
+
+def test_augmentation_reads_the_counts_the_greedy_built(monkeypatch):
+    # Sieve+Max reorders its collection greedily, one batch per prefix, and
+    # the augmentation asks those prefixes again: it reads the counts each
+    # kept, and the last prefix's carried ones, with no pass over the edges
+    n = 150
+    objective = CoverageObjective(ragged_adjacency(n, 6))
+    instance = normalize([(v, 1.0 + 2 * (v % 5)) for v in range(n)], 10.0)
+    oracle = SubmodularOracle(instance, objective)
+    est = estimate_lambda(StreamSource.from_instance(instance), 10.0, oracle)
+    phase, greedy_asked, augment = [None], set(), []
+    passes = []
+    all_hits, values_with = objective._all_hits, objective.values_with
+    objective._all_hits = lambda bits: passes.append(phase[0]) or all_hits(bits)
+
+    def ask(state, ids):
+        if phase[0] == "greedy":
+            greedy_asked.add(id(state))
+        elif phase[0] == "augment":
+            augment.append(id(state) in greedy_asked)
+        return values_with(state, ids)
+
+    objective.values_with = ask
+    for name in ("greedy_order", "augment_pass"):
+        kernel = getattr(streaming, name)
+
+        def run(*args, kernel=kernel, name=name):
+            phase[0] = name.split("_")[0]
+            try:
+                return kernel(*args)
+            finally:
+                phase[0] = None
+        monkeypatch.setattr(streaming, name, run)
+    report = sieve_plus_max(StreamSource.from_instance(instance), 10.0, oracle,
+                            est.lam, est.alpha, 0.1)
+    assert len(greedy_asked) >= 3 and sum(augment) >= 2
+    assert passes == [None, "greedy"]  # the sieve's empty set and G_0, no more
+    monkeypatch.undo()
+    objective._all_hits, objective.values_with = all_hits, values_with
+    assert report_key(report) == report_key(sieve_plus_max(
+        StreamSource.from_instance(instance), 10.0,
+        SubmodularOracle(instance, lambda ids: objective.value(ids)),
+        est.lam, est.alpha, 0.1))
 
 
 def both_oracles(instance, objective):

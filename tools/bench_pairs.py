@@ -15,7 +15,11 @@ line per workload and metric with the two medians, the change and the
 head's wins.  Each run's host-slowdown divisor, which perfbench prints
 and divides every time by, is kept per side with its spread and printed
 as one line per workload: a change that moves where the reference task's
-samples land moves the divisor, and so every time, with it.  A workload
+samples land moves the divisor, and so every time, with it.  So are each
+run's sweep and solve counts, from perfbench's first line, printed on the
+line after: ``peak_rss_mb`` grows with the solves a run keeps, so a
+faster set-up, which fits more sweeps into the same seconds, moves it
+with no change to what one solve holds.  A workload
 that the head's ``BENCHMARK.json`` does not list stops the script before
 any run.  A time (a metric in ``s``) below 1/10 or above 10 times its
 side's median is listed under ``implausible`` by pair index and reported
@@ -77,15 +81,28 @@ def host_slowdown(stdout: str) -> float:
     return float(match[1])
 
 
+# the first line of a run: "workload W  seed S  sweeps N  cells C  solves M ..."
+COUNTS = re.compile(r"\bsweeps (\d+)\s.*\bsolves (\d+)")
+
+
+def run_counts(stdout: str) -> dict:
+    """The sweeps and solves that a perfbench run printed, as ints."""
+    match = COUNTS.search(stdout)
+    if match is None:
+        raise ValueError("the run printed no sweep and solve counts")
+    return {"sweeps": int(match[1]), "solves": int(match[2])}
+
+
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``: its final JSON line, plus its
-    host-slowdown divisor as ``slowdown``."""
+    host-slowdown divisor as ``slowdown`` and its ``sweeps`` and
+    ``solves``."""
     done = run_checked(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout)
     return {**json.loads(done.stdout.strip().splitlines()[-1]),
-            "slowdown": host_slowdown(done.stdout)}
+            "slowdown": host_slowdown(done.stdout), **run_counts(done.stdout)}
 
 
 def tier1(checkout: Path) -> float:
@@ -235,13 +252,17 @@ def main(argv=None) -> int:
                         print(f"{workload} {name}: {side} runs {at} lie over "
                               f"{IMPLAUSIBLE_FACTOR:g}x from their median",
                               file=sys.stderr)
-        slowdown = {side: spread([r["slowdown"] for r in runs[side]])
-                    for side in runs}
+        kept = {name: {side: spread([r[name] for r in runs[side]])
+                       for side in runs}
+                for name in ("slowdown", "sweeps", "solves")}
         print(f"{workload} host slowdown: " + " ".join(
             f"{side} {s['median']:.4g} ({s['q1']:.4g}-{s['q3']:.4g})"
-            for side, s in slowdown.items()))
+            for side, s in kept["slowdown"].items()))
+        print(f"{workload} " + "; ".join(f"{name}: " + " ".join(
+            f"{side} {s['median']:g} ({s['q1']:g}-{s['q3']:g})"
+            for side, s in kept[name].items()) for name in ("sweeps", "solves")))
         result["workloads"][workload] = {
-            "metrics": metrics, "slowdown": slowdown,
+            "metrics": metrics, **kept,
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "attempted": {side: sum(r["attempted"] for r in runs[side])
                           for side in runs}}
