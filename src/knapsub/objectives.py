@@ -89,32 +89,7 @@ class CoverageObjective:
         n = self.n_vertices = len(adjacency)
         if not n:
             raise ValueError("the graph has no vertices")
-        rows = [adjacency[v] for v in range(n)]
-        sizes = np.fromiter(map(len, rows), np.intp, n)
-        total = int(sizes.sum())
-        # one key row * n + col per entry, self included; int32 while n * n
-        # fits, and updated in place, so no second edge-sized key array is
-        # built
-        key_type = np.int32 if n * n < 2**31 else np.int64
-        own = np.arange(n + 1, dtype=key_type)
-        try:
-            keys = np.fromiter(chain(chain.from_iterable(rows), range(n)),
-                               key_type, total + n)
-        except OverflowError:
-            keys = None
-        if keys is None or (total and (keys[:total].min() < 0
-                                       or keys[:total].max() >= n)):
-            u = next(u for row in rows for u in row if not 0 <= u < n)
-            raise ValueError(f"vertex {u} out of range")
-        keys[:total] += np.repeat(own[:-1] * n, sizes)
-        keys[total:] *= n + 1
-        keys.sort()
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        del first
-
-        self._indptr = np.searchsorted(keys, own * n)
+        rows, keys, self._indptr = _closed_neighbourhoods(adjacency)
         self._sizes = np.diff(self._indptr)
         transposed = keys % n
         transposed *= n
@@ -197,6 +172,37 @@ class CoverageObjective:
         return hits
 
 
+def _closed_neighbourhoods(adjacency):
+    """``(rows, keys, indptr)``: the rows as given, every vertex's closed
+    neighbourhood as sorted distinct keys row * n + col (self included,
+    once, so a self-loop merges with it), and where each row's keys start,
+    n + 1 offsets.  A neighbour outside 0..n-1 raises ``ValueError``."""
+    n = len(adjacency)
+    rows = [adjacency[v] for v in range(n)]
+    sizes = np.fromiter(map(len, rows), np.intp, n)
+    total = int(sizes.sum())
+    # one key per entry, self included; int32 while n * n fits, and
+    # updated in place, so no second edge-sized key array is built
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    own = np.arange(n + 1, dtype=key_type)
+    try:
+        keys = np.fromiter(chain(chain.from_iterable(rows), range(n)),
+                           key_type, total + n)
+    except OverflowError:
+        keys = None
+    if keys is None or (total and (keys[:total].min() < 0
+                                   or keys[:total].max() >= n)):
+        u = next(u for row in rows for u in row if not 0 <= u < n)
+        raise ValueError(f"vertex {u} out of range")
+    keys[:total] += np.repeat(own[:-1] * n, sizes)
+    keys[total:] *= n + 1
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    return rows, keys, np.searchsorted(keys, own * n)
+
+
 _COVERAGE_ALPHA = 1 / 20  # coverage_costs' degree offset: deg(v) - 1/20 > 0
 
 
@@ -205,31 +211,16 @@ def coverage_costs(adjacency) -> dict[int, float]:
 
     Raw cost of v is (deg(v) - 1/20) / |V|, deg(v) counting v's distinct
     neighbours other than v.  Vertices of degree zero are assigned the
-    minimum cost directly so the rule stays positive.  Neighbours must be
-    vertices 0..n-1, as :class:`CoverageObjective` requires; any other
-    raises ``ValueError``.  The arithmetic runs
+    minimum cost directly so the rule stays positive.  Degrees are counted
+    on the sorted keys :class:`CoverageObjective` builds, so a neighbour
+    outside 0..n-1 raises ``ValueError`` here as there.  The arithmetic runs
     on arrays, one IEEE operation per scalar step, so every cost is the
     float the scalar rule gives.
     """
 
-    rows = list(adjacency)
-    n = len(rows)
-    sizes = np.fromiter(map(len, rows), np.int64, n)
-    cols = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        u = next(u for row in rows for u in row if not 0 <= u < n)
-        raise ValueError(f"vertex {u} out of range")
-    # one key row * n + col per entry, self-loops dropped, sorted once: a
-    # row's degree is its count of distinct keys
-    keys = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    linked = keys != cols
-    keys *= n
-    keys += cols
-    keys = keys[linked]
-    keys.sort()
-    distinct = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    degs = np.bincount(keys[distinct] // n, minlength=n).astype(float)
+    n = len(adjacency)
+    # a row's degree is its count of distinct keys, less the vertex itself
+    degs = (np.diff(_closed_neighbourhoods(adjacency)[2]) - 1).astype(float)
     linked = degs >= 1
     if not linked.any():
         return dict.fromkeys(range(n), 1.0)

@@ -143,6 +143,11 @@ def test_coverage_costs_match_the_scalar_reference():
         got = coverage_costs(adjacency)
         assert [(v, c.hex()) for v, c in got.items()] == \
             [(v, c.hex()) for v, c in want.items()]
+    # a neighbour that is no vertex would share another row's keys; it is
+    # refused, as CoverageObjective refuses it
+    for bad in ([[1], [0, 2]], [[1], [0, -1]]):
+        with pytest.raises(ValueError, match=f"vertex {bad[1][1]} out of range"):
+            coverage_costs(bad)
 
 
 def test_modular_sums_weights():
