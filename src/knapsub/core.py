@@ -7,7 +7,11 @@ knapsack.  Costs are normalized so the cheapest purchasable element costs
 exactly 1, which makes ``floor(capacity)`` an upper bound on solution size.
 Every batch names its elements by position in the instance's array view,
 found by :meth:`Instance.locate` in the instance's one id-to-position
-dict, and :meth:`Instance.fit_mask` is the one vectorized fit rule.
+dict.  What fits is decided on one quantity, each cost as an exact
+integer on one scale with the capacity: :meth:`Instance.fits` sums them
+for a set, and :meth:`Instance.fit_mask` compares a whole array of
+positions with a room at once, on the unit array that holds them by
+position.
 
 Solvers ask "f(S + e)" of a :class:`WorkingSet`: S with its exact integer
 room and the objective's incremental state.  An objective that implements
@@ -35,7 +39,6 @@ computed ahead.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 import operator
@@ -93,7 +96,7 @@ class Instance:
     base_set : ids of zero-cost items, absorbed into every evaluation
     k_tilde  : min(n, how many of the cheapest element fit), a bound on
                solution size; floor(capacity) once normalized
-    units    : every cost (0 for base ids) as an exact integer
+    units    : every cost (0 for base ids) as an exact integer, by id
     unit_capacity : the capacity on the same integer scale
 
     Feasibility is decided in these integers alone, by :meth:`fits` or by a
@@ -101,25 +104,29 @@ class Instance:
     whole array of positions at once by :meth:`fit_mask`.  Integer sums are
     exact in any order, so no two callers disagree on one set.
 
-    ``units`` are the costs and the capacity times 2**S, S the most binary
-    places any of them has, so all are integers.  They are computed on the
-    cost array: ``np.frexp`` gives each value's places, and ``np.ldexp``
-    scales by 2**S exactly, then to int64.  Where the scaled capacity does
-    not fit int64 (a capacity of 2**63, or a 5e-324 cost beside a 1e300
-    capacity), or a cost is not a float's value (an int past 2**53, a
-    ``Fraction``), each number's ``as_integer_ratio`` gives them in Python
-    ints instead; both give the same integers.
+    ``units`` are the costs and the capacity times one scale that makes all
+    of them integers.  For float costs it is 2**S, S the most binary places
+    any of them has, computed on the cost array: ``np.frexp`` gives each
+    value's places, and ``np.ldexp`` scales by 2**S exactly, then to int64.
+    Where the scaled capacity does not fit int64 (a capacity of 2**63, or a
+    5e-324 cost beside a 1e300 capacity), or a cost is not a float's value
+    (an int past 2**53, a ``Fraction``), each number is m / d by its
+    ``as_integer_ratio`` and the scale is the lcm of the d, in Python ints;
+    on floats both give the same integers.
 
     The array view, built once, is the instance's record; it indexes the
-    elements 0..n-1 in stream order: ``ids`` (int64, or object past
-    int64), ``costs``, ``ranks``
-    among the sorted distinct ``levels`` of ``units`` (n is every base id,
-    n + 1 an id not held), and ``by_id``, the positions by increasing id.
-    One dict, built with them, maps each id to its position (n for a base
-    id): :meth:`locate` and :meth:`cost_of` read it, every batch kernel
-    takes positions, and :meth:`fit_mask` decides which fit a room.
+    elements 0..n-1 in stream order: ``ids``, ``costs`` (float64),
+    ``unit_array``, the units by position, which holds 0 at position n
+    (every base id) and ``unit_capacity + 1`` at n + 1 (an id not held),
+    and ``by_id``, the positions by increasing id.  ``ids`` and
+    ``unit_array`` are int64 where every value fits int64 and object
+    arrays of Python ints otherwise.  One dict, built with them, maps each
+    id to its position (n for a base id): :meth:`locate` and
+    :meth:`cost_of` read it, every batch kernel takes positions, and
+    :meth:`fit_mask` decides which fit a room.
 
-    A capacity that is not finite and positive raises ``ValueError``: no
+    A capacity that is not finite and positive, or too large for a float,
+    raises ``ValueError``: no
     solver has a threshold grid or a size bound for an unbounded budget,
     and none has anything to buy with an empty or negative one.
 
@@ -148,7 +155,10 @@ class Instance:
         """The one build routine: ``costs`` is a list of the costs as given,
         or a float64 array of them."""
         self._elements = None
-        self.capacity = float(capacity)
+        try:
+            self.capacity = float(capacity)
+        except OverflowError:  # past any float (10**400): not finite
+            self.capacity = math.inf
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be finite and positive, "
                              f"got {capacity!r}")
@@ -177,25 +187,23 @@ class Instance:
                     raise ValueError(f"element {eid} does not fit the capacity")
         units = _scaled_units(self.capacity, self.costs) if exact else None
         if units is None:
-            # every finite number here is m / d: scaled by the largest d
-            # among them, all costs and the capacity become exact integers
+            # every finite number here is m / d: scaled by the lcm of the
+            # d among them, all costs and the capacity become exact integers
             ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
-            scale = max(d for _, d in ratios)
-            units = [m * (scale // d) for m, d in ratios]
-        self.unit_capacity = units[0]
-        self.units = dict(zip(ids, units[1:]))
+            scale = math.lcm(*(d for _, d in ratios))
+            units = _int_array([m * (scale // d) for m, d in ratios])
+        self.unit_capacity = int(units[0])
+        # by position: n, a base id, takes no room; n + 1, an id not
+        # held, fits no room up to the capacity
+        self.unit_array = np.append(
+            units[1:], _int_array([0, self.unit_capacity + 1]))
+        self.units = dict(zip(ids, units[1:].tolist()))
         self.units.update(dict.fromkeys(self.base_set, 0))
-        self.ids = _id_array(ids)
+        self.ids = _int_array(ids)
         self._at.update(dict.fromkeys(self.base_set, n))
         self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
-        # units are costs times one scale: rank the floats, keep each
-        # level's units, and put 0, a base id's, lowest
-        _, first, inverse = np.unique(self.costs, return_index=True,
-                                      return_inverse=True)
-        self.levels = [0, *(units[1 + i] for i in first.tolist())]
-        self.ranks = np.append(inverse + 1, [0, len(self.levels)])
-        # levels[1] is the cheapest element's units; no elements, no items
-        self.k_tilde = n and min(n, self.unit_capacity // self.levels[1])
+        # no elements, no items
+        self.k_tilde = n and min(n, self.unit_capacity // int(units[1:].min()))
         self.by_id = np.argsort(self.ids, kind="stable")
 
     @property
@@ -240,25 +248,24 @@ class Instance:
         does not hold (1.5 included)."""
         return np.fromiter(map(self._at.get, ids, repeat(self.n + 1)), np.intp)
 
-    def rank_limit(self, room: int) -> int:
-        """The number of ``levels`` at or below ``room``."""
-        return bisect.bisect_right(self.levels, room)
-
     def fit_mask(self, positions, room: int) -> np.ndarray:
-        """Whether the units at each of ``positions`` are at most ``room``,
-        as a bool array: the one vectorized fit rule.  Position n, a base
-        id, fits any room >= 0; n + 1, an id not held, never fits."""
-        return self.ranks[positions] < self.rank_limit(room)
+        """Whether ``unit_array`` at each of ``positions`` is at most
+        ``room``, as a bool array: the one vectorized fit rule.  Position
+        n, a base id, fits any room >= 0; n + 1, an id not held, fits no
+        room up to ``unit_capacity``."""
+        return self.unit_array[positions] <= room
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
                 f"k_tilde={self.k_tilde}, base={len(self.base_set)})")
 
 
-def _scaled_units(capacity: float, costs: np.ndarray) -> list[int] | None:
-    """``[capacity, *costs]`` times 2**S as Python ints, S the fewest binary
-    places that make every one of them an integer, or ``None`` when the
-    capacity times 2**S does not fit int64 (no cost exceeds the capacity).
+def _scaled_units(capacity: float, costs: np.ndarray) -> np.ndarray | None:
+    """``[capacity, *costs]`` times 2**S as an int64 array, S the fewest
+    binary places that make every one of them an integer, or ``None`` when
+    the capacity times 2**S does not fit int64 (no cost exceeds the
+    capacity).  The last float below 2**63 is 2**63 - 2**10, so the
+    capacity plus one fits int64 too.
 
     ``np.frexp`` gives each value as f * 2**e with f in [0.5, 1), so
     m = f * 2**53 is an integer and the value is m * 2**(e - 53); its
@@ -274,18 +281,18 @@ def _scaled_units(capacity: float, costs: np.ndarray) -> list[int] | None:
     top = int(exponents[0]) + places  # the scaled capacity lies below 2**top
     if top > 63:
         return None
-    return np.ldexp(values, places).astype(np.int64).tolist()
+    return np.ldexp(values, places).astype(np.int64)
 
 
-def _id_array(ids) -> np.ndarray:
-    """``ids`` as an int64 array, or as an object array of Python ints when
-    one lies outside int64 (NumPy alone would make a float64 array of a
-    mix such as ``[-1, 2**63]``)."""
-    ids = list(ids)
+def _int_array(values) -> np.ndarray:
+    """``values``, integers, as an int64 array, or as an object array of
+    Python ints when one lies outside int64 (NumPy alone would make a
+    float64 array of a mix such as ``[-1, 2**63]``)."""
+    values = list(values)
     try:
-        return np.array(ids, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.array(ids, dtype=object)
+        return np.array(values, dtype=object)
 
 
 def _nonfinite(value: float, ids) -> NonFiniteValue:
@@ -603,7 +610,8 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     Normalizing an already-normalized instance changes nothing.  An instance
     with no purchasable elements and no base set is returned as-is but
     flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
-    finite and positive raises ``ValueError``, as in :class:`Instance`, and
+    finite and positive, or too large for a float, raises ``ValueError``,
+    as in :class:`Instance`, and
     so do a cost that is not a number >= 0 (NaN included), an id that
     ``int`` would change (1.5) or an id given twice, naming its element,
     before anything is dropped, and a capacity that overflows once
@@ -635,7 +643,11 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     keep = (values > 0.0) & (values < math.inf)  # an infinite cost fits no capacity
     if keep.any():
         unit = float(values[keep].min())
-        if math.isinf(capacity / unit) and math.isfinite(capacity):
+        try:
+            overflows = math.isinf(capacity / unit) and math.isfinite(capacity)
+        except OverflowError:  # a capacity too large for a float
+            overflows = True
+        if overflows:
             raise ValueError(f"capacity {capacity!r} over the cheapest cost "
                              f"{unit!r} overflows a float")
         capacity = capacity / unit
@@ -693,7 +705,7 @@ def brute_force_opt(instance: Instance, oracle: SubmodularOracle) -> Solution:
                        f"{BRUTE_FORCE_LIMIT}")
     ledger = QueryLedger(enforce_feasible=True)
     ids = instance.ids[instance.by_id].tolist()
-    units = [instance.units[i] for i in ids]
+    units = instance.unit_array[instance.by_id].tolist()
 
     # exact subset costs share structure: cum(mask) = cum(mask - low bit) + low bit
     cum = [0] * (1 << n)

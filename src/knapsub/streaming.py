@@ -300,16 +300,17 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     Base ids are skipped; an id not held raises ``KeyError`` before any
     query on its chunk.
 
-    Items are read ``AUGMENT_CHUNK`` at a time.  The prefixes' rank limits
-    fall as they grow, so one ``searchsorted`` of the items' unit ranks
-    finds each deepest fit.  The items on one prefix form one
+    Items are read ``AUGMENT_CHUNK`` at a time.  The prefixes' rooms fall
+    as they grow, so one ``searchsorted`` of the items' negated units
+    (``Instance.unit_array``) over the prefixes' negated rooms finds each
+    deepest fit.  The items on one prefix form one
     :meth:`SubmodularOracle.values_with` batch, asked prefix by prefix in
     the order the chunk first reaches them: the same queries, counted and
     stopped by a budget as single ones would be.
     """
     inst = oracle.instance
-    # minus each prefix's rank limit, which falls as the prefixes grow
-    limits = -np.array([inst.rank_limit(p.room) for p in prefixes])
+    # minus each prefix's room, which falls as the prefixes grow
+    rooms = -np.array([p.room for p in prefixes], dtype=inst.unit_array.dtype)
     skip = np.zeros(inst.n + 2, dtype=bool)  # by position: members, base ids
     skip[inst.locate(prefixes[-1].order)] = skip[inst.n] = True
     best = None
@@ -321,7 +322,8 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
         at = at[~skip[at]]
         if not at.size:
             continue
-        depth = np.searchsorted(limits, -inst.ranks[at]) - 1  # deepest fit
+        # deepest fit: the last prefix whose room is at least the item's units
+        depth = np.searchsorted(rooms, -inst.unit_array[at], side="right") - 1
         values = np.empty(at.size)
         # items on one prefix share its state: one exact batch per prefix
         for j in depth[np.sort(np.unique(depth, return_index=True)[1])].tolist():
@@ -470,7 +472,7 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
     The collection is reordered greedily in memory (it fits the budget, so
     this costs no stream pass), then every outside element is tried on the
     deepest reordered prefix it still fits (one ``searchsorted`` over the
-    prefixes' rank limits); the answer is the best prefix-plus-one-item
+    prefixes' rooms); the answer is the best prefix-plus-one-item
     combination, bare prefixes included.
     """
     ledger, meter, (ws, trace, _) = _threshold_stage(

@@ -18,7 +18,7 @@ from knapsub import (
     movie_costs,
     normalize,
 )
-from knapsub.core import WorkingSet, _id_array
+from knapsub.core import WorkingSet, _int_array
 from knapsub.objectives import _COVERAGE_ALPHA
 from knapsub.streaming import (
     OptEstimate,
@@ -297,11 +297,15 @@ def reference_coverage_costs(adjacency) -> dict[int, float]:
 class ReferenceInstance:
     """The reference for ``knapsub.Instance``'s attributes: every check
     one element at a time, and the units from each number's
-    ``as_integer_ratio`` scaled by the largest denominator in big ints."""
+    ``as_integer_ratio`` scaled by the lcm of the denominators in big
+    ints."""
 
     def __init__(self, elements, capacity, base_set=()):
         self.elements = tuple(elements)
-        self.capacity = float(capacity)
+        try:
+            self.capacity = float(capacity)
+        except OverflowError:  # past any float
+            self.capacity = math.inf
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be finite and positive, "
                              f"got {capacity!r}")
@@ -319,26 +323,23 @@ class ReferenceInstance:
             if e.cost > self.capacity:
                 raise ValueError(f"element {e.id} does not fit the capacity")
         costs = [e.cost for e in self.elements]
-        # every finite float is m * 2**e: scaled by the finest denominator
-        # among them, all costs and the capacity become exact integers
+        # every finite number is m / d: scaled by the lcm of the d among
+        # them, all costs and the capacity become exact integers
         ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
-        scale = max(d for _, d in ratios)
+        scale = math.lcm(*(d for _, d in ratios))
         units = [m * (scale // d) for m, d in ratios]
         self.unit_capacity = units[0]
         self.units = dict(zip(self._at, units[1:]))
         self.units.update(dict.fromkeys(self.base_set, 0))
-        self.ids = _id_array(self._at)  # the map holds no base id yet
+        # by position: each element's units, 0 for a base id, and more than
+        # the capacity for an id not held
+        self.unit_array = _int_array([*units[1:], 0, units[0] + 1])
+        self.ids = _int_array(self._at)  # the map holds no base id yet
         self._at.update(dict.fromkeys(self.base_set, n))
         self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
         self.costs = np.array(costs, dtype=float)
-        # units are costs times one scale: rank the floats, keep each
-        # level's units, and put 0, a base id's, lowest
-        _, first, inverse = np.unique(self.costs, return_index=True,
-                                      return_inverse=True)
-        self.levels = [0, *(units[1 + i] for i in first.tolist())]
-        self.ranks = np.append(inverse + 1, [0, len(self.levels)])
-        # levels[1] is the cheapest element's units; no elements, no items
-        self.k_tilde = n and min(n, self.unit_capacity // self.levels[1])
+        # no elements, no items
+        self.k_tilde = n and min(n, self.unit_capacity // min(units[1:]))
         self.by_id = np.argsort(self.ids, kind="stable")
 
 
@@ -368,7 +369,11 @@ def reference_normalize(raw_elements, capacity, base_ids=()):
     elems = []
     if pairs:
         unit = min(cost for _, cost in pairs)
-        if math.isinf(capacity / unit) and math.isfinite(capacity):
+        try:
+            overflows = math.isinf(capacity / unit) and math.isfinite(capacity)
+        except OverflowError:  # a capacity too large for a float
+            overflows = True
+        if overflows:
             raise ValueError(f"capacity {capacity!r} over the cheapest cost "
                              f"{unit!r} overflows a float")
         capacity = capacity / unit

@@ -703,6 +703,37 @@ def test_bench_pairs_reports_implausible_times(tmp_path, monkeypatch, capsys):
     assert "w wall_s: head runs [1]" in capsys.readouterr().err
 
 
+def test_bench_pairs_counts_only_lines_that_hold_code(tmp_path):
+    tool = _bench_pairs()
+    package = tmp_path / "src" / "knapsub"
+    (package / "bench").mkdir(parents=True)
+    (package / "core.py").write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment alone\n"
+        "import math  # a comment after code\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        "    'One line.'\n"
+        "\n"
+        "    def f(self, x):\n"
+        '        """Two\n        lines."""\n'
+        '        text = """a string that is\n        no docstring"""\n'
+        "        return (x +\n"
+        "                1)\n"
+        "\n"
+        "\n"
+        'def g(): """on the def line"""\n')
+    (package / "bench" / "cli.py").write_text("x = 1\n\n# end\n")
+    (tmp_path / "src" / "setup.py").write_text("y = 2\n")
+    # 21 lines in core.py and 3 in cli.py; the code: the import, the class,
+    # the def, the two-line string, the two-line return, g's def line and
+    # cli.py's x
+    assert tool.src_lines(tmp_path) == 24
+    assert tool.code_lines(tmp_path) == 9
+
+
 def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
                                                              monkeypatch, capsys):
     tool = _bench_pairs()
@@ -740,7 +771,7 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
                       "--workload", "a", "--workload", "b", "--seed", "1",
                       "--pairs", "2", "--out", str(out)]) == 0
     result = json.loads(out.read_text())
-    assert result["src_lines"] == {"base": 7, "head": 4}
+    assert result["src_lines"] == result["code_lines"] == {"base": 7, "head": 4}
     assert result["workloads"]["b"]["slowdown"] == {
         "base": {"median": 1.25, "q1": 1.125, "q3": 1.375, "runs": [1.0, 1.5]},
         "head": {"median": 1.1875, "q1": 1.15625, "q3": 1.21875,
@@ -750,7 +781,8 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
     counts = ("sweeps: base 5 (4.5-5.5) head 8 (8-8); "
               "solves: base 15 (13.5-16.5) head 24 (24-24)")
     assert capsys.readouterr().out.splitlines() == [
-        "src lines: base 7 head 4 change -3",
+        "src lines: base 7 head 4 change -3; "
+        "code lines: base 7 head 4 change -3",
         "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
         "a value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
         "a host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)",

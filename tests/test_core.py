@@ -73,7 +73,7 @@ def _instance_fields(inst):
 
     return {"units": [(k, type(v), v) for k, v in inst.units.items()],
             "unit_capacity": (type(inst.unit_capacity), inst.unit_capacity),
-            "levels": typed(inst.levels), "ranks": array(inst.ranks),
+            "unit_array": array(inst.unit_array),
             "k_tilde": (type(inst.k_tilde), inst.k_tilde),
             "_at": list(inst._at.items()), "ids": array(inst.ids),
             "by_id": array(inst.by_id), "costs": array(inst.costs),
@@ -138,8 +138,9 @@ def _normalize_inputs(corpus):
         yield bad, 5.0, ()
     # the capacity overflows once rescaled, or is refused rescaled
     yield [(0, 1e-320), (1, 1.0)], 5.0, ()
-    for capacity in (math.inf, math.nan, -1.0, 0.0):
+    for capacity in (math.inf, math.nan, -1.0, 0.0, 10**400):
         yield [(0, 2.0), (1, 3.0)], capacity, ()
+    yield [(0, 0.0)], 10**400, ()
     yield [(0, 1.0)], 2.0, {0}
     # a float32 capacity compares as float32, then fails the float64 check
     yield [(0, 3.0), (1, 5.0)], np.float32(5.0), ()
@@ -207,12 +208,15 @@ def test_instance_rejects_oversized_element():
 
 def test_instance_rejects_nonfinite_capacity():
     # an unbounded budget used to give three different answers across the
-    # solvers, one of them a math-domain crash in the estimator
-    for capacity in (math.inf, math.nan):
+    # solvers, one of them a math-domain crash in the estimator, and one
+    # too large for a float raised a bare OverflowError
+    for capacity in (math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="capacity"):
             Instance([Element(i, 1.0) for i in range(4)], capacity)
+        with pytest.raises(ValueError, match="capacity"):
+            normalize([(0, 1.0)], capacity)
     with pytest.raises(ValueError, match="capacity"):
-        normalize([(0, 1.0)], math.inf)
+        normalize([(0, 0.0)], 10**400)
     # a budget of 0 divided by zero in the sieves' threshold grid, and a
     # negative one refused the empty set as an infeasible query
     for capacity in (0.0, -1.0):

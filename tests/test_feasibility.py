@@ -29,6 +29,8 @@ from knapsub import (
     sieve_plus_max,
 )
 
+from knapsub.offline import greedy
+
 from conftest import random_adjacency
 
 # the float sum of these costs in order 0,6,1,2,3,5,4 is 14.233333333333334,
@@ -105,7 +107,35 @@ def run_streaming(instance, oracle, solver, seed):
                                       config).report.solution.ids
 
 
+def star_adjacency():
+    """14 vertices: vertex 2 covers 10 of them, vertex 1 covers 3 and
+    vertex 0 only itself."""
+    adjacency = [[] for _ in range(14)]
+    for hub, leaves in ((2, range(3, 12)), (1, (12, 13))):
+        for leaf in leaves:
+            adjacency[hub].append(leaf)
+            adjacency[leaf].append(hub)
+    return adjacency
+
+
+def exact_cost_instances():
+    """Costs that are no float's value: 1/3 beside 1/3 + 1e-30, which
+    round to one float, and halves beside a third, whose units need the
+    lcm of the denominators; each under coverage and a modular objective."""
+    third = Fraction(1, 3)
+    for costs, weights in (([third, third + Fraction(1, 10**30), 2 * third],
+                            {0: 0, 1: 10, 2: 100}),
+                           ([Fraction(1, 2), Fraction(1, 2), third],
+                            {0: 1, 1: 1, 2: 1})):
+        instance = Instance([Element(i, c) for i, c in enumerate(costs)], 1.0)
+        for objective in (CoverageObjective(star_adjacency()),
+                          ModularObjective(weights)):
+            yield instance, SubmodularOracle(instance, objective.value)
+
+
 SOLVERS = {
+    "greedy": lambda inst, oracle, seed:
+        greedy(inst, oracle).report.solution.ids,
     "greedy_plus_max": lambda inst, oracle, seed:
         greedy_plus_max(inst, oracle).report.solution.ids,
     "sieve_plus_max": lambda inst, oracle, seed:
@@ -126,27 +156,48 @@ def test_boundary_sweep_stays_feasible(solver):
         inst, oracle = boundary_instance(seed)
         ids = SOLVERS[solver](inst, oracle, seed)
         assert exact_cost(inst, ids) <= Fraction(inst.capacity), f"seed {seed}"
+    # when float64 ranks decided vectorized fits, and units were scaled by
+    # the largest denominator, every solver here overran or raised
+    # InfeasibleQuery on at least one of these
+    for inst, oracle in exact_cost_instances():
+        ids = SOLVERS[solver](inst, oracle, 0)
+        assert exact_cost(inst, ids) <= Fraction(inst.capacity), inst.elements
 
 
-@pytest.mark.parametrize("gap", [3, 1000])  # dense, sparse and past-int64 ids
-@pytest.mark.parametrize("first_id", [0, 10**12, 2**63 - 7])
-def test_fit_mask_is_the_exact_fit_rule(first_id, gap):
-    # units far beyond int64: the capacity is 1e300 on a 2**-52 grid
-    costs = [1.0, 1.0 + 2**-52, 3.0, 7e299, 1e300]
+# units far beyond int64: the capacity is 1e300 on a 2**-52 grid; each
+# case names the bits its unit capacity passes
+WIDE = [1.0, 1.0 + 2**-52, 3.0, 7e299, 1e300], 1e300, 1000
+# exact costs that round to one float: the ints in int64 units, the
+# Fractions on a scale of 3 * 10**30
+SHARED_FLOAT = {
+    "shared-float-ints": ([2**60, 2**60 + 1, 2**60, 3, 2**61], 2**61, 60),
+    "shared-float-fractions": ([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30),
+                                Fraction(2, 3)], 1.0, 100)}
+
+
+@pytest.mark.parametrize("costs, capacity, bits, first_id, gap", [
+    # dense, sparse and past-int64 ids
+    *(pytest.param(*WIDE, first_id, gap, id=f"{first_id}-{gap}")
+      for first_id in (0, 10**12, 2**63 - 7) for gap in (1000, 3)),
+    *(pytest.param(*case, 0, 3, id=name) for name, case in SHARED_FLOAT.items())])
+def test_fit_mask_is_the_exact_fit_rule(costs, capacity, bits, first_id, gap):
+    n = len(costs)
     elements = [Element(first_id + gap * i, c) for i, c in enumerate(costs)]
-    instance = Instance(elements, 1e300, base_set=[first_id + 1])
-    assert instance.unit_capacity > 2**1000
+    instance = Instance(elements, capacity, base_set=[first_id + 1])
+    assert instance.unit_capacity > 2**bits
     ids = [first_id + 1] + [e.id for e in elements] * 2
     units = sorted(set(instance.units.values()))
-    rooms = [-1, *units, *(u - 1 for u in units), *(u + 1 for u in units)]
+    # each unit, its neighbours, and the room each element leaves
+    rooms = [-1, *units, *(u - 1 for u in units), *(u + 1 for u in units),
+             *(instance.unit_capacity - u for u in units)]
     for room in rooms:
         got = instance.fit_mask(instance.locate(ids), room).tolist()
         assert got == [instance.units[i] <= room for i in ids], room
     # ids between and beyond the instance's own, and outside int64, never fit
     strangers = [first_id - 1, first_id + 2, first_id + gap + 1,
-                 first_id + gap * len(costs) + 1, -2**70, 2**70]
+                 first_id + gap * n + 1, -2**70, 2**70]
     assert not instance.fit_mask(instance.locate(strangers),
                                  instance.unit_capacity).any()
     # positions: each element's index, n for the base id, n + 1 for the rest
     assert instance.locate(ids + strangers).tolist() == \
-        [5, *range(5), *range(5), *[6] * len(strangers)]
+        [n, *range(n), *range(n), *[n + 1] * len(strangers)]

@@ -29,7 +29,10 @@ commit (``dirty``), and the Python and NumPy a run there imports
 (``versions``): distributed outputs replay CPython's ``random`` algorithm,
 so they hold only for the interpreter they were measured on.  Each
 checkout's size is recorded and printed too, as ``src_lines``: the lines
-of ``cat src/knapsub/*.py src/knapsub/bench/*.py | wc -l``.  ``--tier1 N``
+of ``cat src/knapsub/*.py src/knapsub/bench/*.py | wc -l``, and as
+``code_lines``: those of them that hold code, so neither blank, nor a
+comment alone, nor in a docstring.  A change that deletes only
+docstrings leaves ``code_lines`` where it was.  ``--tier1 N``
 also times the test suite,
 ``python -m pytest -q``, in N alternating pairs.  A run that fails
 prints the last 30 lines of its output to stderr and stops the script.
@@ -41,6 +44,8 @@ sequential, one process at a time.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import re
@@ -48,6 +53,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 
@@ -173,12 +179,44 @@ def versions(checkout: Path) -> dict:
                                   cwd=checkout).stdout)
 
 
+def modules(checkout: Path) -> list[Path]:
+    """The package's modules: ``src/knapsub/*.py`` and
+    ``src/knapsub/bench/*.py``."""
+    package = checkout / "src" / "knapsub"
+    return [*package.glob("*.py"), *(package / "bench").glob("*.py")]
+
+
 def src_lines(checkout: Path) -> int:
     """The newlines in the package's modules, as ``cat src/knapsub/*.py
     src/knapsub/bench/*.py | wc -l`` counts them; 0 where there are none."""
-    package = checkout / "src" / "knapsub"
-    files = [*package.glob("*.py"), *(package / "bench").glob("*.py")]
-    return sum(f.read_bytes().count(b"\n") for f in files)
+    return sum(f.read_bytes().count(b"\n") for f in modules(checkout))
+
+
+# the tokens that hold no code: what a blank or comment-only line holds
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(checkout: Path) -> int:
+    """The lines of the package's modules that some token of code touches:
+    blank lines, comment-only lines and docstrings (a string that opens a
+    module, class or function body) are not counted."""
+    total = 0
+    for path in modules(checkout):
+        source = path.read_text()
+        docstrings = {(body[0].lineno, body[0].col_offset)
+                      for node in ast.walk(ast.parse(source))
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef, ast.AsyncFunctionDef))
+                      and (body := node.body) and isinstance(body[0], ast.Expr)
+                      and isinstance(body[0].value, ast.Constant)
+                      and isinstance(body[0].value.value, str)}
+        lines = set()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type not in NOT_CODE and token.start not in docstrings:
+                lines.update(range(token.start[0], token.end[0] + 1))
+        total += len(lines)
+    return total
 
 
 def git_state(checkout: Path) -> tuple[str | None, bool | None]:
@@ -228,10 +266,13 @@ def main(argv=None) -> int:
                            for side, path in checkouts.items()},
               "src_lines": {side: src_lines(path)
                             for side, path in checkouts.items()},
+              "code_lines": {side: code_lines(path)
+                             for side, path in checkouts.items()},
               "workloads": {}}
-    lines = result["src_lines"]
-    print(f"src lines: base {lines['base']} head {lines['head']} "
-          f"change {lines['head'] - lines['base']:+d}")
+    print("; ".join(
+        f"{name.replace('_', ' ')}: base {lines['base']} head {lines['head']} "
+        f"change {lines['head'] - lines['base']:+d}"
+        for name in ("src_lines", "code_lines") for lines in [result[name]]))
     for workload in args.workload:
         runs = alternate(args.pairs, lambda side: perfbench(
             checkouts[side], workload, args.seed, args.seconds))
