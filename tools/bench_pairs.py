@@ -204,13 +204,12 @@ def code_lines(checkout: Path) -> int:
     total = 0
     for path in modules(checkout):
         source = path.read_text()
-        docstrings = {(body[0].lineno, body[0].col_offset)
-                      for node in ast.walk(ast.parse(source))
-                      if isinstance(node, (ast.Module, ast.ClassDef,
-                                           ast.FunctionDef, ast.AsyncFunctionDef))
-                      and (body := node.body) and isinstance(body[0], ast.Expr)
-                      and isinstance(body[0].value, ast.Constant)
-                      and isinstance(body[0].value.value, str)}
+        docstrings = set()  # where each docstring starts
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.add((node.body[0].lineno, node.body[0].col_offset))
         lines = set()
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type not in NOT_CODE and token.start not in docstrings:
