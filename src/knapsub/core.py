@@ -7,11 +7,12 @@ knapsack.  Costs are normalized so the cheapest purchasable element costs
 exactly 1, which makes ``floor(capacity)`` an upper bound on solution size.
 Every batch names its elements by position in the instance's array view,
 found by :meth:`Instance.locate` in the instance's one id-to-position
-dict.  What fits is decided on one quantity, each cost as an exact
-integer on one scale with the capacity: :meth:`Instance.fits` sums them
-for a set, and :meth:`Instance.fit_mask` compares a whole array of
-positions with a room at once, on the unit array that holds them by
-position.
+dict.  The instance holds each cost twice, both by position: once as a
+float, for densities and reported costs, and once as an exact integer on
+one scale with the capacity, its units.  What fits is decided on the
+units alone: :meth:`Instance.fits` sums them for a set, and
+:meth:`Instance.fit_mask` compares a whole array of positions with a room
+at once.
 
 Solvers ask "f(S + e)" of a :class:`WorkingSet`: S with its exact integer
 room and the objective's incremental state.  An objective that implements
@@ -96,15 +97,18 @@ class Instance:
     base_set : ids of zero-cost items, absorbed into every evaluation
     k_tilde  : min(n, how many of the cheapest element fit), a bound on
                solution size; floor(capacity) once normalized
-    units    : every cost (0 for base ids) as an exact integer, by id
+    costs    : every element's cost as a float64, by position
+    unit_array : every element's cost as an exact integer, by position
     unit_capacity : the capacity on the same integer scale
 
     Feasibility is decided in these integers alone, by :meth:`fits` or by a
-    solver that starts from :meth:`room` and subtracts ``units``, or for a
-    whole array of positions at once by :meth:`fit_mask`.  Integer sums are
-    exact in any order, so no two callers disagree on one set.
+    solver that starts from :meth:`room` and subtracts an element's units,
+    read by position as a Python int (``unit_array.item``, so no sum wraps
+    as int64 would), or for a whole array of positions at once by
+    :meth:`fit_mask`.  Integer sums are exact in any order, so no two
+    callers disagree on one set.
 
-    ``units`` are the costs and the capacity times one scale that makes all
+    The units are the costs and the capacity times one scale that makes all
     of them integers.  For float costs it is 2**S, S the most binary places
     any of them has, computed on the cost array: ``np.frexp`` gives each
     value's places, and ``np.ldexp`` scales by 2**S exactly, then to int64.
@@ -115,17 +119,20 @@ class Instance:
     on floats both give the same integers.
 
     The array view, built once, is the instance's record; it indexes the
-    elements 0..n-1 in stream order: ``ids``, ``costs`` (float64),
-    ``unit_array``, the units by position, which holds 0 at position n
-    (every base id) and ``unit_capacity + 1`` at n + 1 (an id not held),
-    and ``by_id``, the positions by increasing id.  ``ids`` and
-    ``unit_array`` are int64 where every value fits int64 and object
-    arrays of Python ints otherwise.  One dict, built with them, maps each
-    id to its position (n for a base id): :meth:`locate` and
-    :meth:`cost_of` read it, every batch kernel takes positions, and
-    :meth:`fit_mask` decides which fit a room.
+    elements 0..n-1 in stream order: ``ids``, ``costs``, ``unit_array``,
+    which holds 0 at position n (every base id) and U + 1 at n + 1 (an id
+    not held), U the largest element unit, and ``by_id``, the positions by
+    increasing id.  ``ids`` and ``unit_array`` are int64 where every value
+    they hold fits int64, the capacity's units aside, and object arrays of
+    Python ints otherwise.  One dict, built with them, maps each id to its
+    position (n for a base id): :meth:`locate`, :meth:`cost_of` and
+    :meth:`room` read it, every batch kernel takes positions, and
+    :meth:`fit_mask` decides which fit a room.  :meth:`cost_of` answers
+    the float ``costs`` holds, 0.0 for a base id, whatever number type the
+    cost was given in.
 
-    A capacity that is not finite and positive, or too large for a float,
+    A capacity that is not a real number (``numbers.Real``: not a string,
+    not a ``Decimal``), not finite and positive, or too large for a float,
     raises ``ValueError``: no
     solver has a threshold grid or a size bound for an unbounded budget,
     and none has anything to buy with an empty or negative one.
@@ -155,13 +162,7 @@ class Instance:
         """The one build routine: ``costs`` is a list of the costs as given,
         or a float64 array of them."""
         self._elements = None
-        try:
-            self.capacity = float(capacity)
-        except OverflowError:  # past any float (10**400): not finite
-            self.capacity = math.inf
-        if not (math.isfinite(self.capacity) and self.capacity > 0):
-            raise ValueError(f"capacity must be finite and positive, "
-                             f"got {capacity!r}")
+        self.capacity = _checked_capacity(capacity)
         self.base_set = frozenset(base_set)
         n = len(ids)
         self._at = dict(zip(ids, range(n)))
@@ -170,8 +171,7 @@ class Instance:
         if self.base_set & self._at.keys():
             raise ValueError("base_set must be disjoint from elements")
         if isinstance(costs, np.ndarray):
-            self.costs, costs = costs, costs.tolist()
-            exact = True
+            self.costs, exact = costs, True
         else:
             try:
                 self.costs = np.array(costs, dtype=float)
@@ -191,19 +191,17 @@ class Instance:
             # d among them, all costs and the capacity become exact integers
             ratios = [c.as_integer_ratio() for c in (self.capacity, *costs)]
             scale = math.lcm(*(d for _, d in ratios))
-            units = _int_array([m * (scale // d) for m, d in ratios])
+            units = [m * (scale // d) for m, d in ratios]
         self.unit_capacity = int(units[0])
+        units = _int_array(units[1:])  # int64 unless an element's units pass it
+        top = int(units.max()) if n else 0  # U, the largest element unit
         # by position: n, a base id, takes no room; n + 1, an id not
-        # held, fits no room up to the capacity
-        self.unit_array = np.append(
-            units[1:], _int_array([0, self.unit_capacity + 1]))
-        self.units = dict(zip(ids, units[1:].tolist()))
-        self.units.update(dict.fromkeys(self.base_set, 0))
+        # held, fits no room once clamped to U (see fit_mask)
+        self.unit_array = np.append(units, _int_array([0, top + 1]))
         self.ids = _int_array(ids)
         self._at.update(dict.fromkeys(self.base_set, n))
-        self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
         # no elements, no items
-        self.k_tilde = n and min(n, self.unit_capacity // int(units[1:].min()))
+        self.k_tilde = n and min(n, self.unit_capacity // int(units.min()))
         self.by_id = np.argsort(self.ids, kind="stable")
 
     @property
@@ -212,7 +210,7 @@ class Instance:
         first read when none were given."""
         if self._elements is None:
             self._elements = tuple(map(Element, self.ids.tolist(),
-                                       self._costs[:-1]))
+                                       self.costs.tolist()))
         return self._elements
 
     @property
@@ -227,7 +225,9 @@ class Instance:
         return self.ids.tolist()
 
     def cost_of(self, eid: int) -> float:
-        return self._costs[self._at[eid]]
+        """The float cost of ``eid``: 0.0 for a base id."""
+        p = self._at[eid]
+        return self.costs.item(p) if p < len(self.costs) else 0.0
 
     def cost(self, ids) -> float:
         """Total cost, correctly rounded (``math.fsum``): a set that fits
@@ -235,8 +235,9 @@ class Instance:
         return math.fsum(self.cost_of(i) for i in ids)
 
     def room(self, ids) -> int:
-        """Exact capacity left after ``ids``, in ``units``; negative if over."""
-        return self.unit_capacity - sum(map(self.units.__getitem__, ids))
+        """Exact capacity left after ``ids``, in units; negative if over."""
+        return self.unit_capacity - sum(
+            map(self.unit_array.item, map(self._at.__getitem__, ids)))
 
     def fits(self, ids) -> bool:
         """The one feasibility rule."""
@@ -251,9 +252,13 @@ class Instance:
     def fit_mask(self, positions, room: int) -> np.ndarray:
         """Whether ``unit_array`` at each of ``positions`` is at most
         ``room``, as a bool array: the one vectorized fit rule.  Position
-        n, a base id, fits any room >= 0; n + 1, an id not held, fits no
-        room up to ``unit_capacity``."""
-        return self.unit_array[positions] <= room
+        n, a base id, fits any room >= 0; n + 1, an id not held, fits none.
+
+        The room is clamped to U, the largest element unit, which
+        ``unit_array`` holds one past at n + 1.  That is exact, as a room of
+        U fits every element, and keeps the comparison in int64 wherever
+        the element units fit it, whatever the capacity's units."""
+        return self.unit_array[positions] <= min(room, self.unit_array.item(-1) - 1)
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "
@@ -265,7 +270,7 @@ def _scaled_units(capacity: float, costs: np.ndarray) -> np.ndarray | None:
     binary places that make every one of them an integer, or ``None`` when
     the capacity times 2**S does not fit int64 (no cost exceeds the
     capacity).  The last float below 2**63 is 2**63 - 2**10, so the
-    capacity plus one fits int64 too.
+    largest element unit plus one fits int64 too.
 
     ``np.frexp`` gives each value as f * 2**e with f in [0.5, 1), so
     m = f * 2**53 is an integer and the value is m * 2**(e - 53); its
@@ -284,11 +289,23 @@ def _scaled_units(capacity: float, costs: np.ndarray) -> np.ndarray | None:
     return np.ldexp(values, places).astype(np.int64)
 
 
+def _checked_capacity(capacity) -> float:
+    """``capacity`` as a float, or ``ValueError`` unless it is a real
+    number (``numbers.Real``), finite, positive and within a float: the one
+    capacity rule of :class:`Instance` and :func:`normalize`."""
+    try:
+        value = float(capacity) if isinstance(capacity, numbers.Real) else math.nan
+    except OverflowError:  # past any float (10**400): not finite
+        value = math.inf
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
+    return value
+
+
 def _int_array(values) -> np.ndarray:
-    """``values``, integers, as an int64 array, or as an object array of
-    Python ints when one lies outside int64 (NumPy alone would make a
-    float64 array of a mix such as ``[-1, 2**63]``)."""
-    values = list(values)
+    """``values``, a list or an array of integers, as an int64 array, or as
+    an object array of Python ints when one lies outside int64 (NumPy alone
+    would make a float64 array of a mix such as ``[-1, 2**63]``)."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -355,7 +372,8 @@ class WorkingSet:
     ``frozenset(order)``: built from the insertion order, it iterates like
     a set grown one ``add`` at a time, so an order-sensitive float sum (a
     modular objective) sees the same order on every path.  ``room`` is the
-    exact integer capacity left (``Instance.units``, negative if over).
+    exact integer capacity left, in the units of ``Instance.unit_array``
+    and negative if over; it is a Python int, which no sum wraps.
     ``value`` is f(S) as the caller recorded it, or ``None`` where nothing
     reads it; ``state`` is the objective's incremental state of S plus the
     base set, ``None`` on the whole-set path.  Make one with
@@ -430,12 +448,12 @@ class SubmodularOracle:
             value: float | None = None) -> WorkingSet:
         """``ws`` plus ``eid`` (not yet a member), recorded at ``value``;
         spends no query."""
+        room = ws.room - self.instance.unit_array.item(self.instance._at[eid])
         order = (*ws.order, eid)
         state = None
         if self._protocol is not None:
             state = self._protocol.extend(ws.state, (eid,))
-        return WorkingSet(order, frozenset(order),
-                          ws.room - self.instance.units[eid], value, state)
+        return WorkingSet(order, frozenset(order), room, value, state)
 
     def value_with(self, ws: WorkingSet, eid: int, ledger: QueryLedger) -> float:
         """f(S + eid) for the working set S: one query, counted and checked
@@ -443,10 +461,9 @@ class SubmodularOracle:
         obj = self._protocol
         if obj is None:
             return self.evaluate(ws.ids | {eid}, ledger)
-        if eid in ws.ids:
-            infeasible = ws.room < 0
-        else:
-            infeasible = self.instance.units[eid] > ws.room
+        inst = self.instance  # a member takes no more room
+        need = 0 if eid in ws.ids else inst.unit_array.item(inst._at[eid])
+        infeasible = need > ws.room
         if infeasible and ledger.enforce_feasible:
             raise self._infeasible(ws.ids | {eid})
         ledger._admit(1, infeasible)
@@ -609,12 +626,12 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     and the capacity is divided by the same factor.
     Normalizing an already-normalized instance changes nothing.  An instance
     with no purchasable elements and no base set is returned as-is but
-    flagged with :class:`EmptyInstanceWarning`.  A capacity that is not
-    finite and positive, or too large for a float, raises ``ValueError``,
-    as in :class:`Instance`, and
-    so do a cost that is not a number >= 0 (NaN included), an id that
-    ``int`` would change (1.5) or an id given twice, naming its element,
-    before anything is dropped, and a capacity that overflows once
+    flagged with :class:`EmptyInstanceWarning`.  A cost that is not a
+    number >= 0 (NaN included), an id that ``int`` would change (1.5) or
+    an id given twice raises ``ValueError``, naming its element, before
+    anything is dropped; then so does a capacity that :class:`Instance`
+    refuses (not a real number, not finite and positive, or too large for
+    a float), before it is rescaled, and one that overflows once
     rescaled.
 
     The items, ``(id, cost)`` pairs or :class:`Element` s, are read into
@@ -636,6 +653,7 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
         raise
     if eids != ids or len(set(eids)) != len(eids) or not (values >= 0).all():
         _raise_first_bad_item(items)
+    _checked_capacity(capacity)
 
     zero = values == 0.0
     if zero.any():
@@ -643,11 +661,7 @@ def normalize(raw_elements, capacity, base_ids=()) -> Instance:
     keep = (values > 0.0) & (values < math.inf)  # an infinite cost fits no capacity
     if keep.any():
         unit = float(values[keep].min())
-        try:
-            overflows = math.isinf(capacity / unit) and math.isfinite(capacity)
-        except OverflowError:  # a capacity too large for a float
-            overflows = True
-        if overflows:
+        if math.isinf(capacity / unit):
             raise ValueError(f"capacity {capacity!r} over the cheapest cost "
                              f"{unit!r} overflows a float")
         capacity = capacity / unit

@@ -75,10 +75,10 @@ def _scan(stream: StreamSource, instance: Instance):
     An id the instance does not hold raises ``KeyError`` when the pass
     reaches it, before any query on it.
     """
-    units = instance.units  # base ids hold 0 units, elements more
+    at, base = instance._at, instance.n  # every base id sits at position n
     for eid in stream.scan():
         try:
-            held = units[eid]
+            held = at[eid] != base
         except KeyError:
             raise _unknown(eid) from None
         if held:
@@ -234,7 +234,8 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     located as array-view positions, against the fixed S with
     :func:`first_accept`, up to and including the first accept, then
     resumes just after it, against the grown set.  Its member and fit
-    filter reads dicts item by item: on small chunks that beats
+    filter reads each item's position and units one at a time
+    (``Instance.unit_array.item``): on small chunks that beats
     ``Instance.fit_mask``.  The chunk starts at ``FIRST_CHUNK`` items,
     doubles after a chunk without an accept up to ``AUGMENT_CHUNK``, and
     starts over after an accept.  A
@@ -247,7 +248,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     most one chunk is held.
     """
     inst = oracle.instance
-    units = inst.units
+    at, unit = inst._at, inst.unit_array.item
     size = FIRST_CHUNK
     accepted = []
     seen = 0.0
@@ -258,7 +259,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
         if len(pending) < size and failed is None:
             try:
                 for eid in islice(items, size - len(pending)):
-                    if eid not in units:
+                    if eid not in at:
                         raise _unknown(eid)
                     pending.append(eid)
             except KeyError as exc:  # an unknown id: the items before it run
@@ -268,7 +269,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
                 raise failed
             return ws, accepted, seen
         chunk = [eid for eid in pending[:size]
-                 if eid not in ws.ids and 0 < units[eid] <= ws.room]
+                 if eid not in ws.ids and 0 < unit(at[eid]) <= ws.room]
         del pending[:size]
         if not chunk:
             size = min(2 * size, AUGMENT_CHUNK)
@@ -309,8 +310,11 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     stopped by a budget as single ones would be.
     """
     inst = oracle.instance
-    # minus each prefix's room, which falls as the prefixes grow
-    rooms = -np.array([p.room for p in prefixes], dtype=inst.unit_array.dtype)
+    # minus each prefix's room, which falls as the prefixes grow, clamped
+    # to U, the largest element unit, as Instance.fit_mask clamps it
+    top = inst.unit_array.item(-1) - 1
+    rooms = -np.array([min(p.room, top) for p in prefixes],
+                      dtype=inst.unit_array.dtype)
     skip = np.zeros(inst.n + 2, dtype=bool)  # by position: members, base ids
     skip[inst.locate(prefixes[-1].order)] = skip[inst.n] = True
     best = None
@@ -521,7 +525,6 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     grid_size(1.5 * k * base, epsilon_est)
     ledger = ledger or QueryLedger()
     inst = oracle.instance
-    units = inst.units
     log_base = math.log(base)
 
     delta = 0.0          # best singleton value so far
@@ -568,7 +571,7 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
         # every empty set fits e, and f(empty + e) is fe: charge those
         # queries, but ask only the sets that hold something
         ledger._admit(len(taus) - len(sets))
-        need = units[eid]
+        need = inst.unit_array.item(inst._at[eid])
         for r, ws in enumerate(sets):
             if eid in ws.ids or need > ws.room:
                 continue

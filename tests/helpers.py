@@ -1,6 +1,7 @@
 """Hand-built instances shared across test modules."""
 
 import math
+import numbers
 import random
 import warnings
 
@@ -140,7 +141,7 @@ def scalar_threshold_pass(oracle, items, tau, ws, ledger, singles=None):
     accepted = []
     seen = 0.0
     for eid in items:
-        if eid in ws.ids or not 0 < inst.units[eid] <= ws.room:
+        if eid in ws.ids or not 0 < inst.unit_array.item(inst._at[eid]) <= ws.room:
             continue
         gain = oracle.value_with(ws, eid, ledger) - ws.value
         if singles is not None and not ws.ids:
@@ -166,7 +167,6 @@ def scalar_estimate_lambda(stream, k, oracle, epsilon_est=1 / 6, ledger=None):
     grid_size(1.5 * k * base, epsilon_est)
     ledger = ledger or QueryLedger()
     inst = oracle.instance
-    units = inst.units
     log_base = math.log(base)
 
     delta = 0.0          # best singleton value so far
@@ -204,7 +204,7 @@ def scalar_estimate_lambda(stream, k, oracle, epsilon_est=1 / 6, ledger=None):
             window = active
             sets = [kept.get(i, empty) for i in window]
             taus = [base ** i for i in window]
-        need = units[eid]
+        need = inst.unit_array.item(inst._at[eid])
         rows = [r for r, ws in enumerate(sets)
                 if eid not in ws.ids and need <= ws.room]
         # f(empty + e) is fe: charge those queries, but ask only the others
@@ -301,14 +301,8 @@ class ReferenceInstance:
     ints."""
 
     def __init__(self, elements, capacity, base_set=()):
-        self.elements = tuple(elements)
-        try:
-            self.capacity = float(capacity)
-        except OverflowError:  # past any float
-            self.capacity = math.inf
-        if not (math.isfinite(self.capacity) and self.capacity > 0):
-            raise ValueError(f"capacity must be finite and positive, "
-                             f"got {capacity!r}")
+        self._elements = tuple(elements)
+        self.capacity = reference_capacity(capacity)
         self.base_set = frozenset(base_set)
         n = len(self.elements)
         self._at = {e.id: i for i, e in enumerate(self.elements)}
@@ -329,18 +323,33 @@ class ReferenceInstance:
         scale = math.lcm(*(d for _, d in ratios))
         units = [m * (scale // d) for m, d in ratios]
         self.unit_capacity = units[0]
-        self.units = dict(zip(self._at, units[1:]))
-        self.units.update(dict.fromkeys(self.base_set, 0))
         # by position: each element's units, 0 for a base id, and more than
-        # the capacity for an id not held
-        self.unit_array = _int_array([*units[1:], 0, units[0] + 1])
-        self.ids = _int_array(self._at)  # the map holds no base id yet
+        # the largest element's for an id not held
+        self.unit_array = _int_array([*units[1:], 0, max(units[1:], default=0) + 1])
+        self.ids = _int_array(list(self._at))  # the map holds no base id yet
         self._at.update(dict.fromkeys(self.base_set, n))
-        self._costs = [*costs, 0.0]  # by position: n, a base id, costs 0
         self.costs = np.array(costs, dtype=float)
         # no elements, no items
         self.k_tilde = n and min(n, self.unit_capacity // min(units[1:]))
         self.by_id = np.argsort(self.ids, kind="stable")
+
+    @property
+    def elements(self):
+        return self._elements
+
+
+def reference_capacity(capacity) -> float:
+    """The reference for the capacity rule of ``Instance`` and
+    ``normalize``: a real number, finite, positive and within a float."""
+    if not isinstance(capacity, numbers.Real):
+        raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
+    try:
+        value = float(capacity)
+    except OverflowError:  # past any float
+        value = math.inf
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
+    return value
 
 
 def reference_normalize(raw_elements, capacity, base_ids=()):
@@ -366,14 +375,11 @@ def reference_normalize(raw_elements, capacity, base_ids=()):
         elif cost < math.inf:  # an infinite cost fits no capacity
             pairs.append((eid, cost))
 
+    reference_capacity(capacity)
     elems = []
     if pairs:
         unit = min(cost for _, cost in pairs)
-        try:
-            overflows = math.isinf(capacity / unit) and math.isfinite(capacity)
-        except OverflowError:  # a capacity too large for a float
-            overflows = True
-        if overflows:
+        if math.isinf(capacity / unit):
             raise ValueError(f"capacity {capacity!r} over the cheapest cost "
                              f"{unit!r} overflows a float")
         capacity = capacity / unit

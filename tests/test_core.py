@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 import threading
 import warnings
@@ -64,20 +65,20 @@ def test_instance_rejects_duplicate_ids_and_an_overlapping_base_set():
 def _instance_fields(inst):
     """Every attribute ``Instance.__init__`` builds, with each Python
     number's type and each array's dtype and bytes, so equal means bit for
-    bit."""
-    def typed(values):
-        return [(type(v), v) for v in values]
-
+    bit.  Only the capacity, the base set and the elements, compared by
+    the callers, are left out, and no attribute goes unnamed: the costs
+    are held once as floats and once as units, and a third copy fails."""
     def array(a):
         return a.dtype, a.shape, a.tolist() if a.dtype == object else a.tobytes()
 
-    return {"units": [(k, type(v), v) for k, v in inst.units.items()],
-            "unit_capacity": (type(inst.unit_capacity), inst.unit_capacity),
-            "unit_array": array(inst.unit_array),
-            "k_tilde": (type(inst.k_tilde), inst.k_tilde),
-            "_at": list(inst._at.items()), "ids": array(inst.ids),
-            "by_id": array(inst.by_id), "costs": array(inst.costs),
-            "_costs": typed(inst._costs)}
+    fields = {"unit_capacity": (type(inst.unit_capacity), inst.unit_capacity),
+              "unit_array": array(inst.unit_array),
+              "k_tilde": (type(inst.k_tilde), inst.k_tilde),
+              "_at": list(inst._at.items()), "ids": array(inst.ids),
+              "by_id": array(inst.by_id), "costs": array(inst.costs)}
+    assert vars(inst).keys() == fields.keys() | {"capacity", "base_set",
+                                                 "_elements"}
+    return fields
 
 
 def _reference_inputs(corpus):
@@ -210,7 +211,9 @@ def test_instance_rejects_nonfinite_capacity():
     # an unbounded budget used to give three different answers across the
     # solvers, one of them a math-domain crash in the estimator, and one
     # too large for a float raised a bare OverflowError
-    for capacity in (math.inf, math.nan, 10**400):
+    # a string or a Decimal, no numbers.Real, was read by float() in
+    # Instance and raised a bare TypeError in normalize
+    for capacity in (math.inf, math.nan, 10**400, "3", Decimal(3)):
         with pytest.raises(ValueError, match="capacity"):
             Instance([Element(i, 1.0) for i in range(4)], capacity)
         with pytest.raises(ValueError, match="capacity"):

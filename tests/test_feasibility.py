@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knapsub import (
@@ -63,9 +64,43 @@ def test_fits_is_exact_in_any_order():
         assert inst.fits(order) == expected
     # the integers are the exact costs, all on one scale
     for i, c in enumerate(DRIFT_COSTS):
-        assert Fraction(inst.units[i], inst.unit_capacity) == \
+        assert Fraction(inst.unit_array.item(i), inst.unit_capacity) == \
             Fraction(c) / Fraction(inst.capacity)
-    assert inst.room(range(7)) == inst.unit_capacity - sum(inst.units.values())
+    assert inst.room(range(7)) == \
+        inst.unit_capacity - sum(inst.unit_array[:7].tolist())
+
+
+def test_room_is_exact_where_int64_units_would_wrap():
+    # five units of 2**61 sum past 2**63: as an int64 sum the room wraps
+    # to a positive number and the set fits
+    inst = Instance([Element(k, 2.0**61) for k in range(5)], 2.0**62)
+    assert inst.unit_array.dtype == np.int64
+    assert not inst.fits(range(5))
+    assert inst.room(range(5)) == -6917529027641081856 == 2**62 - 5 * 2**61
+    assert type(inst.room(range(5))) is int
+    oracle = SubmodularOracle(inst, lambda s: float(len(s)))
+    ws = oracle.working_set(range(4))
+    assert oracle.add(ws, 4).room == inst.room(range(5))
+
+
+def test_a_base_id_is_free_and_an_unknown_id_raises_key_error():
+    inst = Instance([Element(0, 1.0), Element(1, 2.0)], 3.0, base_set={7})
+    assert inst.cost_of(7) == 0.0
+    assert inst.room([7]) == inst.unit_capacity
+    assert inst.room([0, 1, 7]) == inst.room([0, 1]) == 0
+    assert inst.fits([0, 1, 7])
+    oracle = SubmodularOracle(inst, lambda s: float(len(s)))
+    ws = oracle.working_set([0])
+    assert oracle.add(ws, 7).room == ws.room
+    for unknown in (2, -1, 2**70, 1.5):
+        with pytest.raises(KeyError):
+            inst.room([0, unknown])
+        with pytest.raises(KeyError):
+            inst.fits([unknown])
+        with pytest.raises(KeyError):
+            inst.cost_of(unknown)
+        with pytest.raises(KeyError):
+            oracle.add(ws, unknown)
 
 
 def test_drift_repro_greedy_plus_max():
@@ -165,34 +200,41 @@ def test_boundary_sweep_stays_feasible(solver):
 
 
 # units far beyond int64: the capacity is 1e300 on a 2**-52 grid; each
-# case names the bits its unit capacity passes
-WIDE = [1.0, 1.0 + 2**-52, 3.0, 7e299, 1e300], 1e300, 1000
+# case names the bits its unit capacity passes and the dtype of its units
+WIDE = [1.0, 1.0 + 2**-52, 3.0, 7e299, 1e300], 1e300, 1000, object
 # exact costs that round to one float: the ints in int64 units, the
-# Fractions on a scale of 3 * 10**30
-SHARED_FLOAT = {
-    "shared-float-ints": ([2**60, 2**60 + 1, 2**60, 3, 2**61], 2**61, 60),
+# Fractions on a scale of 3 * 10**30; then element units of 11 bits
+# beside a capacity of 74, which once made every unit a Python int
+EXACT = {
+    "shared-float-ints": ([2**60, 2**60 + 1, 2**60, 3, 2**61], 2**61, 60, np.int64),
     "shared-float-fractions": ([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30),
-                                Fraction(2, 3)], 1.0, 100)}
+                                Fraction(2, 3)], 1.0, 100, object),
+    "capacity-past-int64": ([1.0 + k / 1024 for k in range(5)], 3 * 2.0**62, 72,
+                            np.int64)}
 
 
-@pytest.mark.parametrize("costs, capacity, bits, first_id, gap", [
+@pytest.mark.parametrize("costs, capacity, bits, dtype, first_id, gap", [
     # dense, sparse and past-int64 ids
     *(pytest.param(*WIDE, first_id, gap, id=f"{first_id}-{gap}")
       for first_id in (0, 10**12, 2**63 - 7) for gap in (1000, 3)),
-    *(pytest.param(*case, 0, 3, id=name) for name, case in SHARED_FLOAT.items())])
-def test_fit_mask_is_the_exact_fit_rule(costs, capacity, bits, first_id, gap):
+    *(pytest.param(*case, 0, 3, id=name) for name, case in EXACT.items())])
+def test_fit_mask_is_the_exact_fit_rule(costs, capacity, bits, dtype, first_id, gap):
     n = len(costs)
     elements = [Element(first_id + gap * i, c) for i, c in enumerate(costs)]
     instance = Instance(elements, capacity, base_set=[first_id + 1])
     assert instance.unit_capacity > 2**bits
+    assert instance.unit_array.dtype == dtype
     ids = [first_id + 1] + [e.id for e in elements] * 2
-    units = sorted(set(instance.units.values()))
+    # each element's units by id, in stream order, and the base id's 0
+    unit = dict(zip([e.id for e in elements], instance.unit_array[:n].tolist()))
+    unit[first_id + 1] = 0
+    units = sorted(set(unit.values()))
     # each unit, its neighbours, and the room each element leaves
     rooms = [-1, *units, *(u - 1 for u in units), *(u + 1 for u in units),
              *(instance.unit_capacity - u for u in units)]
     for room in rooms:
         got = instance.fit_mask(instance.locate(ids), room).tolist()
-        assert got == [instance.units[i] <= room for i in ids], room
+        assert got == [unit[i] <= room for i in ids], room
     # ids between and beyond the instance's own, and outside int64, never fit
     strangers = [first_id - 1, first_id + 2, first_id + gap + 1,
                  first_id + gap * n + 1, -2**70, 2**70]

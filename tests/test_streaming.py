@@ -267,7 +267,7 @@ def test_base_ids_in_the_stream_are_skipped_without_a_query():
 
 def test_an_unknown_stream_id_raises_before_a_query_on_it():
     # id 7 has no cost: without a check the solvers met it inside
-    # Instance.cost_of or Instance.units as a bare KeyError: 7
+    # Instance.cost_of or the units by id as a bare KeyError: 7
     inst = Instance([Element(i, 1.0) for i in range(4)], 2.0)
     queried = []
 
