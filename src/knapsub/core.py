@@ -194,10 +194,10 @@ class Instance:
             units = [m * (scale // d) for m, d in ratios]
         self.unit_capacity = int(units[0])
         units = _int_array(units[1:])  # int64 unless an element's units pass it
-        top = int(units.max()) if n else 0  # U, the largest element unit
-        # by position: n, a base id, takes no room; n + 1, an id not
-        # held, fits no room once clamped to U (see fit_mask)
-        self.unit_array = np.append(units, _int_array([0, top + 1]))
+        # by position: n, a base id, takes no room; n + 1, an id not held,
+        # holds U + 1, U the largest element unit, and so fits no room
+        # clamped to U (see fit_mask)
+        self.unit_array = np.append(units, _int_array([0, int(units.max(initial=0)) + 1]))
         self.ids = _int_array(ids)
         self._at.update(dict.fromkeys(self.base_set, n))
         # no elements, no items

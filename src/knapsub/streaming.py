@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -77,11 +77,10 @@ def _scan(stream: StreamSource, instance: Instance):
     """
     at, base = instance._at, instance.n  # every base id sits at position n
     for eid in stream.scan():
-        try:
-            held = at[eid] != base
-        except KeyError:
-            raise _unknown(eid) from None
-        if held:
+        p = at.get(eid)
+        if p is None:
+            raise _unknown(eid)
+        if p != base:
             yield eid
 
 
@@ -234,8 +233,8 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     located as array-view positions, against the fixed S with
     :func:`first_accept`, up to and including the first accept, then
     resumes just after it, against the grown set.  Its member and fit
-    filter reads each item's position and units one at a time
-    (``Instance.unit_array.item``): on small chunks that beats
+    filter works on the chunk's positions: a mask by position of the
+    members and base ids, as in :func:`augment_pass`, and
     ``Instance.fit_mask``.  The chunk starts at ``FIRST_CHUNK`` items,
     doubles after a chunk without an accept up to ``AUGMENT_CHUNK``, and
     starts over after an accept.  A
@@ -248,7 +247,8 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     most one chunk is held.
     """
     inst = oracle.instance
-    at, unit = inst._at, inst.unit_array.item
+    skip = np.zeros(inst.n + 2, dtype=bool)  # by position: members, base ids
+    skip[inst.locate(ws.order)] = skip[inst.n] = True
     size = FIRST_CHUNK
     accepted = []
     seen = 0.0
@@ -259,7 +259,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
         if len(pending) < size and failed is None:
             try:
                 for eid in islice(items, size - len(pending)):
-                    if eid not in at:
+                    if eid not in inst._at:
                         raise _unknown(eid)
                     pending.append(eid)
             except KeyError as exc:  # an unknown id: the items before it run
@@ -268,20 +268,22 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
             if failed is not None:
                 raise failed
             return ws, accepted, seen
-        chunk = [eid for eid in pending[:size]
-                 if eid not in ws.ids and 0 < unit(at[eid]) <= ws.room]
+        head = pending[:size]
         del pending[:size]
-        if not chunk:
+        at = inst.locate(head)
+        keep = ~skip[at] & inst.fit_mask(at, ws.room)
+        if not keep.any():
             size = min(2 * size, AUGMENT_CHUNK)
             continue
-        used, gain, top = first_accept(oracle, ws, inst.locate(chunk), tau,
-                                       ledger, singles)
+        chunk, at = list(compress(head, keep.tolist())), at[keep]
+        used, gain, top = first_accept(oracle, ws, at, tau, ledger, singles)
         if top > seen:
             seen = top
         if gain is None:
             size = min(2 * size, AUGMENT_CHUNK)
         else:
             eid = chunk[used - 1]
+            skip[at[used - 1]] = True
             ws = oracle.add(ws, eid, ws.value + gain)
             accepted.append((eid, gain))
             pending[:0] = chunk[used:]

@@ -243,3 +243,13 @@ def test_fit_mask_is_the_exact_fit_rule(costs, capacity, bits, dtype, first_id, 
     # positions: each element's index, n for the base id, n + 1 for the rest
     assert instance.locate(ids + strangers).tolist() == \
         [n, *range(n), *range(n), *[n + 1] * len(strangers)]
+
+
+def test_the_sieves_run_where_only_the_capacity_passes_int64():
+    # augment_pass holds the prefixes' rooms in the unit array's dtype,
+    # int64 here, so each is clamped to the largest element unit
+    costs, capacity, *_ = EXACT["capacity-past-int64"]
+    inst = Instance([Element(i, c) for i, c in enumerate(costs)], capacity)
+    oracle = SubmodularOracle(inst, ModularObjective(dict.fromkeys(range(5), 1.0)))
+    for solver in ("sieve_plus_max", "distributed"):
+        assert run_streaming(inst, oracle, solver, 0) == frozenset(range(5))
