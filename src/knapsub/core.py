@@ -119,7 +119,9 @@ class Instance:
     on floats both give the same integers.
 
     The array view, built once, is the instance's record; it indexes the
-    elements 0..n-1 in stream order: ``ids``, ``costs``, ``unit_array``,
+    elements 0..n-1 in stream order: ``ids``, ``costs`` (the first n
+    slots of one float64 buffer whose slot n, every base id, holds 0.0),
+    ``unit_array``,
     which holds 0 at position n (every base id) and U + 1 at n + 1 (an id
     not held), U the largest element unit, and ``by_id``, the positions by
     increasing id.  ``ids`` and ``unit_array`` are int64 where every value
@@ -185,6 +187,9 @@ class Instance:
                                      "cost (zero-cost items belong in base_set)")
                 if cost > self.capacity:
                     raise ValueError(f"element {eid} does not fit the capacity")
+        # the one float buffer, by position: n, a base id, costs 0.0
+        self._cost_at = np.append(self.costs, 0.0)
+        self.costs = self._cost_at[:n]
         units = _scaled_units(self.capacity, self.costs) if exact else None
         if units is None:
             # every finite number here is m / d: scaled by the lcm of the
@@ -226,8 +231,7 @@ class Instance:
 
     def cost_of(self, eid: int) -> float:
         """The float cost of ``eid``: 0.0 for a base id."""
-        p = self._at[eid]
-        return self.costs.item(p) if p < len(self.costs) else 0.0
+        return self._cost_at.item(self._at[eid])
 
     def cost(self, ids) -> float:
         """Total cost, correctly rounded (``math.fsum``): a set that fits
@@ -253,12 +257,15 @@ class Instance:
         """Whether ``unit_array`` at each of ``positions`` is at most
         ``room``, as a bool array: the one vectorized fit rule.  Position
         n, a base id, fits any room >= 0; n + 1, an id not held, fits none.
+        The room is compared as :meth:`clamp_room` clamps it."""
+        return self.unit_array[positions] <= self.clamp_room(room)
 
-        The room is clamped to U, the largest element unit, which
+    def clamp_room(self, room: int) -> int:
+        """``room`` clamped to U, the largest element unit, which
         ``unit_array`` holds one past at n + 1.  That is exact, as a room of
-        U fits every element, and keeps the comparison in int64 wherever
-        the element units fit it, whatever the capacity's units."""
-        return self.unit_array[positions] <= min(room, self.unit_array.item(-1) - 1)
+        U fits every element, and keeps a comparison with the units in
+        int64 wherever the element units fit it, whatever the capacity's."""
+        return min(room, self.unit_array.item(-1) - 1)
 
     def __repr__(self):
         return (f"Instance(n={self.n}, capacity={self.capacity:g}, "

@@ -213,6 +213,14 @@ def first_accept(oracle: SubmodularOracle, ws: WorkingSet, positions,
     return len(gains), gains[-1] if hit else None, seen
 
 
+def _skip_mask(inst, order) -> np.ndarray:
+    """A bool mask by position, of ``inst.n + 2`` slots, set at each
+    member in ``order`` and at n, every base id: what a pass skips."""
+    skip = np.zeros(inst.n + 2, dtype=bool)
+    skip[inst.locate(order)] = skip[inst.n] = True
+    return skip
+
+
 def threshold_pass(oracle: SubmodularOracle, items, tau: float,
                    ws: WorkingSet, ledger: QueryLedger, singles: dict | None = None):
     """One thresholding sweep of ``items`` against the working set ``ws``,
@@ -233,9 +241,8 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     located as array-view positions, against the fixed S with
     :func:`first_accept`, up to and including the first accept, then
     resumes just after it, against the grown set.  Its member and fit
-    filter works on the chunk's positions: a mask by position of the
-    members and base ids, as in :func:`augment_pass`, and
-    ``Instance.fit_mask``.  The chunk starts at ``FIRST_CHUNK`` items,
+    filter works on the chunk's positions: :func:`_skip_mask`, shared with
+    :func:`augment_pass`, and ``Instance.fit_mask``.  The chunk starts at ``FIRST_CHUNK`` items,
     doubles after a chunk without an accept up to ``AUGMENT_CHUNK``, and
     starts over after an accept.  A
     protocol objective computes each chunk ahead; what the pass never read
@@ -247,8 +254,7 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     most one chunk is held.
     """
     inst = oracle.instance
-    skip = np.zeros(inst.n + 2, dtype=bool)  # by position: members, base ids
-    skip[inst.locate(ws.order)] = skip[inst.n] = True
+    skip = _skip_mask(inst, ws.order)
     size = FIRST_CHUNK
     accepted = []
     seen = 0.0
@@ -313,12 +319,10 @@ def augment_pass(oracle: SubmodularOracle, items, prefixes,
     """
     inst = oracle.instance
     # minus each prefix's room, which falls as the prefixes grow, clamped
-    # to U, the largest element unit, as Instance.fit_mask clamps it
-    top = inst.unit_array.item(-1) - 1
-    rooms = -np.array([min(p.room, top) for p in prefixes],
+    # as Instance.fit_mask clamps it
+    rooms = -np.array([inst.clamp_room(p.room) for p in prefixes],
                       dtype=inst.unit_array.dtype)
-    skip = np.zeros(inst.n + 2, dtype=bool)  # by position: members, base ids
-    skip[inst.locate(prefixes[-1].order)] = skip[inst.n] = True
+    skip = _skip_mask(inst, prefixes[-1].order)
     best = None
     items = iter(items)
     while chunk := list(islice(items, AUGMENT_CHUNK)):

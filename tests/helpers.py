@@ -328,7 +328,9 @@ class ReferenceInstance:
         self.unit_array = _int_array([*units[1:], 0, max(units[1:], default=0) + 1])
         self.ids = _int_array(list(self._at))  # the map holds no base id yet
         self._at.update(dict.fromkeys(self.base_set, n))
-        self.costs = np.array(costs, dtype=float)
+        # one float buffer by position, 0.0 at n (a base id)
+        self._cost_at = np.array([*costs, 0.0], dtype=float)
+        self.costs = self._cost_at[:n]
         # no elements, no items
         self.k_tilde = n and min(n, self.unit_capacity // min(units[1:]))
         self.by_id = np.argsort(self.ids, kind="stable")

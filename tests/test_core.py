@@ -67,15 +67,18 @@ def _instance_fields(inst):
     number's type and each array's dtype and bytes, so equal means bit for
     bit.  Only the capacity, the base set and the elements, compared by
     the callers, are left out, and no attribute goes unnamed: the costs
-    are held once as floats and once as units, and a third copy fails."""
+    are held once as floats, ``costs`` a view of the one buffer
+    ``_cost_at``, and once as units, and a third copy fails."""
     def array(a):
         return a.dtype, a.shape, a.tolist() if a.dtype == object else a.tobytes()
 
+    assert inst.costs.base is inst._cost_at
     fields = {"unit_capacity": (type(inst.unit_capacity), inst.unit_capacity),
               "unit_array": array(inst.unit_array),
               "k_tilde": (type(inst.k_tilde), inst.k_tilde),
               "_at": list(inst._at.items()), "ids": array(inst.ids),
-              "by_id": array(inst.by_id), "costs": array(inst.costs)}
+              "by_id": array(inst.by_id), "costs": array(inst.costs),
+              "_cost_at": array(inst._cost_at)}
     assert vars(inst).keys() == fields.keys() | {"capacity", "base_set",
                                                  "_elements"}
     return fields

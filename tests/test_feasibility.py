@@ -48,7 +48,11 @@ def naive_sum(costs, order):
 
 
 def exact_cost(instance, ids):
-    return sum(Fraction(instance.cost_of(i)) for i in ids)
+    """The exact cost of ``ids`` at the costs the elements were given, not
+    the floats the instance holds, 0 for a base id."""
+    given = dict.fromkeys(instance.base_set, Fraction(0))
+    given.update((e.id, Fraction(e.cost)) for e in instance.elements)
+    return sum(given[i] for i in ids)
 
 
 def drift_instance():
@@ -197,6 +201,16 @@ def test_boundary_sweep_stays_feasible(solver):
     for inst, oracle in exact_cost_instances():
         ids = SOLVERS[solver](inst, oracle, 0)
         assert exact_cost(inst, ids) <= Fraction(inst.capacity), inst.elements
+
+
+def test_exact_cost_reads_the_costs_as_given():
+    # 1/3 + 1e-30 and 2/3 round to the floats of 1/3 and 2/3, which sum
+    # to 1 - 2**-54: read as floats, {1, 2} fits a capacity of 1
+    inst, _ = next(exact_cost_instances())
+    floats = sum(Fraction(inst.cost_of(i)) for i in (1, 2))
+    assert floats == 1 - Fraction(1, 2**54)
+    assert exact_cost(inst, (1, 2)) == 1 + Fraction(1, 10**30) > Fraction(inst.capacity)
+    assert not inst.fits((1, 2))
 
 
 # units far beyond int64: the capacity is 1e300 on a 2**-52 grid; each
