@@ -242,10 +242,10 @@ def threshold_pass(oracle: SubmodularOracle, items, tau: float,
     :func:`first_accept`, up to and including the first accept, then
     resumes just after it, against the grown set.  Its member and fit
     filter works on the chunk's positions: :func:`_skip_mask`, shared with
-    :func:`augment_pass`, and ``Instance.fit_mask``.  The chunk starts at ``FIRST_CHUNK`` items,
-    doubles after a chunk without an accept up to ``AUGMENT_CHUNK``, and
-    starts over after an accept.  A
-    protocol objective computes each chunk ahead; what the pass never read
+    :func:`augment_pass`, and ``Instance.fit_mask``.  The chunk starts at
+    ``FIRST_CHUNK`` items, doubles after a chunk without an accept up to
+    ``AUGMENT_CHUNK``, and starts over after an accept.  A protocol
+    objective computes each chunk ahead; what the pass never read
     is tallied in ``QueryLedger.speculative_evaluations``, not counted as
     queries.  Any other objective is asked one query per item read, so
     nothing is computed ahead.  Either way the pass asks, counts, stops at
