@@ -216,7 +216,8 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
     m = config.machines
     p = 1.0 if n == 0 else min(1.0, config.sample_factor * math.sqrt(instance.k_tilde / n))
     levels = threshold_levels(lam, alpha, epsilon, instance.capacity)
-    ws_t = oracle.working_set((), oracle.evaluate((), ledger))  # central collection
+    empty = oracle.working_set((), oracle.evaluate((), ledger))
+    ws_t = empty  # central collection
     log = RoundLog()
 
     for rno, t in enumerate(levels):
@@ -271,7 +272,7 @@ def distributed_sieve_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     # augmentation round against greedily reordered prefixes
     rng = random.Random(config.seed * 1_000_003 + len(levels))
-    prefixes = greedy_order(instance, oracle, ws_t.ids, ledger)
+    prefixes = greedy_order(instance, oracle, ws_t.ids, ledger, empty)
     slices = _partition(n, m, rng)
 
     def aug_machine(t_list, local_items):

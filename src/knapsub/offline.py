@@ -1,14 +1,18 @@
 """Offline algorithms: density greedy and its augmented variants.
 
-All three single-pass variants share one sweep: each iteration evaluates
-f(G + e) for every still-fitting element, and both the best-gain item (the
-augmentation candidate) and the best-density item (the greedy step) are read
-off the same evaluations.  Plain greedy, greedy-or-max and greedy-plus-max
-therefore issue exactly the same oracle queries; the stronger outputs are
-free.  Every iteration is one batch query against a G_i that stays fixed
-for the whole iteration, so batching never speculates and never changes a
-query count.  A run keeps its prefixes G_0..G_m as working sets, each at
-its value; the answers and :func:`greedy_order`'s callers read them directly.
+All single-pass variants share one lazy sweep.  Each working item keeps
+its gain and its density from its last refresh; submodularity makes both
+upper bounds at every later prefix, so a step asks again only the items
+whose bounds could still reach the best fresh value (Minoux's
+accelerated greedy, with one bound for the density pick and one for the
+gain pick).  Both the best-gain item (the augmentation candidate) and the
+best-density item (the greedy step) are read off those fresh values, so
+the picks, prefixes and candidates are those of a sweep that asks every
+fitting item at every step.  Plain greedy, greedy-or-max and
+greedy-plus-max therefore issue exactly the same oracle queries; the
+stronger outputs are free.  A run keeps its prefixes G_0..G_m as working
+sets, each at its value; the answers and :func:`greedy_order`'s callers
+read them directly.
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ from .core import (
     WorkingSet,
 )
 
+# a stale bound within this share of the best fresh value is asked again:
+# a coverage gain computed at an earlier prefix can sit a few ulps below
+# the same item's gain at a later one
+SLACK = 1e-9
+# a step first computes the items whose gain bound reaches this share of the
+# previous step's best gain: a guess at the floor, checked once it is known
+GAIN_GUESS = 0.7
+
 
 @dataclass
 class OfflineResult:
@@ -46,23 +58,146 @@ class _GreedyRun:
     trace: GreedyTrace
 
 
-def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedger,
-                seed_ids=(), restrict_to=None) -> _GreedyRun:
-    """Density greedy from ``seed_ids``, harvesting augmentations and the trace.
+def _floor(best: float) -> float:
+    """The lowest bound asked again beside the fresh ``best``; +inf for
+    +inf."""
+    return best * (1.0 - SLACK) if best > 0.0 else best * (1.0 + SLACK)
 
-    Each step asks the working elements in one batch,
-    :meth:`SubmodularOracle.values_with`; they are positions in the array
-    view, in ``Instance.by_id`` order, so both argmaxes go to the smallest
-    id on ties.  Those that stop fitting the residual budget (the exact
-    rule, ``Instance.fit_mask``) are dropped; their last known density
-    still feeds the trace's ``ub_density`` field, which submodularity
-    keeps an upper bound.  ``restrict_to`` limits the pool to a subset of
-    element ids.  Every working id fits G, so each step takes the oracle's
-    batch shortcut, which raises ``NonFiniteValue`` on a NaN or infinity.
+
+def _fresh(instance: Instance, ws: WorkingSet, at, values):
+    """The values f(S + e), e at ``at``, with their gains and clamped
+    densities max(0, gain) / c_e."""
+    gains = values - ws.value
+    return values, gains, np.where(gains > 0.0, gains, 0.0) / instance.costs[at]
+
+
+def _ask_ahead(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, guess,
+               ledger: QueryLedger):
+    """The values at the working set ``ws`` that the lazy pass of
+    :func:`_ask_one_at_a_time`, from no fresh value, reads, computed ahead
+    on a protocol objective; ``None`` where one is not finite or the
+    objective takes the whole-set path, after tallying any computed as
+    speculative.
+
+    The pass asks exactly the items whose bound reaches ``_floor`` of the
+    final best, whatever its order.  So this computes, with
+    :meth:`SubmodularOracle.values_ahead`, the items whose bounds reach
+    ``guess``, a guess at those floors, and, while the floors of the bests
+    found lie below it, those the found floors reach.  Returns
+    ``(idx, values, gains, densities, asked)``: every index into ``at``
+    computed, ascending, the values, gains and densities :func:`_fresh`
+    gives them, and a mask of those the pass asks, ``None`` when it asks
+    them all.  Nothing is charged: the caller settles the batch with
+    :meth:`SubmodularOracle.charge_ahead`.
     """
+    inst = oracle.instance
+    idx, values, rounds = None, None, 0
+    while True:
+        rounds += 1
+        reach = bounds[0] >= guess[0]
+        reach |= bounds[1] >= guess[1]
+        if idx is not None:
+            reach[idx] = False
+        more = reach.nonzero()[0]
+        ahead = oracle.values_ahead(ws, at[more], ledger)
+        if idx is not None:
+            more, ahead = np.concatenate([idx, more]), np.concatenate([values, ahead])
+        if not (isinstance(ahead, np.ndarray) and np.isfinite(ahead).all()):
+            if isinstance(ahead, np.ndarray):  # all speculative
+                oracle.charge_ahead(ws, at[more], ahead, 0, ledger)
+            return None
+        idx, values = more, ahead
+        values, gains, dens = _fresh(inst, ws, at[idx], values)
+        floors = [_floor(dens.max(initial=-np.inf)),
+                  _floor(gains.max(initial=-np.inf))]
+        if guess[0] <= floors[0] and guess[1] <= floors[1]:
+            break
+        guess = floors
+    if rounds > 1:  # in order again
+        order = idx.argsort()
+        idx, values, gains, dens = idx[order], values[order], gains[order], dens[order]
+    if rounds == 1 and guess[0] == -np.inf:  # every bound is +inf
+        return idx, values, gains, dens, None
+    asked = bounds[0][idx] >= floors[0]
+    asked |= bounds[1][idx] >= floors[1]
+    return idx, values, gains, dens, asked
 
-    ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
-    cost_g = instance.cost(seed_ids)
+
+def _ask_one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
+                       best, ledger: QueryLedger):
+    """Ask f(S + e) of the items at positions ``at``, all outside S and
+    fitting it, as a one-at-a-time lazy pass does, each a counted query.
+    Returns the indices into ``at`` asked, ascending, with the values,
+    gains and densities :func:`_fresh` gives them.
+
+    ``bounds`` holds the items' density bounds, and optionally their gain
+    bounds, NaN for an item out of the pass; ``best`` the best fresh
+    density (and gain) so far.  The pass asks the item with the highest
+    bound of either kind, the first on ties and a density bound before a
+    gain bound, while that bound is at least ``_floor`` of the matching
+    best, which each answer may raise.  In any such order it asks exactly
+    the items whose bound reaches the floor of the final best.
+    """
+    inst = oracle.instance
+    costs = inst.costs[at].tolist()
+    ids = inst.ids[at].tolist()
+    orders = [np.argsort(-bound, kind="stable").tolist() for bound in bounds]
+    bounds = [bound.tolist() for bound in bounds]
+    heads = [0] * len(bounds)
+    done = [False] * len(ids)
+    idx, got = [], []
+    while True:
+        for k, order in enumerate(orders):
+            while heads[k] < len(order) and done[order[heads[k]]]:
+                heads[k] += 1
+            if heads[k] < len(order) and bounds[k][order[heads[k]]] >= _floor(best[k]):
+                j = order[heads[k]]
+                break
+        else:
+            order = np.argsort(idx)
+            idx = np.array(idx, dtype=np.intp)[order]
+            return (idx, *_fresh(inst, ws, at[idx], np.array(got, dtype=float)[order]))
+        value = oracle.value_with(ws, ids[j], ledger)
+        gain = value - ws.value
+        fresh = ((gain if gain > 0.0 else 0.0) / costs[j], gain)
+        best = [max(b, f) for b, f in zip(best, fresh)]
+        done[j] = True
+        idx.append(j)
+        got.append(value)
+
+
+def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedger,
+                start: WorkingSet, restrict_to=None) -> _GreedyRun:
+    """Lazy density greedy from the working set ``start``, harvesting
+    augmentations and the trace.
+
+    The working elements are positions in the array view, in
+    ``Instance.by_id`` order.  Each keeps its density and gain from its
+    last refresh, both +inf before the first and NaN once it is picked or
+    dropped, so the first step asks them all.  A step asks the items the
+    lazy pass of :func:`_ask_one_at_a_time` asks: exactly those whose
+    density bound reaches ``_floor`` of the best fresh density, or whose
+    gain bound reaches that of the best fresh gain.  The density pick and
+    the gain pick (Greedy+Max's s_i) are read off their fresh values, the
+    smallest id winning ties: an item not asked has bounds below both.
+    Items that stop fitting the residual budget (the exact rule, on
+    ``Instance.unit_array``) are dropped; the trace's ``ub_density`` keeps
+    their highest density at the prefix G_i they last fit, which
+    submodularity keeps an upper bound, and :func:`_ask_dropped` asks
+    there those not yet asked whose bound could still raise it.
+    ``restrict_to`` limits the pool to a subset of element ids.
+
+    A protocol objective computes a step's values ahead with
+    :func:`_ask_ahead`, its floors guessed at the previous step's best
+    density and ``GAIN_GUESS`` times its best gain, and the step is
+    charged, with :meth:`SubmodularOracle.charge_ahead`, the items the
+    lazy pass asks, the rest tallied as speculative.  Where a value is not
+    finite, or for any other objective, the step asks one counted query
+    at a time, so it stops at a budget or a non-finite value where single
+    queries would.
+    """
+    ws = start
+    cost_g = instance.cost(ws.order)
     pool = np.zeros(instance.n + 2, dtype=bool)  # by position
     if restrict_to is None:
         pool[:instance.n] = True
@@ -71,34 +206,71 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     pool[instance.locate(ws.order)] = False
     working = instance.by_id[pool[instance.by_id]]
     working = working[instance.fit_mask(working, ws.room)]
+    density_ub = np.full(working.size, np.inf)
+    gain_ub = np.full(working.size, np.inf)
+    # the items by units, largest first: those a falling room no longer
+    # fits are a growing prefix, found by one search of the negated units
+    by_units = np.argsort(-instance.unit_array[working])
+    minus_units = -instance.unit_array[working[by_units]]
+    cut = 0  # by_units[:cut] fit the room no more
+    left = working.size
+    asked_at = np.zeros(working.size, dtype=bool)  # a step's asked items
 
     prefixes = [ws]
     candidates: list[tuple[int, int | None, float]] = []
     steps: list[TraceStep] = []
     removed_max = 0.0
+    guess = [-np.inf, -np.inf]  # every bound is +inf: ask them all
 
-    while working.size:
-        value_g = ws.value
-        vals = oracle.values_with(ws, working, ledger)
-        gains = vals - value_g
-        dens = np.where(gains > 0.0, gains, 0.0) / instance.costs[working]
+    while left:
+        ahead = _ask_ahead(oracle, ws, working, [density_ub, gain_ub],
+                           [_floor(b) for b in guess], ledger)
+        if ahead is None:
+            fresh, vals, gains, dens = _ask_one_at_a_time(
+                oracle, ws, working, [density_ub, gain_ub], [-np.inf, -np.inf],
+                ledger)
+        else:
+            fresh, vals, gains, dens, asked = ahead
+            used = fresh.size if asked is None else int(np.count_nonzero(asked))
+            # every value is finite, so only how many are charged matters
+            oracle.charge_ahead(ws, working[fresh], vals, used, ledger)
+            if used < fresh.size:
+                fresh, vals, gains, dens = (
+                    fresh[asked], vals[asked], gains[asked], dens[asked])
+        density_ub[fresh], gain_ub[fresh] = dens, gains
         g, d = int(vals.argmax()), int(dens.argmax())
-        best_gain, best_density = instance.ids[working[[g, d]]].tolist()
+        best_gain, best_density = instance.ids[working[fresh[[g, d]]]].tolist()
         candidates.append((len(prefixes) - 1, best_gain, float(vals[g])))
         top = float(dens[d])
-        steps.append(TraceStep(cost_g, value_g, top, max(top, removed_max)))
+        steps.append(TraceStep(cost_g, ws.value, top, max(top, removed_max)))
+        guess = [top, GAIN_GUESS * float(gains[g])]
 
+        prev = ws
         ws = oracle.add(ws, best_density, float(vals[d]))
         cost_g += instance.cost_of(best_density)
         prefixes.append(ws)
+        density_ub[fresh[d]] = gain_ub[fresh[d]] = np.nan
+        left -= 1
 
-        kept = instance.fit_mask(working, ws.room)
-        kept[d] = False
-        dropped = ~kept
-        dropped[d] = False
-        if dropped.any():
-            removed_max = max(removed_max, float(dens[dropped].max()))
-        working = working[kept]
+        end = int(minus_units.searchsorted(-instance.clamp_room(ws.room)))
+        if end > cut:
+            out = by_units[cut:end]
+            cut = end
+            out = out[~np.isnan(density_ub[out])]  # not out already
+            left -= out.size
+            # the dropped items' densities at G_i: those asked there, then
+            # those whose bound could still raise the highest
+            asked_at[fresh] = True
+            known = asked_at[out]
+            asked_at[fresh] = False
+            removed_max = max(removed_max,
+                              float(density_ub[out[known]].max(initial=0.0)))
+            stale = out[~known]
+            stale = stale[density_ub[stale] >= _floor(removed_max)]
+            if stale.size:
+                removed_max = _ask_dropped(oracle, prev, working[stale],
+                                           density_ub[stale], removed_max, ledger)
+            density_ub[out] = gain_ub[out] = np.nan
 
     steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
     # terminal prefix competes with an empty augmentation
@@ -106,11 +278,43 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     return _GreedyRun(prefixes, candidates, GreedyTrace(steps))
 
 
+def _ask_dropped(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
+                 removed_max: float, ledger: QueryLedger) -> float:
+    """The highest of ``removed_max`` and the densities at ``ws`` of the
+    dropped items at positions ``at``, none asked there, whose density
+    ``bounds`` could still raise it: the lazy pass asks them in descending
+    bound while the bound reaches ``_floor`` of the highest so far, which
+    each answer may raise.  A protocol objective computes them all at once
+    and is charged those that pass asks, as :func:`_ask_ahead`'s caller
+    is; otherwise, or where a value is not finite, the pass runs one
+    counted query at a time."""
+    values = oracle.values_ahead(ws, at, ledger)
+    if isinstance(values, np.ndarray) and np.isfinite(values).all():
+        dens = _fresh(oracle.instance, ws, at, values)[2]
+        removed_max = max(removed_max, float(dens.max()))
+        asked = int(np.count_nonzero(bounds >= _floor(removed_max)))
+        oracle.charge_ahead(ws, at, values, asked, ledger)
+        return removed_max
+    if isinstance(values, np.ndarray):  # all speculative
+        oracle.charge_ahead(ws, at, values, 0, ledger)
+    *_, dens = _ask_one_at_a_time(oracle, ws, at, [bounds], [removed_max], ledger)
+    return max(removed_max, float(dens.max(initial=0.0)))
+
+
+def _asked(oracle: SubmodularOracle, ids, ledger: QueryLedger) -> WorkingSet:
+    """The working set of ``ids`` at f(ids), one query."""
+    return oracle.working_set(ids, oracle.evaluate(ids, ledger))
+
+
 def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
-                 ledger: QueryLedger) -> list[WorkingSet]:
+                 ledger: QueryLedger, empty: WorkingSet | None = None
+                 ) -> list[WorkingSet]:
     """Greedy prefixes over ``members`` only: the working sets G_0 (empty)
-    to G_m, each recorded at its value; ``[-1].order`` is the pick order."""
-    return _run_greedy(instance, oracle, ledger, restrict_to=members).prefixes
+    to G_m, each recorded at its value; ``[-1].order`` is the pick order.
+    ``empty`` is G_0 at f(∅) where the caller holds it; otherwise f(∅) is
+    asked."""
+    start = _asked(oracle, (), ledger) if empty is None else empty
+    return _run_greedy(instance, oracle, ledger, start, restrict_to=members).prefixes
 
 
 def greedy(instance: Instance, oracle: SubmodularOracle,
@@ -118,7 +322,7 @@ def greedy(instance: Instance, oracle: SubmodularOracle,
     """Marginal-density greedy under the knapsack budget."""
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy", instance, ledger)
-    run = _run_greedy(instance, oracle, ledger)
+    run = _run_greedy(instance, oracle, ledger, _asked(oracle, (), ledger))
     return OfflineResult(meter.report(run.prefixes[-1].ids,
                                       run.prefixes[-1].value, run.trace))
 
@@ -128,11 +332,11 @@ def greedy_or_max(instance: Instance, oracle: SubmodularOracle,
     """The better of plain greedy and the best feasible singleton."""
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy_or_max", instance, ledger)
-    run = _run_greedy(instance, oracle, ledger)
+    run = _run_greedy(instance, oracle, ledger, _asked(oracle, (), ledger))
     ids, value = run.prefixes[-1].ids, run.prefixes[-1].value
     augmentations = []
     if run.candidates and run.candidates[0][1] is not None:
-        # the first sweep already evaluated every singleton
+        # the first step asked every singleton
         s0, v0 = run.candidates[0][1], run.candidates[0][2]
         augmentations.append((0, s0, v0))
         if v0 > value:
@@ -146,12 +350,13 @@ def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
 
     The output is the best of f(G_i + s_i) over all prefixes i, with s_i the
     top-gain item available at prefix i, plus the bare final greedy set.  The
-    sweep that drives greedy already computed every f(G_i + e), so this
-    dominates greedy and greedy-or-max at identical query cost.
+    sweep that drives greedy already found every s_i among the items it
+    asked, so this dominates greedy and greedy-or-max at identical query
+    cost.
     """
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy_plus_max", instance, ledger)
-    run = _run_greedy(instance, oracle, ledger)
+    run = _run_greedy(instance, oracle, ledger, _asked(oracle, (), ledger))
     # the first best candidate, as the oracle answers only finite values
     best_i, best_s, best_v = max(run.candidates, key=lambda c: c[2])
     ids = run.prefixes[best_i].ids
@@ -179,6 +384,7 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
         seeds.extend(c for c in combinations(ids, size) if instance.fits(c))
 
     # the first best seed, as the oracle answers only finite values
-    runs = (_run_greedy(instance, oracle, ledger, seed_ids=seed) for seed in seeds)
+    runs = (_run_greedy(instance, oracle, ledger, _asked(oracle, seed, ledger))
+            for seed in seeds)
     best = max(runs, key=lambda run: run.prefixes[-1].value).prefixes[-1]
     return OfflineResult(meter.report(best.ids, best.value))

@@ -370,8 +370,9 @@ def _best_singleton(oracle, items, free, empty, ledger):
 
 
 def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
-    """Run the thresholding stage.  Returns the collected working set, its
-    trace and the best singleton as ``(value, id)`` (``None`` untracked).
+    """Run the thresholding stage.  Returns the empty working set at f(∅),
+    the collected working set, its trace and the best singleton as
+    ``(value, id)`` (``None`` untracked).
 
     ``density_cap``, when given, must upper-bound every element's current
     marginal density (the estimator's exact singleton-density max serves);
@@ -413,7 +414,7 @@ def _collect(stream, oracle, levels, ledger, density_cap, track_singletons):
                                       ledger)
 
     steps.append(TraceStep(cost_t, ws.value, 0.0))
-    return ws, GreedyTrace(steps), best_single
+    return empty, ws, GreedyTrace(steps), best_single
 
 
 def _check_k(k: float, oracle: SubmodularOracle) -> None:
@@ -427,7 +428,7 @@ def _check_k(k: float, oracle: SubmodularOracle) -> None:
 def _threshold_stage(name, stream, k, oracle, lam, alpha, epsilon, ledger,
                      density_cap, track_singletons):
     """Shared start of the three sieves: checks, meter, and ``_collect``'s
-    working set, trace and best singleton."""
+    empty and collected working sets, trace and best singleton."""
     _check_k(k, oracle)
     ledger = ledger or QueryLedger()
     meter = RunMeter(name, oracle.instance, ledger, stream)
@@ -448,7 +449,7 @@ def sieve(stream: StreamSource, k: float, oracle: SubmodularOracle,
     and ``estimate_lambda``.  The three sieves raise ``InvalidLambda``
     before any query on a ``lam`` that :func:`threshold_levels` rejects.
     """
-    _, meter, (ws, trace, _) = _threshold_stage(
+    _, meter, (_, ws, trace, _) = _threshold_stage(
         "sieve", stream, k, oracle, lam, alpha, epsilon, ledger, density_cap,
         False)
     return meter.report(ws.ids, ws.value, trace)
@@ -464,7 +465,7 @@ def sieve_or_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
     pass is read into a list: unlike the other sieves, this one holds
     O(n) stream ids at once.
     """
-    _, meter, (ws, trace, single) = _threshold_stage(
+    _, meter, (_, ws, trace, single) = _threshold_stage(
         "sieve_or_max", stream, k, oracle, lam, alpha, epsilon, ledger,
         density_cap, True)
     ids, value = ws.ids, ws.value
@@ -480,15 +481,16 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
     """Thresholding plus one augmentation pass over collected-set prefixes.
 
     The collection is reordered greedily in memory (it fits the budget, so
-    this costs no stream pass), then every outside element is tried on the
-    deepest reordered prefix it still fits (one ``searchsorted`` over the
+    this costs no stream pass, and G_0 is the empty set at the f(∅) the
+    stage asked), then every outside element is tried on the deepest
+    reordered prefix it still fits (one ``searchsorted`` over the
     prefixes' rooms); the answer is the best prefix-plus-one-item
     combination, bare prefixes included.
     """
-    ledger, meter, (ws, trace, _) = _threshold_stage(
+    ledger, meter, (empty, ws, trace, _) = _threshold_stage(
         "sieve_plus_max", stream, k, oracle, lam, alpha, epsilon, ledger,
         density_cap, False)
-    prefixes = greedy_order(oracle.instance, oracle, ws.ids, ledger)
+    prefixes = greedy_order(oracle.instance, oracle, ws.ids, ledger, empty)
     extensions = augment_pass(oracle, stream.scan(), prefixes, ledger)
     ids, value = best_augmented(prefixes, extensions)
     return meter.report(ids, value, trace)

@@ -1,5 +1,6 @@
 """Hand-built instances shared across test modules."""
 
+import heapq
 import math
 import numbers
 import random
@@ -19,7 +20,7 @@ from knapsub import (
     movie_costs,
     normalize,
 )
-from knapsub.core import WorkingSet, _int_array
+from knapsub.core import TraceStep, WorkingSet, _int_array
 from knapsub.objectives import _COVERAGE_ALPHA
 from knapsub.streaming import (
     OptEstimate,
@@ -393,3 +394,135 @@ def reference_normalize(raw_elements, capacity, base_ids=()):
         warnings.warn("normalization produced an empty instance",
                       EmptyInstanceWarning, stacklevel=2)
     return inst
+
+
+def _run_start(oracle, start, restrict_to):
+    """The working items of a greedy run from ``start``: every element, or
+    those of ``restrict_to``, outside the start set and fitting its room,
+    by increasing id."""
+    inst = oracle.instance
+    pool = inst.element_ids() if restrict_to is None else restrict_to
+    return sorted(e for e in set(pool) & set(inst.element_ids())
+                  if e not in start.ids
+                  and inst.unit_array.item(inst._at[e]) <= start.room)
+
+
+def full_sweep_greedy(oracle, ledger, start, restrict_to=None):
+    """The pick reference for ``knapsub.offline._run_greedy``: every step
+    asks every still-fitting item in one batch.  Returns the prefixes
+    G_0..G_m, the Greedy+Max candidates ``(i, best-gain id, f(G_i + s_i))``
+    and the trace steps, with the same ties, to the smallest id, and the
+    same ``ub_density`` rule: the highest density a dropped item had at the
+    last prefix it fit."""
+    inst = oracle.instance
+    ws = start
+    cost_g = inst.cost(ws.order)
+    working = inst.locate(_run_start(oracle, start, restrict_to))
+    prefixes, candidates, steps = [ws], [], []
+    removed_max = 0.0
+    while working.size:
+        vals = oracle.values_with(ws, working, ledger)
+        gains = vals - ws.value
+        dens = np.where(gains > 0.0, gains, 0.0) / inst.costs[working]
+        g, d = int(vals.argmax()), int(dens.argmax())
+        best_gain, best_density = inst.ids[working[[g, d]]].tolist()
+        candidates.append((len(prefixes) - 1, best_gain, float(vals[g])))
+        top = float(dens[d])
+        steps.append(TraceStep(cost_g, ws.value, top, max(top, removed_max)))
+        ws = oracle.add(ws, best_density, float(vals[d]))
+        cost_g += inst.cost_of(best_density)
+        prefixes.append(ws)
+        kept = inst.fit_mask(working, ws.room)
+        kept[d] = False
+        dropped = ~kept
+        dropped[d] = False
+        if dropped.any():
+            removed_max = max(removed_max, float(dens[dropped].max()))
+        working = working[kept]
+    steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
+    candidates.append((len(prefixes) - 1, None, ws.value))
+    return prefixes, candidates, steps
+
+
+def _slack_floor(best):
+    return best * (1.0 - 1e-9) if best > 0.0 else best * (1.0 + 1e-9)
+
+
+def heap_lazy_greedy(oracle, ledger, start, restrict_to=None):
+    """The query-count reference for ``knapsub.offline._run_greedy``: a
+    lazy greedy one :meth:`SubmodularOracle.value_with` query at a time.
+
+    Every working item keeps its gain and its clamped density from its last
+    refresh, +inf before the first, in two heaps keyed (-bound, id); one
+    query refreshes both.  A step asks the top stale item of the density
+    heap while its bound is at least a relative 1e-9 below the best fresh
+    density, else the top of the gain heap while its bound is within that
+    of the best fresh gain, and stops when neither is.  The picks and the
+    trace are read off the fresh items.  Of the items the pick drops, the
+    fresh ones raise ``removed_max`` first; the stale ones are then asked,
+    on the prefix they last fit, in descending density bound while that
+    bound is within the slack of ``removed_max``.  Returns what
+    :func:`full_sweep_greedy` returns."""
+    inst = oracle.instance
+    ws = start
+    cost_g = inst.cost(ws.order)
+    alive = set(_run_start(oracle, start, restrict_to))
+    density = dict.fromkeys(alive, math.inf)
+    gain = dict.fromkeys(alive, math.inf)
+    heaps = ([(-math.inf, e) for e in alive], [(-math.inf, e) for e in alive])
+    for heap in heaps:
+        heapq.heapify(heap)
+    prefixes, candidates, steps = [ws], [], []
+    removed_max = 0.0
+
+    def ask(ws, e):
+        value = oracle.value_with(ws, e, ledger)
+        g = value - ws.value
+        density[e], gain[e] = (g if g > 0.0 else 0.0) / inst.cost_of(e), g
+        return value
+
+    def top(heap, bounds, fresh):
+        while heap and (heap[0][1] not in alive or heap[0][1] in fresh
+                        or -heap[0][0] != bounds[heap[0][1]]):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    while alive:
+        fresh = {}  # id -> f(G + e), asked at this prefix
+        best = [-math.inf, -math.inf]
+        while True:
+            for k, (heap, bounds) in enumerate(zip(heaps, (density, gain))):
+                entry = top(heap, bounds, fresh)
+                if entry is not None and -entry[0] >= _slack_floor(best[k]):
+                    e = entry[1]
+                    break
+            else:
+                break
+            fresh[e] = ask(ws, e)
+            best = [max(best[0], density[e]), max(best[1], gain[e])]
+        d = min(fresh, key=lambda e: (-density[e], e))
+        g = min(fresh, key=lambda e: (-fresh[e], e))
+        candidates.append((len(prefixes) - 1, g, fresh[g]))
+        steps.append(TraceStep(cost_g, ws.value, density[d],
+                               max(density[d], removed_max)))
+        prev = ws
+        ws = oracle.add(ws, d, fresh[d])
+        cost_g += inst.cost_of(d)
+        prefixes.append(ws)
+        alive.discard(d)
+        dropped = [e for e in alive if inst.unit_array.item(inst._at[e]) > ws.room]
+        removed_max = max([removed_max] + [density[e] for e in dropped if e in fresh])
+        for e in sorted((e for e in dropped if e not in fresh),
+                        key=lambda e: (-density[e], e)):
+            if density[e] < _slack_floor(removed_max):
+                break
+            ask(prev, e)
+            removed_max = max(removed_max, density[e])
+        alive.difference_update(dropped)
+        for e in fresh:
+            if e in alive:
+                heapq.heappush(heaps[0], (-density[e], e))
+                heapq.heappush(heaps[1], (-gain[e], e))
+    steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
+    candidates.append((len(prefixes) - 1, None, ws.value))
+    return prefixes, candidates, steps

@@ -426,8 +426,8 @@ def test_csv_hash_ignores_wall_time(tmp_path):
 
 
 PINNED_HASHES = {
-    "gnp": "b704fec412380661d247182d53b69cef8aaffabc43dfe900030dfb11e37947a1",
-    "pa": "9d965fe9aae62f4fa761db5daddd3d14138183964f8587c6ff1a7d3fe0487bf6",
+    "gnp": "324b869b07f8125129e4591778898c9470071c7f8957521d0541d0fe76d8e32f",
+    "pa": "0baba208ab5c8fdb8daa13089c552f6d11c1d9a710b9f850c951c24e3a751ea2",
 }
 
 

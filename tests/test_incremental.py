@@ -471,7 +471,7 @@ def test_augmentation_reads_the_counts_the_greedy_built(monkeypatch):
     report = sieve_plus_max(StreamSource.from_instance(instance), 10.0, oracle,
                             est.lam, est.alpha, 0.1)
     assert len(greedy_asked) >= 3 and sum(augment) >= 2
-    assert passes == [None, "greedy"]  # the sieve's empty set and G_0, no more
+    assert passes == [None]  # the sieve's empty set, which is G_0, no more
     monkeypatch.undo()
     objective._all_hits, objective.values_with = all_hits, values_with
     assert report_key(report) == report_key(sieve_plus_max(
@@ -577,7 +577,7 @@ def test_relaxed_greedy_counts_alike_on_both_paths(corpus):
         assert counts[0] == counts[1]
 
 
-def test_greedy_asks_one_batch_per_step():
+def test_greedy_asks_a_few_batches_per_step():
     objective = CoverageObjective(ragged_adjacency(60, 2))
     instance = normalize([(v, 1.0 + v % 4) for v in range(60)], 12.0)
     calls = {"values_with": 0, "value_with": 0}
@@ -595,7 +595,10 @@ def test_greedy_asks_one_batch_per_step():
     report = greedy_plus_max(instance, SubmodularOracle(instance, objective)).report
     steps = len(report.trace.steps) - 1
     assert steps >= 3
-    assert calls == {"values_with": steps, "value_with": 0}
+    # a lazy step asks its guessed items, a second batch when the guess
+    # lay too high, and the dropped items to ask: never one id at a time
+    assert calls["value_with"] == 0
+    assert steps <= calls["values_with"] <= 3 * steps
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
@@ -734,7 +737,7 @@ def test_movie_batch_counts_whole_before_a_nonfinite_value(bad):
 
 
 def test_movie_solvers_ask_batches():
-    # greedy asks each step in one call and the augmentation pass each
+    # greedy asks each step in a few batches and the augmentation pass each
     # prefix's items; the estimator asks one set at a time, and answers its
     # empty grid sets from the singleton query
     instance, objective = movie_case(3, 40, 8.0)
@@ -758,8 +761,9 @@ def test_movie_solvers_ask_batches():
     assert instance.n <= calls["value_with"] < ledger.query_count
     calls.update(values_with=0, value_with=0)
     report = greedy_plus_max(instance, oracle).report
-    assert calls == {"values_with": len(report.trace.steps) - 1,
-                     "value_with": 0}
+    steps = len(report.trace.steps) - 1
+    assert calls["value_with"] == 0
+    assert steps <= calls["values_with"] <= 3 * steps
     calls.update(values_with=0)
     sieve_plus_max(StreamSource.from_instance(instance), 8.0, oracle, est.lam,
                    est.alpha, 0.1, density_cap=est.max_singleton_density)

@@ -29,7 +29,7 @@ from knapsub import (
 
 from helpers import movie_case
 
-PINNED = "448d8b2730521c175dc4fab53d0c8f19143dec8ba24837fe3f2d90207216d326"
+PINNED = "ad8253b8672ae9853919eef565a899846a557f0ba155c576879a13acb14a42e7"
 
 EPSILON = 0.1
 

@@ -37,7 +37,7 @@ from knapsub import (
 
 from conftest import make_instance, random_adjacency
 
-PINNED = "7d898b23bf85ebb2c931f1e1b4a542cff249513e9179bc27e320bb247190c2cf"
+PINNED = "c07c2ab2beff9657ea691ae5603190cc769bfc535dd89ac0efa63db726abac9b"
 
 EPSILON = 0.2
 

@@ -228,7 +228,9 @@ def test_every_level_under_the_density_cap_is_skipped():
     oracle = SubmodularOracle(
         inst, ModularObjective({i: (i + 1) / 10 for i in range(5)}).value)
     assert threshold_levels(10.0, 1.0, 0.5, 3.0) == [10 / 3, 10 / 3 / 1.5]
-    for solver, queries in ((sieve_or_max, 6), (sieve_plus_max, 7)):
+    # sieve_plus_max asks f(empty) once: its greedy reorder starts from
+    # the stage's empty set, so both spend 6 queries
+    for solver, queries in ((sieve_or_max, 6), (sieve_plus_max, 6)):
         report = solver(StreamSource.from_instance(inst), 3.0, oracle, 10.0,
                         1.0, 0.5, density_cap=0.1)
         assert report.solution.ids == frozenset({4})
@@ -290,7 +292,7 @@ def test_an_unknown_stream_id_raises_before_a_query_on_it():
     stream = StreamSource([0, 7, 1])
     with pytest.raises(KeyError, match="stream id 7 is not in the instance"):
         sieve_plus_max(stream, 2.0, oracle, 1.0, 0.5, 0.5, density_cap=0.0)
-    assert queried == [frozenset()] * 2  # f(empty) in _collect and greedy_order
+    assert queried == [frozenset()]  # f(empty) in _collect, G_0 of greedy_order
     assert stream.pass_count == 1
 
 
@@ -767,13 +769,15 @@ def test_a_nonfinite_movie_vector_stops_the_movie_pipeline(bad):
         sieve_plus_max(StreamSource.from_instance(clean), 3.0, oracle, 1.0,
                        0.5, 0.5, ledger, density_cap=0.0)
     assert info.traceback[-1].name == "values_with"
-    assert ledger.query_count == 2 + clean.n  # f(empty) twice, then the batch
-    # the greedy sweep's first step is one batch too
+    assert ledger.query_count == 1 + clean.n  # f(empty) once, then the batch
+    # the greedy sweep's first step computes every item ahead, meets x,
+    # and asks again one query at a time, by id, as the lazy pass does
     ledger = QueryLedger()
     with pytest.raises(NonFiniteValue) as info:
         greedy_plus_max(clean, oracle, ledger)
-    assert info.traceback[-1].name == "values_with"
-    assert ledger.query_count == 1 + clean.n
+    assert info.traceback[-1].name == "value_with"
+    assert ledger.query_count == 1 + sorted(clean.element_ids()).index(x) + 1
+    assert ledger.speculative_evaluations == clean.n
 
 
 def movie_pipeline(instance, oracle, ledger):
@@ -794,7 +798,7 @@ def test_budget_stops_the_movie_pipeline_at_its_count():
     full_ledger = QueryLedger()
     full_est, full = movie_pipeline(instance, oracle, full_ledger)
     total = full_ledger.query_count
-    assert total == 154 + 25 == full.queries + 154
+    assert total == 154 + 24 == full.queries + 154
     for budget in range(total + 2):
         ledger = QueryLedger(budget=budget)
         if budget < total:
@@ -909,6 +913,16 @@ def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, kind, solver,
     oracle = SubmodularOracle(instance, fn)
     runs = []
     spent = []
+    reorder_spent = [0]  # what the lazy greedy reorder computes ahead
+    real_order = knapsub.streaming.greedy_order
+
+    def reorder(instance, oracle, members, ledger, empty):
+        mark = ledger.speculative_evaluations
+        prefixes = real_order(instance, oracle, members, ledger, empty)
+        reorder_spent.append(ledger.speculative_evaluations - mark)
+        return prefixes
+
+    monkeypatch.setattr(knapsub.streaming, "greedy_order", reorder)
     for kernel in (threshold_pass, scalar_threshold_pass):
         log = []
         monkeypatch.setattr(knapsub.streaming, "threshold_pass",
@@ -921,7 +935,8 @@ def test_the_chunked_kernel_matches_the_scalar_loop(monkeypatch, kind, solver,
         spent.append(report.speculative_evaluations)
     assert runs[0] == runs[1]
     assert sum(len(accepted) for accepted, _, _ in runs[0][-1]) >= 5
-    assert spent[1] == 0  # the reference never computes ahead
+    # the reference never computes ahead; the greedy reorder may
+    assert spent[1] == reorder_spent[-1] * (solver == "sieve_plus_max")
     if path == "callable":
         assert spent[0] == 0  # nor does the kernel on a plain callable
 
@@ -988,7 +1003,7 @@ def test_budget_stops_both_kernels_at_every_count(monkeypatch):
 
     full = run(QueryLedger())
     total = full.queries
-    assert total == 240 and full.speculative_evaluations > 0
+    assert total == 239 and full.speculative_evaluations > 0
     for kernel in (threshold_pass, scalar_threshold_pass):
         monkeypatch.setattr(knapsub.streaming, "threshold_pass", kernel)
         for budget in range(total + 2):
