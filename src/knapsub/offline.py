@@ -17,6 +17,7 @@ read them directly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -64,6 +65,12 @@ def _floor(best: float) -> float:
     return best * (1.0 - SLACK) if best > 0.0 else best * (1.0 + SLACK)
 
 
+def _finite(values) -> bool:
+    """Whether every value is finite: a NaN or an infinity makes the sum
+    one (an overflowing sum only sends a batch down the slow path)."""
+    return math.isfinite(values.sum())
+
+
 def _fresh(instance: Instance, ws: WorkingSet, at, values):
     """The values f(S + e), e at ``at``, with their gains and clamped
     densities max(0, gain) / c_e."""
@@ -86,9 +93,8 @@ def _ask_ahead(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, guess,
     found lie below it, those the found floors reach.  Returns
     ``(idx, values, gains, densities, asked)``: every index into ``at``
     computed, ascending, the values, gains and densities :func:`_fresh`
-    gives them, and a mask of those the pass asks, ``None`` when it asks
-    them all.  Nothing is charged: the caller settles the batch with
-    :meth:`SubmodularOracle.charge_ahead`.
+    gives them, and a mask of those the pass asks.  Nothing is charged:
+    the caller settles the batch with :meth:`SubmodularOracle.charge_ahead`.
     """
     inst = oracle.instance
     idx, values, rounds = None, None, 0
@@ -102,22 +108,20 @@ def _ask_ahead(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, guess,
         ahead = oracle.values_ahead(ws, at[more], ledger)
         if idx is not None:
             more, ahead = np.concatenate([idx, more]), np.concatenate([values, ahead])
-        if not (isinstance(ahead, np.ndarray) and np.isfinite(ahead).all()):
+        if not (isinstance(ahead, np.ndarray) and _finite(ahead)):
             if isinstance(ahead, np.ndarray):  # all speculative
                 oracle.charge_ahead(ws, at[more], ahead, 0, ledger)
             return None
         idx, values = more, ahead
         values, gains, dens = _fresh(inst, ws, at[idx], values)
-        floors = [_floor(dens.max(initial=-np.inf)),
-                  _floor(gains.max(initial=-np.inf))]
+        floors = [_floor(dens.max()), _floor(gains.max())] if idx.size \
+            else [-np.inf, -np.inf]
         if guess[0] <= floors[0] and guess[1] <= floors[1]:
             break
         guess = floors
     if rounds > 1:  # in order again
         order = idx.argsort()
         idx, values, gains, dens = idx[order], values[order], gains[order], dens[order]
-    if rounds == 1 and guess[0] == -np.inf:  # every bound is +inf
-        return idx, values, gains, dens, None
     asked = bounds[0][idx] >= floors[0]
     asked |= bounds[1][idx] >= floors[1]
     return idx, values, gains, dens, asked
@@ -174,12 +178,14 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     The working elements are positions in the array view, in
     ``Instance.by_id`` order.  Each keeps its density and gain from its
     last refresh, both +inf before the first and NaN once it is picked or
-    dropped, so the first step asks them all.  A step asks the items the
-    lazy pass of :func:`_ask_one_at_a_time` asks: exactly those whose
-    density bound reaches ``_floor`` of the best fresh density, or whose
-    gain bound reaches that of the best fresh gain.  The density pick and
-    the gain pick (Greedy+Max's s_i) are read off their fresh values, the
-    smallest id winning ties: an item not asked has bounds below both.
+    dropped, so the first step asks them all, in one
+    :meth:`SubmodularOracle.values_with` batch.  A later step asks the
+    items the lazy pass of :func:`_ask_one_at_a_time` asks: exactly those
+    whose density bound reaches ``_floor`` of the best fresh density, or
+    whose gain bound reaches that of the best fresh gain.  The density
+    pick and the gain pick (Greedy+Max's s_i) are read off their fresh
+    values, the smallest id winning ties: an item not asked has bounds
+    below both.
     Items that stop fitting the residual budget (the exact rule, on
     ``Instance.unit_array``) are dropped; the trace's ``ub_density`` keeps
     their highest density at the prefix G_i they last fit, which
@@ -220,18 +226,23 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     candidates: list[tuple[int, int | None, float]] = []
     steps: list[TraceStep] = []
     removed_max = 0.0
-    guess = [-np.inf, -np.inf]  # every bound is +inf: ask them all
+    guess = None
 
     while left:
-        ahead = _ask_ahead(oracle, ws, working, [density_ub, gain_ub],
-                           [_floor(b) for b in guess], ledger)
-        if ahead is None:
+        ahead = None if guess is None else _ask_ahead(
+            oracle, ws, working, [density_ub, gain_ub],
+            [_floor(b) for b in guess], ledger)
+        if guess is None:  # every bound is +inf: one batch asks them all
+            fresh = np.arange(working.size)
+            vals, gains, dens = _fresh(instance, ws, working,
+                                       oracle.values_with(ws, working, ledger))
+        elif ahead is None:
             fresh, vals, gains, dens = _ask_one_at_a_time(
                 oracle, ws, working, [density_ub, gain_ub], [-np.inf, -np.inf],
                 ledger)
         else:
             fresh, vals, gains, dens, asked = ahead
-            used = fresh.size if asked is None else int(np.count_nonzero(asked))
+            used = int(np.count_nonzero(asked))
             # every value is finite, so only how many are charged matters
             oracle.charge_ahead(ws, working[fresh], vals, used, ledger)
             if used < fresh.size:
@@ -289,7 +300,7 @@ def _ask_dropped(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
     is; otherwise, or where a value is not finite, the pass runs one
     counted query at a time."""
     values = oracle.values_ahead(ws, at, ledger)
-    if isinstance(values, np.ndarray) and np.isfinite(values).all():
+    if isinstance(values, np.ndarray) and _finite(values):
         dens = _fresh(oracle.instance, ws, at, values)[2]
         removed_max = max(removed_max, float(dens.max()))
         asked = int(np.count_nonzero(bounds >= _floor(removed_max)))
