@@ -1,18 +1,20 @@
 """Offline algorithms: density greedy and its augmented variants.
 
-All single-pass variants share one lazy sweep.  Each working item keeps
-its gain and its density from its last refresh; submodularity makes both
-upper bounds at every later prefix, so a step asks again only the items
-whose bounds could still reach the best fresh value (Minoux's
-accelerated greedy, with one bound for the density pick and one for the
-gain pick).  Both the best-gain item (the augmentation candidate) and the
-best-density item (the greedy step) are read off those fresh values, so
-the picks, prefixes and candidates are those of a sweep that asks every
-fitting item at every step.  Plain greedy, greedy-or-max and
-greedy-plus-max therefore issue exactly the same oracle queries; the
-stronger outputs are free.  A run keeps its prefixes G_0..G_m as working
-sets, each at its value; the answers and :func:`greedy_order`'s callers
-read them directly.
+All single-pass variants share one lazy sweep (Minoux's accelerated
+greedy, with one bound for the density pick and one for the gain pick).
+Each working item keeps its gain and its density from its last refresh;
+submodularity keeps both upper bounds at every later prefix, so a step
+asks again only the items whose bounds could still reach the best fresh
+value, and reads both the best-density item (the greedy step) and the
+best-gain item (the augmentation candidate) off those fresh values.  The
+picks, prefixes and candidates are those of a sweep that asks every
+fitting item at every step; plain greedy, greedy-or-max and
+greedy-plus-max issue exactly the same oracle queries, so the stronger
+outputs are free.  A protocol objective computes a step's values ahead,
+a few more than the pass asks; those are tallied as speculative, never
+counted as queries.  A run keeps its prefixes G_0..G_m as working sets,
+each at its value; the answers and :func:`greedy_order`'s callers read
+them directly.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from .core import (
 # a coverage gain computed at an earlier prefix can sit a few ulps below
 # the same item's gain at a later one
 SLACK = 1e-9
-# a step first computes the items whose gain bound reaches this share of the
-# previous step's best gain: a guess at the floor, checked once it is known
+# a step first computes the items whose gain bound reaches this share of
+# the previous step's best gain; the best gain falls from step to step, and
+# a guess above the new one costs a second objective call (see _lazy_pass)
 GAIN_GUESS = 0.7
 
 
@@ -60,88 +63,97 @@ class _GreedyRun:
 
 
 def _floor(best: float) -> float:
-    """The lowest bound asked again beside the fresh ``best``; +inf for
-    +inf."""
+    """The lowest bound asked again beside the fresh ``best``."""
     return best * (1.0 - SLACK) if best > 0.0 else best * (1.0 + SLACK)
 
 
-def _finite(values) -> bool:
-    """Whether every value is finite: a NaN or an infinity makes the sum
-    one (an overflowing sum only sends a batch down the slow path)."""
-    return math.isfinite(values.sum())
+def _top(values) -> float:
+    """The largest of ``values``, NaN first (by ``argmax``, which costs
+    less than ``max``)."""
+    return values.item(values.argmax())
 
 
 def _fresh(instance: Instance, ws: WorkingSet, at, values):
-    """The values f(S + e), e at ``at``, with their gains and clamped
-    densities max(0, gain) / c_e."""
+    """The gains f(S + e) - f(S), e at ``at``, and the clamped densities
+    max(0, gain) / c_e."""
     gains = values - ws.value
-    return values, gains, np.where(gains > 0.0, gains, 0.0) / instance.costs[at]
+    return gains, np.maximum(gains, 0.0) / instance.costs[at]
 
 
-def _ask_ahead(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, guess,
-               ledger: QueryLedger):
-    """The values at the working set ``ws`` that the lazy pass of
-    :func:`_ask_one_at_a_time`, from no fresh value, reads, computed ahead
-    on a protocol objective; ``None`` where one is not finite or the
-    objective takes the whole-set path, after tallying any computed as
-    speculative.
-
-    The pass asks exactly the items whose bound reaches ``_floor`` of the
-    final best, whatever its order.  So this computes, with
-    :meth:`SubmodularOracle.values_ahead`, the items whose bounds reach
-    ``guess``, a guess at those floors, and, while the floors of the bests
-    found lie below it, those the found floors reach.  Returns
-    ``(idx, values, gains, densities, asked)``: every index into ``at``
-    computed, ascending, the values, gains and densities :func:`_fresh`
-    gives them, and a mask of those the pass asks.  Nothing is charged:
-    the caller settles the batch with :meth:`SubmodularOracle.charge_ahead`.
-    """
-    inst = oracle.instance
-    idx, values, rounds = None, None, 0
-    while True:
-        rounds += 1
-        reach = bounds[0] >= guess[0]
-        reach |= bounds[1] >= guess[1]
-        if idx is not None:
-            reach[idx] = False
-        more = reach.nonzero()[0]
-        ahead = oracle.values_ahead(ws, at[more], ledger)
-        if idx is not None:
-            more, ahead = np.concatenate([idx, more]), np.concatenate([values, ahead])
-        if not (isinstance(ahead, np.ndarray) and _finite(ahead)):
-            if isinstance(ahead, np.ndarray):  # all speculative
-                oracle.charge_ahead(ws, at[more], ahead, 0, ledger)
-            return None
-        idx, values = more, ahead
-        values, gains, dens = _fresh(inst, ws, at[idx], values)
-        floors = [_floor(dens.max()), _floor(gains.max())] if idx.size \
-            else [-np.inf, -np.inf]
-        if guess[0] <= floors[0] and guess[1] <= floors[1]:
-            break
-        guess = floors
-    if rounds > 1:  # in order again
-        order = idx.argsort()
-        idx, values, gains, dens = idx[order], values[order], gains[order], dens[order]
-    asked = bounds[0][idx] >= floors[0]
-    asked |= bounds[1][idx] >= floors[1]
-    return idx, values, gains, dens, asked
+def _reach(bounds, floors):
+    """Whether each item's bound of some kind reaches that kind's floor."""
+    reach = bounds[0] >= floors[0]
+    for bound, floor in zip(bounds[1:], floors[1:]):
+        reach |= bound >= floor
+    return reach
 
 
-def _ask_one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
-                       best, ledger: QueryLedger):
-    """Ask f(S + e) of the items at positions ``at``, all outside S and
-    fitting it, as a one-at-a-time lazy pass does, each a counted query.
-    Returns the indices into ``at`` asked, ascending, with the values,
-    gains and densities :func:`_fresh` gives them.
+def _lazy_pass(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, best,
+               guess, ledger: QueryLedger):
+    """The values f(S + e), at the working set ``ws``, that a lazy pass
+    over the items at positions ``at`` asks, all outside S and fitting it.
 
-    ``bounds`` holds the items' density bounds, and optionally their gain
-    bounds, NaN for an item out of the pass; ``best`` the best fresh
+    ``bounds`` holds the items' density bounds and, optionally, their gain
+    bounds, -inf for an item out of the pass; ``best`` the best fresh
     density (and gain) so far.  The pass asks the item with the highest
-    bound of either kind, the first on ties and a density bound before a
-    gain bound, while that bound is at least ``_floor`` of the matching
-    best, which each answer may raise.  In any such order it asks exactly
-    the items whose bound reaches the floor of the final best.
+    bound of either kind while that bound is at least ``_floor`` of the
+    matching best, which each answer may raise, so it asks exactly the
+    items whose bound reaches the floor of the final best, in any order.
+
+    A protocol objective computes, with
+    :meth:`SubmodularOracle.values_ahead`, every item whose bound reaches
+    the floor ``guess`` of its kind, each lowered to at most the floor of
+    the top bound of its kind, so the batch holds the top-bound items.
+    Where the floors of the bests it finds lie lower than ``guess``, the
+    batch is tallied as speculative and computed once more with every
+    item those floors reach; that batch holds the bests found, so the
+    floors of its own bests reach no item outside it.  The pass's items are charged with
+    :meth:`SubmodularOracle.charge_ahead` and the rest tallied as
+    speculative.  Any other objective, or a batch holding a value that is
+    not finite (tallied as speculative), runs the pass one counted query
+    at a time, so it stops at a budget or a non-finite value where single
+    queries would.
+
+    Returns ``(idx, values, gains, densities, asked)``: the indices into
+    ``at`` computed, ascending, their values, the gains and densities
+    :func:`_fresh` gives them, and a mask of those the pass asks, or
+    ``None`` where it asks them all.  A value computed and not asked lies
+    below the best of both kinds.
     """
+    guess = [min(g, _floor(_top(bound))) for g, bound in zip(guess, bounds)]
+    reach = _reach(bounds, guess)
+    for _ in range(2):
+        idx = reach.nonzero()[0]
+        pos = at[idx]
+        values = oracle.values_ahead(ws, pos, ledger)
+        if not (isinstance(values, np.ndarray) and math.isfinite(values.sum())):
+            break
+        gains, dens = _fresh(oracle.instance, ws, pos, values)
+        floors = [_floor(max(b, _top(x))) for b, x in zip(best, (dens, gains))]
+        if all(f >= g for f, g in zip(floors, guess)):
+            asked = _reach([bound[idx] for bound in bounds], floors)
+        else:  # the floors lie lower: may an item not computed reach them?
+            reach = _reach(bounds, floors)
+            asked = reach[idx]
+            if np.count_nonzero(asked) < np.count_nonzero(reach):
+                # computed again with every item the floors reach, which
+                # hold the bests found, so their own floors reach no more
+                oracle.charge_ahead(ws, pos, values, 0, ledger)
+                guess = floors
+                continue
+        used = int(np.count_nonzero(asked))
+        oracle.charge_ahead(ws, pos, values, used, ledger)
+        return idx, values, gains, dens, None if used == idx.size else asked
+    if isinstance(values, np.ndarray):  # all speculative
+        oracle.charge_ahead(ws, pos, values, 0, ledger)
+    return _one_at_a_time(oracle, ws, at, bounds, best, ledger)
+
+
+def _one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
+                   best, ledger: QueryLedger):
+    """:func:`_lazy_pass` one counted :meth:`SubmodularOracle.value_with`
+    query at a time, the highest bound first, the first on ties and a
+    density bound before a gain bound."""
     inst = oracle.instance
     costs = inst.costs[at].tolist()
     ids = inst.ids[at].tolist()
@@ -149,7 +161,7 @@ def _ask_one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
     bounds = [bound.tolist() for bound in bounds]
     heads = [0] * len(bounds)
     done = [False] * len(ids)
-    idx, got = [], []
+    asked = []
     while True:
         for k, order in enumerate(orders):
             while heads[k] < len(order) and done[order[heads[k]]]:
@@ -158,51 +170,57 @@ def _ask_one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
                 j = order[heads[k]]
                 break
         else:
-            order = np.argsort(idx)
-            idx = np.array(idx, dtype=np.intp)[order]
-            return (idx, *_fresh(inst, ws, at[idx], np.array(got, dtype=float)[order]))
+            asked.sort()
+            idx = np.array([j for j, _ in asked], dtype=np.intp)
+            values = np.array([v for _, v in asked], dtype=float)
+            return (idx, values, *_fresh(inst, ws, at[idx], values), None)
         value = oracle.value_with(ws, ids[j], ledger)
         gain = value - ws.value
         fresh = ((gain if gain > 0.0 else 0.0) / costs[j], gain)
         best = [max(b, f) for b, f in zip(best, fresh)]
         done[j] = True
-        idx.append(j)
-        got.append(value)
+        asked.append((j, value))
+
+
+def _by_units(instance: Instance, working):
+    """The indices of the items at positions ``working`` by units, largest
+    first, and their units negated: the items a falling room no longer
+    fits are a growing prefix, found by one search."""
+    minus = -instance.unit_array[working]
+    order = minus.argsort()
+    return order, minus[order]
 
 
 def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedger,
-                start: WorkingSet, restrict_to=None) -> _GreedyRun:
-    """Lazy density greedy from the working set ``start``, harvesting
-    augmentations and the trace.
+                seed_ids=(), restrict_to=None,
+                start: WorkingSet | None = None) -> _GreedyRun:
+    """Lazy density greedy from ``seed_ids``, harvesting augmentations and
+    the trace.  ``start`` is the seed's working set where the caller holds
+    it at its value; otherwise f(seed) is asked.
 
     The working elements are positions in the array view, in
     ``Instance.by_id`` order.  Each keeps its density and gain from its
-    last refresh, both +inf before the first and NaN once it is picked or
-    dropped, so the first step asks them all, in one
-    :meth:`SubmodularOracle.values_with` batch.  A later step asks the
-    items the lazy pass of :func:`_ask_one_at_a_time` asks: exactly those
-    whose density bound reaches ``_floor`` of the best fresh density, or
-    whose gain bound reaches that of the best fresh gain.  The density
-    pick and the gain pick (Greedy+Max's s_i) are read off their fresh
-    values, the smallest id winning ties: an item not asked has bounds
-    below both.
-    Items that stop fitting the residual budget (the exact rule, on
-    ``Instance.unit_array``) are dropped; the trace's ``ub_density`` keeps
-    their highest density at the prefix G_i they last fit, which
-    submodularity keeps an upper bound, and :func:`_ask_dropped` asks
-    there those not yet asked whose bound could still raise it.
-    ``restrict_to`` limits the pool to a subset of element ids.
+    last refresh: +inf before the first, so the first step asks them all
+    in one :meth:`SubmodularOracle.values_with` batch, and -inf once it is
+    picked or dropped.  A later step asks the items :func:`_lazy_pass`
+    asks, computed first down to the previous step's best density, less
+    twice the slack (a best that moved by a few ulps needs no second
+    batch), and to ``GAIN_GUESS`` of its best gain.  The density pick and
+    the gain pick (Greedy+Max's s_i) are read off the fresh values, the
+    smallest id winning ties: an item not asked has bounds below both.
 
-    A protocol objective computes a step's values ahead with
-    :func:`_ask_ahead`, its floors guessed at the previous step's best
-    density and ``GAIN_GUESS`` times its best gain, and the step is
-    charged, with :meth:`SubmodularOracle.charge_ahead`, the items the
-    lazy pass asks, the rest tallied as speculative.  Where a value is not
-    finite, or for any other objective, the step asks one counted query
-    at a time, so it stops at a budget or a non-finite value where single
-    queries would.
+    Items that stop fitting the residual budget (the exact rule, on
+    ``Instance.unit_array``) are dropped; they are found by one search of
+    the items sorted by units.  The trace's ``ub_density`` keeps their
+    highest density at the prefix G_i they last fit, which submodularity
+    keeps an upper bound: those asked at G_i give theirs, and a lazy pass
+    asks there those not yet asked whose bound could still raise it.  The
+    arrays are compacted once half their items are out.  ``restrict_to``
+    limits the pool to a subset of element ids.
     """
     ws = start
+    if ws is None:
+        ws = oracle.working_set(seed_ids, oracle.evaluate(seed_ids, ledger))
     cost_g = instance.cost(ws.order)
     pool = np.zeros(instance.n + 2, dtype=bool)  # by position
     if restrict_to is None:
@@ -214,107 +232,75 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     working = working[instance.fit_mask(working, ws.room)]
     density_ub = np.full(working.size, np.inf)
     gain_ub = np.full(working.size, np.inf)
-    # the items by units, largest first: those a falling room no longer
-    # fits are a growing prefix, found by one search of the negated units
-    by_units = np.argsort(-instance.unit_array[working])
-    minus_units = -instance.unit_array[working[by_units]]
+    by_units, minus_units = _by_units(instance, working)
     cut = 0  # by_units[:cut] fit the room no more
     left = working.size
-    asked_at = np.zeros(working.size, dtype=bool)  # a step's asked items
 
     prefixes = [ws]
     candidates: list[tuple[int, int | None, float]] = []
     steps: list[TraceStep] = []
     removed_max = 0.0
-    guess = None
+    guess = None  # every bound is +inf: one batch asks them all
 
     while left:
-        ahead = None if guess is None else _ask_ahead(
-            oracle, ws, working, [density_ub, gain_ub],
-            [_floor(b) for b in guess], ledger)
-        if guess is None:  # every bound is +inf: one batch asks them all
-            fresh = np.arange(working.size)
-            vals, gains, dens = _fresh(instance, ws, working,
-                                       oracle.values_with(ws, working, ledger))
-        elif ahead is None:
-            fresh, vals, gains, dens = _ask_one_at_a_time(
-                oracle, ws, working, [density_ub, gain_ub], [-np.inf, -np.inf],
-                ledger)
+        if guess is None:
+            fresh, asked = np.arange(working.size), None
+            vals = oracle.values_with(ws, working, ledger)
+            gains, dens = _fresh(instance, ws, working, vals)
         else:
-            fresh, vals, gains, dens, asked = ahead
-            used = int(np.count_nonzero(asked))
-            # every value is finite, so only how many are charged matters
-            oracle.charge_ahead(ws, working[fresh], vals, used, ledger)
-            if used < fresh.size:
-                fresh, vals, gains, dens = (
-                    fresh[asked], vals[asked], gains[asked], dens[asked])
-        density_ub[fresh], gain_ub[fresh] = dens, gains
-        g, d = int(vals.argmax()), int(dens.argmax())
-        best_gain, best_density = instance.ids[working[fresh[[g, d]]]].tolist()
-        candidates.append((len(prefixes) - 1, best_gain, float(vals[g])))
-        top = float(dens[d])
+            fresh, vals, gains, dens, asked = _lazy_pass(
+                oracle, ws, working, [density_ub, gain_ub], [-np.inf, -np.inf],
+                guess, ledger)
+        g, d = vals.argmax(), dens.argmax()
+        picked, value = fresh.item(d), vals.item(d)
+        best_gain = instance.ids.item(working.item(fresh.item(g)))
+        best_density = instance.ids.item(working.item(picked))
+        candidates.append((len(prefixes) - 1, best_gain, vals.item(g)))
+        top = dens.item(d)
         steps.append(TraceStep(cost_g, ws.value, top, max(top, removed_max)))
-        guess = [top, GAIN_GUESS * float(gains[g])]
-
-        prev = ws
-        ws = oracle.add(ws, best_density, float(vals[d]))
-        cost_g += instance.cost_of(best_density)
-        prefixes.append(ws)
-        density_ub[fresh[d]] = gain_ub[fresh[d]] = np.nan
+        if asked is not None:
+            fresh, dens, gains = fresh[asked], dens[asked], gains[asked]
+        density_ub[fresh], gain_ub[fresh] = dens, gains
+        guess = [_floor(_floor(top)), GAIN_GUESS * (vals.item(g) - ws.value)]
+        density_ub[picked] = gain_ub[picked] = -np.inf
         left -= 1
 
-        end = int(minus_units.searchsorted(-instance.clamp_room(ws.room)))
+        prev = ws
+        ws = oracle.add(ws, best_density, value)
+        cost_g += instance.cost_of(best_density)
+        prefixes.append(ws)
+
+        end = minus_units.searchsorted(-instance.clamp_room(ws.room))
         if end > cut:
             out = by_units[cut:end]
             cut = end
-            out = out[~np.isnan(density_ub[out])]  # not out already
+            out = out[density_ub[out] > -np.inf]  # not picked
             left -= out.size
             # the dropped items' densities at G_i: those asked there, then
             # those whose bound could still raise the highest
-            asked_at[fresh] = True
-            known = asked_at[out]
-            asked_at[fresh] = False
-            removed_max = max(removed_max,
-                              float(density_ub[out[known]].max(initial=0.0)))
+            known = np.zeros(working.size, dtype=bool)
+            known[fresh] = True
+            known = known[out]
+            if known.any():
+                removed_max = max(removed_max, _top(density_ub[out[known]]))
             stale = out[~known]
             stale = stale[density_ub[stale] >= _floor(removed_max)]
             if stale.size:
-                removed_max = _ask_dropped(oracle, prev, working[stale],
-                                           density_ub[stale], removed_max, ledger)
-            density_ub[out] = gain_ub[out] = np.nan
+                stale.sort()  # by id, as a one-at-a-time pass breaks ties
+                dens = _lazy_pass(oracle, prev, working[stale], [density_ub[stale]],
+                                  [removed_max], [_floor(removed_max)], ledger)[3]
+                removed_max = max(removed_max, _top(dens))
+            density_ub[out] = gain_ub[out] = -np.inf
+        if 2 * left < working.size:
+            kept = density_ub > -np.inf
+            working, density_ub, gain_ub = working[kept], density_ub[kept], gain_ub[kept]
+            by_units, minus_units = _by_units(instance, working)
+            cut = 0
 
     steps.append(TraceStep(cost_g, ws.value, 0.0, removed_max))
     # terminal prefix competes with an empty augmentation
     candidates.append((len(prefixes) - 1, None, ws.value))
     return _GreedyRun(prefixes, candidates, GreedyTrace(steps))
-
-
-def _ask_dropped(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
-                 removed_max: float, ledger: QueryLedger) -> float:
-    """The highest of ``removed_max`` and the densities at ``ws`` of the
-    dropped items at positions ``at``, none asked there, whose density
-    ``bounds`` could still raise it: the lazy pass asks them in descending
-    bound while the bound reaches ``_floor`` of the highest so far, which
-    each answer may raise.  A protocol objective computes them all at once
-    and is charged those that pass asks, as :func:`_ask_ahead`'s caller
-    is; otherwise, or where a value is not finite, the pass runs one
-    counted query at a time."""
-    values = oracle.values_ahead(ws, at, ledger)
-    if isinstance(values, np.ndarray) and _finite(values):
-        dens = _fresh(oracle.instance, ws, at, values)[2]
-        removed_max = max(removed_max, float(dens.max()))
-        asked = int(np.count_nonzero(bounds >= _floor(removed_max)))
-        oracle.charge_ahead(ws, at, values, asked, ledger)
-        return removed_max
-    if isinstance(values, np.ndarray):  # all speculative
-        oracle.charge_ahead(ws, at, values, 0, ledger)
-    *_, dens = _ask_one_at_a_time(oracle, ws, at, [bounds], [removed_max], ledger)
-    return max(removed_max, float(dens.max(initial=0.0)))
-
-
-def _asked(oracle: SubmodularOracle, ids, ledger: QueryLedger) -> WorkingSet:
-    """The working set of ``ids`` at f(ids), one query."""
-    return oracle.working_set(ids, oracle.evaluate(ids, ledger))
 
 
 def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
@@ -324,8 +310,8 @@ def greedy_order(instance: Instance, oracle: SubmodularOracle, members,
     to G_m, each recorded at its value; ``[-1].order`` is the pick order.
     ``empty`` is G_0 at f(∅) where the caller holds it; otherwise f(∅) is
     asked."""
-    start = _asked(oracle, (), ledger) if empty is None else empty
-    return _run_greedy(instance, oracle, ledger, start, restrict_to=members).prefixes
+    return _run_greedy(instance, oracle, ledger, restrict_to=members,
+                       start=empty).prefixes
 
 
 def greedy(instance: Instance, oracle: SubmodularOracle,
@@ -333,7 +319,7 @@ def greedy(instance: Instance, oracle: SubmodularOracle,
     """Marginal-density greedy under the knapsack budget."""
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy", instance, ledger)
-    run = _run_greedy(instance, oracle, ledger, _asked(oracle, (), ledger))
+    run = _run_greedy(instance, oracle, ledger)
     return OfflineResult(meter.report(run.prefixes[-1].ids,
                                       run.prefixes[-1].value, run.trace))
 
@@ -343,7 +329,7 @@ def greedy_or_max(instance: Instance, oracle: SubmodularOracle,
     """The better of plain greedy and the best feasible singleton."""
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy_or_max", instance, ledger)
-    run = _run_greedy(instance, oracle, ledger, _asked(oracle, (), ledger))
+    run = _run_greedy(instance, oracle, ledger)
     ids, value = run.prefixes[-1].ids, run.prefixes[-1].value
     augmentations = []
     if run.candidates and run.candidates[0][1] is not None:
@@ -367,7 +353,7 @@ def greedy_plus_max(instance: Instance, oracle: SubmodularOracle,
     """
     ledger = ledger or QueryLedger()
     meter = RunMeter("greedy_plus_max", instance, ledger)
-    run = _run_greedy(instance, oracle, ledger, _asked(oracle, (), ledger))
+    run = _run_greedy(instance, oracle, ledger)
     # the first best candidate, as the oracle answers only finite values
     best_i, best_s, best_v = max(run.candidates, key=lambda c: c[2])
     ids = run.prefixes[best_i].ids
@@ -395,7 +381,6 @@ def partial_enum_greedy(instance: Instance, oracle: SubmodularOracle, depth: int
         seeds.extend(c for c in combinations(ids, size) if instance.fits(c))
 
     # the first best seed, as the oracle answers only finite values
-    runs = (_run_greedy(instance, oracle, ledger, _asked(oracle, seed, ledger))
-            for seed in seeds)
+    runs = (_run_greedy(instance, oracle, ledger, seed) for seed in seeds)
     best = max(runs, key=lambda run: run.prefixes[-1].value).prefixes[-1]
     return OfflineResult(meter.report(best.ids, best.value))

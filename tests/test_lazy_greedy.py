@@ -217,9 +217,9 @@ def _stars(leaves):
 
 def test_a_nan_only_among_speculative_values_never_raises():
     # after id 0 is picked the protocol path computes ahead the items whose
-    # gain bound reaches 0.7 of the last best gain, ids 2, 3 and 5; id 5
-    # answers NaN with 0 in the set, so the step falls back to the lazy
-    # pass one query at a time, which asks ids 1, 2 and 3 only.  Id 1's
+    # bounds reach the floors guessed from the first step, ids 1, 2, 3 and
+    # 5; id 5 answers NaN with 0 in the set, so the step falls back to the
+    # lazy pass one query at a time, which asks ids 1, 2 and 3 only.  Id 1's
     # pick drops ids 3 and 5, and id 3, asked, is denser than id 5's bound,
     # so id 5 is never asked on either path
     objective = _Poisoned(_stars({0: 0, 1: 0, 2: 9, 3: 9, 5: 7}), bad=5, holds=0)
@@ -234,6 +234,30 @@ def test_a_nan_only_among_speculative_values_never_raises():
     assert reports["protocol"].queries == reports["whole-set"].queries
     assert reports["protocol"].speculative_evaluations > 0
     assert reports["whole-set"].speculative_evaluations == 0
+
+
+def test_a_guess_above_every_bound_computes_the_top_bound_items_once():
+    # once id 0, covering 10 vertices, is picked, its density and gain lie
+    # far above every other bound; the next step's batch still holds the
+    # top-bound items, ids 1 and 2, whose values settle it with no second
+    # batch
+    instance = Instance([Element(v, 1.0) for v in range(4)], 3.0)
+    oracle = SubmodularOracle(instance, CoverageObjective(
+        _stars({0: 9, 1: 1, 2: 1, 3: 0})))
+    batches = []
+    ahead = oracle.values_ahead
+
+    def record(ws, positions, ledger):
+        batches.append(instance.ids[positions].tolist())
+        return ahead(ws, positions, ledger)
+
+    oracle.values_ahead = record
+    report = greedy_plus_max(instance, oracle, QueryLedger()).report
+    assert report.solution.ids == frozenset({0, 1, 2})
+    # a step after each pick, then id 3, dropped, on the prefix it last fit
+    assert batches == [[1, 2], [2], [3]]
+    assert report.queries == 1 + 4 + 2 + 1 + 1
+    assert report.speculative_evaluations == 0
 
 
 def test_speculative_values_are_tallied_not_counted():
