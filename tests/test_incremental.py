@@ -595,8 +595,9 @@ def test_greedy_asks_a_few_batches_per_step():
     report = greedy_plus_max(instance, SubmodularOracle(instance, objective)).report
     steps = len(report.trace.steps) - 1
     assert steps >= 3
-    # a lazy step asks its guessed items, a second batch when the guess
-    # lay too high, and the dropped items to ask: never one id at a time
+    # a lazy step computes its guessed items and those any pick drops in
+    # one batch, a second when the guess lay too high, and a third for a
+    # dropped item the first did not hold: never one id at a time
     assert calls["value_with"] == 0
     assert steps <= calls["values_with"] <= 3 * steps
 

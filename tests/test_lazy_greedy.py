@@ -9,6 +9,7 @@ same lazy pass one query at a time, on the protocol path and on the
 whole-set path alike.
 """
 
+import json
 import math
 
 import pytest
@@ -240,7 +241,9 @@ def test_a_guess_above_every_bound_computes_the_top_bound_items_once():
     # once id 0, covering 10 vertices, is picked, its density and gain lie
     # far above every other bound; the next step's batch still holds the
     # top-bound items, ids 1 and 2, whose values settle it with no second
-    # batch
+    # batch.  Every item costs the same, so the third pick, whichever it
+    # is, leaves no room for id 3, and the third step's batch holds it:
+    # it is asked there, on the prefix it last fit, in no batch of its own
     instance = Instance([Element(v, 1.0) for v in range(4)], 3.0)
     oracle = SubmodularOracle(instance, CoverageObjective(
         _stars({0: 9, 1: 1, 2: 1, 3: 0})))
@@ -254,8 +257,7 @@ def test_a_guess_above_every_bound_computes_the_top_bound_items_once():
     oracle.values_ahead = record
     report = greedy_plus_max(instance, oracle, QueryLedger()).report
     assert report.solution.ids == frozenset({0, 1, 2})
-    # a step after each pick, then id 3, dropped, on the prefix it last fit
-    assert batches == [[1, 2], [2], [3]]
+    assert batches == [[1, 2], [2, 3]]
     assert report.queries == 1 + 4 + 2 + 1 + 1
     assert report.speculative_evaluations == 0
 
@@ -271,3 +273,18 @@ def test_speculative_values_are_tallied_not_counted():
     assert report.queries == whole.query_count
     assert whole.speculative_evaluations == 0
     assert report.speculative_evaluations == ledger.speculative_evaluations
+
+
+def test_query_counts_stay_python_ints():
+    # a run's counts go to JSON as they are, and a NumPy integer would not:
+    # here dropped items ride in a step's batch and are charged with it
+    adjacency = preferential_adjacency(300, 3, seed=5)
+    objective = CoverageObjective(adjacency)
+    instance = normalize(sorted(coverage_costs(adjacency).items()), 10.0)
+    ledger = QueryLedger()
+    report = greedy_plus_max(instance, SubmodularOracle(instance, objective),
+                             ledger).report
+    counts = [ledger.query_count, ledger.speculative_evaluations,
+              report.queries, report.speculative_evaluations]
+    assert [type(c) for c in counts] == [int] * 4
+    assert json.loads(json.dumps(counts)) == counts
