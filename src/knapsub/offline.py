@@ -215,8 +215,9 @@ def _drop_pass(oracle: SubmodularOracle, prev: WorkingSet, working, out,
     return max(removed_max, _top(dens))
 
 
-# per instance, the indices into ``Instance.by_id`` by decreasing units,
-# sorted on the first sweep over all of its elements
+# per instance, the indices into ``Instance.by_id`` by decreasing units:
+# a function of the instance alone, sorted on the first sweep over all of
+# its elements and read by every later one, kept while the instance lives
 _UNITS_ORDER: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
