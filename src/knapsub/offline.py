@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -215,24 +214,12 @@ def _drop_pass(oracle: SubmodularOracle, prev: WorkingSet, working, out,
     return max(removed_max, _top(dens))
 
 
-# per instance, the indices into ``Instance.by_id`` by decreasing units:
-# a function of the instance alone, sorted on the first sweep over all of
-# its elements and read by every later one, kept while the instance lives
-_UNITS_ORDER: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _by_units(instance: Instance, working):
     """The indices of the items at positions ``working`` by units, largest
     first, and their units negated: the items a falling room no longer
-    fits are a growing prefix, found by one search.  A sweep over every
-    element reads the order its instance's first such sweep sorted."""
+    fits are a growing prefix, found by one search."""
     minus = -instance.unit_array[working]
-    if working.size < instance.n:
-        order = minus.argsort()
-    else:  # every element: ``working`` is ``by_id``
-        order = _UNITS_ORDER.get(instance)
-        if order is None:
-            order = _UNITS_ORDER[instance] = minus.argsort()
+    order = minus.argsort()
     return order, minus[order]
 
 
