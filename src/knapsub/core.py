@@ -411,8 +411,8 @@ class SubmodularOracle:
     and :class:`~knapsub.objectives.MovieObjective` implement it.  Any other
     objective takes the whole-set path through :meth:`evaluate`, so a
     wrapper installed on ``evaluate`` sees every query the oracle answers,
-    except one a solver charges with ``QueryLedger._admit`` and answers
-    from a value already asked.
+    except the copies of Distributed+Max's shared sample, which each
+    machine is charged with ``QueryLedger._admit`` but only the first asks.
     """
 
     def __init__(self, instance: Instance, fn):

@@ -514,16 +514,17 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
 
     Per element, the singleton query f({e}) comes first, since it moves
     the window, which is recomputed only when LB or delta has changed.
-    Then every window set the element may join is asked, in index order:
-    an empty set's query is f({e}) again, so those queries are charged to
-    the ledger at once and answered with the value just asked, and each
-    other set is one :meth:`SubmodularOracle.value_with` query.  Only the
-    sets that hold something are kept, and they fill the window's lowest
-    rows; the empty rows above them whose threshold f({e})/c_e meets end at
-    one ``bisect`` of the ascending thresholds, and all take the same
-    working set {e}.  A value so large that the
-    window's floor max(2*LB, 2*delta)/(3k) overflows a float, or so small
-    that it underflows to 0, raises ``ValueError``, naming the value.
+    Then each non-empty window set that the element fits and is not in is
+    one :meth:`SubmodularOracle.value_with` query, in index order.  An
+    empty set's query would be f({e}) again: it is answered with the value
+    just asked and counted once, as the singleton, so the ledger counts
+    exactly the queries the objective is asked.  Only the sets that hold
+    something are kept, and they fill the window's lowest rows; the empty
+    rows above them whose threshold f({e})/c_e meets end at one ``bisect``
+    of the ascending thresholds, and all take the same working set {e}.
+    A value so large that the window's floor max(2*LB, 2*delta)/(3k)
+    overflows a float, or so small that it underflows to 0, raises
+    ``ValueError``, naming the value.
     """
     base = 1.0 + epsilon_est
     if not (0 < epsilon_est < 1 / 3 and base > 1.0):
@@ -576,9 +577,6 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
             del sets[:lo - window.start]
             window = range(lo, hi)
             taus = [base ** i for i in window]
-        # every empty set fits e, and f(empty + e) is fe: charge those
-        # queries, but ask only the sets that hold something
-        ledger._admit(len(taus) - len(sets))
         need = inst.unit_array.item(inst._at[eid])
         for r, ws in enumerate(sets):
             if eid in ws.ids or need > ws.room:

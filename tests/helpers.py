@@ -208,8 +208,7 @@ def scalar_estimate_lambda(stream, k, oracle, epsilon_est=1 / 6, ledger=None):
         need = inst.unit_array.item(inst._at[eid])
         rows = [r for r, ws in enumerate(sets)
                 if eid not in ws.ids and need <= ws.room]
-        # f(empty + e) is fe: charge those queries, but ask only the others
-        ledger._admit(sum(sets[r] is empty for r in rows))
+        # f(empty + e) is fe, asked and counted once: ask only the others
         for r in rows:
             ws = sets[r]
             gain = (fe if ws is empty

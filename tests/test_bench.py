@@ -426,8 +426,8 @@ def test_csv_hash_ignores_wall_time(tmp_path):
 
 
 PINNED_HASHES = {
-    "gnp": "324b869b07f8125129e4591778898c9470071c7f8957521d0541d0fe76d8e32f",
-    "pa": "0baba208ab5c8fdb8daa13089c552f6d11c1d9a710b9f850c951c24e3a751ea2",
+    "gnp": "98a7944cb7aaa81adc7c0a259b15bf502aa5422b9ee5b654ba19a4ddd6918762",
+    "pa": "46b25510e84944c8172d35f0d7fc99183813e354fb5ae0880ae752f333c15179",
 }
 
 

@@ -29,7 +29,7 @@ from knapsub import (
 
 from helpers import movie_case
 
-PINNED = "ad8253b8672ae9853919eef565a899846a557f0ba155c576879a13acb14a42e7"
+PINNED = "f08d854252a8bf844fb39c9e67e12c74da27c3ac40956f02960ce8386d0990d0"
 
 EPSILON = 0.1
 

@@ -37,7 +37,7 @@ from knapsub import (
 
 from conftest import make_instance, random_adjacency
 
-PINNED = "c07c2ab2beff9657ea691ae5603190cc769bfc535dd89ac0efa63db726abac9b"
+PINNED = "6beed30fb1ca0e64becb719257c4016cc7fb445f64ef81641fbe5c5acbfb90cd"
 
 EPSILON = 0.2
 

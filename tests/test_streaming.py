@@ -617,57 +617,74 @@ def test_streaming_solvers_reject_the_nan_probe(solver, path, bad):
 
 @pytest.mark.parametrize("bad", NONFINITE)
 def test_the_estimator_batch_rejects_the_movie_nan_probe(bad):
-    # id 2 arrives after 0 and 1 have joined every grid set, so the bad
-    # value first shows on id 2's first grid query; both paths ask the
-    # same queries in the same order and stop at the same count
-    # the window's floor max(2 lb, 2 delta) / 9 is 2/9 for ids 0 and 1
-    widths = [len(_grid_indices(tau / (7 / 6), 1.0, math.log(7 / 6)))
-              for tau in (2 / 9, 2 / 9)]
-    assert widths == [11, 11]
+    # id 0's rows are all empty, so they take f({0}) and ask nothing more;
+    # id 1 then asks every set id 0 started, and the bad value first shows
+    # on id 2's first grid query; both paths ask the same queries in the
+    # same order and stop at the same count
+    # the window's floor max(2 lb, 2 delta) / 9 is 2/9 when id 1 arrives
+    width = len(_grid_indices(2 / 9 / (7 / 6), 1.0, math.log(7 / 6)))
+    assert width == 11
     for path in ("protocol", "callable"):
         instance, oracle = nan_probe(bad, path, kind="movie")
         ledger = QueryLedger()
-        with pytest.raises(NonFiniteValue, match=r"on \[0, 1, 2\]"):
+        with pytest.raises(NonFiniteValue, match=r"on \[0, 1, 2\]") as info:
             estimate_lambda(StreamSource.from_instance(instance), 3.0, oracle,
                             ledger=ledger)
-        # three singletons, ids 0 and 1 on their whole windows, and id 2's
-        # first grid query
-        assert ledger.query_count == 3 + sum(widths) + 1 == 26
+        # the oracle's scalar query, on both paths
+        assert "value_with" in [entry.name for entry in info.traceback]
+        # three singletons, id 1 on its whole window, and id 2's first grid
+        # query
+        assert ledger.query_count == 3 + width + 1 == 15
 
 
-def test_the_estimator_answers_its_empty_sets_from_the_singleton_query():
-    # an empty grid set's query is f({e}), just asked as the singleton:
-    # the ledger counts it, the objective is not asked it again
-    instance, objective = movie_case(3, 40, 8.0)
-    asked = []
-    events = []  # each admission's count, and None for each objective call
+# unit costs: a late, much larger singleton moves the window past every
+# non-empty set at once, and many equal items let LB, not delta, lift the
+# floor; each pinned as its hex estimate and its queries
+MODULAR_EDGES = [
+    ({0: 1.0, 1: 1.0, 2: 1e6}, 3.0,
+     (("0x1.e848000000000p+19", "0x1.5555555555555p-3",
+       "0x1.e848000000000p+19", 22), 14)),
+    (dict.fromkeys(range(30), 1.0), 10.0,
+     (("0x1.4000000000000p+3", "0x1.5555555555555p-3",
+       "0x1.0000000000000p+0", 54), 119))]
 
-    def counted(ids):
-        asked.append(ids)
-        events.append(None)
-        return objective.value(ids)
 
-    class Tally(QueryLedger):
-        def _admit(self, count=1, infeasible=False):
-            events.append(count)
-            super()._admit(count, infeasible)
+def estimator_cases(corpus):
+    """The estimator's reference cases as ``(instance, objective)``: the
+    first 60 corpus instances, the two unit-cost modular edge cases of
+    :data:`MODULAR_EDGES` and three movie cases, one with a base set."""
+    cases = [corpus(idx)[:2] for idx in range(60)]
+    cases += [(Instance([Element(i, 1.0) for i in weights], k),
+               ModularObjective(weights)) for weights, k, _ in MODULAR_EDGES]
+    return cases + [movie_case(3, 120, 8.0), movie_case(5, 300, 30.0),
+                    movie_case(2, 60, 5.0, base=4)]
 
-    ledger = Tally()
-    est = estimate_lambda(StreamSource.from_instance(instance), 8.0,
-                          SubmodularOracle(instance, counted), ledger=ledger)
-    singles = sorted(min(ids) for ids in asked if len(ids) == 1)
-    assert singles == sorted(instance.element_ids())  # once per element
-    # an admission the objective does not answer next is charged, not asked
-    charged = sum(c for c, after in zip(events, events[1:] + [0])
-                  if c is not None and after is not None)
-    assert charged > 0
-    assert ledger.query_count == len(asked) + charged
-    # the protocol path makes the same queries to the same estimate
-    protocol_ledger = QueryLedger()
-    assert estimate_lambda(StreamSource.from_instance(instance), 8.0,
-                           SubmodularOracle(instance, objective),
-                           ledger=protocol_ledger) == est
-    assert protocol_ledger.query_count == ledger.query_count
+
+def test_the_objective_is_asked_every_query_the_estimator_counts(corpus):
+    # an empty grid set's query is f({e}), just asked as the singleton: it
+    # is answered from that value and not counted again, so a wrapper on
+    # the objective sees every query the ledger counts
+    for instance, objective in estimator_cases(corpus):
+        asked = []
+
+        def counted(ids):
+            asked.append(ids - instance.base_set)
+            return objective.value(ids)
+
+        ledger = QueryLedger()
+        est = estimate_lambda(StreamSource.from_instance(instance),
+                              instance.capacity,
+                              SubmodularOracle(instance, counted), ledger=ledger)
+        assert len(asked) == ledger.query_count
+        singles = sorted(min(ids) for ids in asked if len(ids) == 1)
+        assert singles == sorted(instance.element_ids())  # once per element
+        # the protocol path makes the same queries to the same estimate
+        protocol_ledger = QueryLedger()
+        assert estimate_lambda(StreamSource.from_instance(instance),
+                               instance.capacity,
+                               SubmodularOracle(instance, objective),
+                               ledger=protocol_ledger) == est
+        assert protocol_ledger.query_count == ledger.query_count
 
 
 def logged_estimate(estimator, instance, objective, path, budget=None):
@@ -703,46 +720,43 @@ def test_the_estimator_matches_the_per_row_reference(corpus, path):
     # only the non-empty grid sets are walked, and the empty sets an
     # element joins share one working set: the estimate, the queries and
     # their order are the reference's, bit for bit
-    cases = [corpus(idx)[:2] for idx in range(60)]
-    # unit costs: a late, much larger singleton moves the window past every
-    # non-empty set at once, and many equal items let LB, not delta, lift
-    # the floor; each pinned as its hex estimate and its queries
-    edges = [(Instance([Element(i, 1.0) for i in weights], k),
-              ModularObjective(weights), pinned) for weights, k, pinned in [
-        ({0: 1.0, 1: 1.0, 2: 1e6}, 3.0,
-         (("0x1.e848000000000p+19", "0x1.5555555555555p-3",
-           "0x1.e848000000000p+19", 22), 36)),
-        (dict.fromkeys(range(30), 1.0), 10.0,
-         (("0x1.4000000000000p+3", "0x1.5555555555555p-3",
-           "0x1.0000000000000p+0", 54), 138))]]
-    cases += [(instance, objective) for instance, objective, _ in edges]
-    cases += [movie_case(3, 120, 8.0), movie_case(5, 300, 30.0),
-              movie_case(2, 60, 5.0, base=4)]
+    cases = estimator_cases(corpus)
     for instance, objective in cases:
         run = logged_estimate(estimate_lambda, instance, objective, path)
         assert run == logged_estimate(scalar_estimate_lambda, instance,
                                       objective, path)
-    for instance, objective, pinned in edges:
+        if path == "callable":
+            # no admission goes unanswered: the objective is asked each one
+            log = run[1]
+            assert all(a == 1 and type(b) is list
+                       for a, b in zip(log[::2], log[1::2]))
+            assert len(log) == 2 * run[0][1]
+    for (instance, objective), (*_, pinned) in zip(cases[60:], MODULAR_EDGES):
         assert logged_estimate(estimate_lambda, instance, objective,
                                path)[0] == pinned
-    if path == "callable":
-        # an element is charged its empty sets, then asked a non-empty one
-        log = run[1]
-        assert any(type(a) is int and a > 0 and b == 1 and type(c) is list
-                   and len(c) > 1 for a, b, c in zip(log, log[1:], log[2:]))
+
+
+# two small movie cases, each with its estimator's queries and then
+# Sieve+Max's: at K = 3 no grid set has room for a later movie, so the
+# estimator asks only the 22 singletons; at K = 5 it asks 35 singletons
+# and 23 grid queries on non-empty sets
+BUDGET_CASES = [((2, 40, 3.0), 22, 24), ((2, 40, 5.0), 58, 64)]
 
 
 def test_budget_stops_the_estimator_where_the_reference_stops():
-    instance, objective = movie_case(2, 40, 3.0)
-    full, _ = logged_estimate(estimate_lambda, instance, objective, "protocol")
-    total = full[1]
-    assert total == 154
-    for budget in range(total + 2):
-        run = logged_estimate(estimate_lambda, instance, objective,
-                              "protocol", budget)
-        assert run == logged_estimate(scalar_estimate_lambda, instance,
-                                      objective, "protocol", budget)
-        assert run[0] == (("BudgetExceeded", budget) if budget < total else full)
+    for args, pinned, _ in BUDGET_CASES:
+        instance, objective = movie_case(*args)
+        full, _ = logged_estimate(estimate_lambda, instance, objective,
+                                  "protocol")
+        total = full[1]
+        assert total == pinned
+        for budget in range(total + 2):
+            run = logged_estimate(estimate_lambda, instance, objective,
+                                  "protocol", budget)
+            assert run == logged_estimate(scalar_estimate_lambda, instance,
+                                          objective, "protocol", budget)
+            assert run[0] == (("BudgetExceeded", budget) if budget < total
+                              else full)
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
@@ -791,25 +805,26 @@ def movie_pipeline(instance, oracle, ledger):
 def test_budget_stops_the_movie_pipeline_at_its_count():
     # the budgets run through the estimator's singleton and grid queries,
     # the threshold passes, the greedy reorder and the augmentation pass
-    instance, objective = movie_case(2, 40, 3.0)
-    oracle = SubmodularOracle(instance, objective)
-    full_ledger = QueryLedger()
-    full_est, full = movie_pipeline(instance, oracle, full_ledger)
-    total = full_ledger.query_count
-    assert total == 154 + 24 == full.queries + 154
-    for budget in range(total + 2):
-        ledger = QueryLedger(budget=budget)
-        if budget < total:
-            with pytest.raises(BudgetExceeded):
-                movie_pipeline(instance, oracle, ledger)
-            assert ledger.query_count == budget
-        else:
-            est, report = movie_pipeline(instance, oracle, ledger)
-            assert ledger.query_count == total
-            assert est == full_est
-            assert (report.solution, report.queries, report.passes,
-                    report.trace) == (full.solution, full.queries,
-                                      full.passes, full.trace)
+    for args, estimated, sieved in BUDGET_CASES:
+        instance, objective = movie_case(*args)
+        oracle = SubmodularOracle(instance, objective)
+        full_ledger = QueryLedger()
+        full_est, full = movie_pipeline(instance, oracle, full_ledger)
+        total = full_ledger.query_count
+        assert total == estimated + sieved == full.queries + estimated
+        for budget in range(total + 2):
+            ledger = QueryLedger(budget=budget)
+            if budget < total:
+                with pytest.raises(BudgetExceeded):
+                    movie_pipeline(instance, oracle, ledger)
+                assert ledger.query_count == budget
+            else:
+                est, report = movie_pipeline(instance, oracle, ledger)
+                assert ledger.query_count == total
+                assert est == full_est
+                assert (report.solution, report.queries, report.passes,
+                        report.trace) == (full.solution, full.queries,
+                                          full.passes, full.trace)
 
 
 # ------------------------------------------------------------ grid bounds
