@@ -19,8 +19,10 @@ only thing ever written on a state.  A coverage batch reads the
 memoized counts, which the first batch on a state builds in one pass
 over every edge and each state grown from it carries on in its own
 array, in O(n + the new vertices' degrees), while the state keeps its
-own.  The movie batch gathers at most 2**16
-floats (512 KB) of its table at a time: 32 rows of 2,000 targets.
+own.  The movie batch reads at most 2**16
+floats (512 KB) of its table at a time, 32 rows of 2,000 targets: a run
+of consecutive ascending ids in place, as a slice, and any other block
+gathered, with the maxima written to one buffer that every block reuses.
 ``ModularObjective`` and ``HiddenPairObjective`` do not implement it: a
 running float sum would differ from ``value`` in the last bits, and the
 hidden pair needs the whole set.
@@ -36,7 +38,7 @@ from itertools import chain
 
 import numpy as np
 
-# a movie batch gathers at most this many floats of the table at once:
+# a movie batch reads at most this many floats of the table at once:
 # 512 KB, 32 rows of 2,000 targets, so a block stays in a core's L2 cache
 _MOVIE_BATCH_FLOATS = 1 << 16
 # the movie cost rule clamps this many columns of the table at a time
@@ -281,16 +283,32 @@ class MovieObjective:
     def values_with(self, state, ids) -> np.ndarray:
         """``value_with(state, eid)`` for every id, bit for bit: the same
         elementwise maxima, in the same argument order, each row summed
-        contiguously as the 1-D sum is."""
+        contiguously as the 1-D sum is.
+
+        A block of consecutive ascending ids is a slice of the table, read
+        in place; any other block is gathered.  The maxima go to one buffer
+        that every block reuses.  An id past the table raises
+        ``IndexError``, as the single query's index does."""
         ids = np.asarray(ids, dtype=np.intp)
+        rows = len(self._table)
+        if ids.size and not -rows <= ids.min() <= ids.max() < rows:
+            raise IndexError(f"movie ids {ids.min()}..{ids.max()} are out of "
+                             f"range for {rows} movies")
         out = np.empty(len(ids))
         step = max(1, _MOVIE_BATCH_FLOATS // max(1, self._table.shape[1]))
+        buffer = np.empty((min(step, len(ids)), self._table.shape[1]))
         for a in range(0, len(ids), step):
-            block = self._table[ids[a:a + step]]
-            if state is None:
-                np.maximum(block, 0.0, out=block)
+            chunk = ids[a:a + step]
+            block = buffer[:len(chunk)]
+            run = _run(chunk)
+            if run is None:  # "wrap" indexes as NumPy does, in range
+                table = np.take(self._table, chunk, axis=0, out=block, mode="wrap")
             else:
-                np.maximum(state, block, out=block)
+                table = self._table[run]
+            if state is None:
+                np.maximum(table, 0.0, out=block)
+            else:
+                np.maximum(state, table, out=block)
             block.sum(axis=1, out=out[a:a + step])
         return out
 
@@ -305,6 +323,15 @@ class MovieObjective:
             for column in block.T:
                 total += column
         return total
+
+
+def _run(ids: np.ndarray) -> slice | None:
+    """``ids`` as a slice when they are consecutive, ascending and not
+    negative; ``None`` otherwise."""
+    first, last = int(ids[0]), int(ids[-1])
+    if 0 <= first and last - first == len(ids) - 1 and (ids[1:] > ids[:-1]).all():
+        return slice(first, last + 1)
+    return None
 
 
 def movie_costs(objective: MovieObjective) -> dict[int, float]:

@@ -24,7 +24,8 @@ kernels read the raw stream: they skip base-set ids (cost 0, in every
 evaluation already) without a query, and raise ``KeyError("stream id X is
 not in the instance")`` on an id the instance does not hold, before any
 query on it.  ``_scan``, a per-item generator that does the same, serves
-only the estimator and ``sieve_or_max``'s singleton list.
+only ``sieve_or_max``'s singleton list; the estimator reads the stream a
+block at a time with ``_blocks``.
 """
 
 from __future__ import annotations
@@ -82,6 +83,30 @@ def _scan(stream: StreamSource, instance: Instance):
             raise _unknown(eid)
         if p != base:
             yield eid
+
+
+def _blocks(items, instance: Instance):
+    """``items`` without the instance's base-set ids, as lists of at most
+    ``AUGMENT_CHUNK`` ids, read one list at a time.
+
+    An id the instance does not hold ends the list before it, and
+    ``KeyError`` is raised on the next read, before any query on it.
+    """
+    at, base = instance._at, instance.n  # every base id sits at position n
+    block = []
+    for eid in items:
+        p = at.get(eid)
+        if p is None:
+            if block:
+                yield block
+            raise _unknown(eid)
+        if p != base:
+            block.append(eid)
+            if len(block) == AUGMENT_CHUNK:
+                yield block
+                block = []
+    if block:
+        yield block
 
 
 def _unknown(eid) -> KeyError:
@@ -496,6 +521,57 @@ def sieve_plus_max(stream: StreamSource, k: float, oracle: SubmodularOracle,
     return meter.report(ids, value, trace)
 
 
+class _Row:
+    """A working set of :func:`estimate_lambda` and the batch it reads
+    ahead: f(S + e) for the block items from index ``j`` on that fit S and
+    are not in it, one :meth:`SubmodularOracle.values_ahead` batch read in
+    stream order.  ``next`` is the block index of the next unread item,
+    ``end`` where the batch's items end (0 while none is open), and
+    ``size`` how many block items the next batch spans."""
+
+    __slots__ = ("ws", "size", "end", "next", "idx", "at", "values", "take",
+                 "used")
+
+    def __init__(self, ws: WorkingSet, size: int = FIRST_CHUNK):
+        self.ws, self.size, self.end, self.values = ws, size, 0, None
+
+    def ask(self, oracle, block, at, j, ledger):
+        """Settle the open batch and open one on the ``size`` block items
+        from index ``j``; the next one spans twice as many, up to
+        ``AUGMENT_CHUNK``."""
+        self.settle(oracle, ledger)
+        ws, end = self.ws, min(j + self.size, len(block))
+        self.size = min(2 * self.size, AUGMENT_CHUNK)
+        keep = oracle.instance.fit_mask(at[j:end], ws.room)
+        if ws.ids and not ws.ids.isdisjoint(block[j:end]):  # a repeated id
+            keep &= [eid not in ws.ids for eid in block[j:end]]
+        idx = np.flatnonzero(keep)
+        self.idx, self.end, self.used = np.append(idx + j, end), end, 0
+        self.next = self.idx.item(0)
+        if not idx.size:
+            return
+        self.at = at[j:end][idx]
+        values = self.values = oracle.values_ahead(ws, self.at, ledger)
+        if isinstance(values, np.ndarray):
+            values = iter(values.tolist())
+        self.take = values.__next__
+
+    def read(self) -> float:
+        """The next item's value, f(S + e) for e at block index ``next``."""
+        value = self.take()
+        self.used += 1
+        self.next = self.idx.item(self.used)
+        return value
+
+    def settle(self, oracle, ledger):
+        """Close the batch with :meth:`SubmodularOracle.charge_ahead`: the
+        values read are queries, the rest speculative; a non-finite value
+        read raises :class:`~knapsub.errors.NonFiniteValue` once counted."""
+        values, self.values, self.end = self.values, None, 0
+        if values is not None:
+            oracle.charge_ahead(self.ws, self.at, values, self.used, ledger)
+
+
 def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
                     epsilon_est: float = 1 / 6,
                     ledger: QueryLedger | None = None) -> OptEstimate:
@@ -515,16 +591,34 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     Per element, the singleton query f({e}) comes first, since it moves
     the window, which is recomputed only when LB or delta has changed.
     Then each non-empty window set that the element fits and is not in is
-    one :meth:`SubmodularOracle.value_with` query, in index order.  An
-    empty set's query would be f({e}) again: it is answered with the value
-    just asked and counted once, as the singleton, so the ledger counts
-    exactly the queries the objective is asked.  Only the sets that hold
-    something are kept, and they fill the window's lowest rows; the empty
-    rows above them whose threshold f({e})/c_e meets end at one ``bisect``
-    of the ascending thresholds, and all take the same working set {e}.
-    A value so large that the window's floor max(2*LB, 2*delta)/(3k)
-    overflows a float, or so small that it underflows to 0, raises
-    ``ValueError``, naming the value.
+    one query f(S + e), in index order.  An empty set's query would be
+    f({e}) again: it is answered with the value just asked and counted
+    once, as the singleton, so the ledger counts exactly the queries the
+    objective is asked.  Only the sets that hold something are kept, and
+    they fill the window's lowest rows; the empty rows above them whose
+    threshold f({e})/c_e meets end at one ``bisect`` of the ascending
+    thresholds, and all take the same working set {e}.  A value so large
+    that the window's floor max(2*LB, 2*delta)/(3k) overflows a float, or
+    so small that it underflows to 0, raises ``ValueError``, naming the
+    value.
+
+    The queries are asked ahead, as :func:`threshold_pass` asks them.  The
+    stream is read a block of at most ``AUGMENT_CHUNK`` ids at a time, up
+    to an unknown id, and the block's singletons are one
+    :meth:`SubmodularOracle.values_ahead` batch on the empty set.  Each
+    non-empty set holds one more batch: its queries on the next block
+    items that fit it and are not in it, ``FIRST_CHUNK`` items at first,
+    twice as many after each batch read through, up to ``AUGMENT_CHUNK``;
+    the set starts over when it grows, and its batch closes when it leaves
+    the window.  The values are read in the order above and settled with
+    :meth:`SubmodularOracle.charge_ahead`: what is read counts as a query,
+    the rest as ``QueryLedger.speculative_evaluations``.  Every value read
+    is counted before any error is raised, so a budget, a non-finite
+    value, the grid's range or an unknown id stops the estimator at the
+    queries one at a time would have counted; a non-finite value never
+    read raises nothing.  So it holds one block of ids ahead, plus one
+    batch per non-empty set.  Any other objective than a protocol one is
+    asked one query per value read, so nothing is computed ahead.
     """
     base = 1.0 + epsilon_est
     if not (0 < epsilon_est < 1 / 3 and base > 1.0):
@@ -545,54 +639,76 @@ def estimate_lambda(stream: StreamSource, k: float, oracle: SubmodularOracle,
     # the non-empty threshold sets, the window's lowest rows: e joins every
     # empty row up to its cut, and while a set is held neither end of the
     # window falls, so rows leave at the bottom and enter empty at the top
-    sets: list[WorkingSet] = []
+    rows: list[_Row] = []
     taus: list[float] = []       # base ** i for each index in window
     floor_of = None      # the (lb, delta) that window was computed for
     retained = peak = 0
 
-    for eid in _scan(stream, inst):
-        c_e = inst.cost_of(eid)
-        fe = oracle.value_with(empty, eid, ledger)
-        if fe > delta:
-            delta = fe
-        density = fe / c_e
-        max_density = max(max_density, density)
-        if delta <= 0:
-            continue
+    for block in _blocks(stream.scan(), inst):
+        at = inst.locate(block)
+        costs = inst.costs[at].tolist()
+        singles = _Row(empty, len(block))
+        singles.ask(oracle, block, at, 0, ledger)
+        try:
+            for j, eid in enumerate(block):
+                fe = singles.read()
+                if not math.isfinite(fe):  # counted, then raised
+                    singles.settle(oracle, ledger)
+                c_e = costs[j]
+                if fe > delta:
+                    delta = fe
+                density = fe / c_e
+                max_density = max(max_density, density)
+                if delta <= 0:
+                    continue
 
-        if floor_of != (lb, delta):
-            floor_of = lb, delta
-            tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
-            if math.isinf(tau_min):
-                raise ValueError(f"value {max(lb, delta)!r} is too large for the "
-                                 f"grid: its floor max(2*LB, 2*delta)/(3k) overflows")
-            if tau_min == 0:
-                raise ValueError(f"value {max(lb, delta)!r} is too small for the "
-                                 f"grid: its floor max(2*LB, 2*delta)/(3k) is 0")
-            active = _grid_indices(tau_min / base, delta, log_base)
-            lo, hi = active.start, active.stop
-            if sets:
-                lo, hi = max(lo, window.start), max(hi, window.stop)
-            retained -= sum(len(ws.order) for ws in sets[:lo - window.start])
-            del sets[:lo - window.start]
-            window = range(lo, hi)
-            taus = [base ** i for i in window]
-        need = inst.unit_array.item(inst._at[eid])
-        for r, ws in enumerate(sets):
-            if eid in ws.ids or need > ws.room:
-                continue
-            gain = oracle.value_with(ws, eid, ledger) - ws.value
-            if gain / c_e >= taus[r]:
-                ws = sets[r] = oracle.add(ws, eid, ws.value + gain)
-                lb = max(lb, ws.value)
-                retained += 1
-        # e joins every empty row whose threshold its density meets, all
-        # alike: the taus ascend, so those rows end at one cut
-        joined = bisect.bisect_right(taus, density) - len(sets)
-        if joined > 0:
-            sets += [oracle.add(empty, eid, fe)] * joined
-            lb = max(lb, fe)
-            retained += joined
-        peak = max(peak, retained)
-
+                if floor_of != (lb, delta):
+                    floor_of = lb, delta
+                    tau_min = max(2.0 * lb, 2.0 * delta) / (3.0 * k)
+                    if math.isinf(tau_min):
+                        raise ValueError(
+                            f"value {max(lb, delta)!r} is too large for the grid: "
+                            f"its floor max(2*LB, 2*delta)/(3k) overflows")
+                    if tau_min == 0:
+                        raise ValueError(
+                            f"value {max(lb, delta)!r} is too small for the grid: "
+                            f"its floor max(2*LB, 2*delta)/(3k) is 0")
+                    active = _grid_indices(tau_min / base, delta, log_base)
+                    lo, hi = active.start, active.stop
+                    if rows:
+                        lo, hi = max(lo, window.start), max(hi, window.stop)
+                    for row in rows[:lo - window.start]:
+                        retained -= len(row.ws.order)
+                        row.settle(oracle, ledger)
+                    del rows[:lo - window.start]
+                    window = range(lo, hi)
+                    taus = [base ** i for i in window]
+                for r, row in enumerate(rows):
+                    if row.end <= j:
+                        row.ask(oracle, block, at, j, ledger)
+                    if row.next != j:
+                        continue  # e is in the set or does not fit it
+                    value = row.read()
+                    if not math.isfinite(value):  # counted, then raised
+                        row.settle(oracle, ledger)
+                    ws = row.ws
+                    gain = value - ws.value
+                    if gain / c_e >= taus[r]:
+                        row.settle(oracle, ledger)
+                        ws = row.ws = oracle.add(ws, eid, ws.value + gain)
+                        row.size = FIRST_CHUNK
+                        lb = max(lb, ws.value)
+                        retained += 1
+                # e joins every empty row whose threshold its density meets,
+                # all alike: the taus ascend, so those rows end at one cut
+                joined = bisect.bisect_right(taus, density) - len(rows)
+                if joined > 0:
+                    ws = oracle.add(empty, eid, fe)
+                    rows += [_Row(ws) for _ in range(joined)]
+                    lb = max(lb, fe)
+                    retained += joined
+                peak = max(peak, retained)
+        finally:
+            for row in (singles, *rows):
+                row.settle(oracle, ledger)
     return OptEstimate(max(lb, delta), 1 / 3 - epsilon_est, max_density, peak)

@@ -734,6 +734,43 @@ def test_bench_pairs_counts_only_lines_that_hold_code(tmp_path):
     assert tool.code_lines(tmp_path) == 9
 
 
+def test_bench_pairs_compares_times_undivided(tmp_path, monkeypatch, capsys):
+    # the head's times read 10% lower, but its host slowdown is 20% higher:
+    # undivided, as measured, it is 8% slower and wins no pair
+    for side in ("base", "head"):
+        (tmp_path / side / "src" / "knapsub").mkdir(parents=True)
+    (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}], "end_to_end": [
+            {"name": "wall_s", "unit": "s", "better": "lower"},
+            {"name": "queries", "unit": "count", "better": "lower"}]}))
+    tool = _bench_pairs()
+
+    def fake_run(checkout, workload, seed, seconds):
+        head = checkout.name == "head"
+        return {"metrics": {"wall_s": {"value": 0.9 if head else 1.0},
+                            "queries": {"value": 5}},
+                "failed": 0, "attempted": 1, "slowdown": 1.2 if head else 1.0,
+                "sweeps": 1, "solves": 1}
+
+    monkeypatch.setattr(tool, "perfbench", fake_run)
+    out = tmp_path / "pairs.json"
+    assert tool.main(["--base", str(tmp_path / "base"),
+                      "--head", str(tmp_path / "head"), "--workload", "a",
+                      "--seed", "1", "--pairs", "2", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["a"]["metrics"]
+    wall = metrics["wall_s"]
+    assert (round(wall["change"], 9), wall["head_wins"]) == (-0.1, 2)
+    assert wall["undivided"]["head"]["runs"] == [0.9 * 1.2] * 2
+    assert (round(wall["undivided"]["change"], 9),
+            wall["undivided"]["head_wins"]) == (0.08, 0)
+    assert "undivided" not in metrics["queries"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [
+        "a wall_s: base 1 head 0.9 change -10.0% head wins 2/2; "
+        "undivided change +8.0% head wins 0/2",
+        "a queries: base 5 head 5 change +0.0% head wins 0/2"]
+
+
 def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
                                                              monkeypatch, capsys):
     tool = _bench_pairs()
@@ -783,11 +820,13 @@ def test_bench_pairs_prints_one_line_per_workload_and_metric(tmp_path,
     assert capsys.readouterr().out.splitlines() == [
         "src lines: base 7 head 4 change -3; "
         "code lines: base 7 head 4 change -3",
-        "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
+        "a wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2; "
+        "undivided change -57.4% head wins 2/2",
         "a value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
         "a host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)",
         f"a {counts}",
-        "b wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2",
+        "b wall_s: base 0.35 head 0.15 change -57.1% head wins 2/2; "
+        "undivided change -57.4% head wins 2/2",
         "b value_ratio: base 1 head 0.5 change -50.0% head wins 0/2",
         "b host slowdown: base 1.25 (1.125-1.375) head 1.188 (1.156-1.219)",
         f"b {counts}"]

@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+import knapsub.objectives
 from knapsub import (
     BudgetExceeded,
     CoverageObjective,
@@ -705,6 +706,56 @@ def test_movie_batch_chunks_wide_tables_by_floats():
                 hexes(objective.value_with(state, eid) for eid in ids.tolist())
 
 
+# a movie table of 2,000 targets: 2**16 floats hold 32 rows per block
+WIDE = 2000
+WIDE_STEP = _MOVIE_BATCH_FLOATS // WIDE
+
+
+@pytest.mark.parametrize("ids, runs", [
+    (range(3, 20), [True]),                    # inside one block
+    (range(10, 80), [True, True, True]),       # across blocks
+    (range(170, 200), [True]),                 # up to the table's last row
+    ([*range(5, 20), *range(21, 30)], [False]),  # one gap
+    ([*range(5, 20), *range(21, 60)], [False, True]),  # a gap, then a run
+    (range(60, 20, -1), [False, False]),       # descending
+    ([7, 7, 8, 8, 9], [False]),                # repeated
+    ([42], [True]),                            # a single id
+    ([-3, -2, -1], [False]),                   # negative ids index from the end
+])
+def test_movie_batches_read_runs_in_place(monkeypatch, ids, runs):
+    # a block of consecutive ascending ids is read as a slice of the table,
+    # any other block is gathered; both give value_with's floats, bit for
+    # bit, on the empty state and on grown ones
+    assert WIDE_STEP == 32
+    rng = np.random.default_rng(11)
+    objective = MovieObjective(rng.standard_normal((200, 6)),
+                               targets=rng.integers(0, 200, WIDE))
+    read = []
+    run = knapsub.objectives._run
+
+    def recorded(chunk):
+        read.append(run(chunk) is not None)
+        return run(chunk)
+
+    monkeypatch.setattr(knapsub.objectives, "_run", recorded)
+    grown = objective.extend(None, [3, 50, 120])
+    for state in (None, grown, objective.extend(grown, [199])):
+        read.clear()
+        assert hexes(objective.values_with(state, list(ids))) == \
+            hexes(objective.value_with(state, eid) for eid in ids)
+        assert read == runs
+
+
+def test_a_movie_batch_refuses_an_id_past_the_table():
+    # as the single query's index does, whether the block is a run or not
+    objective = MovieObjective(np.eye(4))
+    for ids in ([2, 3, 4], [4, 1], [-5]):
+        with pytest.raises(IndexError):
+            objective.values_with(None, ids)
+    with pytest.raises(IndexError):
+        objective.value_with(None, 4)
+
+
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 127, 128, 129, 1000, 2000])
 def test_numpy_sums_a_contiguous_row_as_a_1d_array(width):
     # the movie batches rest on this: NumPy sums each contiguous row of a
@@ -739,8 +790,9 @@ def test_movie_batch_counts_whole_before_a_nonfinite_value(bad):
 
 def test_movie_solvers_ask_batches():
     # greedy asks each step in a few batches and the augmentation pass each
-    # prefix's items; the estimator asks one set at a time, answers its
-    # empty grid sets from the singleton query and counts what it asks
+    # prefix's items; the estimator asks its singletons in one batch and
+    # each grid set's queries in batches of its own, and answers its empty
+    # grid sets from the singleton query
     instance, objective = movie_case(3, 40, 8.0)
     calls = {"values_with": 0, "value_with": 0}
 
@@ -758,8 +810,8 @@ def test_movie_solvers_ask_batches():
     ledger = QueryLedger()
     est = estimate_lambda(StreamSource.from_instance(instance), 8.0, oracle,
                           ledger=ledger)
-    assert calls["values_with"] == 0
-    assert instance.n < calls["value_with"] == ledger.query_count
+    assert calls["value_with"] == 0
+    assert 1 < calls["values_with"] < instance.n < ledger.query_count
     calls.update(values_with=0, value_with=0)
     report = greedy_plus_max(instance, oracle).report
     steps = len(report.trace.steps) - 1

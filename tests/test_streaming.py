@@ -36,6 +36,7 @@ from knapsub import (
 )
 from knapsub.bench.datasets import preferential_adjacency
 from knapsub.streaming import (
+    AUGMENT_CHUNK,
     MAX_LEVELS,
     _grid_indices,
     augment_pass,
@@ -46,6 +47,7 @@ from knapsub.streaming import (
 
 from helpers import (
     NONFINITE,
+    MovieNanProbe,
     NanProbe,
     movie_case,
     movie_vectors,
@@ -630,8 +632,10 @@ def test_the_estimator_batch_rejects_the_movie_nan_probe(bad):
         with pytest.raises(NonFiniteValue, match=r"on \[0, 1, 2\]") as info:
             estimate_lambda(StreamSource.from_instance(instance), 3.0, oracle,
                             ledger=ledger)
-        # the oracle's scalar query, on both paths
-        assert "value_with" in [entry.name for entry in info.traceback]
+        # the scalar query that asks it, or the batch computed ahead that
+        # holds it, settled once the value is read
+        frame = "charge_ahead" if path == "protocol" else "value_with"
+        assert frame in [entry.name for entry in info.traceback]
         # three singletons, id 1 on its whole window, and id 2's first grid
         # query
         assert ledger.query_count == 3 + width + 1 == 15
@@ -687,11 +691,13 @@ def test_the_objective_is_asked_every_query_the_estimator_counts(corpus):
         assert protocol_ledger.query_count == ledger.query_count
 
 
-def logged_estimate(estimator, instance, objective, path, budget=None):
+def logged_estimate(estimator, instance, objective, path, budget=None,
+                    ids=None):
     """``estimator`` on ``instance`` as ``(estimate, queries)`` with every
-    float as hex, or ``("BudgetExceeded", queries)``, and its log: each
-    ledger admission's count and, on the callable path, each set the
-    objective is asked, in order."""
+    float as hex, or ``(error type, queries)``, its log and its
+    speculative tally.  The log holds each ledger admission's count and,
+    on the callable path, each set the objective is asked, in order.
+    ``ids``, when given, is the stream."""
     log = []
 
     def asked(ids):
@@ -699,41 +705,79 @@ def logged_estimate(estimator, instance, objective, path, budget=None):
         return objective.value(ids)
 
     class Logged(QueryLedger):
-        def _admit(self, count=1, infeasible=False):
+        def _admit(self, count=1, infeasible=False, speculative=0):
             log.append(count)
-            super()._admit(count, infeasible)
+            super()._admit(count, infeasible, speculative)
 
     ledger = Logged(budget=budget)
     fn = objective if path == "protocol" else asked
+    stream = (StreamSource.from_instance(instance) if ids is None
+              else StreamSource(ids))
     try:
-        est = estimator(StreamSource.from_instance(instance),
-                        instance.capacity, SubmodularOracle(instance, fn),
+        est = estimator(stream, instance.capacity, SubmodularOracle(instance, fn),
                         ledger=ledger)
-    except BudgetExceeded:
-        return ("BudgetExceeded", ledger.query_count), log
-    return ((est.lam.hex(), est.alpha.hex(), est.max_singleton_density.hex(),
-             est.peak_retained), ledger.query_count), log
+    except (BudgetExceeded, NonFiniteValue, KeyError) as exc:
+        return ((type(exc).__name__, ledger.query_count), log,
+                ledger.speculative_evaluations)
+    return (((est.lam.hex(), est.alpha.hex(), est.max_singleton_density.hex(),
+              est.peak_retained), ledger.query_count), log,
+            ledger.speculative_evaluations)
+
+
+def assert_matches_the_reference(instance, objective, path, budget=None,
+                                 ids=None):
+    """The estimator's estimate or error and its query count are the
+    reference's; on the callable path so are its admissions and the sets
+    asked, one query each, and nothing is computed ahead.  On the protocol
+    path each admission is one settled batch.  Returns the result."""
+    run, log, spent = logged_estimate(estimate_lambda, instance, objective,
+                                      path, budget, ids)
+    ref, ref_log, _ = logged_estimate(scalar_estimate_lambda, instance,
+                                      objective, path, budget, ids)
+    assert run == ref
+    if path == "callable":
+        assert (log, spent) == (ref_log, 0)
+        # no admission goes unanswered: the objective is asked each one
+        assert all(a == 1 and type(b) is list
+                   for a, b in zip(log[::2], log[1::2]))
+    elif budget is None:
+        assert sum(log) == run[1]
+    return run
+
+
+def repeated_streams(instance):
+    """Streams with repeated ids and base ids: every id twice in a row, the
+    whole stream twice, and the base ids spread through it."""
+    ids = instance.element_ids()
+    streams = [[x for eid in ids for x in (eid, eid)], ids + ids[::-1]]
+    if instance.base_set:
+        base = sorted(instance.base_set) * len(ids)
+        streams.append([x for pair in zip(base, ids) for x in pair])
+    return streams
 
 
 @pytest.mark.parametrize("path", ["protocol", "callable"])
 def test_the_estimator_matches_the_per_row_reference(corpus, path):
-    # only the non-empty grid sets are walked, and the empty sets an
-    # element joins share one working set: the estimate, the queries and
-    # their order are the reference's, bit for bit
+    # every grid set asks its queries ahead in one batch: the estimate,
+    # the queries and, one query at a time, their order are the
+    # reference's, bit for bit
     cases = estimator_cases(corpus)
     for instance, objective in cases:
-        run = logged_estimate(estimate_lambda, instance, objective, path)
-        assert run == logged_estimate(scalar_estimate_lambda, instance,
-                                      objective, path)
-        if path == "callable":
-            # no admission goes unanswered: the objective is asked each one
-            log = run[1]
-            assert all(a == 1 and type(b) is list
-                       for a, b in zip(log[::2], log[1::2]))
-            assert len(log) == 2 * run[0][1]
+        assert_matches_the_reference(instance, objective, path)
     for (instance, objective), (*_, pinned) in zip(cases[60:], MODULAR_EDGES):
         assert logged_estimate(estimate_lambda, instance, objective,
                                path)[0] == pinned
+
+
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+def test_the_estimator_matches_the_reference_on_repeated_and_base_ids(
+        corpus, path):
+    # a repeated id is asked again of the sets that do not hold it; a
+    # base id is skipped with no query
+    cases = estimator_cases(corpus)
+    for instance, objective in cases[:8] + cases[-5:]:
+        for ids in repeated_streams(instance):
+            assert_matches_the_reference(instance, objective, path, ids=ids)
 
 
 # two small movie cases, each with its estimator's queries and then
@@ -746,17 +790,94 @@ BUDGET_CASES = [((2, 40, 3.0), 22, 24), ((2, 40, 5.0), 58, 64)]
 def test_budget_stops_the_estimator_where_the_reference_stops():
     for args, pinned, _ in BUDGET_CASES:
         instance, objective = movie_case(*args)
-        full, _ = logged_estimate(estimate_lambda, instance, objective,
-                                  "protocol")
+        full = assert_matches_the_reference(instance, objective, "protocol")
         total = full[1]
         assert total == pinned
         for budget in range(total + 2):
-            run = logged_estimate(estimate_lambda, instance, objective,
-                                  "protocol", budget)
-            assert run == logged_estimate(scalar_estimate_lambda, instance,
-                                          objective, "protocol", budget)
-            assert run[0] == (("BudgetExceeded", budget) if budget < total
-                              else full)
+            run = assert_matches_the_reference(instance, objective, "protocol",
+                                               budget)
+            assert run == (("BudgetExceeded", budget) if budget < total
+                           else full)
+
+
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+def test_every_budget_stops_the_estimator_at_the_reference_count(corpus, path):
+    # every budget from 0 past the total, on every fifth corpus case, the
+    # other reference cases and streams with repeated and base ids; a run
+    # of more than 300 queries
+    # (the 300-movie case, 2,071) is swept at a stride of 97 and at its
+    # last three budgets
+    cases = estimator_cases(corpus)
+    runs = [(instance, objective, None)
+            for instance, objective in cases[:60:5] + cases[60:]]
+    runs += [(instance, objective, ids) for instance, objective
+             in (cases[0], cases[-1]) for ids in repeated_streams(instance)]
+    for instance, objective, ids in runs:
+        full = assert_matches_the_reference(instance, objective, path, ids=ids)
+        total = full[1]
+        budgets = range(total + 2)
+        if total > 300:
+            budgets = sorted({*budgets[::97], total - 1, total, total + 1})
+        for budget in budgets:
+            run, _, _ = logged_estimate(estimate_lambda, instance, objective,
+                                        path, budget, ids)
+            assert run == (("BudgetExceeded", budget) if budget < total
+                           else full)
+
+
+@pytest.mark.parametrize("path", ["protocol", "callable"])
+@pytest.mark.parametrize("at", [0, 1, 7, 40])
+def test_an_unknown_id_stops_the_estimator_after_the_ids_before_it(path, at):
+    # the ids before it run, with every query they ask counted; it is
+    # never asked, and the stream is read no further
+    instance, objective = movie_case(3, 120, 8.0)
+    ids = instance.element_ids()
+    ids = ids[:at] + [999] + ids[at:]
+    run = assert_matches_the_reference(instance, objective, path, ids=ids)
+    prefix = logged_estimate(estimate_lambda, instance, objective, path,
+                             ids=ids[:at])[0]
+    assert run == ("KeyError", prefix[1])
+    read = []
+
+    class Recorded(StreamSource):
+        def scan(self):
+            for eid in super().scan():
+                read.append(eid)
+                yield eid
+
+    oracle = SubmodularOracle(instance, objective)
+    with pytest.raises(KeyError, match="999"):
+        estimate_lambda(Recorded(ids), 8.0, oracle)
+    assert read == ids[:at + 1]
+
+
+def test_an_unknown_id_past_a_full_block_stops_the_estimator_there():
+    # 4,096 ids fill the first block; the unknown id ends the second
+    n = AUGMENT_CHUNK + 50
+    instance = Instance([Element(i, 1.0) for i in range(n)], 3.0)
+    objective = CoverageObjective([[] for _ in range(n)])
+    for cut in (AUGMENT_CHUNK, AUGMENT_CHUNK + 1):
+        ids = list(range(cut)) + [-1] + list(range(cut, n))
+        for path in ("protocol", "callable"):
+            run = assert_matches_the_reference(instance, objective, path,
+                                               ids=ids)
+            assert run[0] == "KeyError" and run[1] >= cut
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_a_nonfinite_value_computed_ahead_and_never_read_never_raises(bad):
+    # every grid set is {0} when id 1 arrives, and its batch computes ids 1
+    # and 2 ahead; f({0, 2}) is bad, but each set takes id 1, after which
+    # id 2 (2 units) no longer fits, so the bad value is never read
+    objective = MovieNanProbe(bad)
+    instance = Instance([Element(0, 1.0), Element(1, 1.0), Element(2, 2.0)],
+                        3.0)
+    runs = {path: logged_estimate(estimate_lambda, instance, objective, path)
+            for path in ("protocol", "callable")}
+    assert runs["protocol"][0] == runs["callable"][0]
+    assert runs["protocol"][0][0][0] == (2.0).hex()  # f({0, 1})
+    assert runs["callable"][2] == 0 < runs["protocol"][2]
+    assert_matches_the_reference(instance, objective, "callable")
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
@@ -772,10 +893,14 @@ def test_a_nonfinite_movie_vector_stops_the_movie_pipeline(bad):
     oracle = SubmodularOracle(clean, poisoned)
     assert not math.isfinite(poisoned.value_with(None, x))
 
-    # the estimator's singleton query meets row x before any batch can
+    # the estimator's singleton batch meets row x first, and raises once
+    # the value is read and counted: f({x}) is the sixth query
+    ledger = QueryLedger()
     with pytest.raises(NonFiniteValue) as info:
-        estimate_lambda(StreamSource.from_instance(clean), 3.0, oracle)
-    assert info.traceback[-1].name == "value_with"
+        estimate_lambda(StreamSource.from_instance(clean), 3.0, oracle,
+                        ledger=ledger)
+    assert info.traceback[-1].name == "charge_ahead"
+    assert ledger.query_count == 6
     # with every level skipped, the first query on x is in the augmentation
     # pass's batch on the empty prefix, counted whole
     ledger = QueryLedger()

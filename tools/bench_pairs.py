@@ -12,8 +12,11 @@ the head's ``BENCHMARK.json`` the output holds both sides' runs, medians
 and quartiles, the relative change of the medians, and in how many pairs
 the head was strictly better (a tie counts for neither); stdout gets one
 line per workload and metric with the two medians, the change and the
-head's wins.  Each run's host-slowdown divisor, which perfbench prints
-and divides every time by, is kept per side with its spread and printed
+head's wins.  A time (a metric in ``s``) is compared once more
+undivided, each run's value times its own host-slowdown divisor, as
+``undivided`` in the output and at the end of its stdout line.  Each
+run's host-slowdown divisor, which perfbench prints and divides every
+time by, is kept per side with its spread and printed
 as one line per workload: a change that moves where the reference task's
 samples land moves the divisor, and so every time, with it.  So are each
 run's sweep and solve counts, from perfbench's first line, printed on the
@@ -146,14 +149,28 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
             "head_wins": sum(sign * (y - x) > 0 for x, y in zip(base, head))}
 
 
+def undivided(values: list[float], runs: list[dict]) -> list[float]:
+    """Each run's time times its own host-slowdown divisor: the time as
+    measured, before perfbench divided it."""
+    return [value * run["slowdown"] for value, run in zip(values, runs)]
+
+
 def summary(workload: str, name: str, compared: dict) -> str:
     """One stdout line: both medians, the change in percent and the
-    head's wins out of the pairs."""
-    change = compared["change"]
-    return (f"{workload} {name}: base {compared['base']['median']:.6g} "
-            f"head {compared['head']['median']:.6g} change "
-            f"{'n/a' if change is None else f'{100 * change:+.1f}%'} "
-            f"head wins {compared['head_wins']}/{len(compared['base']['runs'])}")
+    head's wins out of the pairs, then, for a time, the change of the
+    undivided medians and the head's wins on them."""
+    def change(compared):
+        change = compared["change"]
+        return "n/a" if change is None else f"{100 * change:+.1f}%"
+
+    pairs = len(compared["base"]["runs"])
+    line = (f"{workload} {name}: base {compared['base']['median']:.6g} "
+            f"head {compared['head']['median']:.6g} change {change(compared)} "
+            f"head wins {compared['head_wins']}/{pairs}")
+    if "undivided" in compared:
+        line += (f"; undivided change {change(compared['undivided'])} "
+                 f"head wins {compared['undivided']['head_wins']}/{pairs}")
+    return line
 
 
 def alternate(pairs: int, run):
@@ -283,6 +300,10 @@ def main(argv=None) -> int:
             metrics[name] = {"unit": metric["unit"], "better": metric["better"],
                              **compare(values["base"], values["head"],
                                        metric["better"])}
+            if metric["unit"] == "s":
+                metrics[name]["undivided"] = compare(
+                    *(undivided(values[side], runs[side])
+                      for side in ("base", "head")), metric["better"])
             print(summary(workload, name, metrics[name]))
             if metric["unit"] == "s":
                 flagged = {side: implausible(v) for side, v in values.items()}
