@@ -301,7 +301,9 @@ class MovieObjective:
             chunk = ids[a:a + step]
             block = buffer[:len(chunk)]
             run = _run(chunk)
-            if run is None:  # "wrap" indexes as NumPy does, in range
+            if run is None:
+                # "raise" would gather through a temporary copy; the ids
+                # are in range, where "wrap" indexes as NumPy does
                 table = np.take(self._table, chunk, axis=0, out=block, mode="wrap")
             else:
                 table = self._table[run]
