@@ -719,6 +719,7 @@ WIDE_STEP = _MOVIE_BATCH_FLOATS // WIDE
     ([*range(5, 20), *range(21, 60)], [False, True]),  # a gap, then a run
     (range(60, 20, -1), [False, False]),       # descending
     ([7, 7, 8, 8, 9], [False]),                # repeated
+    ([3, 5, 4, 6], [False]),                   # a run's span, out of order
     ([42], [True]),                            # a single id
     ([-3, -2, -1], [False]),                   # negative ids index from the end
 ])
