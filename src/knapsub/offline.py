@@ -10,11 +10,15 @@ best-gain item (the augmentation candidate) off those fresh values.  The
 picks, prefixes and candidates are those of a sweep that asks every
 fitting item at every step; plain greedy, greedy-or-max and
 greedy-plus-max issue exactly the same oracle queries, so the stronger
-outputs are free.  A protocol objective computes a step's values ahead,
-a few more than the pass asks; those are tallied as speculative, never
-counted as queries.  A run keeps its prefixes G_0..G_m as working sets,
-each at its value; the answers and :func:`greedy_order`'s callers read
-them directly.
+outputs are free.  An item that stops fitting is never asked again: the
+trace's ``ub_density`` takes its density bound from its last refresh, at
+or above its density at the last prefix it fit, so it may lie above that
+of the full sweep (or a few ulps below, as a stale coverage density can
+sit ulps below a fresh one).  A protocol objective computes a step's
+values ahead, a few more than the pass asks; those are tallied as
+speculative, never counted as queries.  A run keeps its prefixes
+G_0..G_m as working sets, each at its value; the answers and
+:func:`greedy_order`'s callers read them directly.
 """
 
 from __future__ import annotations
@@ -84,35 +88,31 @@ def _fresh(instance: Instance, ws: WorkingSet, at, values):
 
 
 def _reach(bounds, floors):
-    """Whether each item's bound of some kind reaches that kind's floor."""
-    reach = bounds[0] >= floors[0]
-    for bound, floor in zip(bounds[1:], floors[1:]):
-        reach |= bound >= floor
-    return reach
+    """Whether each item's density or gain bound reaches that kind's floor."""
+    return (bounds[0] >= floors[0]) | (bounds[1] >= floors[1])
 
 
-def _lazy_pass(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, best,
-               guess, ledger: QueryLedger, extra=None):
+def _lazy_pass(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, guess,
+               ledger: QueryLedger):
     """The values f(S + e), at the working set ``ws``, that a lazy pass
     over the items at positions ``at`` asks, all outside S and fitting it.
 
-    ``bounds`` holds the items' density bounds and, optionally, their gain
-    bounds, -inf for an item out of the pass; ``best`` the best fresh
-    density (and gain) so far.  The pass asks the item with the highest
+    ``bounds`` holds the items' density bounds and their gain bounds, -inf
+    for an item out of the pass.  The pass asks the item with the highest
     bound of either kind while that bound is at least ``_floor`` of the
-    matching best, which each answer may raise, so it asks exactly the
-    items whose bound reaches the floor of the final best, in any order.
+    best fresh value of that kind so far, which each answer may raise, so
+    it asks exactly the items whose bound reaches the floor of the final
+    best, in any order.
 
     A protocol objective computes, with
     :meth:`SubmodularOracle.values_ahead`, every item whose bound reaches
     the floor ``guess`` of its kind, each lowered to at most the floor of
-    the top bound of its kind, so the batch holds the top-bound items,
-    and the items at indices ``extra``.  Where the floors of the bests it
-    finds lie lower than ``guess`` and reach an item outside the batch,
-    the batch is tallied as speculative and computed once more with every
-    item those floors reach; that batch holds the bests found, so the
-    floors of its own bests reach no item outside it (``extra`` rides
-    along again).  Any other objective, or a batch holding a value that is
+    the top bound of its kind, so the batch holds the top-bound items.
+    Where the floors of the bests it finds lie lower than ``guess`` and
+    reach an item outside the batch, the batch is tallied as speculative
+    and computed once more with every item those floors reach; that batch
+    holds the bests found, so the floors of its own bests reach no item
+    outside it.  Any other objective, or a batch holding a value that is
     not finite (tallied as speculative), runs the pass one counted query
     at a time, so it stops at a budget or a non-finite value where single
     queries would.
@@ -123,22 +123,19 @@ def _lazy_pass(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, best,
     where it asks them all, and the batch's positions where it was
     computed ahead, ``None`` where it was asked one query at a time.  The
     caller settles a batch computed ahead with
-    :meth:`SubmodularOracle.charge_ahead`, counting the items asked, and
-    any of ``extra`` its own pass asks.  A value computed and not asked
-    lies below the best of both kinds.
+    :meth:`SubmodularOracle.charge_ahead`, counting the items asked.  A
+    value computed and not asked lies below the best of both kinds.
     """
     guess = [min(g, _floor(_top(bound))) for g, bound in zip(guess, bounds)]
     reach = _reach(bounds, guess)
     for _ in range(2):
-        if extra is not None:
-            reach[extra] = True
         idx = reach.nonzero()[0]
         pos = at[idx]
         values = oracle.values_ahead(ws, pos, ledger)
         if not (isinstance(values, np.ndarray) and math.isfinite(values.sum())):
             break
         gains, dens = _fresh(oracle.instance, ws, pos, values)
-        floors = [_floor(max(b, _top(x))) for b, x in zip(best, (dens, gains))]
+        floors = [_floor(_top(dens)), _floor(_top(gains))]
         if all(f >= g for f, g in zip(floors, guess)):
             asked = _reach([bound[idx] for bound in bounds], floors)
         else:  # the floors lie lower: may an item not computed reach them?
@@ -154,11 +151,11 @@ def _lazy_pass(oracle: SubmodularOracle, ws: WorkingSet, at, bounds, best,
                 None if asked.all() else asked, pos)
     if isinstance(values, np.ndarray):  # all speculative
         oracle.charge_ahead(ws, pos, values, 0, ledger)
-    return (*_one_at_a_time(oracle, ws, at, bounds, best, ledger), None)
+    return (*_one_at_a_time(oracle, ws, at, bounds, ledger), None)
 
 
 def _one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
-                   best, ledger: QueryLedger):
+                   ledger: QueryLedger):
     """:func:`_lazy_pass` one counted :meth:`SubmodularOracle.value_with`
     query at a time, the highest bound first, the first on ties and a
     density bound before a gain bound."""
@@ -167,7 +164,8 @@ def _one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
     ids = inst.ids[at].tolist()
     orders = [np.argsort(-bound, kind="stable").tolist() for bound in bounds]
     bounds = [bound.tolist() for bound in bounds]
-    heads = [0] * len(bounds)
+    heads = [0, 0]
+    best = [-math.inf, -math.inf]
     done = [False] * len(ids)
     asked = []
     while True:
@@ -188,30 +186,6 @@ def _one_at_a_time(oracle: SubmodularOracle, ws: WorkingSet, at, bounds,
         best = [max(b, f) for b, f in zip(best, fresh)]
         done[j] = True
         asked.append((j, value))
-
-
-def _drop_pass(oracle: SubmodularOracle, prev: WorkingSet, working, out,
-               bound, fresh, density_ub, removed_max: float,
-               ledger: QueryLedger) -> float:
-    """``removed_max`` raised by the items at indices ``out``, dropped
-    after the step at ``prev`` that asked the items at indices ``fresh``
-    (ascending): those asked there give their densities (``bound``), then
-    a lazy pass asks there each other whose bound reaches the floor."""
-    at = fresh.searchsorted(out)
-    known = fresh[np.minimum(at, fresh.size - 1)] == out
-    if known.any():
-        removed_max = max(removed_max, _top(bound[known]))
-    stale = out[(bound >= _floor(removed_max)) & ~known]
-    if not stale.size:
-        return removed_max
-    stale.sort()  # by id, as a one-at-a-time pass breaks ties
-    idx, values, _, dens, asked, ahead = _lazy_pass(
-        oracle, prev, working[stale], [density_ub[stale]], [removed_max],
-        [_floor(removed_max)], ledger)
-    if ahead is not None:
-        used = idx.size if asked is None else np.count_nonzero(asked)
-        oracle.charge_ahead(prev, ahead, values, int(used), ledger)
-    return max(removed_max, _top(dens))
 
 
 def _by_units(instance: Instance, working):
@@ -243,16 +217,12 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
 
     Items that stop fitting the residual budget (the exact rule, on
     ``Instance.unit_array``) are dropped; they are found by one search of
-    the items sorted by units.  The trace's ``ub_density`` keeps their
-    highest density at the prefix G_i they last fit, which submodularity
-    keeps an upper bound: those asked at G_i give theirs, and a lazy pass
-    asks there those not yet asked whose bound could still raise it.  The
-    items any pick drops, whose units exceed the room less the fewest units
-    a pick can have, are computed in the step's own batch, so that pass
-    needs an objective call of its own only where the pick drops more; the
-    step's batch is charged once it is settled.  The arrays are compacted
-    once half their items are out.  ``restrict_to`` limits the pool to a
-    subset of element ids.
+    the items sorted by units, and never asked again.  The trace's
+    ``ub_density`` keeps their highest density bound: for those asked at
+    the prefix G_i they last fit, their density there; for the others,
+    their bound from their last refresh, which submodularity keeps above
+    their density at G_i.  The arrays are compacted once half their items
+    are out.  ``restrict_to`` limits the pool to a subset of element ids.
     """
     ws = start
     if ws is None:
@@ -276,19 +246,9 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     step = 0
 
     while left:
-        ahead = None
         if step:
-            # the items any pick drops, as the fewest units a pick can have
-            # leaves no room for them: the drop refresh below may ask them
-            sure = minus_units.searchsorted(
-                -instance.clamp_room(ws.room + minus_units.item(-1)))
-            extra = None
-            if sure > cut:
-                extra = by_units[cut:sure]
-                extra = extra[density_ub[extra] >= _floor(removed_max)]
             batch, vals, gains, dens, asked, ahead = _lazy_pass(
-                oracle, ws, working, [density_ub, gain_ub], [-np.inf, -np.inf],
-                guess, ledger, extra)
+                oracle, ws, working, [density_ub, gain_ub], guess, ledger)
         else:  # every bound is +inf: one batch asks them all
             batch, asked = np.arange(working.size), None
             vals = oracle.values_with(ws, working, ledger)
@@ -299,54 +259,31 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         value, best_value, top = vals.item(d), vals.item(g), dens.item(d)
         steps.append(TraceStep(cost_g, ws.value, top, max(top, removed_max)))
         guess = [_floor(_floor(top)), GAIN_GUESS * (best_value - ws.value)]
-        fresh, batch_dens, picked = batch, dens, d
         g, d = batch.item(g), batch.item(d)
         if step:
+            fresh = batch
             if asked is not None:
                 fresh, dens, gains = batch[asked], dens[asked], gains[asked]
             density_ub[fresh], gain_ub[fresh] = dens, gains
+            if ahead is not None:
+                oracle.charge_ahead(ws, ahead, vals, fresh.size, ledger)
         density_ub[d] = gain_ub[d] = -np.inf
         left -= 1
         best_density = instance.ids.item(working.item(d))
         candidates.append((step, instance.ids.item(working.item(g)), best_value))
 
-        prev = ws
         ws = oracle.add(ws, best_density, value)
         cost_g += instance.cost_of(best_density)
         prefixes.append(ws)
 
-        charge = fresh.size
         end = minus_units.searchsorted(-instance.clamp_room(ws.room))
         if end > cut:
             out = by_units[cut:end]
             bound = density_ub[out]  # -inf once picked
             left -= int(np.count_nonzero(bound > -np.inf))
-            # removed_max takes each dropped item's density at G_i, where
-            # a bound could raise it: those asked there, then those a lazy
-            # pass asks there
-            if _top(bound) >= _floor(removed_max):
-                if ahead is not None and end <= sure:
-                    # the batch holds each dropped item whose bound reaches
-                    # the floor, and every other lies below the highest
-                    gone = (instance.unit_array[working[batch]]
-                            > instance.clamp_room(ws.room))
-                    gone[picked] = False
-                    removed_max = max(removed_max, _top(batch_dens[gone]))
-                    if asked is not None:
-                        gone &= ~asked
-                        charge += int(np.count_nonzero(
-                            density_ub[batch[gone]] >= _floor(removed_max)))
-                else:  # single queries would ask the step's items first
-                    if ahead is not None:
-                        oracle.charge_ahead(prev, ahead, vals, charge, ledger)
-                        ahead = None
-                    removed_max = _drop_pass(oracle, prev, working, out, bound,
-                                             fresh, density_ub, removed_max,
-                                             ledger)
+            removed_max = max(removed_max, _top(bound))
             density_ub[out] = gain_ub[out] = -np.inf
             cut = end
-        if ahead is not None:
-            oracle.charge_ahead(prev, ahead, vals, charge, ledger)
         step += 1
         if 2 * left < working.size:
             kept = density_ub > -np.inf

@@ -410,9 +410,9 @@ def full_sweep_greedy(oracle, ledger, start, restrict_to=None):
     """The pick reference for ``knapsub.offline._run_greedy``: every step
     asks every still-fitting item in one batch.  Returns the prefixes
     G_0..G_m, the Greedy+Max candidates ``(i, best-gain id, f(G_i + s_i))``
-    and the trace steps, with the same ties, to the smallest id, and the
-    same ``ub_density`` rule: the highest density a dropped item had at the
-    last prefix it fit."""
+    and the trace steps, with the same ties, to the smallest id.  Its
+    ``ub_density`` takes the exact rule: the highest density a dropped item
+    had at the last prefix it fit."""
     inst = oracle.instance
     ws = start
     cost_g = inst.cost(ws.order)
@@ -457,11 +457,11 @@ def heap_lazy_greedy(oracle, ledger, start, restrict_to=None):
     heap while its bound is at least a relative 1e-9 below the best fresh
     density, else the top of the gain heap while its bound is within that
     of the best fresh gain, and stops when neither is.  The picks and the
-    trace are read off the fresh items.  Of the items the pick drops, the
-    fresh ones raise ``removed_max`` first; the stale ones are then asked,
-    on the prefix they last fit, in descending density bound while that
-    bound is within the slack of ``removed_max``.  Returns what
-    :func:`full_sweep_greedy` returns."""
+    trace are read off the fresh items.  The items the pick drops are never
+    asked again: each raises ``removed_max`` by its density from its last
+    refresh, fresh or stale.  Returns what :func:`full_sweep_greedy`
+    returns, with ``ub_density`` at or above the full sweep's, less the
+    slack."""
     inst = oracle.instance
     ws = start
     cost_g = inst.cost(ws.order)
@@ -504,19 +504,12 @@ def heap_lazy_greedy(oracle, ledger, start, restrict_to=None):
         candidates.append((len(prefixes) - 1, g, fresh[g]))
         steps.append(TraceStep(cost_g, ws.value, density[d],
                                max(density[d], removed_max)))
-        prev = ws
         ws = oracle.add(ws, d, fresh[d])
         cost_g += inst.cost_of(d)
         prefixes.append(ws)
         alive.discard(d)
         dropped = [e for e in alive if inst.unit_array.item(inst._at[e]) > ws.room]
-        removed_max = max([removed_max] + [density[e] for e in dropped if e in fresh])
-        for e in sorted((e for e in dropped if e not in fresh),
-                        key=lambda e: (-density[e], e)):
-            if density[e] < _slack_floor(removed_max):
-                break
-            ask(prev, e)
-            removed_max = max(removed_max, density[e])
+        removed_max = max([removed_max] + [density[e] for e in dropped])
         alive.difference_update(dropped)
         for e in fresh:
             if e in alive:

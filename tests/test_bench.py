@@ -426,8 +426,8 @@ def test_csv_hash_ignores_wall_time(tmp_path):
 
 
 PINNED_HASHES = {
-    "gnp": "98a7944cb7aaa81adc7c0a259b15bf502aa5422b9ee5b654ba19a4ddd6918762",
-    "pa": "46b25510e84944c8172d35f0d7fc99183813e354fb5ae0880ae752f333c15179",
+    "gnp": "9743c1228604275828598df9f6d0d80833d23b7bf7dc0089b93cc9ab0e0e8f95",
+    "pa": "9448103ee81aca238fbc475e5e2f689d26422644fe14602de800dae4977032bc",
 }
 
 

@@ -1,12 +1,14 @@
 """The lazy greedy sweep: the full sweep's picks, the heap pass's count.
 
 ``knapsub.offline._run_greedy`` asks only the items whose stale bounds
-could still reach the best fresh density or gain.  Its ids, values,
-Greedy+Max candidates and traces must equal those of
+could still reach the best fresh density or gain.  Its ids, values and
+Greedy+Max candidates must equal those of
 :func:`helpers.full_sweep_greedy`, which asks every fitting item at every
-step, and its ledger count that of :func:`helpers.heap_lazy_greedy`, the
-same lazy pass one query at a time, on the protocol path and on the
-whole-set path alike.
+step, and its ledger count and trace those of
+:func:`helpers.heap_lazy_greedy`, the same lazy pass one query at a time,
+on the protocol path and on the whole-set path alike.  A dropped item
+keeps its stale density bound, so the trace's ``ub_density`` may lie above
+the full sweep's exact one.
 """
 
 import json
@@ -34,7 +36,7 @@ from knapsub.bench.datasets import preferential_adjacency
 from knapsub.bench.suite import build_dataset
 from knapsub.offline import greedy_order
 
-from helpers import full_sweep_greedy, heap_lazy_greedy
+from helpers import _slack_floor, full_sweep_greedy, heap_lazy_greedy
 
 
 def _paths(objective):
@@ -52,8 +54,11 @@ def _start(oracle, ledger, seed=()):
 
 
 def _reference(oracle, seed=(), restrict_to=None):
-    """The full sweep's run and the heap pass's query count from ``seed``,
-    f(seed) included."""
+    """The full sweep's prefixes and candidates, the heap pass's trace and
+    the heap pass's query count from ``seed``, f(seed) included.  The two
+    traces agree but for ``ub_density``, which the heap pass takes at or
+    above the exact one, less the slack: a stale coverage density can sit
+    ulps below the same item's fresh one."""
     ledger = QueryLedger()
     picks = full_sweep_greedy(oracle, ledger, _start(oracle, ledger, seed),
                               restrict_to)
@@ -61,8 +66,12 @@ def _reference(oracle, seed=(), restrict_to=None):
     lazy = heap_lazy_greedy(oracle, ledger, _start(oracle, ledger, seed),
                             restrict_to)
     assert [p.order for p in lazy[0]] == [p.order for p in picks[0]]
-    assert lazy[1:] == picks[1:]
-    return picks, ledger.query_count
+    assert lazy[1] == picks[1]
+    assert [(s.cum_cost, s.value, s.next_density) for s in lazy[2]] == \
+        [(s.cum_cost, s.value, s.next_density) for s in picks[2]]
+    for stale, exact in zip(lazy[2], picks[2]):
+        assert stale.ub_density >= _slack_floor(exact.ub_density)
+    return (picks[0], picks[1], lazy[2]), ledger.query_count
 
 
 def _check_all_entry_points(instance, objective):
@@ -221,8 +230,8 @@ def test_a_nan_only_among_speculative_values_never_raises():
     # bounds reach the floors guessed from the first step, ids 1, 2, 3 and
     # 5; id 5 answers NaN with 0 in the set, so the step falls back to the
     # lazy pass one query at a time, which asks ids 1, 2 and 3 only.  Id 1's
-    # pick drops ids 3 and 5, and id 3, asked, is denser than id 5's bound,
-    # so id 5 is never asked on either path
+    # pick drops ids 3 and 5, and a dropped item is never asked, so id 5 is
+    # never asked on either path
     objective = _Poisoned(_stars({0: 0, 1: 0, 2: 9, 3: 9, 5: 7}), bad=5, holds=0)
     costs = {0: 0.5, 1: 0.6, 2: 10.0, 3: 19.0, 5: 19.0}
     instance = Instance([Element(v, c) for v, c in costs.items()], 20.0)
@@ -241,12 +250,12 @@ def test_a_guess_above_every_bound_computes_the_top_bound_items_once():
     # once id 0, covering 10 vertices, is picked, its density and gain lie
     # far above every other bound; the next step's batch still holds the
     # top-bound items, ids 1 and 2, whose values settle it with no second
-    # batch.  Every item costs the same, so the third pick, whichever it
-    # is, leaves no room for id 3, and the third step's batch holds it:
-    # it is asked there, on the prefix it last fit, in no batch of its own
+    # batch.  Every item costs the same, so the third pick, id 2, leaves no
+    # room for id 3: it is dropped unasked, and the trace's last density
+    # bound is its bound from the first step, f({3}) - f({}) over its cost
     instance = Instance([Element(v, 1.0) for v in range(4)], 3.0)
-    oracle = SubmodularOracle(instance, CoverageObjective(
-        _stars({0: 9, 1: 1, 2: 1, 3: 0})))
+    objective = CoverageObjective(_stars({0: 9, 1: 1, 2: 1, 3: 0}))
+    oracle = SubmodularOracle(instance, objective)
     batches = []
     ahead = oracle.values_ahead
 
@@ -257,9 +266,11 @@ def test_a_guess_above_every_bound_computes_the_top_bound_items_once():
     oracle.values_ahead = record
     report = greedy_plus_max(instance, oracle, QueryLedger()).report
     assert report.solution.ids == frozenset({0, 1, 2})
-    assert batches == [[1, 2], [2, 3]]
-    assert report.queries == 1 + 4 + 2 + 1 + 1
+    assert batches == [[1, 2], [2]]
+    assert report.queries == 1 + 4 + 2 + 1
     assert report.speculative_evaluations == 0
+    assert report.trace.steps[-1].ub_density == \
+        objective.value({3}) / instance.costs[3]
 
 
 def test_speculative_values_are_tallied_not_counted():
@@ -277,7 +288,8 @@ def test_speculative_values_are_tallied_not_counted():
 
 def test_query_counts_stay_python_ints():
     # a run's counts go to JSON as they are, and a NumPy integer would not:
-    # here dropped items ride in a step's batch and are charged with it
+    # here the lazy steps settle batches computed ahead, and picks drop
+    # items
     adjacency = preferential_adjacency(300, 3, seed=5)
     objective = CoverageObjective(adjacency)
     instance = normalize(sorted(coverage_costs(adjacency).items()), 10.0)

@@ -29,7 +29,7 @@ from knapsub import (
 
 from helpers import movie_case
 
-PINNED = "f08d854252a8bf844fb39c9e67e12c74da27c3ac40956f02960ce8386d0990d0"
+PINNED = "0afa9ec277dae53459aedd978aa9044090b4ca69d09597ac8acd19e7ee77dbc8"
 
 EPSILON = 0.1
 

@@ -37,7 +37,7 @@ from knapsub import (
 
 from conftest import make_instance, random_adjacency
 
-PINNED = "6beed30fb1ca0e64becb719257c4016cc7fb445f64ef81641fbe5c5acbfb90cd"
+PINNED = "787561dbe036c037d486f1c0e34f31ba8760a13e66e386ab3a46edc3fa3da5e4"
 
 EPSILON = 0.2
 
