@@ -220,8 +220,8 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
     the items sorted by units, and never asked again.  The trace's
     ``ub_density`` keeps their highest density bound: for those asked at
     the prefix G_i they last fit, their density there; for the others,
-    their bound from their last refresh, which submodularity keeps above
-    their density at G_i.  The arrays are compacted once half their items
+    their bound from their last refresh, which submodularity keeps at or
+    above their density at G_i.  The arrays are compacted once half their items
     are out.  ``restrict_to`` limits the pool to a subset of element ids.
     """
     ws = start
@@ -261,12 +261,11 @@ def _run_greedy(instance: Instance, oracle: SubmodularOracle, ledger: QueryLedge
         guess = [_floor(_floor(top)), GAIN_GUESS * (best_value - ws.value)]
         g, d = batch.item(g), batch.item(d)
         if step:
-            fresh = batch
             if asked is not None:
-                fresh, dens, gains = batch[asked], dens[asked], gains[asked]
-            density_ub[fresh], gain_ub[fresh] = dens, gains
+                batch, dens, gains = batch[asked], dens[asked], gains[asked]
+            density_ub[batch], gain_ub[batch] = dens, gains
             if ahead is not None:
-                oracle.charge_ahead(ws, ahead, vals, fresh.size, ledger)
+                oracle.charge_ahead(ws, ahead, vals, batch.size, ledger)
         density_ub[d] = gain_ub[d] = -np.inf
         left -= 1
         best_density = instance.ids.item(working.item(d))
